@@ -37,14 +37,7 @@ from .errors import (
     PreconditionFailure,
     RepairDidNotConverge,
 )
-from .grid import (
-    Adjacency,
-    Image2D,
-    Volume3D,
-    _component_canvas,
-    label_components_2d,
-    label_components_3d,
-)
+from .grid import Adjacency, Image2D, Volume3D, label_components_2d, label_components_3d
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -369,37 +362,24 @@ def _cmd_validate(ns) -> int:
                 }
             )
     else:
-        # Mirror analyze_volume: capture 26-components, repair each on its
-        # own canvas, then compare formula and oracle per 6-piece.
-        lab = label_components_3d(grid, Adjacency.INDIRECT_3D)
-        cid = 0
-        for i in range(1, lab.count + 1):
-            canvas, _origin = _component_canvas(lab, i)
-            if not ns.no_repair:
-                canvas, _ = topo3d.repair_3d(canvas)
-            if not canvas.cells.any():
-                continue
-            sub = label_components_3d(canvas, Adjacency.DIRECT_3D)
-            for j in range(1, sub.count + 1):
-                piece, _ = _component_canvas(sub, j)
-                cid += 1
-                rep3d = topo3d.homology(piece, fallback_oracle=True, component_id=cid)
-                formula_genus = sum(s.genus for s in rep3d.boundary_surfaces)
-                summaries = oracle.euler_surface_3d(piece)
-                oracle_genus = sum(
-                    (2 - s.chi) // 2 for s in summaries
-                )
-                agree = formula_genus == oracle_genus and len(summaries) == len(
-                    rep3d.boundary_surfaces
-                )
-                checks.append(
-                    {
-                        "component": cid,
-                        "formula": formula_genus,
-                        "euler": oracle_genus,
-                        "agree": agree,
-                    }
-                )
+        results, _actions = topo3d._analyze_pieces(
+            grid, repair=not ns.no_repair, fallback_oracle=True, keep_pieces=True
+        )
+        for rep3d, piece in results:
+            formula_genus = sum(s.genus for s in rep3d.boundary_surfaces)
+            summaries = oracle.euler_surface_3d(piece)
+            oracle_genus = sum((2 - s.chi) // 2 for s in summaries)
+            agree = formula_genus == oracle_genus and len(summaries) == len(
+                rep3d.boundary_surfaces
+            )
+            checks.append(
+                {
+                    "component": rep3d.component_id,
+                    "formula": formula_genus,
+                    "euler": oracle_genus,
+                    "agree": agree,
+                }
+            )
     all_agree = all(c["agree"] for c in checks)
     rep = report.base_report("validate", report.input_digest(ns.input))
     rep["checks"] = checks

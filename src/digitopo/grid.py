@@ -229,10 +229,19 @@ class Labeling:
 
 
 def _scan_order_relabel(raw: np.ndarray, count: int) -> np.ndarray:
-    """Renumber labels so they increase with each component's first cell."""
+    """Renumber labels so they increase with each component's first cell.
+
+    ``ndimage.label`` already numbers components this way in practice, so
+    the order is first checked in one linear pass: it holds when every
+    label is at most one more than the largest label before it. Only
+    otherwise are the labels sorted and remapped.
+    """
     if count == 0:
         return raw.astype(np.int32)
     flat = raw.ravel()
+    peak = np.maximum.accumulate(flat)
+    if flat[0] <= 1 and bool(np.all(flat[1:] <= peak[:-1] + 1)):
+        return raw.astype(np.int32, copy=False)
     values, first = np.unique(flat, return_index=True)
     keep = values > 0
     values, first = values[keep], first[keep]
@@ -289,11 +298,24 @@ def label_background_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D
 def _component_bounds(labels: np.ndarray, component_id: int, count: int):
     if not 1 <= component_id <= count:
         raise NoSuchComponentError(f"no such component: {component_id}")
-    mask = labels == component_id
-    idx = np.nonzero(mask)
-    lo = [int(axis.min()) for axis in idx]
-    hi = [int(axis.max()) for axis in idx]
-    return mask, lo, hi
+    idx = np.nonzero(labels == component_id)
+    return tuple(slice(int(axis.min()), int(axis.max()) + 1) for axis in idx)
+
+
+def _box_canvas(labeling: Labeling, component_id: int, box: tuple[slice, ...]):
+    """The component inside its bounding ``box``, as ``_component_canvas``
+    returns it."""
+    region = labeling.labels[box] == component_id
+    padded = np.zeros(tuple(n + 2 for n in region.shape), dtype=bool)
+    padded[(slice(1, -1),) * region.ndim] = region
+    lo = [s.start for s in box]
+    if region.ndim == 2:
+        grid = Image2D(padded.shape[1], padded.shape[0], padded)
+        origin = (lo[1] - 1, lo[0] - 1)
+    else:
+        grid = Volume3D(padded.shape[2], padded.shape[1], padded.shape[0], padded)
+        origin = (lo[2] - 1, lo[1] - 1, lo[0] - 1)
+    return grid, origin
 
 
 def _component_canvas(labeling: Labeling, component_id: int):
@@ -302,16 +324,26 @@ def _component_canvas(labeling: Labeling, component_id: int):
     Returns ``(grid, origin)`` where ``origin`` maps canvas coordinates back
     to the source: source = canvas + origin, per axis in (x, y[, z]) order.
     """
-    mask, lo, hi = _component_bounds(labeling.labels, component_id, labeling.count)
-    region = mask[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
-    padded = np.pad(region, 1, constant_values=False)
-    if labeling.labels.ndim == 2:
-        grid = Image2D(padded.shape[1], padded.shape[0], padded)
-        origin = (lo[1] - 1, lo[0] - 1)
-    else:
-        grid = Volume3D(padded.shape[2], padded.shape[1], padded.shape[0], padded)
-        origin = (lo[2] - 1, lo[1] - 1, lo[0] - 1)
-    return grid, origin
+    box = _component_bounds(labeling.labels, component_id, labeling.count)
+    return _box_canvas(labeling, component_id, box)
+
+
+def _component_boxes(labeling: Labeling) -> list[tuple[slice, ...]]:
+    """Bounding box of every component, index ``component_id - 1``."""
+    return ndimage.find_objects(labeling.labels, max_label=labeling.count)
+
+
+def _component_canvases(labeling: Labeling):
+    """Yield ``(grid, origin)`` for every component in id order, as
+    ``_component_canvas`` returns it.
+
+    All boxes come from one ``find_objects`` pass, so extracting every
+    component costs one pass over the grid plus the boxes, not one pass
+    over the grid per component.
+    """
+    boxes = _component_boxes(labeling)
+    for cid in range(1, labeling.count + 1):
+        yield _box_canvas(labeling, cid, boxes[cid - 1])
 
 
 def extract_component(labeling: Labeling, component_id: int):

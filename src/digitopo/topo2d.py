@@ -28,7 +28,7 @@ from .grid import (
     Adjacency,
     Image2D,
     label_components_2d,
-    _component_canvas,
+    _component_canvases,
     _count_components,
 )
 from .oracle import holes_by_floodfill
@@ -436,8 +436,7 @@ def _analyze_components(
     actions: list[RepairAction] = []
     results = []
     next_id = 1
-    for cid in range(1, labeling.count + 1):
-        canvas, origin = _component_canvas(labeling, cid)
+    for canvas, origin in _component_canvases(labeling):
         canvas, speckle_actions = remove_speckles(canvas)
         actions.extend(_shift_actions(speckle_actions, origin))
         if not canvas.cells.any():
@@ -446,8 +445,7 @@ def _analyze_components(
             canvas, repair_actions = repair_2d(canvas)
             actions.extend(_shift_actions(repair_actions, origin))
         sub = label_components_2d(canvas, Adjacency.DIRECT_2D)
-        for sid in range(1, sub.count + 1):
-            piece, _ = _component_canvas(sub, sid)
+        for piece, _ in _component_canvases(sub):
             report = hole_count(piece, component_id=next_id, check_single=False)
             if not report.precondition_ok and not fallback_oracle:
                 raise PreconditionFailure(

@@ -22,6 +22,15 @@ by local edits before any surface is classified.
 Homology of a connected voxel object follows from its boundary surfaces:
 b0 = 1, b1 is the total genus over all boundary surfaces, b2 is the number
 of boundary surfaces minus one (cavities), and b3 = 0.
+
+Everything above is local to the eight voxels around one grid vertex: a
+surface point, the surface edges at it, its neighbor count, and each of
+the three pathological windows. Those voxels are pairwise 26-adjacent, so
+their object voxels belong to one 26-component. A pass over a whole volume
+therefore gives every component the same surfaces, in the same order, as
+a pass over that component alone, and a pathology scan of the whole volume
+tells which components repair would edit. ``analyze_volume`` relies on
+this to classify all components in one pass over the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +44,13 @@ from scipy import ndimage, sparse
 from scipy.sparse import csgraph
 
 from .errors import InvalidSurfaceError, RepairDidNotConverge
-from .grid import Adjacency, Volume3D, label_components_3d, _component_canvas
+from .grid import (
+    Adjacency,
+    Volume3D,
+    label_components_3d,
+    _box_canvas,
+    _component_boxes,
+)
 from .oracle import _surface_components
 from .topo2d import RepairAction, RepairOp, RepairReason
 
@@ -175,86 +190,93 @@ _ANTIPODAL = (
     ((0, 0, 1), (1, 1, 0)),
 )
 
+# Voxel offsets (dx, dy, dz) of a 2x2x2 window, in scan order.
+_CUBE = tuple((dx, dy, dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1))
 
-def _octant_slices(c: np.ndarray):
-    """The eight shifted views of all 2x2x2 windows, keyed by (dx, dy, dz)."""
+# The two unit offsets spanning the 2x2 voxel block around an edge along
+# x, y and z.
+_EDGE_SPANS = (
+    ((0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0)),
+)
+
+
+def _window_view(c: np.ndarray, off, ext) -> np.ndarray:
+    """Voxel ``off`` (dx, dy, dz) of every window reaching ``ext`` extra
+    voxels (0 or 1) along each axis, as one array over the window anchors."""
     nz, ny, nx = c.shape
-    out = {}
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                out[(dx, dy, dz)] = c[
-                    dz : nz - 1 + dz, dy : ny - 1 + dy, dx : nx - 1 + dx
-                ]
-    return out
+    (dx, dy, dz), (ex, ey, ez) = off, ext
+    return c[dz : nz - ez + dz, dy : ny - ey + dy, dx : nx - ex + dx]
+
+
+def _pathology_hits(c: np.ndarray):
+    """Anchor masks of the three pathological patterns.
+
+    Returns ``(mask, kind, pair, axis, window)`` tuples: ``mask`` marks the
+    anchors of matching windows, ``pair`` holds the offsets of the two
+    decisive voxels and ``window`` the offsets of all voxels of the window.
+    Windows overhanging the border cannot match any of the patterns (each
+    needs object voxels, or six object voxels, spanning the window), so
+    only interior windows are scanned.
+    """
+    hits = []
+    s = {off: _window_view(c, off, (1, 1, 1)) for off in _CUBE}
+    total = np.zeros(s[(0, 0, 0)].shape, dtype=np.int8)
+    for part in s.values():
+        total += part
+    for a, b in _ANTIPODAL:
+        vp = s[a] & s[b] & (total == 2)
+        cp = ~s[a] & ~s[b] & (total == 6)
+        hits.append((vp, Pathology3DKind.VERTEX_PAIR, (a, b), None, _CUBE))
+        hits.append((cp, Pathology3DKind.COMPLEMENT_VERTEX_PAIR, (a, b), None, _CUBE))
+    # Edge windows: a 2x2 block of voxels in the plane perpendicular to the
+    # edge axis, with exactly the two diagonal voxels object.
+    for axis, (u, v) in enumerate(_EDGE_SPANS):
+        ext = tuple(int(i != axis) for i in range(3))
+        uv = tuple(i + j for i, j in zip(u, v))
+        block = ((0, 0, 0), u, v, uv)
+        p, q, r, t = (_window_view(c, off, ext) for off in block)
+        hits.append((p & t & ~q & ~r, Pathology3DKind.EDGE_PAIR, ((0, 0, 0), uv), axis, block))
+        hits.append((q & r & ~p & ~t, Pathology3DKind.EDGE_PAIR, (u, v), axis, block))
+    return hits
+
+
+_KIND_RANK = {
+    Pathology3DKind.VERTEX_PAIR: 0,
+    Pathology3DKind.EDGE_PAIR: 1,
+    Pathology3DKind.COMPLEMENT_VERTEX_PAIR: 2,
+}
 
 
 def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
-    """All pathological windows, ordered by anchor in scan order.
-
-    Windows overhanging the border cannot match any of the three patterns
-    (each needs object voxels, or six object voxels, inside the window), so
-    only interior windows are scanned.
-    """
-    c = vol.cells
-    nz, ny, nx = c.shape
+    """All pathological windows, ordered by anchor in scan order."""
     found: list[tuple] = []
-
-    if nx >= 2 and ny >= 2 and nz >= 2:
-        s = _octant_slices(c)
-        total = np.zeros(next(iter(s.values())).shape, dtype=np.int8)
-        for part in s.values():
-            total += part
-        for a, b in _ANTIPODAL:
-            vp = s[a] & s[b] & (total == 2)
-            cp = ~s[a] & ~s[b] & (total == 6)
-            for mask, kind in ((vp, Pathology3DKind.VERTEX_PAIR),
-                               (cp, Pathology3DKind.COMPLEMENT_VERTEX_PAIR)):
-                zs, ys, xs = np.nonzero(mask)
-                for z, y, x in zip(zs.tolist(), ys.tolist(), xs.tolist()):
-                    pair = (
-                        (x + a[0], y + a[1], z + a[2]),
-                        (x + b[0], y + b[1], z + b[2]),
-                    )
-                    found.append((z, y, x, kind, pair, None))
-
-    # Edge windows: a 2x2 block of voxels in the plane perpendicular to the
-    # edge axis, with exactly the two diagonal voxels object.
-    def edge_windows(a, b, d, e, axis, mk_pair):
-        main = a & e & ~b & ~d
-        anti = b & d & ~a & ~e
-        for mask, which in ((main, 0), (anti, 1)):
-            zs, ys, xs = np.nonzero(mask)
-            for z, y, x in zip(zs.tolist(), ys.tolist(), xs.tolist()):
-                pair = mk_pair(x, y, z, which)
-                found.append((z, y, x, Pathology3DKind.EDGE_PAIR, pair, axis))
-
-    if ny >= 2 and nz >= 2:  # edges along x
-        edge_windows(
-            c[:-1, :-1, :], c[:-1, 1:, :], c[1:, :-1, :], c[1:, 1:, :], 0,
-            lambda x, y, z, w: ((x, y, z), (x, y + 1, z + 1)) if w == 0
-            else ((x, y + 1, z), (x, y, z + 1)),
-        )
-    if nx >= 2 and nz >= 2:  # edges along y
-        edge_windows(
-            c[:-1, :, :-1], c[:-1, :, 1:], c[1:, :, :-1], c[1:, :, 1:], 1,
-            lambda x, y, z, w: ((x, y, z), (x + 1, y, z + 1)) if w == 0
-            else ((x + 1, y, z), (x, y, z + 1)),
-        )
-    if nx >= 2 and ny >= 2:  # edges along z
-        edge_windows(
-            c[:, :-1, :-1], c[:, :-1, 1:], c[:, 1:, :-1], c[:, 1:, 1:], 2,
-            lambda x, y, z, w: ((x, y, z), (x + 1, y + 1, z)) if w == 0
-            else ((x + 1, y, z), (x, y + 1, z)),
-        )
-
-    rank = {
-        Pathology3DKind.VERTEX_PAIR: 0,
-        Pathology3DKind.EDGE_PAIR: 1,
-        Pathology3DKind.COMPLEMENT_VERTEX_PAIR: 2,
-    }
-    found.sort(key=lambda t: (t[0], t[1], t[2], rank[t[3]], t[5] if t[5] is not None else -1))
+    for mask, kind, (a, b), axis, _ in _pathology_hits(vol.cells):
+        zs, ys, xs = np.nonzero(mask)
+        for z, y, x in zip(zs.tolist(), ys.tolist(), xs.tolist()):
+            pair = (
+                (x + a[0], y + a[1], z + a[2]),
+                (x + b[0], y + b[1], z + b[2]),
+            )
+            found.append((z, y, x, kind, pair, axis))
+    found.sort(key=lambda t: (t[0], t[1], t[2], _KIND_RANK[t[3]], -1 if t[5] is None else t[5]))
     return [Pathology3D(x, y, z, kind, pair, axis) for z, y, x, kind, pair, axis in found]
+
+
+def _dirty_components(cells: np.ndarray, labels: np.ndarray) -> list[int]:
+    """Ids of the labelled components holding a pathological window.
+
+    The object voxels of a window are pairwise 26-adjacent, so they all
+    carry one label, and the window's largest label names its component.
+    """
+    owners = set()
+    for mask, _, _, _, window in _pathology_hits(cells):
+        zs, ys, xs = np.nonzero(mask)
+        if zs.size:
+            views = [labels[zs + dz, ys + dy, xs + dx] for dx, dy, dz in window]
+            owners.update(np.maximum.reduce(views).tolist())
+    return sorted(owners)
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +503,18 @@ def surface_neighbors(p: tuple[int, int, int], s: SurfacePointSet) -> int:
     return count
 
 
-def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
-    """Partition surface points by surface-edge connectivity.
+def _surface_graph(mask: np.ndarray, edges):
+    """Surface points and their surface-edge components.
 
-    Components are ordered by their minimal vertex in scan order. Both
-    endpoints of a surface edge are always surface points, so the edge
-    relation never leaves the point set.
+    Returns ``(node_ids, count, labels)``: the flat vertex indices of the
+    points in ascending order, the number of components and each point's
+    component. Both endpoints of a surface edge are always surface points,
+    so the edge relation never leaves the point set.
     """
-    mask = s.mask
     vshape = mask.shape
     node_ids = np.flatnonzero(mask)
-    if node_ids.size == 0:
-        return []
-    ex, ey, ez = _edges_of(s)
+    n = node_ids.size
+    ex, ey, ez = edges
     rows = []
     cols = []
     for arr, axis in ((ex, 2), (ey, 1), (ez, 0)):
@@ -508,7 +529,6 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
         )
         rows.append(a)
         cols.append(b)
-    n = node_ids.size
     if rows:
         a = np.searchsorted(node_ids, np.concatenate(rows))
         b = np.searchsorted(node_ids, np.concatenate(cols))
@@ -518,11 +538,23 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     else:
         graph = sparse.csr_matrix((n, n), dtype=np.int8)
     count, labels = csgraph.connected_components(graph, directed=False)
+    return node_ids, count, labels
+
+
+def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
+    """Partition surface points by surface-edge connectivity.
+
+    Components are ordered by their minimal vertex in scan order.
+    """
+    mask = s.mask
+    if not mask.any():
+        return []
+    node_ids, count, labels = _surface_graph(mask, _edges_of(s))
     out = []
     counts = _counts_of(s)
     for comp in range(count):
         members = node_ids[labels == comp]
-        m = np.zeros(vshape, dtype=bool)
+        m = np.zeros(mask.shape, dtype=bool)
         m.ravel()[members] = True
         # node_ids is ascending, so members.min() is the minimal vertex in
         # scan order.
@@ -534,6 +566,62 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
         part._counts = counts
         result.append(part)
     return result
+
+
+def _vertex_owner(labels: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Largest label among the up-to-eight voxels incident to each vertex,
+    given as flat indices into the (nz+1, ny+1, nx+1) vertex grid."""
+    nz, ny, nx = labels.shape
+    p = np.zeros((nz + 2, ny + 2, nx + 2), dtype=labels.dtype)
+    p[1:-1, 1:-1, 1:-1] = labels
+    # Vertex (vx, vy, vz) is the minimal corner of padded voxel
+    # (vx, vy, vz); its eight incident voxels follow at fixed offsets.
+    at = np.ravel_multi_index(np.unravel_index(vertices, (nz + 1, ny + 1, nx + 1)), p.shape)
+    flat = p.ravel()
+    return np.maximum.reduce(
+        [flat[at + np.ravel_multi_index((dz, dy, dx), p.shape)] for dx, dy, dz in _CUBE]
+    )
+
+
+def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
+    """Formula surface reports of every labelled component, in one pass.
+
+    Returns a list indexed by label ``0..count``: each entry holds that
+    component's surfaces ordered by minimal vertex, or is None when one
+    of them fails ``genus``. All voxels incident to a grid vertex are
+    pairwise 26-adjacent, so each surface point, surface edge and
+    neighbor count lies in the boundary of exactly one 26-component and
+    equals its value on that component's own canvas. ``labels`` must keep
+    26-adjacent voxels under one label; a surface belongs to the label of
+    the voxels around its minimal vertex.
+    """
+    mask = _surface_point_mask(cells)
+    edges = _surface_edge_arrays(cells)
+    node_ids, n, comp = _surface_graph(mask, edges)
+    out: list = [[] for _ in range(count + 1)]
+    if n == 0:
+        return out
+    counts = _neighbor_counts(edges, mask.shape).ravel()[node_ids]
+    # node_ids is ascending, so each surface's first node is its minimal
+    # vertex in scan order.
+    _, first = np.unique(comp, return_index=True)
+    first = node_ids[first]
+    owner = _vertex_owner(labels, first)
+    hist = np.bincount(comp * 7 + counts, minlength=7 * n).reshape(n, 7)
+    for o, _, h in sorted(zip(owner.tolist(), first.tolist(), hist.tolist())):
+        surfaces = out[o]
+        if surfaces is None:
+            continue
+        histogram = SurfaceHistogram(
+            m3=h[3], m4=h[4], m5=h[5], m6=h[6], irregular=h[0] + h[1] + h[2]
+        )
+        try:
+            g = genus(histogram)
+        except InvalidSurfaceError:
+            out[o] = None
+            continue
+        surfaces.append(SurfaceReport(sum(h), histogram, g, 2 - 2 * g, "formula"))
+    return out
 
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
@@ -566,6 +654,46 @@ def genus(hist: SurfaceHistogram) -> int:
     return g
 
 
+def _oracle_surfaces(vol: Volume3D) -> list[SurfaceReport]:
+    """Surface reports from the boundary-face Euler characteristic."""
+    surfaces = []
+    counts = _neighbor_counts(
+        _surface_edge_arrays(vol.cells), (vol.nz + 1, vol.ny + 1, vol.nx + 1)
+    )
+    for summary, verts in _surface_components(vol):
+        if summary.chi % 2 != 0:
+            raise InvalidSurfaceError("non-orientable or non-manifold boundary")
+        g = (2 - summary.chi) // 2
+        m = np.zeros(counts.shape, dtype=bool)
+        for vx, vy, vz in verts:
+            m[vz, vy, vx] = True
+        hist = np.bincount(counts[m], minlength=7)
+        surfaces.append(
+            SurfaceReport(
+                summary.v,
+                SurfaceHistogram(
+                    m3=int(hist[3]),
+                    m4=int(hist[4]),
+                    m5=int(hist[5]),
+                    m6=int(hist[6]),
+                    irregular=int(hist[0] + hist[1] + hist[2]),
+                ),
+                g,
+                summary.chi,
+                "euler-oracle",
+            )
+        )
+    return surfaces
+
+
+def _report(component_id, voxel_count, surfaces, repair_actions) -> TopoReport3D:
+    b1 = sum(s.genus for s in surfaces)
+    betti = (1, b1, len(surfaces) - 1, 0)
+    return TopoReport3D(
+        component_id, voxel_count, tuple(surfaces), betti, tuple(repair_actions)
+    )
+
+
 def homology(
     vol: Volume3D,
     fallback_oracle: bool = True,
@@ -581,57 +709,13 @@ def homology(
     """
     if not vol.cells.any():
         raise ValueError("empty volume")
-    pts = to_point_space(vol)
-    comps = split_surface_components(pts)
-    surfaces: list[SurfaceReport] = []
-    failed = False
-    for comp in comps:
-        hist = classify_surface(comp)
-        try:
-            g = genus(hist)
-        except InvalidSurfaceError:
-            failed = True
-            break
-        surfaces.append(
-            SurfaceReport(len(comp), hist, g, 2 - 2 * g, "formula")
-        )
-    if failed:
+    # The cells as labels: every surface belongs to label 1.
+    surfaces = _formula_surfaces(vol.cells, vol.cells.view(np.uint8), 1)[1]
+    if surfaces is None:
         if not fallback_oracle:
             raise InvalidSurfaceError("not a valid digital surface")
-        surfaces = []
-        counts = _counts_of(pts)
-        for summary, verts in _surface_components(vol):
-            if summary.chi % 2 != 0:
-                raise InvalidSurfaceError("non-orientable or non-manifold boundary")
-            g = (2 - summary.chi) // 2
-            m = np.zeros(pts.mask.shape, dtype=bool)
-            for vx, vy, vz in verts:
-                m[vz, vy, vx] = True
-            hist = np.bincount(counts[m], minlength=7)
-            surfaces.append(
-                SurfaceReport(
-                    summary.v,
-                    SurfaceHistogram(
-                        m3=int(hist[3]),
-                        m4=int(hist[4]),
-                        m5=int(hist[5]),
-                        m6=int(hist[6]),
-                        irregular=int(hist[0] + hist[1] + hist[2]),
-                    ),
-                    g,
-                    summary.chi,
-                    "euler-oracle",
-                )
-            )
-    b1 = sum(s.genus for s in surfaces)
-    betti = (1, b1, len(surfaces) - 1, 0)
-    return TopoReport3D(
-        component_id,
-        vol.voxel_count,
-        tuple(surfaces),
-        betti,
-        tuple(repair_actions),
-    )
+        surfaces = _oracle_surfaces(vol)
+    return _report(component_id, vol.voxel_count, surfaces, repair_actions)
 
 
 def _shift_actions_3d(actions, origin) -> list[RepairAction]:
@@ -641,6 +725,115 @@ def _shift_actions_3d(actions, origin) -> list[RepairAction]:
     ]
 
 
+def _formula_pass(cells: np.ndarray, labeling) -> tuple[list, list[int]]:
+    """Formula surfaces (see ``_formula_surfaces``) and voxel count of
+    every labelled component."""
+    formula = _formula_surfaces(cells, labeling.labels, labeling.count)
+    sizes = np.bincount(labeling.labels.ravel(), minlength=labeling.count + 1)
+    return formula, sizes.tolist()
+
+
+def _canvas_passes(canvases) -> list[tuple[list, list[int]]]:
+    """``_formula_pass`` of each (canvas, labeling) pair, from one pass
+    per group of canvases laid side by side along x.
+
+    Each canvas has a 1-voxel background pad, so the objects of two
+    neighboring canvases are two voxels apart and share no vertex. A
+    group holds the canvases whose height and depth round up to the same
+    powers of two, so no canvas is padded to more than four times its size.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (canvas, _) in enumerate(canvases):
+        key = (1 << (canvas.nz - 1).bit_length(), 1 << (canvas.ny - 1).bit_length())
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(canvases)
+    for members in groups.values():
+        nz = max(canvases[i][0].nz for i in members)
+        ny = max(canvases[i][0].ny for i in members)
+        nx = sum(canvases[i][0].nx for i in members)
+        cells = np.zeros((nz, ny, nx), dtype=bool)
+        labels = np.zeros((nz, ny, nx), dtype=np.int32)
+        x = count = 0
+        for i in members:
+            canvas, lab = canvases[i]
+            box = (slice(0, canvas.nz), slice(0, canvas.ny), slice(x, x + canvas.nx))
+            cells[box] = canvas.cells
+            labels[box] = np.where(canvas.cells, lab.labels + count, 0)
+            x += canvas.nx
+            count += lab.count
+        formula = _formula_surfaces(cells, labels, count)
+        count = 0
+        for i in members:
+            lab = canvases[i][1]
+            sizes = np.bincount(lab.labels.ravel(), minlength=lab.count + 1)
+            out[i] = ([None] + formula[count + 1 : count + 1 + lab.count], sizes.tolist())
+            count += lab.count
+    return out
+
+
+def _analyze_pieces(
+    vol: Volume3D,
+    repair: bool = True,
+    fallback_oracle: bool = True,
+    keep_pieces: bool = False,
+):
+    """``analyze_volume``, with each report paired with its piece (the
+    6-component on its own padded canvas) when ``keep_pieces`` is set,
+    else with None."""
+    lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
+    boxes = _component_boxes(lab26)
+    # Dirty components first, so that a repair cycle is reported before
+    # any classification work.
+    dirty = {}
+    actions: list[RepairAction] = []
+    for cid in _dirty_components(vol.cells, lab26.labels):
+        canvas, origin = _box_canvas(lab26, cid, boxes[cid - 1])
+        shifted: list[RepairAction] = []
+        if repair:
+            canvas, acts = repair_3d(canvas)
+            shifted = _shift_actions_3d(acts, origin)
+            actions.extend(shifted)
+        if canvas.cells.any():
+            lab6 = label_components_3d(canvas, Adjacency.DIRECT_3D)
+            dirty[cid] = (canvas, lab6, tuple(shifted))
+        else:
+            dirty[cid] = None
+    # A repaired canvas has no pathological window, so its 6-pieces are
+    # its 26-components and a formula pass serves them all; the pieces of
+    # an unrepaired one go through ``homology`` one by one.
+    kept = [cid for cid, d in dirty.items() if d is not None]
+    if repair:
+        passes = _canvas_passes([dirty[cid][:2] for cid in kept])
+    else:
+        passes = [None] * len(kept)
+    passed = dict(zip(kept, passes))
+
+    results = []
+
+    def add(labeling, boxes, formula_pass, cid, repair_actions):
+        surfaces = formula_pass[0][cid] if formula_pass else None
+        piece = None
+        if keep_pieces or surfaces is None:
+            piece, _ = _box_canvas(labeling, cid, boxes[cid - 1])
+        if surfaces is None:
+            rep = homology(piece, fallback_oracle, len(results) + 1, repair_actions)
+        else:
+            voxels = formula_pass[1][cid]
+            rep = _report(len(results) + 1, voxels, surfaces, repair_actions)
+        results.append((rep, piece if keep_pieces else None))
+
+    whole = _formula_pass(vol.cells, lab26)
+    for cid in range(1, lab26.count + 1):
+        if cid not in dirty:
+            add(lab26, boxes, whole, cid, ())
+        elif dirty[cid] is not None:
+            _, lab6, shifted = dirty[cid]
+            pieces = _component_boxes(lab6)
+            for sid in range(1, lab6.count + 1):
+                add(lab6, pieces, passed[cid], sid, shifted)
+    return results, actions
+
+
 def analyze_volume(
     vol: Volume3D,
     repair: bool = True,
@@ -648,34 +841,32 @@ def analyze_volume(
 ) -> tuple[list[TopoReport3D], list[RepairAction]]:
     """Full pipeline: capture components, repair, then report homology.
 
-    Components are captured with indirect (26-) adjacency, repaired on
-    their own canvases, then relabeled with direct (6-) adjacency; each
-    resulting component gets one report. Edit coordinates are mapped back
-    to the source volume.
+    Components are captured with indirect (26-) adjacency. Each one is
+    reported as if it were repaired on its own padded canvas, relabeled
+    with direct (6-) adjacency and each resulting piece classified there;
+    edit coordinates are mapped back to the source volume.
+
+    The work is done per grid, not per component. Every voxel window that
+    decides a pathology, a surface point, a surface edge or a neighbor
+    count holds only voxels incident to one grid vertex, which are
+    pairwise 26-adjacent, so it lies inside one component and reads the
+    same on the whole volume as on that component's canvas. Hence:
+
+    * one pathology scan over the volume finds the dirty components;
+      repair edits no other component;
+    * dirty components are repaired first, in id order, on their own
+      canvases, so a repair cycle raises before any classification; the
+      repaired canvases, laid side by side in a few grids, are classified
+      by passes keyed by their 6-labels;
+    * every clean component is one 6-piece (without a pathological window
+      26- and 6-adjacency agree), and one pass over the unedited volume
+      classifies all of them; surfaces keep their minimal-vertex order,
+      since a canvas is a translation of the volume.
+
+    ``homology`` runs only on a piece whose histogram fails ``genus``,
+    for the oracle fallback, and, without repair, on each piece of a
+    dirty component. Reports are assembled in component order, so the
+    first piece that raises is the one that raised before.
     """
-    lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
-    reports: list[TopoReport3D] = []
-    all_actions: list[RepairAction] = []
-    next_id = 1
-    for cid in range(1, lab26.count + 1):
-        canvas, origin = _component_canvas(lab26, cid)
-        shifted: list[RepairAction] = []
-        if repair:
-            canvas, acts = repair_3d(canvas)
-            shifted = _shift_actions_3d(acts, origin)
-            all_actions.extend(shifted)
-        if not canvas.cells.any():
-            continue
-        lab6 = label_components_3d(canvas, Adjacency.DIRECT_3D)
-        for sid in range(1, lab6.count + 1):
-            piece, _ = _component_canvas(lab6, sid)
-            reports.append(
-                homology(
-                    piece,
-                    fallback_oracle=fallback_oracle,
-                    component_id=next_id,
-                    repair_actions=tuple(shifted),
-                )
-            )
-            next_id += 1
-    return reports, all_actions
+    results, actions = _analyze_pieces(vol, repair, fallback_oracle)
+    return [r for r, _ in results], actions

@@ -15,6 +15,7 @@ from digitopo import (
     window2,
     window8,
 )
+from digitopo.grid import _component_canvas, _component_canvases, _scan_order_relabel
 from gridtext import image, volume
 
 BLOB_NO_HOLE = image(
@@ -184,6 +185,34 @@ def test_extract_component_3d():
     assert isinstance(part, Volume3D)
     assert part.cells.sum() == 1
     assert part.cells[1, 1, 1]
+
+
+def test_component_canvases_match_single_extraction():
+    rng = np.random.default_rng(5)
+    grids = [
+        Image2D(9, 7, rng.random((7, 9)) < 0.4),
+        Volume3D(6, 5, 4, rng.random((4, 5, 6)) < 0.12),
+    ]
+    for grid in grids:
+        if isinstance(grid, Image2D):
+            lab = label_components_2d(grid)
+        else:
+            lab = label_components_3d(grid, Adjacency.INDIRECT_3D)
+        got = list(_component_canvases(lab))
+        assert len(got) == lab.count
+        for cid, (canvas, origin) in enumerate(got, start=1):
+            want, want_origin = _component_canvas(lab, cid)
+            assert canvas == want
+            assert origin == want_origin
+
+
+def test_scan_order_relabel_reorders_out_of_order_labels():
+    # Labels whose first cells appear in the order 2, 3, 1.
+    raw = np.array([[0, 2, 2, 0], [3, 0, 1, 1], [3, 0, 0, 2]], dtype=np.int32)
+    want = np.array([[0, 1, 1, 0], [2, 0, 3, 3], [2, 0, 0, 1]], dtype=np.int32)
+    assert np.array_equal(_scan_order_relabel(raw, 3), want)
+    ordered = np.array([[1, 0, 2], [1, 3, 2]], dtype=np.int32)
+    assert np.array_equal(_scan_order_relabel(ordered, 3), ordered)
 
 
 def test_window2_interior_and_outside():

@@ -7,6 +7,7 @@ code existed.
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from digitopo import (
     Adjacency,
@@ -32,7 +33,14 @@ from digitopo import (
     surface_neighbors,
     to_point_space,
 )
-from digitopo.topo3d import SurfaceHistogram
+from digitopo.grid import _component_canvas
+from digitopo.topo2d import RepairAction
+from digitopo.topo3d import (
+    SurfaceHistogram,
+    SurfaceReport,
+    TopoReport3D,
+    _analyze_pieces,
+)
 
 from gridtext import NONCONVERGENT_SLABS, volume
 
@@ -632,3 +640,193 @@ class TestNonConvergence:
             assert "did not converge" in str(e)
         else:
             assert find_pathologies_3d(fixed) == []
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid driver against a per-component reference
+
+
+# Ten voxels (z slabs of y rows of x) on which 3D repair oscillates.
+REPAIR_CYCLE = np.array(
+    [
+        [[c == "#" for c in row] for row in z.split()]
+        for z in """
+        ....  .#..  ....
+        .#..  ##..  ....
+        ....  ...#  ..##
+        ....  ..##  ..#.
+        """.strip().splitlines()
+    ]
+)
+
+
+def reference_homology(piece, fallback_oracle, component_id, actions):
+    """One piece through the public point-space, split and classify path;
+    a piece whose histogram fails ``genus`` goes to ``homology``."""
+    surfaces = []
+    for comp in split_surface_components(to_point_space(piece)):
+        hist = classify_surface(comp)
+        try:
+            g = genus(hist)
+        except InvalidSurfaceError:
+            return homology(piece, fallback_oracle, component_id, actions)
+        surfaces.append(SurfaceReport(len(comp), hist, g, 2 - 2 * g, "formula"))
+    b1 = sum(s.genus for s in surfaces)
+    betti = (1, b1, len(surfaces) - 1, 0)
+    return TopoReport3D(
+        component_id, piece.voxel_count, tuple(surfaces), betti, actions
+    )
+
+
+def reference_analyze(vol, repair=True, fallback_oracle=True):
+    """``analyze_volume`` as a loop over components: each 26-component is
+    repaired on its own canvas, relabeled with 6-adjacency, and every
+    piece is classified by itself."""
+    lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
+    reports = []
+    all_actions = []
+    for cid in range(1, lab26.count + 1):
+        canvas, (ox, oy, oz) = _component_canvas(lab26, cid)
+        shifted = []
+        if repair:
+            canvas, acts = repair_3d(canvas)
+            shifted = [
+                RepairAction(a.x + ox, a.y + oy, a.op, a.reason, a.z + oz)
+                for a in acts
+            ]
+            all_actions.extend(shifted)
+        if not canvas.cells.any():
+            continue
+        lab6 = label_components_3d(canvas, Adjacency.DIRECT_3D)
+        for sid in range(1, lab6.count + 1):
+            piece, _ = _component_canvas(lab6, sid)
+            reports.append(
+                reference_homology(
+                    piece, fallback_oracle, len(reports) + 1, tuple(shifted)
+                )
+            )
+    return reports, all_actions
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:  # compared, never swallowed: see the asserts
+        return type(e), str(e)
+
+
+class TestWholeGridDriver:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)
+        ),
+        density=st.floats(0.02, 0.35),
+        seed=st.integers(0, 2**32 - 1),
+        repair=st.booleans(),
+        fallback_oracle=st.booleans(),
+        cycle_at=st.none() | st.tuples(*[st.integers(0, 8)] * 3),
+    )
+    def test_matches_per_component_reference(
+        self, shape, density, seed, repair, fallback_oracle, cycle_at
+    ):
+        # Raw Bernoulli volumes: nothing re-draws the ones repair cannot
+        # clean, so cycles and oracle fallbacks are compared too. Cycles
+        # are rare at this size, so some draws also get the cycling
+        # pattern written over them, at a drawn place where it fits.
+        cells = np.random.default_rng(seed).random(shape) < density
+        if cycle_at is not None and all(
+            n >= k for n, k in zip(shape, REPAIR_CYCLE.shape)
+        ):
+            at = [min(a, n - k) for a, n, k in zip(cycle_at, shape, REPAIR_CYCLE.shape)]
+            box = tuple(slice(a, a + k) for a, k in zip(at, REPAIR_CYCLE.shape))
+            cells[box] = REPAIR_CYCLE
+        vol = Volume3D(shape[2], shape[1], shape[0], cells)
+        got = outcome(analyze_volume, vol, repair, fallback_oracle)
+        want = outcome(reference_analyze, vol, repair, fallback_oracle)
+        assert got == want
+        event(got[0].__name__ if isinstance(got[0], type) else "reports")
+        if repair and not isinstance(got[0], type):
+            results, actions = _analyze_pieces(
+                vol, repair, fallback_oracle, keep_pieces=True
+            )
+            assert [r for r, _ in results] == got[0]
+            assert actions == got[1]
+            for rep, piece in results:
+                summaries = euler_surface_3d(piece)
+                assert len(summaries) == len(rep.boundary_surfaces)
+                assert sum(s.genus for s in rep.boundary_surfaces) == sum(
+                    (2 - s.chi) // 2 for s in summaries
+                )
+
+    @pytest.mark.parametrize("repair", [True, False])
+    @pytest.mark.parametrize("fallback_oracle", [True, False])
+    def test_cavities_and_tunnels_match_reference(self, repair, fallback_oracle):
+        # Several components with more than one boundary surface, so the
+        # surface order within a component and the owner of a cavity
+        # surface are both compared, and a block of noise that repair
+        # edits, that the oracle fallback classifies without repair, and
+        # that fails without either.
+        cells = np.zeros((12, 14, 40), dtype=bool)
+        cells[1:6, 1:6, 1:6] = True  # one cavity
+        cells[3, 3, 3] = False
+        cells[1:8, 1:9, 8:18] = True  # two cavities
+        cells[3:5, 3:5, 10:12] = False
+        cells[3:5, 3:5, 14:16] = False
+        cells[0:3, 1:6, 19:28] = gen_frame(3).cells  # genus 3
+        cells[7:12, 8:14, 1:7] = np.random.default_rng(5).random((5, 6, 6)) < 0.4
+        vol = Volume3D(40, 14, 12, cells)
+        got = outcome(analyze_volume, vol, repair, fallback_oracle)
+        assert got == outcome(reference_analyze, vol, repair, fallback_oracle)
+        if repair:
+            reports, _ = got
+            assert [len(r.boundary_surfaces) for r in reports[:3]] == [2, 3, 1]
+
+    def test_pieces_are_not_kept_by_default(self):
+        results, _ = _analyze_pieces(gen_frame(1))
+        assert [piece for _, piece in results] == [None]
+
+
+def cycle_among_clean_components():
+    """The cycling pattern in a corner, with clean components numbered
+    both before and after it."""
+    cells = np.zeros((12, 12, 14), dtype=bool)
+    cells[0, 8:11, 9:12] = True  # scan-first: component 1
+    cells[1:5, 1:4, 1:5] = REPAIR_CYCLE
+    cells[6:9, 2:9, 7:12] = True  # a solid torus
+    cells[6:9, 4:7, 9:10] = False
+    cells[9:11, 9:11, 2:4] = True
+    return Volume3D(14, 12, 12, cells)
+
+
+class TestRepairCycleAmongCleanComponents:
+    def test_cycle_raises(self):
+        vol = cycle_among_clean_components()
+        lab = label_components_3d(vol, Adjacency.INDIRECT_3D)
+        assert lab.count == 4
+        assert lab.labels[1, 2, 2] == 2  # the pattern is not component 1
+        for fallback_oracle in (True, False):
+            with pytest.raises(RepairDidNotConverge, match="did not converge"):
+                analyze_volume(vol, fallback_oracle=fallback_oracle)
+
+    def test_without_repair(self):
+        # No repair, no cycle. The pattern's complement window leaves one
+        # of its 6-pieces with a non-manifold boundary, which only the
+        # surface classification can reject; the clean components around
+        # it are reported as before.
+        vol = cycle_among_clean_components()
+        with pytest.raises(InvalidSurfaceError, match="non-manifold"):
+            analyze_volume(vol, repair=False)
+        with pytest.raises(InvalidSurfaceError, match="not a valid digital surface"):
+            analyze_volume(vol, repair=False, fallback_oracle=False)
+        cells = vol.cells.copy()
+        cells[:6, :6, :6] = False
+        reports, actions = analyze_volume(Volume3D(14, 12, 12, cells), repair=False)
+        assert actions == []
+        assert [r.component_id for r in reports] == [1, 2, 3]
+        assert [r.betti for r in reports] == [
+            (1, 0, 0, 0),
+            (1, 1, 0, 0),
+            (1, 0, 0, 0),
+        ]
