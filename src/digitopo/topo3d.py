@@ -31,6 +31,15 @@ therefore gives every component the same surfaces, in the same order, as
 a pass over that component alone, and a pathology scan of the whole volume
 tells which components repair would edit. ``analyze_volume`` relies on
 this to classify all components in one pass over the grid.
+
+The pathology scan reads each 2x2x2 window as one 8-bit code, bit
+``dx + 2*dy + 4*dz`` holding voxel (dx, dy, dz) of the window (the bit
+quads of Gray, 1971, one dimension up). The grid gets one empty voxel on
+the high side of each axis, so every voxel anchors a window. Tables built
+at import map a code to the windows it anchors: the vertex and complement
+patterns of the whole window, and the edge patterns of its three low
+faces. An edge window therefore belongs to the one window whose low face
+holds it, and edge windows on the last layer of an axis are still seen.
 """
 
 from __future__ import annotations
@@ -202,81 +211,105 @@ _EDGE_SPANS = (
 )
 
 
-def _window_view(c: np.ndarray, off, ext) -> np.ndarray:
-    """Voxel ``off`` (dx, dy, dz) of every window reaching ``ext`` extra
-    voxels (0 or 1) along each axis, as one array over the window anchors."""
-    nz, ny, nx = c.shape
-    (dx, dy, dz), (ex, ey, ez) = off, ext
-    return c[dz : nz - ez + dz, dy : ny - ey + dy, dx : nx - ex + dx]
+def _bit(off) -> int:
+    """The bit of voxel ``off`` (dx, dy, dz) in a window code."""
+    dx, dy, dz = off
+    return 1 << (dx + 2 * dy + 4 * dz)
 
 
-def _pathology_hits(c: np.ndarray):
-    """Anchor masks of the three pathological patterns.
+def _code_hits() -> tuple:
+    """Per window code, ``(kind, pair, axis)`` of every pathological window
+    it anchors.
 
-    Returns ``(mask, kind, pair, axis, window)`` tuples: ``mask`` marks the
-    anchors of matching windows, ``pair`` holds the offsets of the two
-    decisive voxels and ``window`` the offsets of all voxels of the window.
-    Windows overhanging the border cannot match any of the patterns (each
-    needs object voxels, or six object voxels, spanning the window), so
-    only interior windows are scanned.
+    Vertex and complement windows are the whole window: exactly their
+    pair, or all but their pair, is object. An edge window is a 2x2 block
+    perpendicular to the edge axis with exactly its two diagonal voxels
+    object; only the block on the window's low face along that axis is
+    anchored at the window. A face of a vertex or complement window never
+    holds exactly two diagonal object voxels, so each list is a single
+    vertex or complement window, or edge windows in axis order.
     """
-    hits = []
-    s = {off: _window_view(c, off, (1, 1, 1)) for off in _CUBE}
-    total = np.zeros(s[(0, 0, 0)].shape, dtype=np.int8)
-    for part in s.values():
-        total += part
+    hits: list[list] = [[] for _ in range(256)]
     for a, b in _ANTIPODAL:
-        vp = s[a] & s[b] & (total == 2)
-        cp = ~s[a] & ~s[b] & (total == 6)
-        hits.append((vp, Pathology3DKind.VERTEX_PAIR, (a, b), None, _CUBE))
-        hits.append((cp, Pathology3DKind.COMPLEMENT_VERTEX_PAIR, (a, b), None, _CUBE))
-    # Edge windows: a 2x2 block of voxels in the plane perpendicular to the
-    # edge axis, with exactly the two diagonal voxels object.
+        pair = _bit(a) | _bit(b)
+        hits[pair].append((Pathology3DKind.VERTEX_PAIR, (a, b), None))
+        hits[255 ^ pair].append((Pathology3DKind.COMPLEMENT_VERTEX_PAIR, (a, b), None))
     for axis, (u, v) in enumerate(_EDGE_SPANS):
-        ext = tuple(int(i != axis) for i in range(3))
         uv = tuple(i + j for i, j in zip(u, v))
-        block = ((0, 0, 0), u, v, uv)
-        p, q, r, t = (_window_view(c, off, ext) for off in block)
-        hits.append((p & t & ~q & ~r, Pathology3DKind.EDGE_PAIR, ((0, 0, 0), uv), axis, block))
-        hits.append((q & r & ~p & ~t, Pathology3DKind.EDGE_PAIR, (u, v), axis, block))
-    return hits
+        face = _bit((0, 0, 0)) | _bit(u) | _bit(v) | _bit(uv)
+        for a, b in (((0, 0, 0), uv), (u, v)):
+            pair = _bit(a) | _bit(b)
+            for code in range(256):
+                if code & face == pair:
+                    hits[code].append((Pathology3DKind.EDGE_PAIR, (a, b), axis))
+    return tuple(tuple(h) for h in hits)
 
 
-_KIND_RANK = {
-    Pathology3DKind.VERTEX_PAIR: 0,
-    Pathology3DKind.EDGE_PAIR: 1,
-    Pathology3DKind.COMPLEMENT_VERTEX_PAIR: 2,
-}
+# Per window code: the windows it anchors, and whether there are any.
+_CODE_HITS = _code_hits()
+_CODE_DIRTY = np.array([bool(hits) for hits in _CODE_HITS])
+
+
+def _window_codes(cells: np.ndarray) -> np.ndarray:
+    """The 8-bit code of the 2x2x2 window anchored at every voxel, with
+    one empty voxel past the high end of each axis."""
+    nz, ny, nx = cells.shape
+    p = np.zeros((nz + 1, ny + 1, nx + 1), dtype=np.uint8)
+    p[:nz, :ny, :nx] = cells
+    # Shift-or along x, then y, then z: bits 0-1, 0-3, then all 8.
+    pair = p[:, :, 1:] << 1
+    pair |= p[:, :, :-1]
+    quad = pair[:, 1:] << 2
+    quad |= pair[:, :-1]
+    code = quad[1:] << 4
+    code |= quad[:-1]
+    return code
 
 
 def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
-    """All pathological windows, ordered by anchor in scan order."""
-    found: list[tuple] = []
-    for mask, kind, (a, b), axis, _ in _pathology_hits(vol.cells):
-        zs, ys, xs = np.nonzero(mask)
-        for z, y, x in zip(zs.tolist(), ys.tolist(), xs.tolist()):
+    """All pathological windows, ordered by anchor in scan order.
+
+    One pass builds the 8-bit code of every 2x2x2 window, the grid padded
+    by one empty voxel on the high side of each axis; a 256-entry table
+    marks the codes anchoring a pathology, and a second one lists those
+    windows per code. Windows sharing an anchor come vertex pairs first,
+    then edge pairs by axis, then complement pairs. An edge window is
+    anchored at its minimum voxel, as the low face of the window there.
+    """
+    codes = _window_codes(vol.cells)
+    at = np.flatnonzero(_CODE_DIRTY[codes])
+    zs, ys, xs = np.unravel_index(at, codes.shape)
+    found = []
+    for z, y, x, code in zip(
+        zs.tolist(), ys.tolist(), xs.tolist(), codes.ravel()[at].tolist()
+    ):
+        for kind, (a, b), axis in _CODE_HITS[code]:
             pair = (
                 (x + a[0], y + a[1], z + a[2]),
                 (x + b[0], y + b[1], z + b[2]),
             )
-            found.append((z, y, x, kind, pair, axis))
-    found.sort(key=lambda t: (t[0], t[1], t[2], _KIND_RANK[t[3]], -1 if t[5] is None else t[5]))
-    return [Pathology3D(x, y, z, kind, pair, axis) for z, y, x, kind, pair, axis in found]
+            found.append(Pathology3D(x, y, z, kind, pair, axis))
+    return found
 
 
-def _dirty_components(cells: np.ndarray, labels: np.ndarray) -> list[int]:
-    """Ids of the labelled components holding a pathological window.
+def _window_owner(labels: np.ndarray, p: Pathology3D) -> int:
+    """Label of a pathological window's component.
 
     The object voxels of a window are pairwise 26-adjacent, so they all
-    carry one label, and the window's largest label names its component.
+    carry one label. The pair of a complement window is empty, but the
+    voxel next to its first along x is object.
     """
-    owners = set()
-    for mask, _, _, _, window in _pathology_hits(cells):
-        zs, ys, xs = np.nonzero(mask)
-        if zs.size:
-            views = [labels[zs + dz, ys + dy, xs + dx] for dx, dy, dz in window]
-            owners.update(np.maximum.reduce(views).tolist())
-    return sorted(owners)
+    x, y, z = p.pair[0]
+    if p.kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR:
+        x = 2 * p.x + 1 - x
+    return int(labels[z, y, x])
+
+
+def _shift_window(p: Pathology3D, origin) -> Pathology3D:
+    """``p`` in the coordinates of a canvas at ``origin``."""
+    ox, oy, oz = origin
+    a, b = ((x - ox, y - oy, z - oz) for x, y, z in p.pair)
+    return Pathology3D(p.x - ox, p.y - oy, p.z - oz, p.kind, (a, b), p.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +387,9 @@ def _fix_3d(cells: np.ndarray, p: Pathology3D) -> RepairAction:
     )
 
 
-def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
+def repair_3d(
+    vol: Volume3D, *, found: list[Pathology3D] | None = None
+) -> tuple[Volume3D, list[RepairAction]]:
     """Edit the volume until no pathological window remains.
 
     Each scan applies fills for complement windows first, then deletions
@@ -366,15 +401,18 @@ def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
     deletion restores the filled voxel. The loop is deterministic, so a
     repeated grid state proves the cap will be exceeded; it is reported
     immediately instead of grinding out the remaining actions.
+
+    ``found``, when given, must equal ``find_pathologies_3d(vol)``; a
+    caller that has already scanned the volume passes it to spare the
+    first scan.
     """
     cells = vol.cells.copy()
     actions: list[RepairAction] = []
     cap = 4 * vol.nx * vol.ny * vol.nz
     seen_states: set[bytes] = set()
-    while True:
-        found = find_pathologies_3d(Volume3D(vol.nx, vol.ny, vol.nz, cells))
-        if not found:
-            break
+    if found is None:
+        found = find_pathologies_3d(vol)
+    while found:
         digest = hashlib.blake2b(cells.tobytes(), digest_size=16).digest()
         if digest in seen_states:
             raise RepairDidNotConverge("repair did not converge")
@@ -387,6 +425,7 @@ def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
             if len(actions) >= cap:
                 raise RepairDidNotConverge("repair did not converge")
             actions.append(_fix_3d(cells, p))
+        found = find_pathologies_3d(Volume3D(vol.nx, vol.ny, vol.nz, cells))
     return Volume3D(vol.nx, vol.ny, vol.nz, cells), actions
 
 
@@ -782,15 +821,21 @@ def _analyze_pieces(
     else with None."""
     lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
     boxes = _component_boxes(lab26)
+    # A component's windows, shifted onto its canvas, are what a scan of
+    # the canvas finds, in the same order.
+    windows: dict[int, list[Pathology3D]] = {}
+    for p in find_pathologies_3d(vol):
+        windows.setdefault(_window_owner(lab26.labels, p), []).append(p)
     # Dirty components first, so that a repair cycle is reported before
     # any classification work.
     dirty = {}
     actions: list[RepairAction] = []
-    for cid in _dirty_components(vol.cells, lab26.labels):
+    for cid in sorted(windows):
         canvas, origin = _box_canvas(lab26, cid, boxes[cid - 1])
         shifted: list[RepairAction] = []
         if repair:
-            canvas, acts = repair_3d(canvas)
+            found = [_shift_window(p, origin) for p in windows[cid]]
+            canvas, acts = repair_3d(canvas, found=found)
             shifted = _shift_actions_3d(acts, origin)
             actions.extend(shifted)
         if canvas.cells.any():
@@ -852,8 +897,9 @@ def analyze_volume(
     pairwise 26-adjacent, so it lies inside one component and reads the
     same on the whole volume as on that component's canvas. Hence:
 
-    * one pathology scan over the volume finds the dirty components;
-      repair edits no other component;
+    * one pathology scan over the volume finds the dirty components and,
+      shifted, the windows a scan of each one's canvas would find, which
+      repair takes as its first round; repair edits no other component;
     * dirty components are repaired first, in id order, on their own
       canvases, so a repair cycle raises before any classification; the
       repaired canvases, laid side by side in a few grids, are classified

@@ -39,7 +39,11 @@ from digitopo.topo3d import (
     SurfaceHistogram,
     SurfaceReport,
     TopoReport3D,
+    _CODE_DIRTY,
+    _CODE_HITS,
     _analyze_pieces,
+    _fix_3d,
+    _matches_3d,
 )
 
 from gridtext import NONCONVERGENT_SLABS, volume
@@ -830,3 +834,137 @@ class TestRepairCycleAmongCleanComponents:
             (1, 1, 0, 0),
             (1, 0, 0, 0),
         ]
+
+
+# ---------------------------------------------------------------------------
+# window codes against the boolean mask kernel they replaced
+
+
+# The reference's own window geometry: voxel offsets (dx, dy, dz) of a
+# 2x2x2 window, its antipodal pairs, and the two unit offsets spanning the
+# 2x2 block around an edge along x, y and z.
+CUBE = tuple((dx, dy, dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1))
+ANTIPODAL = (
+    ((0, 0, 0), (1, 1, 1)),
+    ((1, 0, 0), (0, 1, 1)),
+    ((0, 1, 0), (1, 0, 1)),
+    ((0, 0, 1), (1, 1, 0)),
+)
+EDGE_SPANS = (
+    ((0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0)),
+)
+
+
+def _window_view(c, off, ext):
+    nz, ny, nx = c.shape
+    (dx, dy, dz), (ex, ey, ez) = off, ext
+    return c[dz : nz - ez + dz, dy : ny - ey + dy, dx : nx - ex + dx]
+
+
+def reference_hits(c):
+    """Anchor masks of the three patterns, one boolean pass per voxel of a
+    window: ``(mask, kind, pair, axis)``. Windows overhanging the border
+    cannot match (each pattern needs object voxels, or six of them,
+    spanning the window), so only interior windows are scanned."""
+    hits = []
+    s = {off: _window_view(c, off, (1, 1, 1)) for off in CUBE}
+    total = np.zeros(s[(0, 0, 0)].shape, dtype=np.int8)
+    for part in s.values():
+        total += part
+    for a, b in ANTIPODAL:
+        vp = s[a] & s[b] & (total == 2)
+        cp = ~s[a] & ~s[b] & (total == 6)
+        hits.append((vp, Pathology3DKind.VERTEX_PAIR, (a, b), None))
+        hits.append((cp, Pathology3DKind.COMPLEMENT_VERTEX_PAIR, (a, b), None))
+    for axis, (u, v) in enumerate(EDGE_SPANS):
+        ext = tuple(int(i != axis) for i in range(3))
+        uv = tuple(i + j for i, j in zip(u, v))
+        p, q, r, t = (_window_view(c, off, ext) for off in ((0, 0, 0), u, v, uv))
+        hits.append((p & t & ~q & ~r, Pathology3DKind.EDGE_PAIR, ((0, 0, 0), uv), axis))
+        hits.append((q & r & ~p & ~t, Pathology3DKind.EDGE_PAIR, (u, v), axis))
+    return hits
+
+
+def reference_pathologies(vol):
+    """``find_pathologies_3d`` from the mask kernel and one sort."""
+    rank = {
+        Pathology3DKind.VERTEX_PAIR: 0,
+        Pathology3DKind.EDGE_PAIR: 1,
+        Pathology3DKind.COMPLEMENT_VERTEX_PAIR: 2,
+    }
+    found = []
+    for mask, kind, (a, b), axis in reference_hits(vol.cells):
+        zs, ys, xs = np.nonzero(mask)
+        for z, y, x in zip(zs.tolist(), ys.tolist(), xs.tolist()):
+            pair = ((x + a[0], y + a[1], z + a[2]), (x + b[0], y + b[1], z + b[2]))
+            found.append((z, y, x, kind, pair, axis))
+    found.sort(key=lambda t: (t[0], t[1], t[2], rank[t[3]], -1 if t[5] is None else t[5]))
+    return [Pathology3D(x, y, z, kind, pair, axis) for z, y, x, kind, pair, axis in found]
+
+
+def reference_repair(vol):
+    """``repair_3d`` driven by ``reference_pathologies``."""
+    cells = vol.cells.copy()
+    actions = []
+    cap = 4 * vol.nx * vol.ny * vol.nz
+    seen = set()
+    while True:
+        found = reference_pathologies(Volume3D(vol.nx, vol.ny, vol.nz, cells))
+        if not found:
+            return Volume3D(vol.nx, vol.ny, vol.nz, cells), actions
+        if cells.tobytes() in seen:
+            raise RepairDidNotConverge("repair did not converge")
+        seen.add(cells.tobytes())
+        complement = Pathology3DKind.COMPLEMENT_VERTEX_PAIR
+        ordered = [p for p in found if p.kind is complement]
+        ordered += [p for p in found if p.kind is not complement]
+        for p in ordered:
+            if not _matches_3d(cells, p):
+                continue
+            if len(actions) >= cap:
+                raise RepairDidNotConverge("repair did not converge")
+            actions.append(_fix_3d(cells, p))
+
+
+class TestWindowCodes:
+    def test_table_matches_reference_on_every_window(self):
+        # Each window alone, with one empty voxel on every side: the hits
+        # anchored at it are the table's, in the table's order, and edge
+        # windows on its high faces come from the windows next to it.
+        for code in range(256):
+            cells = np.zeros((4, 4, 4), dtype=bool)
+            for dx, dy, dz in CUBE:
+                cells[1 + dz, 1 + dy, 1 + dx] = code >> (dx + 2 * dy + 4 * dz) & 1
+            vol = Volume3D(4, 4, 4, cells)
+            want = reference_pathologies(vol)
+            anchored = [
+                (p.kind, tuple(tuple(i - 1 for i in q) for q in p.pair), p.axis)
+                for p in want
+                if (p.x, p.y, p.z) == (1, 1, 1)
+            ]
+            assert list(_CODE_HITS[code]) == anchored, code
+            assert bool(_CODE_DIRTY[code]) == bool(anchored), code
+            assert find_pathologies_3d(vol) == want, code
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 10)] * 3),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_mask_kernel_on_bernoulli_volumes(self, shape, density, seed):
+        cells = np.random.default_rng(seed).random(shape) < density
+        vol = Volume3D(shape[2], shape[1], shape[0], cells)
+        found = find_pathologies_3d(vol)
+        assert found == reference_pathologies(vol)
+        event("dirty" if found else "clean")
+        got = outcome(repair_3d, vol)
+        want = outcome(reference_repair, vol)
+        if isinstance(want[0], type):
+            event(want[0].__name__)
+            assert got == want
+        else:
+            assert np.array_equal(got[0].cells, want[0].cells)
+            assert got[1] == want[1]
