@@ -1,15 +1,17 @@
 """Row and slab folds that keep a bounded working set.
 
 The batch kernels hold the whole grid in memory. The folds here consume
-an iterator of z-slabs (or pixel rows) and keep only a constant number
-of slab-sized buffers alive, so arbitrarily long volumes process in
-memory proportional to one slab. Each fold computes exactly the same
-integers as its batch counterpart; tests compare them bit for bit.
+an iterator of z-slabs (or pixel rows) and run those same kernels on a
+window of consecutive inputs at a time, so each fold computes exactly
+the integers of its batch counterpart; tests compare them bit for bit.
 
-Persistent state of the surface-histogram fold is one previous slab;
-with the incoming slab that makes two held slab buffers, plus a constant
-number of vertex-layer temporaries per step and O(1) counters. The fold
-tracks its held bytes and reports the peak alongside the result.
+``_windows`` drives every fold. Between steps it holds the raw inputs of
+one window: two for the surface fold, three for the corner and boundary
+folds. At each step it copies them into a window padded by one empty
+cell in-plane, with one empty input past each end of the iterator, and
+that padded copy, like the kernel's own arrays, is a per-step temporary.
+Memory therefore stays proportional to one input, however long the
+volume. Each fold reports the peak of its held inputs' bytes.
 """
 
 from __future__ import annotations
@@ -19,8 +21,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .topo2d import CornerHistogram
-from .topo3d import SurfaceHistogram
+from .topo2d import CornerHistogram, _boundary_pass, _corner_histogram
+from .topo3d import (
+    SurfaceHistogram,
+    _boundary_mask_3d,
+    _surface_histogram,
+    _surface_layers,
+)
 
 __all__ = [
     "FoldStats",
@@ -35,9 +42,11 @@ __all__ = [
 class FoldStats:
     """Working-set accounting for one fold run.
 
-    ``held_bytes_peak`` is the largest total size of the persistent
-    buffers alive at a step boundary; ``slab_bytes`` the size of one
-    input buffer; ``steps`` the number of inputs consumed.
+    ``held_bytes_peak`` is the largest total size of the raw inputs held
+    at once, the incoming one included; the padded window and the
+    kernel's arrays of one step are temporaries and not counted.
+    ``slab_bytes`` is the size of one input buffer; ``steps`` the number
+    of inputs consumed.
     """
 
     held_bytes_peak: int
@@ -45,8 +54,47 @@ class FoldStats:
     steps: int
 
 
-def _pad_cols(row: np.ndarray) -> np.ndarray:
-    return np.pad(row, 1, constant_values=False)
+def _windows(
+    items: Iterable[np.ndarray], depth: int
+) -> Iterator[tuple[np.ndarray, FoldStats]]:
+    """Each run of ``depth`` consecutive inputs, stacked and padded by one
+    empty cell in-plane, with the fold's stats so far.
+
+    One empty input stands before the first input and one after the last:
+    around n inputs, ``depth=2`` yields the n + 1 pairs and ``depth=3``
+    the n runs centred on each input. Nothing is yielded for no inputs.
+    Raises ValueError when an input's shape differs from the first's,
+    which would otherwise broadcast into the window.
+    """
+    held: list[np.ndarray | None] = [None]  # None: an empty input
+    first = None
+    peak = 0
+
+    def window():
+        out = np.zeros((depth,) + tuple(n + 2 for n in first.shape), dtype=bool)
+        inner = (slice(1, -1),) * first.ndim
+        for layer, item in zip(out, held):
+            if item is not None:
+                layer[inner] = item
+        return out
+
+    for step, item in enumerate(items):
+        item = np.asarray(item, dtype=bool)
+        if first is None:
+            first = item
+        elif item.shape != first.shape:
+            raise ValueError(
+                f"input {step} has shape {item.shape}, "
+                f"but input 0 has shape {first.shape}"
+            )
+        held = held[1 - depth :] + [item]
+        peak = max(peak, sum(h.nbytes for h in held if h is not None))
+        stats = FoldStats(peak, first.nbytes, step + 1)
+        if len(held) == depth:
+            yield window(), stats
+    if first is not None:
+        held = held[1 - depth :] + [None]
+        yield window(), stats
 
 
 def fold_corner_histogram_2d(
@@ -54,121 +102,17 @@ def fold_corner_histogram_2d(
 ) -> tuple[CornerHistogram, FoldStats]:
     """Corner histogram of an image consumed one pixel row at a time.
 
-    Matches classify_boundary_2d on the same image, summed over rows.
-    Holds two previous rows; with the incoming row, three in total.
+    Matches classify_boundary_2d on the same image: each row goes through
+    its boundary pass with the rows above and below as its frame.
     """
-    hist = np.zeros(5, dtype=np.int64)
-    thin_total = 0
-    prev: np.ndarray | None = None  # row y-1
-    pprev: np.ndarray | None = None  # row y-2
-    width = None
-    peak = 0
-    slab_bytes = 0
-    steps = 0
-
-    def flush(above, middle, below):
-        nonlocal thin_total
-        if middle is None or not middle.any():
-            return
-        a = _pad_cols(above) if above is not None else np.zeros(width + 2, dtype=bool)
-        m = _pad_cols(middle)
-        b = _pad_cols(below) if below is not None else np.zeros(width + 2, dtype=bool)
-        fg = m[1:-1]
-        n, s = a[1:-1], b[1:-1]
-        w, e = m[:-2], m[2:]
-        diag_any = a[:-2] | a[2:] | b[:-2] | b[2:]
-        all8 = n & s & w & e & a[:-2] & a[2:] & b[:-2] & b[2:]
-        boundary = fg & ~all8
-        counts = (
-            n.astype(np.int8) + s.astype(np.int8) + w.astype(np.int8) + e.astype(np.int8)
-        )
-        hist[:] += np.bincount(counts[boundary], minlength=5)[:5]
-        thin = boundary & (((n & s) & ~(w | e)) | ((w & e) & ~(n | s)))
-        thin_total += int(thin.sum())
-
-    for row in rows:
-        row = np.asarray(row, dtype=bool)
-        if width is None:
-            width = row.shape[0]
-            slab_bytes = row.nbytes
-        held = row.nbytes + sum(r.nbytes for r in (pprev, prev) if r is not None)
-        peak = max(peak, held)
-        flush(pprev, prev, row)
-        pprev, prev = prev, row
-        steps += 1
-    flush(pprev, prev, None)
-    histogram = CornerHistogram(
-        cp1=int(hist[1]),
-        cp2=int(hist[2]),
-        cp3=int(hist[3]),
-        cp4=int(hist[4]),
-        thin=thin_total,
-        cp0=int(hist[0]),
-    )
-    return histogram, FoldStats(peak, slab_bytes, steps)
-
-
-def _ez_layer(slab: np.ndarray) -> np.ndarray:
-    """Surface-edge mask for the z-edges crossing one voxel slab."""
-    p = np.pad(slab, 1, constant_values=False)
-    any4 = p[:-1, :-1] | p[:-1, 1:] | p[1:, :-1] | p[1:, 1:]
-    all4 = p[:-1, :-1] & p[:-1, 1:] & p[1:, :-1] & p[1:, 1:]
-    return any4 & ~all4
-
-
-def _vertex_layer_histogram(
-    below: np.ndarray | None, above: np.ndarray | None, shape: tuple[int, int]
-) -> np.ndarray:
-    """Surface-neighbor histogram of one vertex layer.
-
-    ``below`` and ``above`` are the voxel slabs under and over the layer
-    (None outside the volume). Returns a length-7 bincount.
-    """
-    ny, nx = shape
-    zeros = None
-    if below is None or above is None:
-        zeros = np.zeros(shape, dtype=bool)
-    b = below if below is not None else zeros
-    a = above if above is not None else zeros
-
-    bp = np.pad(b, 1, constant_values=False)
-    ap = np.pad(a, 1, constant_values=False)
-    point_any = (
-        bp[:-1, :-1] | bp[:-1, 1:] | bp[1:, :-1] | bp[1:, 1:]
-        | ap[:-1, :-1] | ap[:-1, 1:] | ap[1:, :-1] | ap[1:, 1:]
-    )
-    point_all = (
-        bp[:-1, :-1] & bp[:-1, 1:] & bp[1:, :-1] & bp[1:, 1:]
-        & ap[:-1, :-1] & ap[:-1, 1:] & ap[1:, :-1] & ap[1:, 1:]
-    )
-    point = point_any & ~point_all
-
-    # x-directed surface edges in this layer: 4 incident voxels at
-    # y-1..y from each of the two slabs.
-    by = np.pad(b, ((1, 1), (0, 0)), constant_values=False)
-    ay = np.pad(a, ((1, 1), (0, 0)), constant_values=False)
-    ex_any = by[:-1] | by[1:] | ay[:-1] | ay[1:]
-    ex_all = by[:-1] & by[1:] & ay[:-1] & ay[1:]
-    ex = ex_any & ~ex_all
-    # y-directed surface edges in this layer.
-    bx = np.pad(b, ((0, 0), (1, 1)), constant_values=False)
-    ax = np.pad(a, ((0, 0), (1, 1)), constant_values=False)
-    ey_any = bx[:, :-1] | bx[:, 1:] | ax[:, :-1] | ax[:, 1:]
-    ey_all = bx[:, :-1] & bx[:, 1:] & ax[:, :-1] & ax[:, 1:]
-    ey = ey_any & ~ey_all
-
-    counts = np.zeros((ny + 1, nx + 1), dtype=np.int8)
-    counts[:, :-1] += ex
-    counts[:, 1:] += ex
-    counts[:-1, :] += ey
-    counts[1:, :] += ey
-    # z-directed surface edges below and above the layer, recomputed from
-    # the slabs so the fold's persistent state stays one slab.
-    if below is not None:
-        counts += _ez_layer(b)
-    if above is not None:
-        counts += _ez_layer(a)
-    return np.bincount(counts[point], minlength=7)
+    bins = np.zeros(5, dtype=np.int64)
+    thin = 0
+    stats = FoldStats(0, 0, 0)
+    for window, stats in _windows(rows, 3):
+        counts, boundary, thin_mask = _boundary_pass(window)
+        bins += np.bincount(counts[boundary], minlength=5)
+        thin += int(thin_mask.sum())
+    return _corner_histogram(bins, thin), stats
 
 
 def fold_surface_histogram_3d(
@@ -176,79 +120,29 @@ def fold_surface_histogram_3d(
 ) -> tuple[SurfaceHistogram, FoldStats]:
     """Surface-point histogram of a volume consumed one z-slab at a time.
 
-    Matches classify_surface(to_point_space(vol)) on the same volume.
-    Persistent state between steps is the previous slab only.
+    Matches classify_surface(to_point_space(vol)) on the same volume: each
+    vertex layer is classified from the two slabs around it.
     """
-    hist = np.zeros(7, dtype=np.int64)
-    prev: np.ndarray | None = None
-    shape = None
-    peak = 0
-    slab_bytes = 0
-    steps = 0
-    for slab in slabs:
-        slab = np.asarray(slab, dtype=bool)
-        if shape is None:
-            shape = slab.shape
-            slab_bytes = slab.nbytes
-        held = slab.nbytes + (prev.nbytes if prev is not None else 0)
-        peak = max(peak, held)
-        hist += _vertex_layer_histogram(prev, slab, shape)
-        prev = slab
-        steps += 1
-    if prev is not None:
-        hist += _vertex_layer_histogram(prev, None, shape)
-    histogram = SurfaceHistogram(
-        m3=int(hist[3]),
-        m4=int(hist[4]),
-        m5=int(hist[5]),
-        m6=int(hist[6]),
-        irregular=int(hist[0] + hist[1] + hist[2]),
-    )
-    return histogram, FoldStats(peak, slab_bytes, steps)
+    bins = np.zeros(7, dtype=np.int64)
+    stats = FoldStats(0, 0, 0)
+    for window, stats in _windows(slabs, 2):
+        mask, _, counts = _surface_layers(window)
+        bins += np.bincount(counts[mask], minlength=7)
+    return _surface_histogram(bins), stats
 
 
 def fold_boundary_count_3d(slabs: Iterable[np.ndarray]) -> tuple[int, FoldStats]:
     """Count object voxels with a background voxel among 26 neighbors.
 
-    Matches len(boundary_voxels(vol)). Holds the previous slab and two
-    eroded layers between steps.
+    Matches len(boundary_voxels(vol)): each slab is tested with the slabs
+    above and below it, and the space past the first and the last slab
+    is background.
     """
-    from scipy import ndimage
-
     total = 0
-    shape = None
-    peak = 0
-    slab_bytes = 0
-    steps = 0
-    ones = np.ones((3, 3), dtype=bool)
-
-    def erode(slab):
-        return ndimage.binary_erosion(slab, structure=ones, border_value=0)
-
-    m_before = None  # eroded slab z-2
-    m_mid = None  # eroded slab z-1
-    s_mid = None  # slab z-1
-    for slab in slabs:
-        slab = np.asarray(slab, dtype=bool)
-        if shape is None:
-            shape = slab.shape
-            slab_bytes = slab.nbytes
-        m_new = erode(slab)
-        if s_mid is not None:
-            interior = m_mid & m_new if m_before is None else m_before & m_mid & m_new
-            total += int((s_mid & ~interior).sum())
-        held = sum(
-            b.nbytes
-            for b in (slab, m_new, m_before, m_mid, s_mid)
-            if b is not None
-        )
-        peak = max(peak, held)
-        m_before, m_mid, s_mid = m_mid, m_new, slab
-        steps += 1
-    if s_mid is not None:
-        interior = m_mid if m_before is None else m_before & m_mid
-        total += int((s_mid & ~interior).sum())
-    return total, FoldStats(peak, slab_bytes, steps)
+    stats = FoldStats(0, 0, 0)
+    for window, stats in _windows(slabs, 3):
+        total += int(_boundary_mask_3d(window).sum())
+    return total, stats
 
 
 def iter_frame_slabs(

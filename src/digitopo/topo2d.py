@@ -30,6 +30,7 @@ from .grid import (
     label_components_2d,
     _component_canvases,
     _count_components,
+    _pad,
 )
 from .oracle import holes_by_floodfill
 
@@ -155,14 +156,6 @@ class HoleReport:
 # kernels
 
 
-def _pad(cells: np.ndarray) -> np.ndarray:
-    # np.pad's fixed cost outweighs a whole classification of a small
-    # image; a zeroed frame plus one slice copy does not.
-    p = np.zeros((cells.shape[0] + 2, cells.shape[1] + 2), dtype=bool)
-    p[1:-1, 1:-1] = cells
-    return p
-
-
 def _direct_shifts(p: np.ndarray):
     """North, south, west and east neighbors, read from a padded grid."""
     n = p[:-2, 1:-1]
@@ -185,31 +178,37 @@ def _indirect_fold(p: np.ndarray, op) -> np.ndarray:
     return acc
 
 
-def _boundary_pass(cells: np.ndarray):
+def _boundary_pass(p: np.ndarray):
     """Direct-neighbor counts, boundary mask and thin mask in one pass.
 
+    ``p`` is the grid with a one-pixel frame: empty (see ``_pad``), or, in
+    a streaming fold, the neighboring rows. The masks cover ``p[1:-1, 1:-1]``.
     The corner histogram and the precondition check both read these, so
     ``hole_count`` builds them once and hands them to both.
     """
-    p = _pad(cells)
     n, s, w, e = _direct_shifts(p)
     counts = (
         n.astype(np.int8) + s.astype(np.int8) + w.astype(np.int8) + e.astype(np.int8)
     )
-    boundary = cells & ~_indirect_fold(p, np.logical_and)
+    boundary = p[1:-1, 1:-1] & ~_indirect_fold(p, np.logical_and)
     thin = boundary & (((n & s) & ~(w | e)) | ((w & e) & ~(n | s)))
     return counts, boundary, thin
 
 
 def _histogram(counts, boundary, thin) -> CornerHistogram:
-    hist = np.bincount(counts[boundary], minlength=5)
+    return _corner_histogram(np.bincount(counts[boundary], minlength=5), thin.sum())
+
+
+def _corner_histogram(bins, thin) -> CornerHistogram:
+    """The histogram of a bincount of boundary pixels by direct-neighbor
+    count, and a thin-pixel count."""
     return CornerHistogram(
-        cp1=int(hist[1]),
-        cp2=int(hist[2]),
-        cp3=int(hist[3]),
-        cp4=int(hist[4]),
-        thin=int(thin.sum()),
-        cp0=int(hist[0]),
+        cp1=int(bins[1]),
+        cp2=int(bins[2]),
+        cp3=int(bins[3]),
+        cp4=int(bins[4]),
+        thin=int(thin),
+        cp0=int(bins[0]),
     )
 
 
@@ -221,7 +220,7 @@ def _require_nonempty(cells: np.ndarray) -> None:
 def classify_boundary_2d(component: Image2D) -> CornerHistogram:
     """Corner histogram of a single component's boundary pixels."""
     _require_nonempty(component.cells)
-    return _histogram(*_boundary_pass(component.cells))
+    return _histogram(*_boundary_pass(_pad(component.cells)))
 
 
 def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
@@ -371,7 +370,7 @@ def check_preconditions_2d(
     fewer than two direct neighbors, no thin (collinear cp2) pixels, and
     cp4 - cp2 divisible by 4. Offending coordinates are reported.
     """
-    passed = _boundary_pass(component.cells)
+    passed = _boundary_pass(_pad(component.cells))
     if hist is None:
         _require_nonempty(component.cells)
         hist = _histogram(*passed)
@@ -402,7 +401,7 @@ def hole_count(
     if check_single and _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
         raise ValueError("expected a single connected component")
     _require_nonempty(component.cells)
-    passed = _boundary_pass(component.cells)
+    passed = _boundary_pass(_pad(component.cells))
     hist = _histogram(*passed)
     pre = _preconditions(component, hist, *passed)
     area = component.area

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import InvalidSurfaceError, RepairDidNotConverge
@@ -59,6 +59,7 @@ from .grid import (
     label_components_3d,
     _box_canvas,
     _component_boxes,
+    _pad,
 )
 from .oracle import _surface_components
 from .topo2d import RepairAction, RepairOp, RepairReason
@@ -133,16 +134,18 @@ class SurfacePointSet:
 
     ``mask`` is a boolean array over the (nx+1, ny+1, nz+1) vertex grid,
     indexed ``mask[vz, vy, vx]``. ``points`` materializes the vertex set as
-    (x, y, z) tuples.
+    (x, y, z) tuples. ``edges`` and ``counts`` are the surface edges and
+    neighbor counts of the owner's whole vertex grid (see
+    ``_surface_layers``), shared by the parts of a split.
     """
 
     __slots__ = ("mask", "owner", "_edges", "_counts")
 
-    def __init__(self, mask: np.ndarray, owner: Volume3D, edges=None):
+    def __init__(self, mask: np.ndarray, owner: Volume3D, edges, counts: np.ndarray):
         self.mask = mask
         self.owner = owner
         self._edges = edges
-        self._counts = None
+        self._counts = counts
 
     @property
     def points(self) -> set[tuple[int, int, int]]:
@@ -434,8 +437,9 @@ def repair_3d(
 
 
 def boundary_voxels(vol: Volume3D) -> set[tuple[int, int, int]]:
-    """Object voxels with a background voxel among their 26 neighbors."""
-    mask = _boundary_mask_3d(vol.cells)
+    """Object voxels with a background voxel among their 26 neighbors;
+    voxels outside the grid are background."""
+    mask = _boundary_mask_3d(_pad(vol.cells))
     zs, ys, xs = np.nonzero(mask)
     return {
         (int(x), int(y), int(z))
@@ -443,74 +447,79 @@ def boundary_voxels(vol: Volume3D) -> set[tuple[int, int, int]]:
     }
 
 
-def _boundary_mask_3d(cells: np.ndarray) -> np.ndarray:
-    p = np.pad(cells, 1, constant_values=False)
-    interior = ndimage.binary_erosion(p, structure=np.ones((3, 3, 3), dtype=bool))
-    return cells & ~interior[1:-1, 1:-1, 1:-1]
+def _boundary_mask_3d(p: np.ndarray) -> np.ndarray:
+    """Boundary mask of ``p[1:-1, 1:-1, 1:-1]``, read from ``p``: the grid
+    with a one-voxel frame, empty (see ``_pad``) or, in a streaming fold,
+    the neighboring slabs along z.
 
-
-def _surface_edge_arrays(cells: np.ndarray):
-    """Surface edge masks for the three edge directions.
-
-    ``ex[vz, vy, vx]`` marks the edge from vertex (vx, vy, vz) toward +x as
-    a surface edge: the up-to-four voxels incident to it include both
-    object and background. Analogous for ey and ez.
+    A voxel is interior when all 27 voxels of its 3x3x3 block are object;
+    the block's AND is taken as a 3-wide AND along each axis in turn.
     """
-    p = np.pad(cells, 1, constant_values=False)
-    qx = p[:, :, 1:-1]
-    ex_any = qx[:-1, :-1] | qx[:-1, 1:] | qx[1:, :-1] | qx[1:, 1:]
-    ex_all = qx[:-1, :-1] & qx[:-1, 1:] & qx[1:, :-1] & qx[1:, 1:]
-    qy = p[:, 1:-1, :]
-    ey_any = qy[:-1, :, :-1] | qy[:-1, :, 1:] | qy[1:, :, :-1] | qy[1:, :, 1:]
-    ey_all = qy[:-1, :, :-1] & qy[:-1, :, 1:] & qy[1:, :, :-1] & qy[1:, :, 1:]
-    qz = p[1:-1, :, :]
-    ez_any = qz[:, :-1, :-1] | qz[:, :-1, 1:] | qz[:, 1:, :-1] | qz[:, 1:, 1:]
-    ez_all = qz[:, :-1, :-1] & qz[:, :-1, 1:] & qz[:, 1:, :-1] & qz[:, 1:, 1:]
-    return ex_any & ~ex_all, ey_any & ~ey_all, ez_any & ~ez_all
+    a = p[:, :, :-2] & p[:, :, 1:-1] & p[:, :, 2:]
+    a = a[:, :-2] & a[:, 1:-1] & a[:, 2:]
+    a = a[:-2] & a[1:-1] & a[2:]
+    return p[1:-1, 1:-1, 1:-1] & ~a
 
 
-def _surface_point_mask(cells: np.ndarray) -> np.ndarray:
-    p = np.pad(cells, 1, constant_values=False)
-    nz, ny, nx = cells.shape
-    any8 = None
-    all8 = None
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                part = p[dz : dz + nz + 1, dy : dy + ny + 1, dx : dx + nx + 1]
-                any8 = part if any8 is None else any8 | part
-                all8 = part if all8 is None else all8 & part
-    return any8 & ~all8
+def _surface_layers(p: np.ndarray):
+    """Surface points, surface edges and neighbor counts of every vertex
+    layer between two consecutive voxel layers of ``p``.
 
+    ``p`` holds voxel layers along z, each with one empty voxel around it
+    in y and x. Vertex layer ``k`` lies between ``p[k]`` and ``p[k + 1]``,
+    and the voxels incident to its vertex (vx, vy) are
+    ``p[k:k + 2, vy:vy + 2, vx:vx + 2]``. A volume padded on every side
+    (``_pad``) gives its whole (nz+1, ny+1, nx+1) vertex grid; two
+    consecutive slabs give the one vertex layer between them.
 
-def _neighbor_counts(edges, vshape) -> np.ndarray:
-    ex, ey, ez = edges
-    n = np.zeros(vshape, dtype=np.int8)
-    n[:, :, :-1] += ex
-    n[:, :, 1:] += ex
-    n[:, :-1, :] += ey
-    n[:, 1:, :] += ey
-    n[:-1, :, :] += ez
-    n[1:, :, :] += ez
-    return n
+    Returns ``(mask, (ex, ey, ez), counts)``. ``ex[k, vy, vx]`` marks the
+    edge from vertex (vx, vy) of layer k toward +x as a surface edge: the
+    up-to-four voxels incident to it include both object and background;
+    ``ey`` likewise toward +y, and ``ez[k]`` the edges from layer k to
+    layer k + 1. ``counts`` also counts the z-edges that leave the first
+    and the last layer through ``p[0]`` and ``p[-1]``.
+    """
+    xo = p[:, :, :-1] | p[:, :, 1:]
+    xa = p[:, :, :-1] & p[:, :, 1:]
+    yo = p[:, :-1] | p[:, 1:]
+    ya = p[:, :-1] & p[:, 1:]
+    # The 2x2 voxels of each layer around each vertex (vx, vy).
+    any4 = xo[:, :-1] | xo[:, 1:]
+    all4 = xa[:, :-1] & xa[:, 1:]
+
+    def mixed(any_, all_):
+        # Object and background among the voxels on both sides of a layer.
+        return (any_[:-1] | any_[1:]) & ~(all_[:-1] & all_[1:])
+
+    mask = mixed(any4, all4)
+    ex = mixed(yo[:, :, 1:-1], ya[:, :, 1:-1])
+    ey = mixed(xo[:, 1:-1], xa[:, 1:-1])
+    ez = any4 & ~all4  # the z-edge through each voxel layer
+    counts = np.zeros(mask.shape, dtype=np.int8)
+    counts[:, :, :-1] += ex
+    counts[:, :, 1:] += ex
+    counts[:, :-1] += ey
+    counts[:, 1:] += ey
+    counts += ez[:-1]
+    counts += ez[1:]
+    return mask, (ex, ey, ez[1:-1]), counts
 
 
 def to_point_space(vol: Volume3D) -> SurfacePointSet:
     """All surface points of a volume on the dual vertex grid."""
-    mask = _surface_point_mask(vol.cells)
-    return SurfacePointSet(mask, vol, edges=_surface_edge_arrays(vol.cells))
+    mask, edges, counts = _surface_layers(_pad(vol.cells))
+    return SurfacePointSet(mask, vol, edges, counts)
 
 
-def _edges_of(s: SurfacePointSet):
-    if s._edges is None:
-        s._edges = _surface_edge_arrays(s.owner.cells)
-    return s._edges
-
-
-def _counts_of(s: SurfacePointSet) -> np.ndarray:
-    if s._counts is None:
-        s._counts = _neighbor_counts(_edges_of(s), s.mask.shape)
-    return s._counts
+def _surface_histogram(bins) -> SurfaceHistogram:
+    """The histogram of a bincount of surface points by neighbor count."""
+    return SurfaceHistogram(
+        m3=int(bins[3]),
+        m4=int(bins[4]),
+        m5=int(bins[5]),
+        m6=int(bins[6]),
+        irregular=int(bins[0] + bins[1] + bins[2]),
+    )
 
 
 def surface_neighbors(p: tuple[int, int, int], s: SurfacePointSet) -> int:
@@ -588,9 +597,8 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     mask = s.mask
     if not mask.any():
         return []
-    node_ids, count, labels = _surface_graph(mask, _edges_of(s))
+    node_ids, count, labels = _surface_graph(mask, s._edges)
     out = []
-    counts = _counts_of(s)
     for comp in range(count):
         members = node_ids[labels == comp]
         m = np.zeros(mask.shape, dtype=bool)
@@ -599,12 +607,7 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
         # scan order.
         out.append((int(members.min()), m))
     out.sort(key=lambda t: t[0])
-    result = []
-    for _, m in out:
-        part = SurfacePointSet(m, s.owner, edges=s._edges)
-        part._counts = counts
-        result.append(part)
-    return result
+    return [SurfacePointSet(m, s.owner, s._edges, s._counts) for _, m in out]
 
 
 def _vertex_owner(labels: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -634,13 +637,12 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
     26-adjacent voxels under one label; a surface belongs to the label of
     the voxels around its minimal vertex.
     """
-    mask = _surface_point_mask(cells)
-    edges = _surface_edge_arrays(cells)
+    mask, edges, counts = _surface_layers(_pad(cells))
     node_ids, n, comp = _surface_graph(mask, edges)
     out: list = [[] for _ in range(count + 1)]
     if n == 0:
         return out
-    counts = _neighbor_counts(edges, mask.shape).ravel()[node_ids]
+    counts = counts.ravel()[node_ids]
     # node_ids is ascending, so each surface's first node is its minimal
     # vertex in scan order.
     _, first = np.unique(comp, return_index=True)
@@ -651,9 +653,7 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
         surfaces = out[o]
         if surfaces is None:
             continue
-        histogram = SurfaceHistogram(
-            m3=h[3], m4=h[4], m5=h[5], m6=h[6], irregular=h[0] + h[1] + h[2]
-        )
+        histogram = _surface_histogram(h)
         try:
             g = genus(histogram)
         except InvalidSurfaceError:
@@ -665,15 +665,7 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
     """Histogram of surface neighbor counts over one point set."""
-    counts = _counts_of(s)
-    hist = np.bincount(counts[s.mask], minlength=7)
-    return SurfaceHistogram(
-        m3=int(hist[3]),
-        m4=int(hist[4]),
-        m5=int(hist[5]),
-        m6=int(hist[6]),
-        irregular=int(hist[0] + hist[1] + hist[2]),
-    )
+    return _surface_histogram(np.bincount(s._counts[s.mask], minlength=7))
 
 
 def genus(hist: SurfaceHistogram) -> int:
@@ -696,9 +688,7 @@ def genus(hist: SurfaceHistogram) -> int:
 def _oracle_surfaces(vol: Volume3D) -> list[SurfaceReport]:
     """Surface reports from the boundary-face Euler characteristic."""
     surfaces = []
-    counts = _neighbor_counts(
-        _surface_edge_arrays(vol.cells), (vol.nz + 1, vol.ny + 1, vol.nx + 1)
-    )
+    _, _, counts = _surface_layers(_pad(vol.cells))
     for summary, verts in _surface_components(vol):
         if summary.chi % 2 != 0:
             raise InvalidSurfaceError("non-orientable or non-manifold boundary")
@@ -706,22 +696,8 @@ def _oracle_surfaces(vol: Volume3D) -> list[SurfaceReport]:
         m = np.zeros(counts.shape, dtype=bool)
         for vx, vy, vz in verts:
             m[vz, vy, vx] = True
-        hist = np.bincount(counts[m], minlength=7)
-        surfaces.append(
-            SurfaceReport(
-                summary.v,
-                SurfaceHistogram(
-                    m3=int(hist[3]),
-                    m4=int(hist[4]),
-                    m5=int(hist[5]),
-                    m6=int(hist[6]),
-                    irregular=int(hist[0] + hist[1] + hist[2]),
-                ),
-                g,
-                summary.chi,
-                "euler-oracle",
-            )
-        )
+        hist = _surface_histogram(np.bincount(counts[m], minlength=7))
+        surfaces.append(SurfaceReport(summary.v, hist, g, summary.chi, "euler-oracle"))
     return surfaces
 
 

@@ -1,8 +1,14 @@
 """Streaming folds must reproduce the batch kernels bit for bit."""
 
+import re
+
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from digitopo import (
+    Image2D,
+    Volume3D,
     boundary_voxels,
     classify_boundary_2d,
     classify_surface,
@@ -17,7 +23,9 @@ from digitopo import (
     gen_shell,
     to_point_space,
 )
-from digitopo.streaming import iter_frame_slabs
+from digitopo.streaming import FoldStats, iter_frame_slabs
+
+FOLDS = (fold_corner_histogram_2d, fold_surface_histogram_3d, fold_boundary_count_3d)
 
 
 def corner_tuple(h):
@@ -26,6 +34,11 @@ def corner_tuple(h):
 
 def surface_tuple(h):
     return (h.m3, h.m4, h.m5, h.m6, h.irregular)
+
+
+def volume(cells):
+    nz, ny, nx = cells.shape
+    return Volume3D(nx, ny, nz, cells)
 
 
 class TestCornerFold:
@@ -126,6 +139,18 @@ class TestBoundaryFold:
         assert count == 0
         assert stats.steps == 3
 
+    @pytest.mark.parametrize(
+        "shape, want",
+        [((1, 3, 3), 9), ((2, 3, 3), 18), ((3, 3, 3), 26), ((4, 5, 5), 82)],
+    )
+    def test_block_flush_with_end_slabs(self, shape, want):
+        # Past the first and the last slab lies background, as it does
+        # for boundary_voxels.
+        cells = np.ones(shape, dtype=bool)
+        count, stats = fold_boundary_count_3d(iter(cells))
+        assert count == want == len(boundary_voxels(volume(cells)))
+        assert stats.held_bytes_peak == min(shape[0], 3) * cells[0].nbytes
+
 
 class TestFrameSlabs:
     def test_iterates_whole_frame(self):
@@ -134,3 +159,80 @@ class TestFrameSlabs:
         assert len(slabs) == vol.nz
         for z, slab in enumerate(slabs):
             assert np.array_equal(slab, vol.cells[z])
+
+
+class TestFoldsOnBernoulliGrids:
+    """Raw Bernoulli grids, drawn without a generator: every fold equals
+    its batch counterpart, single rows, slabs and columns included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
+        density=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1, 4, 5), density=1.0, seed=0)  # a single slab
+    @example(shape=(6, 1, 5), density=0.5, seed=1)
+    @example(shape=(6, 5, 1), density=0.5, seed=2)
+    @example(shape=(10, 10, 10), density=0.0, seed=3)
+    def test_3d_folds_match_batch(self, shape, density, seed):
+        cells = np.random.default_rng(seed).random(shape) < density
+        vol = volume(cells)
+        slab = cells[0].nbytes
+        folded, stats = fold_surface_histogram_3d(iter(cells))
+        assert surface_tuple(folded) == surface_tuple(
+            classify_surface(to_point_space(vol))
+        )
+        assert stats == FoldStats(min(shape[0], 2) * slab, slab, shape[0])
+        count, stats = fold_boundary_count_3d(iter(cells))
+        assert count == len(boundary_voxels(vol))
+        assert stats == FoldStats(min(shape[0], 3) * slab, slab, shape[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        density=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1, 7), density=1.0, seed=0)  # a single row
+    @example(shape=(7, 1), density=0.5, seed=1)  # a single column
+    def test_corner_fold_matches_batch(self, shape, density, seed):
+        cells = np.random.default_rng(seed).random(shape) < density
+        folded, stats = fold_corner_histogram_2d(iter(cells))
+        if cells.any():
+            want = corner_tuple(classify_boundary_2d(Image2D(shape[1], shape[0], cells)))
+        else:
+            want = (0, 0, 0, 0, 0, 0)
+        assert corner_tuple(folded) == want
+        row = cells[0].nbytes
+        assert stats == FoldStats(min(shape[0], 3) * row, row, shape[0])
+
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_empty_iterator(self, fold):
+        result, stats = fold(iter([]))
+        if fold is fold_corner_histogram_2d:
+            assert corner_tuple(result) == (0, 0, 0, 0, 0, 0)
+        elif fold is fold_surface_histogram_3d:
+            assert surface_tuple(result) == (0, 0, 0, 0, 0)
+        else:
+            assert result == 0
+        assert stats == FoldStats(0, 0, 0)
+
+
+class TestMismatchedInputs:
+    @pytest.mark.parametrize("fold", FOLDS)
+    @pytest.mark.parametrize(
+        "change", [lambda a: a[:1], lambda a: a[np.newaxis]], ids=["shape", "ndim"]
+    )
+    def test_rejected(self, fold, change):
+        # A (1, nx) slab after (ny, nx) ones would broadcast silently into
+        # a padded window.
+        first = np.ones((3, 4), dtype=bool)
+        if fold is fold_corner_histogram_2d:
+            first = first[0]
+        items = [first, first, change(first)]
+        message = re.escape(
+            f"input 2 has shape {items[2].shape}, but input 0 has shape {first.shape}"
+        )
+        with pytest.raises(ValueError, match=message):
+            fold(iter(items))
