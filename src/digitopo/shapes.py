@@ -429,7 +429,7 @@ def gen_scene_2d(
     Lays 1..max_shapes holey polyominoes in a row with background gaps.
     With ``decorations`` a strip above them gets a lone speckle pixel, a
     diagonal pixel pair, and a width-1 bar: inputs that exercise speckle
-    removal, pathology repair, and the oracle fallback.
+    removal, pathology repair, and the corner law on a width-1 run.
     """
     rng = random.Random(seed)
     count = 1 + rng.randrange(max_shapes)

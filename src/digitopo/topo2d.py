@@ -1,24 +1,28 @@
-"""Hole counting for binary images via boundary corner classification.
+"""Hole counting for binary images by corner points at grid vertices.
 
-A boundary pixel is a foreground pixel with at least one background pixel
-among its 8 indirect neighbors. Each boundary pixel is classified by how
-many direct (4-) foreground neighbors it has: 2 marks an outward corner,
-3 a straight run, 4 an inward corner. For a component whose boundary is a
-set of simple closed curves the hole count follows from the corner counts
-alone:
+Every grid vertex is the center of one 2x2 window; its 4-bit code (bit
+dx + 2*dy holds pixel (dx, dy)) says what the object looks like there.
+A window holding exactly one object pixel marks an outward corner point
+(C2), one holding exactly three an inward corner point (C4). On a
+component with no diagonal window (two object pixels meeting only at the
+vertex), the boundary is a set of disjoint simple closed curves: the outer
+one has four more outward than inward corner points, each hole's curve
+four more inward than outward. So the corner law is exact:
 
-    holes = 1 + (cp4 - cp2) / 4
+    holes = 1 + (C4 - C2) / 4
 
-The formula is only trusted when machine-checkable preconditions hold:
-no pathological diagonal windows, no stray pixels with fewer than two
-direct neighbors, no width-1 (thin) runs, and corner counts whose
-difference is divisible by 4. Anything else falls back to the flood-fill
-oracle.
+This is Gray's bit-quad count ("Local properties of binary images in two
+dimensions", 1971). The same window codes mark the diagonal windows, so
+one table decides both whether the formula may answer and what it says;
+a component with a diagonal window falls back to the flood-fill oracle.
+
+The per-pixel ``CornerHistogram`` (boundary pixels by direct-neighbor
+count) is kept as report data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -121,18 +125,14 @@ class CornerHistogram:
 
 @dataclass(frozen=True)
 class PreconditionReport:
-    """Outcome of the formula precondition check with diagnostics.
+    """Whether the corner formula may answer for a component.
 
-    ``stray`` lists boundary pixels with fewer than two direct neighbors,
-    ``thin`` lists collinear cp2 pixels, and ``divisible`` records whether
-    cp4 - cp2 is a multiple of 4.
+    ``ok`` holds exactly when ``pathologies``, the component's diagonal
+    windows, is empty.
     """
 
     ok: bool
     pathologies: tuple[Pathology2D, ...]
-    stray: tuple[tuple[int, int], ...]
-    thin: tuple[tuple[int, int], ...]
-    divisible: bool
 
 
 class HoleMethod(Enum):
@@ -154,6 +154,26 @@ class HoleReport:
 
 # ---------------------------------------------------------------------------
 # kernels
+
+# 2x2 window codes: bit dx + 2*dy holds pixel (dx, dy) of the window.
+_MAIN, _ANTI = 0b1001, 0b0110
+_DIAGONAL = np.isin(np.arange(16), (_MAIN, _ANTI))
+# Per code: +1 at an inward corner point (three object pixels), -1 at an
+# outward one (one object pixel), 0 elsewhere.
+_TURN = np.array([(n == 3) - (n == 1) for n in map(int.bit_count, range(16))])
+
+
+def _window_codes(cells: np.ndarray) -> np.ndarray:
+    """The 4-bit code of every 2x2 window of ``cells`` padded by one empty
+    pixel; window ``[y, x]`` covers pixels ``x - 1 .. x`` and ``y - 1 .. y``."""
+    h, w = cells.shape
+    p = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    p[1:-1, 1:-1] = cells
+    pair = p[:, 1:] << 1
+    pair |= p[:, :-1]
+    code = pair[1:] << 2
+    code |= pair[:-1]
+    return code
 
 
 def _direct_shifts(p: np.ndarray):
@@ -183,8 +203,7 @@ def _boundary_pass(p: np.ndarray):
 
     ``p`` is the grid with a one-pixel frame: empty (see ``_pad``), or, in
     a streaming fold, the neighboring rows. The masks cover ``p[1:-1, 1:-1]``.
-    The corner histogram and the precondition check both read these, so
-    ``hole_count`` builds them once and hands them to both.
+    The corner histogram is read from these.
     """
     n, s, w, e = _direct_shifts(p)
     counts = (
@@ -250,35 +269,18 @@ def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
     return Image2D(img.width, img.height, cells), actions
 
 
-def _pathology_masks(cells: np.ndarray):
-    a = cells[:-1, :-1]
-    b = cells[:-1, 1:]
-    c = cells[1:, :-1]
-    d = cells[1:, 1:]
-    main = a & d & ~b & ~c
-    anti = b & c & ~a & ~d
-    return main, anti
-
-
 def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
     """All pathological 2x2 windows, in row-major anchor order.
 
-    Windows overhanging the border are scanned implicitly: an overhanging
-    window reads background outside the image, and both patterns need two
-    in-range foreground cells on a diagonal, so no overhanging window can
-    ever match.
+    Only windows inside the image are read: an overhanging window holds
+    at most one in-range cell of each diagonal, so it can never match.
     """
-    if img.width < 2 or img.height < 2:
-        return []
-    main, anti = _pathology_masks(img.cells)
-    out = []
-    kind = np.zeros(main.shape, dtype=np.int8)
-    kind[main] = 1
-    kind[anti] = 2
-    ys, xs = np.nonzero(kind)
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        out.append(Pathology2D(x, y, Diag2D.MAIN if kind[y, x] == 1 else Diag2D.ANTI))
-    return out
+    codes = _window_codes(img.cells)[1:-1, 1:-1]
+    ys, xs = np.nonzero(_DIAGONAL[codes])
+    return [
+        Pathology2D(x, y, Diag2D.MAIN if code == _MAIN else Diag2D.ANTI)
+        for y, x, code in zip(ys.tolist(), xs.tolist(), codes[ys, xs].tolist())
+    ]
 
 
 def _window_cells(x: int, y: int) -> tuple[tuple[int, int], ...]:
@@ -361,30 +363,12 @@ def _fix_window(cells: np.ndarray, p: Pathology2D) -> RepairAction:
     return RepairAction(cx, cy, RepairOp.DELETE, RepairReason.PATHOLOGY)
 
 
-def check_preconditions_2d(
-    component: Image2D, hist: CornerHistogram | None = None
-) -> PreconditionReport:
-    """Decide whether the corner formula may be trusted for this component.
-
-    Requires, in order: no pathological windows, no boundary pixel with
-    fewer than two direct neighbors, no thin (collinear cp2) pixels, and
-    cp4 - cp2 divisible by 4. Offending coordinates are reported.
-    """
-    passed = _boundary_pass(_pad(component.cells))
-    if hist is None:
-        _require_nonempty(component.cells)
-        hist = _histogram(*passed)
-    return _preconditions(component, hist, *passed)
-
-
-def _preconditions(component, hist, counts, boundary, thin_mask) -> PreconditionReport:
+def check_preconditions_2d(component: Image2D) -> PreconditionReport:
+    """Decide whether the corner formula may answer for this component:
+    it may when the component has no diagonal window, which are listed."""
+    _require_nonempty(component.cells)
     pathologies = tuple(find_pathologies_2d(component))
-    stray_mask = boundary & (counts < 2)
-    stray = tuple((int(x), int(y)) for y, x in zip(*np.nonzero(stray_mask)))
-    thin = tuple((int(x), int(y)) for y, x in zip(*np.nonzero(thin_mask)))
-    divisible = (hist.cp4 - hist.cp2) % 4 == 0
-    ok = not pathologies and not stray and not thin and divisible
-    return PreconditionReport(ok, pathologies, stray, thin, divisible)
+    return PreconditionReport(not pathologies, pathologies)
 
 
 def hole_count(
@@ -394,19 +378,19 @@ def hole_count(
 ) -> HoleReport:
     """Hole count of a single connected component.
 
-    Uses the corner formula when the preconditions pass and the result is
-    sane (a negative count means the corner proxy missed a defect); falls
-    back to the flood-fill oracle otherwise.
+    One bincount of the window codes gives the vertex corner counts. With
+    no diagonal window the corner law answers, and is exact; otherwise the
+    flood-fill oracle does. The law can go negative only on several
+    components (``check_single=False``), which also go to the oracle.
     """
     if check_single and _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
         raise ValueError("expected a single connected component")
     _require_nonempty(component.cells)
-    passed = _boundary_pass(_pad(component.cells))
-    hist = _histogram(*passed)
-    pre = _preconditions(component, hist, *passed)
+    hist = _histogram(*_boundary_pass(_pad(component.cells)))
     area = component.area
-    if pre.ok:
-        holes = 1 + (hist.cp4 - hist.cp2) // 4
+    bins = np.bincount(_window_codes(component.cells).ravel(), minlength=16)
+    if not bins[_DIAGONAL].any():
+        holes = 1 + int(bins @ _TURN) // 4
         if holes >= 0:
             return HoleReport(component_id, area, hist, holes, HoleMethod.FORMULA, True)
     holes = holes_by_floodfill(component)
@@ -448,7 +432,7 @@ def _analyze_components(
             report = hole_count(piece, component_id=next_id, check_single=False)
             if not report.precondition_ok and not fallback_oracle:
                 raise PreconditionFailure(
-                    f"component {next_id} fails formula preconditions"
+                    f"component {next_id} has a diagonal window"
                 )
             results.append((report, piece))
             next_id += 1

@@ -408,17 +408,19 @@ class TestCliExitCodes:
         assert run_cli(capsys, "holes", "/nonexistent/x.pbm")[0] == 1
 
     def test_precondition_failure_without_fallback(self, capsys, tmp_path):
-        # Fat staircase: passes the precondition proxies but drives the
-        # formula negative; without the oracle the pipeline must refuse.
-        path = tmp_path / "stair.pbm"
-        write_pbm(STAIRCASE, path)
-        code, _ = run_cli(capsys, "holes", "--no-fallback-oracle", str(path))
+        # One 4-component with a diagonal window, left unrepaired: only the
+        # oracle may count it, so without the oracle the pipeline refuses.
+        path = tmp_path / "diag.pbm"
+        write_pbm(image("111\n101\n110"), path)
+        code, _ = run_cli(
+            capsys, "holes", "--no-repair", "--no-fallback-oracle", str(path)
+        )
         assert code == 2
-        code, out = run_cli(capsys, "holes", "--json", str(path))
+        code, out = run_cli(capsys, "holes", "--no-repair", "--json", str(path))
         assert code == 0
         comp = json.loads(out)["components"][0]
         assert comp["method"] == "oracle-fallback"
-        assert comp["holes"] == 0
+        assert comp["holes"] == 1
 
     def test_nonconvergence_exit(self, capsys, tmp_path):
         path = tmp_path / "osc.vox3"

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitopo import (
     HoleMethod,
@@ -21,7 +22,7 @@ from digitopo import (
     repair_2d,
 )
 from digitopo.shapes import gen_fat_polyomino_2d, gen_holey_polyomino_2d, gen_noisy_image_2d
-from digitopo.topo2d import Diag2D
+from digitopo.topo2d import Diag2D, _TURN, _analyze_components, _window_codes
 from gridtext import image
 
 # The two worked 8x8 matrices: a blob without holes (cp2=8, cp4=4) and a
@@ -53,9 +54,8 @@ BLOB_ONE_HOLE = image(
 )
 
 # Fat 45-degree staircase of five 2x2 blocks overlapping by one pixel.
-# It passes every precondition proxy yet the corner formula would give
-# h = 1 + (4 - 12)/4 = -1, so the negative-count guard must reroute the
-# report to the flood-fill oracle.
+# Counted per boundary pixel its corners give h = 1 + (4 - 12)/4 = -1;
+# counted at grid vertices they give the true 0.
 STAIRCASE_FAT = image(
     """
     00000000
@@ -260,35 +260,10 @@ STRAY_PIXEL = image("1")
 DIAGONAL_PAIR = image("1100\n0011")
 
 
-def test_width_one_ring_fails_thin():
-    pre = check_preconditions_2d(THIN_RING)
-    assert not pre.ok
-    assert len(pre.thin) > 0
-
-
-def test_single_pixel_fails_stray():
-    pre = check_preconditions_2d(STRAY_PIXEL)
-    assert not pre.ok
-    assert len(pre.stray) == 1
-
-
 def test_pathological_window_fails():
     pre = check_preconditions_2d(DIAGONAL_PAIR)
     assert not pre.ok
     assert len(pre.pathologies) > 0
-
-
-@pytest.mark.parametrize(
-    "img",
-    [THIN_RING, STRAY_PIXEL, DIAGONAL_PAIR, BLOB_ONE_HOLE, STAIRCASE_FAT],
-    ids=["thin", "stray", "diagonal", "one-hole", "staircase"],
-)
-def test_preconditions_same_with_given_histogram(img):
-    # A caller may pass the histogram it already holds; the report must not
-    # depend on whether the check builds the histogram itself.
-    assert check_preconditions_2d(img) == check_preconditions_2d(
-        img, classify_boundary_2d(img)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +289,19 @@ def test_hole_count_square():
     assert rep.area == 4
 
 
-def test_negative_formula_reroutes_to_oracle():
-    hist = classify_boundary_2d(STAIRCASE_FAT)
-    assert check_preconditions_2d(STAIRCASE_FAT, hist).ok
-    assert 1 + (hist.cp4 - hist.cp2) // 4 == -1
-    rep = hole_count(STAIRCASE_FAT)
-    assert rep.method is HoleMethod.ORACLE_FALLBACK
-    assert rep.holes == 0
+@pytest.mark.parametrize(
+    "img, holes",
+    [(STAIRCASE_FAT, 0), (THIN_RING, 1), (STRAY_PIXEL, 0)],
+    ids=["staircase", "thin", "stray"],
+)
+def test_formula_answers_without_diagonal_window(img, holes):
+    # Shapes a per-pixel corner count gets wrong or must refuse: a fat
+    # staircase, a width-1 ring and a lone pixel. Vertex corners are exact.
+    assert check_preconditions_2d(img).ok
+    rep = hole_count(img)
+    assert rep.method is HoleMethod.FORMULA
+    assert rep.precondition_ok
+    assert rep.holes == holes
 
 
 def test_hole_count_empty_raises():
@@ -366,6 +347,40 @@ def test_pipeline_empty_canvas():
     assert actions == []
 
 
+# An 18x13 component whose per-pixel corner counts balance (cp2 = cp4 = 40
+# once scaled) although it has four holes.
+REPLAY_DEFECT = image(
+    """
+    0000001000000
+    0000001100000
+    0000001000000
+    0000001000000
+    0000111000000
+    0000011100000
+    0000011000000
+    0000110000000
+    0000011110000
+    0000011010000
+    0011111000000
+    0011101110000
+    0001010111100
+    0011110110110
+    0111111011010
+    1100110001011
+    1000010000001
+    0000000000001
+    """
+)
+
+
+@pytest.mark.parametrize("scale", [3, 16])
+def test_pipeline_counts_defect_holes_by_formula(scale):
+    cells = np.kron(REPLAY_DEFECT.cells, np.ones((scale, scale), dtype=bool))
+    img = Image2D(cells.shape[1], cells.shape[0], cells)
+    reports, _ = holes_pipeline(img)
+    assert [(r.holes, r.method) for r in reports] == [(4, HoleMethod.FORMULA)]
+
+
 def test_pipeline_speckle_hole_is_filled():
     ring = image(
         """
@@ -389,7 +404,7 @@ def test_lemma_simply_connected_boundary_balance():
     for seed in range(40):
         img = gen_fat_polyomino_2d(seed, 64 + 13 * seed)
         hist = classify_boundary_2d(img)
-        assert check_preconditions_2d(img, hist).ok
+        assert check_preconditions_2d(img).ok
         assert hist.cp2 == hist.cp4 + 4
 
 
@@ -404,11 +419,12 @@ def test_formula_matches_both_oracles():
 
 
 def test_divisibility_on_passing_components():
+    # Vertex corners: C4 - C2 is a multiple of 4 without any diagonal window.
     for seed in range(30):
         img = gen_holey_polyomino_2d(seed + 1000, 280, holes=seed % 3)
-        hist = classify_boundary_2d(img)
-        if check_preconditions_2d(img, hist).ok:
-            assert (hist.cp4 - hist.cp2) % 4 == 0
+        if check_preconditions_2d(img).ok:
+            bins = np.bincount(_window_codes(img.cells).ravel(), minlength=16)
+            assert int(bins @ _TURN) % 4 == 0
 
 
 def test_drilling_a_hole_adds_four_cp4():
@@ -439,3 +455,27 @@ def test_drilling_a_hole_adds_four_cp4():
         assert drilled.holes == before.holes + 1
         checked += 1
     assert checked >= 10
+
+
+@st.composite
+def raw_images(draw):
+    """Bernoulli images, sides 1-19, scaled up 1-4 times by Kronecker product."""
+    h = draw(st.integers(1, 19))
+    w = draw(st.integers(1, 19))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.integers(1, 4))
+    coarse = np.random.default_rng(seed).random((h, w)) < density
+    cells = np.kron(coarse, np.ones((scale, scale), dtype=bool))
+    return Image2D(cells.shape[1], cells.shape[0], cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=raw_images())
+def test_every_piece_matches_both_oracles(img):
+    for repair in (True, False):
+        results, _ = _analyze_components(img, repair)
+        for rep, piece in results:
+            assert rep.holes == holes_by_floodfill(piece) == 1 - euler_2d(piece).chi
+            formula = rep.method is HoleMethod.FORMULA
+            assert formula == (not find_pathologies_2d(piece))
