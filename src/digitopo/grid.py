@@ -311,6 +311,28 @@ def _pad(cells: np.ndarray) -> np.ndarray:
     return p
 
 
+def _window_codes(p: np.ndarray) -> np.ndarray:
+    """The code of every 2x2 (2D) or 2x2x2 (3D) window lying inside the
+    boolean grid ``p``; the result is one shorter than ``p`` on each axis.
+
+    ``code[y, x]`` (``code[z, y, x]``) is the window whose minimal cell is
+    ``p[y, x]`` (``p[z, y, x]``); bit ``dx + 2*dy`` (``+ 4*dz``) holds its
+    cell at offset (dx, dy[, dz]). Callers pad ``p`` themselves: with one
+    empty cell on every side (``_pad``) there is one window per vertex.
+    """
+    code = p.view(np.uint8)
+    # Shift-or along x, then y, then z: bits 0-1, 0-3, then all 8.
+    shift = 1
+    for axis in reversed(range(p.ndim)):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        step = code[hi] << shift
+        step |= code[lo]
+        code = step
+        shift *= 2
+    return code
+
+
 def _box_canvas(labeling: Labeling, component_id: int, box: tuple[slice, ...]):
     """The component inside its bounding ``box``, as ``_component_canvas``
     returns it."""

@@ -21,12 +21,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .grid import _window_codes
 from .topo2d import CornerHistogram, _boundary_pass, _corner_histogram
 from .topo3d import (
     SurfaceHistogram,
+    _DEGREE,
     _boundary_mask_3d,
     _surface_histogram,
-    _surface_layers,
+    _surface_mask,
 )
 
 __all__ = [
@@ -120,14 +122,16 @@ def fold_surface_histogram_3d(
 ) -> tuple[SurfaceHistogram, FoldStats]:
     """Surface-point histogram of a volume consumed one z-slab at a time.
 
-    Matches classify_surface(to_point_space(vol)) on the same volume: each
-    vertex layer is classified from the two slabs around it.
+    Matches classify_surface(to_point_space(vol)) on the same volume: the
+    two slabs around each vertex layer hold the 2x2x2 windows of its
+    vertices, and the layer's histogram is a bincount of their codes'
+    neighbor counts (``_DEGREE``) over its surface points.
     """
     bins = np.zeros(7, dtype=np.int64)
     stats = FoldStats(0, 0, 0)
     for window, stats in _windows(slabs, 2):
-        mask, _, counts = _surface_layers(window)
-        bins += np.bincount(counts[mask], minlength=7)
+        codes = _window_codes(window)
+        bins += np.bincount(_DEGREE[codes[_surface_mask(codes)]], minlength=7)
     return _surface_histogram(bins), stats
 
 

@@ -35,6 +35,7 @@ from .grid import (
     _component_canvases,
     _count_components,
     _pad,
+    _window_codes,
 )
 from .oracle import holes_by_floodfill
 
@@ -155,25 +156,12 @@ class HoleReport:
 # ---------------------------------------------------------------------------
 # kernels
 
-# 2x2 window codes: bit dx + 2*dy holds pixel (dx, dy) of the window.
+# 2x2 window codes (``_window_codes``): bit dx + 2*dy holds pixel (dx, dy).
 _MAIN, _ANTI = 0b1001, 0b0110
 _DIAGONAL = np.isin(np.arange(16), (_MAIN, _ANTI))
 # Per code: +1 at an inward corner point (three object pixels), -1 at an
 # outward one (one object pixel), 0 elsewhere.
 _TURN = np.array([(n == 3) - (n == 1) for n in map(int.bit_count, range(16))])
-
-
-def _window_codes(cells: np.ndarray) -> np.ndarray:
-    """The 4-bit code of every 2x2 window of ``cells`` padded by one empty
-    pixel; window ``[y, x]`` covers pixels ``x - 1 .. x`` and ``y - 1 .. y``."""
-    h, w = cells.shape
-    p = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    p[1:-1, 1:-1] = cells
-    pair = p[:, 1:] << 1
-    pair |= p[:, :-1]
-    code = pair[1:] << 2
-    code |= pair[:-1]
-    return code
 
 
 def _direct_shifts(p: np.ndarray):
@@ -275,7 +263,7 @@ def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
     Only windows inside the image are read: an overhanging window holds
     at most one in-range cell of each diagonal, so it can never match.
     """
-    codes = _window_codes(img.cells)[1:-1, 1:-1]
+    codes = _window_codes(img.cells)
     ys, xs = np.nonzero(_DIAGONAL[codes])
     return [
         Pathology2D(x, y, Diag2D.MAIN if code == _MAIN else Diag2D.ANTI)
@@ -386,9 +374,10 @@ def hole_count(
     if check_single and _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
         raise ValueError("expected a single connected component")
     _require_nonempty(component.cells)
-    hist = _histogram(*_boundary_pass(_pad(component.cells)))
+    p = _pad(component.cells)
+    hist = _histogram(*_boundary_pass(p))
     area = component.area
-    bins = np.bincount(_window_codes(component.cells).ravel(), minlength=16)
+    bins = np.bincount(_window_codes(p).ravel(), minlength=16)
     if not bins[_DIAGONAL].any():
         holes = 1 + int(bins @ _TURN) // 4
         if holes >= 0:

@@ -23,23 +23,29 @@ Homology of a connected voxel object follows from its boundary surfaces:
 b0 = 1, b1 is the total genus over all boundary surfaces, b2 is the number
 of boundary surfaces minus one (cavities), and b3 = 0.
 
-Everything above is local to the eight voxels around one grid vertex: a
-surface point, the surface edges at it, its neighbor count, and each of
-the three pathological windows. Those voxels are pairwise 26-adjacent, so
-their object voxels belong to one 26-component. A pass over a whole volume
-therefore gives every component the same surfaces, in the same order, as
-a pass over that component alone, and a pathology scan of the whole volume
-tells which components repair would edit. ``analyze_volume`` relies on
-this to classify all components in one pass over the grid.
+Everything above is local to the eight voxels around one grid vertex, and
+is read from their 8-bit code (``grid._window_codes``; bit
+``dx + 2*dy + 4*dz`` holds voxel (dx, dy, dz), the bit quads of Gray,
+1971, one dimension up). With the grid padded by one empty voxel on every
+side, each vertex has one code, and it gives:
 
-The pathology scan reads each 2x2x2 window as one 8-bit code, bit
-``dx + 2*dy + 4*dz`` holding voxel (dx, dy, dz) of the window (the bit
-quads of Gray, 1971, one dimension up). The grid gets one empty voxel on
-the high side of each axis, so every voxel anchors a window. Tables built
-at import map a code to the windows it anchors: the vertex and complement
-patterns of the whole window, and the edge patterns of its three low
-faces. An edge window therefore belongs to the one window whose low face
-holds it, and edge windows on the last layer of an axis are still seen.
+* the surface point: the code is neither 0 nor 255;
+* its surface edges: the edge toward -axis (+axis) is incident to the
+  window's half at offset 0 (1) along that axis, and is a surface edge
+  when that half is mixed; ``_UP_EDGES`` holds those toward +x, +y, +z;
+* its neighbor count, ``_DEGREE``: the number of mixed halves;
+* the pathological windows, from tables mapping a code to the windows it
+  anchors: the vertex and complement patterns of the whole window, and
+  the edge patterns of its three low faces. The pathology scan pads on
+  the high side only, so every voxel anchors a window and edge windows
+  on the last layer of an axis are still seen.
+
+The eight voxels are pairwise 26-adjacent, so their object voxels belong
+to one 26-component. A pass over a whole volume therefore gives every
+component the same surfaces, in the same order, as a pass over that
+component alone, and a pathology scan of the whole volume tells which
+components repair would edit. ``analyze_volume`` relies on this to
+classify all components in one pass over the grid.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .grid import (
     _box_canvas,
     _component_boxes,
     _pad,
+    _window_codes,
 )
 from .oracle import _surface_components
 from .topo2d import RepairAction, RepairOp, RepairReason
@@ -134,18 +141,18 @@ class SurfacePointSet:
 
     ``mask`` is a boolean array over the (nx+1, ny+1, nz+1) vertex grid,
     indexed ``mask[vz, vy, vx]``. ``points`` materializes the vertex set as
-    (x, y, z) tuples. ``edges`` and ``counts`` are the surface edges and
-    neighbor counts of the owner's whole vertex grid (see
-    ``_surface_layers``), shared by the parts of a split.
+    (x, y, z) tuples. ``_codes`` holds the window code of every vertex of
+    the owner's grid (see the module docstring), shared by the parts of a
+    split; each point's surface edges and neighbor count are read from it.
+    Built by ``to_point_space`` and ``split_surface_components``.
     """
 
-    __slots__ = ("mask", "owner", "_edges", "_counts")
+    __slots__ = ("mask", "owner", "_codes")
 
-    def __init__(self, mask: np.ndarray, owner: Volume3D, edges, counts: np.ndarray):
+    def __init__(self, mask: np.ndarray, owner: Volume3D, codes: np.ndarray):
         self.mask = mask
         self.owner = owner
-        self._edges = edges
-        self._counts = counts
+        self._codes = codes
 
     @property
     def points(self) -> set[tuple[int, int, int]]:
@@ -253,20 +260,28 @@ _CODE_HITS = _code_hits()
 _CODE_DIRTY = np.array([bool(hits) for hits in _CODE_HITS])
 
 
-def _window_codes(cells: np.ndarray) -> np.ndarray:
-    """The 8-bit code of the 2x2x2 window anchored at every voxel, with
-    one empty voxel past the high end of each axis."""
-    nz, ny, nx = cells.shape
-    p = np.zeros((nz + 1, ny + 1, nx + 1), dtype=np.uint8)
-    p[:nz, :ny, :nx] = cells
-    # Shift-or along x, then y, then z: bits 0-1, 0-3, then all 8.
-    pair = p[:, :, 1:] << 1
-    pair |= p[:, :, :-1]
-    quad = pair[:, 1:] << 2
-    quad |= pair[:, :-1]
-    code = quad[1:] << 4
-    code |= quad[:-1]
-    return code
+def _surface_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex code: its number of surface edges, and its surface edges
+    toward +x, +y and +z as bits 0, 1 and 2.
+
+    The edge toward -axis (+axis) is incident to the window half at offset
+    0 (1) along that axis; it is a surface edge when the half is mixed.
+    """
+    codes = np.arange(256)
+    degree = np.zeros(256, dtype=np.int8)
+    up = np.zeros(256, dtype=np.uint8)
+    for axis in range(3):
+        for side in (0, 1):
+            half = sum(_bit(off) for off in _CUBE if off[axis] == side)
+            bits = codes & half
+            mixed = (bits != 0) & (bits != half)
+            degree += mixed
+            if side:
+                up |= mixed.astype(np.uint8) << axis
+    return degree, up
+
+
+_DEGREE, _UP_EDGES = _surface_tables()
 
 
 def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
@@ -279,7 +294,12 @@ def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
     then edge pairs by axis, then complement pairs. An edge window is
     anchored at its minimum voxel, as the low face of the window there.
     """
-    codes = _window_codes(vol.cells)
+    nz, ny, nx = vol.cells.shape
+    # Padded on the high side only, so the code array needs no slice and
+    # stays contiguous for ``ravel``.
+    p = np.zeros((nz + 1, ny + 1, nx + 1), dtype=bool)
+    p[:nz, :ny, :nx] = vol.cells
+    codes = _window_codes(p)
     at = np.flatnonzero(_CODE_DIRTY[codes])
     zs, ys, xs = np.unravel_index(at, codes.shape)
     found = []
@@ -461,54 +481,16 @@ def _boundary_mask_3d(p: np.ndarray) -> np.ndarray:
     return p[1:-1, 1:-1, 1:-1] & ~a
 
 
-def _surface_layers(p: np.ndarray):
-    """Surface points, surface edges and neighbor counts of every vertex
-    layer between two consecutive voxel layers of ``p``.
-
-    ``p`` holds voxel layers along z, each with one empty voxel around it
-    in y and x. Vertex layer ``k`` lies between ``p[k]`` and ``p[k + 1]``,
-    and the voxels incident to its vertex (vx, vy) are
-    ``p[k:k + 2, vy:vy + 2, vx:vx + 2]``. A volume padded on every side
-    (``_pad``) gives its whole (nz+1, ny+1, nx+1) vertex grid; two
-    consecutive slabs give the one vertex layer between them.
-
-    Returns ``(mask, (ex, ey, ez), counts)``. ``ex[k, vy, vx]`` marks the
-    edge from vertex (vx, vy) of layer k toward +x as a surface edge: the
-    up-to-four voxels incident to it include both object and background;
-    ``ey`` likewise toward +y, and ``ez[k]`` the edges from layer k to
-    layer k + 1. ``counts`` also counts the z-edges that leave the first
-    and the last layer through ``p[0]`` and ``p[-1]``.
-    """
-    xo = p[:, :, :-1] | p[:, :, 1:]
-    xa = p[:, :, :-1] & p[:, :, 1:]
-    yo = p[:, :-1] | p[:, 1:]
-    ya = p[:, :-1] & p[:, 1:]
-    # The 2x2 voxels of each layer around each vertex (vx, vy).
-    any4 = xo[:, :-1] | xo[:, 1:]
-    all4 = xa[:, :-1] & xa[:, 1:]
-
-    def mixed(any_, all_):
-        # Object and background among the voxels on both sides of a layer.
-        return (any_[:-1] | any_[1:]) & ~(all_[:-1] & all_[1:])
-
-    mask = mixed(any4, all4)
-    ex = mixed(yo[:, :, 1:-1], ya[:, :, 1:-1])
-    ey = mixed(xo[:, 1:-1], xa[:, 1:-1])
-    ez = any4 & ~all4  # the z-edge through each voxel layer
-    counts = np.zeros(mask.shape, dtype=np.int8)
-    counts[:, :, :-1] += ex
-    counts[:, :, 1:] += ex
-    counts[:, :-1] += ey
-    counts[:, 1:] += ey
-    counts += ez[:-1]
-    counts += ez[1:]
-    return mask, (ex, ey, ez[1:-1]), counts
+def _surface_mask(codes: np.ndarray) -> np.ndarray:
+    """Which codes are surface points: neither all empty nor all object."""
+    # Two comparisons beat a 256-entry boolean lookup on large grids.
+    return (codes != 0) & (codes != 255)
 
 
 def to_point_space(vol: Volume3D) -> SurfacePointSet:
     """All surface points of a volume on the dual vertex grid."""
-    mask, edges, counts = _surface_layers(_pad(vol.cells))
-    return SurfacePointSet(mask, vol, edges, counts)
+    codes = _window_codes(_pad(vol.cells))
+    return SurfacePointSet(_surface_mask(codes), vol, codes)
 
 
 def _surface_histogram(bins) -> SurfaceHistogram:
@@ -551,40 +533,27 @@ def surface_neighbors(p: tuple[int, int, int], s: SurfacePointSet) -> int:
     return count
 
 
-def _surface_graph(mask: np.ndarray, edges):
-    """Surface points and their surface-edge components.
+def _surface_graph(mask: np.ndarray, codes: np.ndarray):
+    """The points of ``mask`` and their surface-edge components.
 
-    Returns ``(node_ids, count, labels)``: the flat vertex indices of the
-    points in ascending order, the number of components and each point's
-    component. Both endpoints of a surface edge are always surface points,
-    so the edge relation never leaves the point set.
+    ``codes`` are the vertex codes of the whole grid. Returns
+    ``(node_ids, count, labels)``: the flat vertex indices of the points in
+    ascending order, the number of components and each point's component.
+    Edges are read from the points' own codes, and a surface edge joins
+    two points of one surface, so when ``mask`` is a union of surfaces the
+    edges never leave it.
     """
-    vshape = mask.shape
     node_ids = np.flatnonzero(mask)
     n = node_ids.size
-    ex, ey, ez = edges
-    rows = []
-    cols = []
-    for arr, axis in ((ex, 2), (ey, 1), (ez, 0)):
-        idx = np.nonzero(arr)
-        if idx[0].size == 0:
-            continue
-        a = np.ravel_multi_index(idx, vshape)
-        step = [0, 0, 0]
-        step[axis] = 1
-        b = np.ravel_multi_index(
-            (idx[0] + step[0], idx[1] + step[1], idx[2] + step[2]), vshape
-        )
-        rows.append(a)
-        cols.append(b)
-    if rows:
-        a = np.searchsorted(node_ids, np.concatenate(rows))
-        b = np.searchsorted(node_ids, np.concatenate(cols))
-        graph = sparse.coo_matrix(
-            (np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n)
-        ).tocsr()
-    else:
-        graph = sparse.csr_matrix((n, n), dtype=np.int8)
+    up = _UP_EDGES[codes.ravel()[node_ids]]
+    _, ny1, nx1 = mask.shape
+    rows = [np.flatnonzero(up & bit) for bit in (1, 2, 4)]
+    ends = [node_ids[r] + step for r, step in zip(rows, (1, nx1, ny1 * nx1))]
+    a = np.concatenate(rows)
+    b = np.searchsorted(node_ids, np.concatenate(ends))
+    graph = sparse.coo_matrix(
+        (np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n)
+    ).tocsr()
     count, labels = csgraph.connected_components(graph, directed=False)
     return node_ids, count, labels
 
@@ -597,7 +566,7 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     mask = s.mask
     if not mask.any():
         return []
-    node_ids, count, labels = _surface_graph(mask, s._edges)
+    node_ids, count, labels = _surface_graph(mask, s._codes)
     out = []
     for comp in range(count):
         members = node_ids[labels == comp]
@@ -607,7 +576,7 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
         # scan order.
         out.append((int(members.min()), m))
     out.sort(key=lambda t: t[0])
-    return [SurfacePointSet(m, s.owner, s._edges, s._counts) for _, m in out]
+    return [SurfacePointSet(m, s.owner, s._codes) for _, m in out]
 
 
 def _vertex_owner(labels: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -630,19 +599,19 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
 
     Returns a list indexed by label ``0..count``: each entry holds that
     component's surfaces ordered by minimal vertex, or is None when one
-    of them fails ``genus``. All voxels incident to a grid vertex are
-    pairwise 26-adjacent, so each surface point, surface edge and
-    neighbor count lies in the boundary of exactly one 26-component and
-    equals its value on that component's own canvas. ``labels`` must keep
-    26-adjacent voxels under one label; a surface belongs to the label of
-    the voxels around its minimal vertex.
+    of them fails ``genus``. Every surface point, surface edge and neighbor
+    count is read from one vertex code, whose voxels are pairwise
+    26-adjacent; so each lies in the boundary of exactly one 26-component
+    and equals its value on that component's own canvas. ``labels`` must
+    keep 26-adjacent voxels under one label; a surface belongs to the
+    label of the voxels around its minimal vertex.
     """
-    mask, edges, counts = _surface_layers(_pad(cells))
-    node_ids, n, comp = _surface_graph(mask, edges)
+    codes = _window_codes(_pad(cells))
+    node_ids, n, comp = _surface_graph(_surface_mask(codes), codes)
     out: list = [[] for _ in range(count + 1)]
     if n == 0:
         return out
-    counts = counts.ravel()[node_ids]
+    counts = _DEGREE[codes.ravel()[node_ids]]
     # node_ids is ascending, so each surface's first node is its minimal
     # vertex in scan order.
     _, first = np.unique(comp, return_index=True)
@@ -665,7 +634,7 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
     """Histogram of surface neighbor counts over one point set."""
-    return _surface_histogram(np.bincount(s._counts[s.mask], minlength=7))
+    return _surface_histogram(np.bincount(_DEGREE[s._codes[s.mask]], minlength=7))
 
 
 def genus(hist: SurfaceHistogram) -> int:
@@ -688,15 +657,13 @@ def genus(hist: SurfaceHistogram) -> int:
 def _oracle_surfaces(vol: Volume3D) -> list[SurfaceReport]:
     """Surface reports from the boundary-face Euler characteristic."""
     surfaces = []
-    _, _, counts = _surface_layers(_pad(vol.cells))
+    codes = _window_codes(_pad(vol.cells))
     for summary, verts in _surface_components(vol):
         if summary.chi % 2 != 0:
             raise InvalidSurfaceError("non-orientable or non-manifold boundary")
         g = (2 - summary.chi) // 2
-        m = np.zeros(counts.shape, dtype=bool)
-        for vx, vy, vz in verts:
-            m[vz, vy, vx] = True
-        hist = _surface_histogram(np.bincount(counts[m], minlength=7))
+        vx, vy, vz = zip(*verts)
+        hist = _surface_histogram(np.bincount(_DEGREE[codes[vz, vy, vx]], minlength=7))
         surfaces.append(SurfaceReport(summary.v, hist, g, summary.chi, "euler-oracle"))
     return surfaces
 

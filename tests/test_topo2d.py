@@ -21,8 +21,9 @@ from digitopo import (
     remove_speckles,
     repair_2d,
 )
+from digitopo.grid import _pad, _window_codes
 from digitopo.shapes import gen_fat_polyomino_2d, gen_holey_polyomino_2d, gen_noisy_image_2d
-from digitopo.topo2d import Diag2D, _TURN, _analyze_components, _window_codes
+from digitopo.topo2d import Diag2D, _TURN, _analyze_components
 from gridtext import image
 
 # The two worked 8x8 matrices: a blob without holes (cp2=8, cp4=4) and a
@@ -423,7 +424,7 @@ def test_divisibility_on_passing_components():
     for seed in range(30):
         img = gen_holey_polyomino_2d(seed + 1000, 280, holes=seed % 3)
         if check_preconditions_2d(img).ok:
-            bins = np.bincount(_window_codes(img.cells).ravel(), minlength=16)
+            bins = np.bincount(_window_codes(_pad(img.cells)).ravel(), minlength=16)
             assert int(bins @ _TURN) % 4 == 0
 
 

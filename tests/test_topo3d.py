@@ -41,6 +41,8 @@ from digitopo.topo3d import (
     TopoReport3D,
     _CODE_DIRTY,
     _CODE_HITS,
+    _DEGREE,
+    _UP_EDGES,
     _analyze_pieces,
     _fix_3d,
     _matches_3d,
@@ -302,18 +304,26 @@ class TestSurfaceNeighbors:
         with pytest.raises(ValueError):
             surface_neighbors((9, 9, 9), pts)
 
-    def test_agrees_with_vectorized_counts(self):
-        vol = gen_frame(2)
-        pts = to_point_space(vol)
-        hist = classify_surface(pts)
-        by_hand = [surface_neighbors(p, pts) for p in sorted(pts.points)]
-        assert hist_tuple(hist) == (
-            by_hand.count(3),
-            by_hand.count(4),
-            by_hand.count(5),
-            by_hand.count(6),
-            0,
-        )
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 10)] * 3),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_vectorized_counts(self, shape, density, seed):
+        # Raw Bernoulli volumes, neither generated nor filtered: pathological
+        # windows and irregular points included.
+        cells = np.random.default_rng(seed).random(shape) < density
+        pts = to_point_space(Volume3D(shape[2], shape[1], shape[0], cells))
+        by_hand = np.bincount(
+            [surface_neighbors(p, pts) for p in pts.points], minlength=7
+        ).tolist()
+        assert hist_tuple(classify_surface(pts)) == (*by_hand[3:7], sum(by_hand[:3]))
+        merged = set()
+        for part in split_surface_components(pts):
+            assert not (merged & part.points)
+            merged |= part.points
+        assert merged == pts.points
 
 
 class TestClassify:
@@ -369,6 +379,27 @@ class TestSplitSurfaces:
     def test_empty(self):
         vol = Volume3D(2, 2, 2, np.zeros((2, 2, 2), dtype=bool))
         assert split_surface_components(to_point_space(vol)) == []
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            gen_shell((7, 7, 7), (3, 3, 3)).cells,
+            np.pad(np.ones((2, 2, 2), dtype=bool), ((0, 0), (0, 0), (0, 3)))
+            | np.pad(np.ones((2, 2, 2), dtype=bool), ((0, 0), (0, 0), (3, 0))),
+        ],
+        ids=["shell", "two-blocks"],
+    )
+    def test_resplit_part_returns_it(self, cells):
+        # A part shares its owner's whole grid; its own split must still
+        # see only its own points and edges.
+        nz, ny, nx = cells.shape
+        parts = split_surface_components(to_point_space(Volume3D(nx, ny, nz, cells)))
+        assert len(parts) == 2
+        for part in parts:
+            again = split_surface_components(part)
+            assert len(again) == 1
+            assert np.array_equal(again[0].mask, part.mask)
+            assert classify_surface(again[0]) == classify_surface(part)
 
     def test_union_recovers_all_points(self):
         vol = gen_shell((4, 3, 3), (2, 1, 1))
@@ -947,6 +978,31 @@ class TestWindowCodes:
             assert list(_CODE_HITS[code]) == anchored, code
             assert bool(_CODE_DIRTY[code]) == bool(anchored), code
             assert find_pathologies_3d(vol) == want, code
+
+    def test_surface_tables_match_reference_on_every_window(self):
+        # Each window alone in a 4x4x4 volume, around vertex (2, 2, 2).
+        for code in range(256):
+            cells = np.zeros((4, 4, 4), dtype=bool)
+            for dx, dy, dz in CUBE:
+                cells[1 + dz, 1 + dy, 1 + dx] = code >> (dx + 2 * dy + 4 * dz) & 1
+            vol = Volume3D(4, 4, 4, cells)
+            pts = to_point_space(vol)
+            if code in (0, 255):
+                assert (2, 2, 2) not in pts, code
+                assert _DEGREE[code] == 0 and _UP_EDGES[code] == 0, code
+                continue
+            assert _DEGREE[code] == surface_neighbors((2, 2, 2), pts), code
+            for axis in range(3):
+                # The edge toward +axis: the 4 voxels at axis coordinate 2.
+                u, v = (i for i in range(3) if i != axis)
+                vals = []
+                for a in (1, 2):
+                    for b in (1, 2):
+                        q = [2, 2, 2]
+                        q[u], q[v] = a, b
+                        vals.append(vol.get(*q))
+                surface_edge = any(vals) and not all(vals)
+                assert bool(_UP_EDGES[code] >> axis & 1) == surface_edge, (code, axis)
 
     @settings(max_examples=300, deadline=None)
     @given(
