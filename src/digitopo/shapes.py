@@ -198,14 +198,6 @@ _CORNERS_3D = [
     for sz in (-1, 1)
 ]
 
-_ANTIPODAL_3D = (
-    ((0, 0, 0), (1, 1, 1)),
-    ((1, 0, 0), (0, 1, 1)),
-    ((0, 1, 0), (1, 0, 1)),
-    ((0, 0, 1), (1, 1, 0)),
-)
-
-
 def _accept_3d(occ: set, c: tuple[int, int, int]) -> bool:
     """Accept iff the contact with the shape is a single disk of faces.
 

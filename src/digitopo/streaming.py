@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .grid import _window_codes
-from .topo2d import CornerHistogram, _boundary_pass, _corner_histogram
+from .topo2d import CornerHistogram, _boundary_bins, _corner_histogram
 from .topo3d import (
     SurfaceHistogram,
     _DEGREE,
@@ -104,17 +104,15 @@ def fold_corner_histogram_2d(
 ) -> tuple[CornerHistogram, FoldStats]:
     """Corner histogram of an image consumed one pixel row at a time.
 
-    Matches classify_boundary_2d on the same image: each row goes through
-    its boundary pass with the rows above and below as its frame.
+    Matches classify_boundary_2d on the same image: each row's boundary
+    pixels are read from the window codes of it and the rows above and
+    below.
     """
-    bins = np.zeros(5, dtype=np.int64)
-    thin = 0
+    bins = np.zeros(16, dtype=np.int64)
     stats = FoldStats(0, 0, 0)
     for window, stats in _windows(rows, 3):
-        counts, boundary, thin_mask = _boundary_pass(window)
-        bins += np.bincount(counts[boundary], minlength=5)
-        thin += int(thin_mask.sum())
-    return _corner_histogram(bins, thin), stats
+        bins += _boundary_bins(_window_codes(window))
+    return _corner_histogram(bins), stats
 
 
 def fold_surface_histogram_3d(

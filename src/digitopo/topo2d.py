@@ -17,7 +17,9 @@ one table decides both whether the formula may answer and what it says;
 a component with a diagonal window falls back to the flood-fill oracle.
 
 The per-pixel ``CornerHistogram`` (boundary pixels by direct-neighbor
-count) is kept as report data.
+count) is kept as report data and read from the same codes: the four
+windows around a pixel hold it and its 8 neighbors, so one code array
+serves the histogram, the holes and speckle removal.
 """
 
 from __future__ import annotations
@@ -164,59 +166,44 @@ _DIAGONAL = np.isin(np.arange(16), (_MAIN, _ANTI))
 _TURN = np.array([(n == 3) - (n == 1) for n in map(int.bit_count, range(16))])
 
 
-def _direct_shifts(p: np.ndarray):
-    """North, south, west and east neighbors, read from a padded grid."""
-    n = p[:-2, 1:-1]
-    s = p[2:, 1:-1]
-    w = p[1:-1, :-2]
-    e = p[1:-1, 2:]
-    return n, s, w, e
+# A boundary pixel's N, W, E and S neighbors, as bits 0-3 of a 4-bit key,
+# fold into cp0-cp4 by popcount and into thin by the collinear pairs.
+_FOLD = np.zeros((16, 6), dtype=np.int64)
+_FOLD[np.arange(16), [int.bit_count(k) for k in range(16)]] = 1
+_FOLD[[0b1001, 0b0110], 5] = 1
 
 
-def _indirect_fold(p: np.ndarray, op) -> np.ndarray:
-    """``op`` folded over the 8 indirect neighbors, read from a padded grid."""
-    h, w = p.shape[0] - 2, p.shape[1] - 2
-    acc = None
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            if dx == 1 and dy == 1:
-                continue
-            part = p[dy : dy + h, dx : dx + w]
-            acc = part if acc is None else op(acc, part)
-    return acc
+def _quads(codes: np.ndarray):
+    """The codes of the four windows around each pixel, from the vertex
+    codes of its padded grid: up-left, up-right, down-left, down-right.
 
-
-def _boundary_pass(p: np.ndarray):
-    """Direct-neighbor counts, boundary mask and thin mask in one pass.
-
-    ``p`` is the grid with a one-pixel frame: empty (see ``_pad``), or, in
-    a streaming fold, the neighboring rows. The masks cover ``p[1:-1, 1:-1]``.
-    The corner histogram is read from these.
+    A pixel is bit 3 of its up-left window, whose bits 1 and 2 are its
+    north and west neighbors, and bit 0 of its down-right window, whose
+    bits 1 and 2 are its east and south neighbors.
     """
-    n, s, w, e = _direct_shifts(p)
-    counts = (
-        n.astype(np.int8) + s.astype(np.int8) + w.astype(np.int8) + e.astype(np.int8)
-    )
-    boundary = p[1:-1, 1:-1] & ~_indirect_fold(p, np.logical_and)
-    thin = boundary & (((n & s) & ~(w | e)) | ((w & e) & ~(n | s)))
-    return counts, boundary, thin
+    return codes[:-1, :-1], codes[:-1, 1:], codes[1:, :-1], codes[1:, 1:]
 
 
-def _histogram(counts, boundary, thin) -> CornerHistogram:
-    return _corner_histogram(np.bincount(counts[boundary], minlength=5), thin.sum())
+def _boundary_bins(codes: np.ndarray) -> np.ndarray:
+    """Bincount of the boundary pixels (object pixels with a background
+    pixel among their 8 neighbors) by their N/W/E/S key, read from the
+    vertex codes (``_window_codes``) of the padded grid.
+
+    The grid is padded by empty cells or, in a streaming fold, by the
+    neighboring rows; the pixels counted are those inside the frame.
+    """
+    ul, ur, dl, dr = _quads(codes)
+    # Bit 3 of ul is the pixel; the four codes' AND is 15 only when all
+    # nine cells are set.
+    boundary = (ul >= 8) & ((ul & ur & dl & dr) != 15)
+    keys = ((ul & 6) >> 1) | ((dr & 6) << 1)
+    return np.bincount(keys[boundary], minlength=16)
 
 
-def _corner_histogram(bins, thin) -> CornerHistogram:
-    """The histogram of a bincount of boundary pixels by direct-neighbor
-    count, and a thin-pixel count."""
-    return CornerHistogram(
-        cp1=int(bins[1]),
-        cp2=int(bins[2]),
-        cp3=int(bins[3]),
-        cp4=int(bins[4]),
-        thin=int(thin),
-        cp0=int(bins[0]),
-    )
+def _corner_histogram(bins) -> CornerHistogram:
+    """The histogram of a ``_boundary_bins`` count."""
+    cp0, cp1, cp2, cp3, cp4, thin = (int(n) for n in bins @ _FOLD)
+    return CornerHistogram(cp1=cp1, cp2=cp2, cp3=cp3, cp4=cp4, thin=thin, cp0=cp0)
 
 
 def _require_nonempty(cells: np.ndarray) -> None:
@@ -227,7 +214,7 @@ def _require_nonempty(cells: np.ndarray) -> None:
 def classify_boundary_2d(component: Image2D) -> CornerHistogram:
     """Corner histogram of a single component's boundary pixels."""
     _require_nonempty(component.cells)
-    return _histogram(*_boundary_pass(_pad(component.cells)))
+    return _corner_histogram(_boundary_bins(_window_codes(_pad(component.cells))))
 
 
 def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
@@ -235,25 +222,22 @@ def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
 
     A background pixel whose 8 indirect neighbors are all foreground is
     filled; a foreground pixel whose 8 indirect neighbors are all
-    background is deleted. Passes repeat until stable. Within one pass the
-    two rules can never touch adjacent cells, so batch application equals
-    a sequential row-major sweep.
+    background is deleted. One pass suffices: a filled pixel's neighbors
+    are all foreground and a deleted pixel's all background, so no edit
+    makes a fill or a deletion of another pixel possible, and a second
+    pass finds nothing. Edits are listed in row-major order.
     """
     cells = img.cells.copy()
-    actions: list[RepairAction] = []
-    while True:
-        p = _pad(cells)
-        fills = ~cells & _indirect_fold(p, np.logical_and)
-        deletes = cells & ~_indirect_fold(p, np.logical_or)
-        if not fills.any() and not deletes.any():
-            break
-        changed = fills | deletes
-        ys, xs = np.nonzero(changed)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            op = RepairOp.ADD if fills[y, x] else RepairOp.DELETE
-            actions.append(RepairAction(x, y, op, RepairReason.SPECKLE))
-        cells[fills] = True
-        cells[deletes] = False
+    ul, ur, dl, dr = _quads(_window_codes(_pad(cells)))
+    fills = (ul == 7) & (ur == 11) & (dl == 13) & (dr == 14)
+    deletes = (ul == 8) & (ur == 4) & (dl == 2) & (dr == 1)
+    ys, xs = np.nonzero(fills | deletes)
+    actions = []
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        op = RepairOp.ADD if fills[y, x] else RepairOp.DELETE
+        actions.append(RepairAction(x, y, op, RepairReason.SPECKLE))
+    cells[fills] = True
+    cells[deletes] = False
     return Image2D(img.width, img.height, cells), actions
 
 
@@ -366,18 +350,19 @@ def hole_count(
 ) -> HoleReport:
     """Hole count of a single connected component.
 
-    One bincount of the window codes gives the vertex corner counts. With
-    no diagonal window the corner law answers, and is exact; otherwise the
-    flood-fill oracle does. The law can go negative only on several
-    components (``check_single=False``), which also go to the oracle.
+    One bincount of the window codes gives the vertex corner counts; the
+    histogram is read from the same codes. With no diagonal window the
+    corner law answers, and is exact; otherwise the flood-fill oracle
+    does. The law can go negative only on several components
+    (``check_single=False``), which also go to the oracle.
     """
     if check_single and _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
         raise ValueError("expected a single connected component")
     _require_nonempty(component.cells)
-    p = _pad(component.cells)
-    hist = _histogram(*_boundary_pass(p))
+    codes = _window_codes(_pad(component.cells))
+    hist = _corner_histogram(_boundary_bins(codes))
     area = component.area
-    bins = np.bincount(_window_codes(p).ravel(), minlength=16)
+    bins = np.bincount(codes.ravel(), minlength=16)
     if not bins[_DIAGONAL].any():
         holes = 1 + int(bins @ _TURN) // 4
         if holes >= 0:
@@ -387,9 +372,14 @@ def hole_count(
 
 
 def _shift_actions(actions, origin) -> list[RepairAction]:
-    ox, oy = origin
+    """``actions`` moved by ``origin``, (x, y) or (x, y, z); ``z`` is
+    shifted only when it is not None."""
+    ox, oy, oz = (*origin, 0)[:3]
     return [
-        RepairAction(a.x + ox, a.y + oy, a.op, a.reason) for a in actions
+        RepairAction(
+            a.x + ox, a.y + oy, a.op, a.reason, None if a.z is None else a.z + oz
+        )
+        for a in actions
     ]
 
 

@@ -69,7 +69,7 @@ from .grid import (
     _window_codes,
 )
 from .oracle import _surface_components
-from .topo2d import RepairAction, RepairOp, RepairReason
+from .topo2d import RepairAction, RepairOp, RepairReason, _shift_actions
 
 __all__ = [
     "Pathology3DKind",
@@ -700,13 +700,6 @@ def homology(
     return _report(component_id, vol.voxel_count, surfaces, repair_actions)
 
 
-def _shift_actions_3d(actions, origin) -> list[RepairAction]:
-    ox, oy, oz = origin
-    return [
-        RepairAction(a.x + ox, a.y + oy, a.op, a.reason, a.z + oz) for a in actions
-    ]
-
-
 def _formula_pass(cells: np.ndarray, labeling) -> tuple[list, list[int]]:
     """Formula surfaces (see ``_formula_surfaces``) and voxel count of
     every labelled component."""
@@ -779,7 +772,7 @@ def _analyze_pieces(
         if repair:
             found = [_shift_window(p, origin) for p in windows[cid]]
             canvas, acts = repair_3d(canvas, found=found)
-            shifted = _shift_actions_3d(acts, origin)
+            shifted = _shift_actions(acts, origin)
             actions.extend(shifted)
         if canvas.cells.any():
             lab6 = label_components_3d(canvas, Adjacency.DIRECT_3D)

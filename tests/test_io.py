@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -326,6 +327,65 @@ class TestCliRepairValidate:
             writer(grid, path)
             code, _ = run_cli(capsys, "validate", str(path))
             assert code == 0, name
+
+
+
+def _raw_images(seed: int, count: int):
+    """Bernoulli images (sides 1-39, density 0-1, Kronecker scale 1-3)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        h, w, scale = (int(n) for n in rng.integers(1, [40, 40, 4]))
+        coarse = rng.random((h, w)) < rng.random()
+        cells = np.kron(coarse, np.ones((scale, scale), dtype=bool))
+        yield Image2D(cells.shape[1], cells.shape[0], cells)
+
+
+class TestCliPinnedOutput:
+    """The 2D commands' ``--json`` output on 30 raw images, half of them
+    P4, pinned by digest: any changed byte of stdout, of an exit code or
+    of a ``repair -o`` file fails here. Run from the images' directory,
+    so ``repair -o`` echoes a fixed relative path."""
+
+    DIGESTS = {
+        "holes": (
+            "562e282ee65ef1df2efa527fae7968c9"
+            "24c1a527303463f9eb2944b188d38600"
+        ),
+        "holes --no-repair": (
+            "428016ae2e153c962b9043a0c30ca4a7"
+            "82456438db4eb677756347d166afe152"
+        ),
+        "validate": (
+            "7ab55fba0def4f244c2a10874ffc6826"
+            "d6711e89fcf1954d26f0a7186d299b0a"
+        ),
+        "validate --no-repair": (
+            "cee359966906aa619b7ba90be112092f"
+            "0cceec896730dfb8f530148ca7208899"
+        ),
+        "components": (
+            "eac3e6750e32032dd91dbc4247765fd0"
+            "84e4d396171c91580f5f998bb2523f44"
+        ),
+        "repair -o out.pbm": (
+            "e13815fe2c3e13e6bb98a4b5367efd90"
+            "6d29aaa65465f2f2dd6fa1f21d7b4252"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_json_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cmd, *flags = command.split()
+        h = hashlib.sha256()
+        for i, img in enumerate(_raw_images(seed=8, count=30)):
+            name = f"raw{i}.pbm"
+            (write_pbm_p4 if i % 2 else write_pbm)(img, name)
+            code, out = run_cli(capsys, cmd, "--json", name, *flags)
+            h.update(f"{code}\n{out}".encode())
+            if cmd == "repair":
+                h.update(open("out.pbm", "rb").read())
+        assert h.hexdigest() == self.DIGESTS[command]
 
 
 class TestCliGen:

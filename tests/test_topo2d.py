@@ -4,11 +4,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from digitopo import (
+    CornerHistogram,
     HoleMethod,
     Image2D,
+    RepairAction,
     RepairOp,
     RepairReason,
     check_preconditions_2d,
@@ -99,7 +101,7 @@ def test_no_speckles_identity():
 
 
 def test_speckle_removal_rescans():
-    # deleting one isolated pixel may leave another isolated; both must go
+    # both pixels are isolated before either is deleted; both must go
     img = image(
         """
         00000
@@ -480,3 +482,73 @@ def test_every_piece_matches_both_oracles(img):
             assert rep.holes == holes_by_floodfill(piece) == 1 - euler_2d(piece).chi
             formula = rep.method is HoleMethod.FORMULA
             assert formula == (not find_pathologies_2d(piece))
+
+
+# ---------------------------------------------------------------------------
+# references: the per-pixel 3x3 kernel and the fixpoint speckle loop that
+# the window-code reads replaced
+
+
+def _ref_indirect_fold(p: np.ndarray, op) -> np.ndarray:
+    """``op`` folded over the 8 indirect neighbors, read from a padded grid."""
+    h, w = p.shape[0] - 2, p.shape[1] - 2
+    acc = None
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            if dx == 1 and dy == 1:
+                continue
+            part = p[dy : dy + h, dx : dx + w]
+            acc = part if acc is None else op(acc, part)
+    return acc
+
+
+def _ref_histogram(cells: np.ndarray) -> CornerHistogram:
+    p = _pad(cells)
+    n, s, w, e = p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]
+    counts = n.astype(np.int8) + s + w + e
+    boundary = cells & ~_ref_indirect_fold(p, np.logical_and)
+    thin = boundary & (((n & s) & ~(w | e)) | ((w & e) & ~(n | s)))
+    bins = np.bincount(counts[boundary], minlength=5)
+    return CornerHistogram(
+        cp1=int(bins[1]),
+        cp2=int(bins[2]),
+        cp3=int(bins[3]),
+        cp4=int(bins[4]),
+        thin=int(thin.sum()),
+        cp0=int(bins[0]),
+    )
+
+
+def _ref_remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
+    cells = img.cells.copy()
+    actions = []
+    while True:
+        p = _pad(cells)
+        fills = ~cells & _ref_indirect_fold(p, np.logical_and)
+        deletes = cells & ~_ref_indirect_fold(p, np.logical_or)
+        if not fills.any() and not deletes.any():
+            break
+        ys, xs = np.nonzero(fills | deletes)
+        for y, x in zip(ys.tolist(), xs.tolist()):
+            op = RepairOp.ADD if fills[y, x] else RepairOp.DELETE
+            actions.append(RepairAction(x, y, op, RepairReason.SPECKLE))
+        cells[fills] = True
+        cells[deletes] = False
+    return Image2D(img.width, img.height, cells), actions
+
+
+@settings(max_examples=300, deadline=None)
+@given(img=raw_images())
+@example(img=image("1"))
+@example(img=image("1101011"))
+@example(img=image("1\n0\n1\n1\n0"))
+def test_window_code_reads_match_3x3_kernel(img):
+    out, actions = remove_speckles(img)
+    ref, ref_actions = _ref_remove_speckles(img)
+    assert actions == ref_actions
+    assert (out.cells == ref.cells).all()
+    assert remove_speckles(out)[1] == []
+    if img.cells.any():
+        hist = _ref_histogram(img.cells)
+        assert classify_boundary_2d(img) == hist
+        assert hole_count(img, check_single=False).histogram == hist
