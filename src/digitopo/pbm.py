@@ -76,25 +76,41 @@ def read_pbm(path) -> Image2D:
     return _read_p4_body(body, width, height, line)
 
 
+# P1 body byte classes: 0 whitespace, 1 bit digit, 2 anything else.
+_P1_CLASS = np.full(256, 2, dtype=np.uint8)
+_P1_CLASS[list(b" \t\n\r\x0b\x0c")] = 0
+_P1_CLASS[list(b"01")] = 1
+
+
 def _read_p1_body(body: bytes, width: int, height: int, line: int) -> Image2D:
-    bits: list[int] = []
+    # Lines are scanned whole and none after the one that completes the
+    # bitmap, so a bad byte raises only up to the end of that line.
     need = width * height
-    for raw in body.split(b"\n"):
-        for c in _strip_comment(raw):
-            ch = bytes((c,))
-            if ch in b"01":
-                bits.append(c - 0x30)
-            elif not ch.isspace():
-                raise ParseError(f"unexpected character {ch!r} in bitmap", line)
-        line += 1
-        if len(bits) >= need:
-            break
-    if len(bits) < need:
+    if b"#" in body:
+        body = b"\n".join(_strip_comment(raw) for raw in body.split(b"\n"))
+    data = np.frombuffer(body, dtype=np.uint8)
+    kind = _P1_CLASS[data]
+    is_bit = kind == 1
+    found = int(np.count_nonzero(is_bit))
+    end = len(body)
+    if found >= need:
+        cut = body.find(b"\n", int(np.flatnonzero(is_bit)[need - 1]))
+        if cut >= 0:
+            end = cut
+    bad = kind[:end] == 2
+    if bad.any():
+        off = int(np.argmax(bad))
+        ch = body[off : off + 1]
         raise ParseError(
-            f"bitmap truncated: expected {need} bits, found {len(bits)}", line
+            f"unexpected character {ch!r} in bitmap", line + body.count(b"\n", 0, off)
         )
-    cells = np.array(bits[:need], dtype=bool).reshape(height, width)
-    return Image2D(width, height, cells)
+    if found < need:
+        raise ParseError(
+            f"bitmap truncated: expected {need} bits, found {found}",
+            line + body.count(b"\n") + 1,
+        )
+    cells = data[is_bit][:need] == 0x31
+    return Image2D(width, height, cells.reshape(height, width))
 
 
 def _read_p4_body(body: bytes, width: int, height: int, line: int) -> Image2D:

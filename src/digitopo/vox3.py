@@ -11,6 +11,7 @@ Layout, fixed bit-exactly:
 One blank line separates consecutive slabs; the file ends with a
 trailing newline. Any other character, a dimension mismatch, or a
 missing trailing newline is a parse error carrying the line number.
+Readers accept LF, CRLF or lone CR line ends; writers emit LF.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
             raise ParseError("missing newline after header", 1)
         nx, ny, nz = _parse_header(first[:-1])
         yield (nx, ny, nz)
+        stride = nx + 1  # a row and its newline
         lineno = 1
         for z in range(nz):
             if z > 0:
@@ -70,10 +72,20 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
                 lineno += 1
                 if sep != "\n":
                     raise ParseError("expected blank line between slabs", lineno)
-            slab = np.empty((ny, nx), dtype=bool)
-            for y in range(ny):
-                raw = fh.readline()
-                lineno += 1
+            block = fh.read(ny * stride)
+            rows = len(block) // stride
+            codes = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
+            codes = codes[: rows * stride].reshape(rows, stride)
+            # '0' | 1 == '1' | 1 == '1'; any other byte differs.
+            good = (codes[:, nx] == 0x0A) & ((codes[:, :nx] | 1) == 0x31).all(axis=1)
+            if rows < ny or not good.all():
+                # Every row before the first bad one is well formed, so the
+                # bad row starts at its slot; read it as a line and raise.
+                y = int(np.argmin(good)) if not good.all() else rows
+                raw = block[y * stride :]
+                cut = raw.find("\n")
+                raw = raw + fh.readline() if cut < 0 else raw[: cut + 1]
+                lineno += y + 1
                 if not raw.endswith("\n"):
                     raise ParseError(
                         "unexpected end of file inside slab"
@@ -81,8 +93,9 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
                         else "missing trailing newline",
                         lineno,
                     )
-                slab[y] = _parse_row(raw[:-1], nx, lineno)
-            yield slab
+                _parse_row(raw[:-1], nx, lineno)
+            lineno += ny
+            yield codes[:, :nx] == 0x31
         trailing = fh.read()
         if trailing.strip("\n"):
             lineno += 1
@@ -101,11 +114,12 @@ def read_vox3(path) -> Volume3D:
 
 def write_vox3(vol: Volume3D, path) -> None:
     """Write the volume in vox3 layout, round-trip bit-exact."""
-    digits = vol.cells.astype(np.uint8) + 0x30
+    text = np.full((vol.nz, vol.ny, vol.nx + 1), 0x0A, dtype=np.uint8)
+    text[..., : vol.nx] = vol.cells
+    text[..., : vol.nx] += 0x30
     with open(path, "wb") as fh:
         fh.write(f"{_MAGIC} {vol.nx} {vol.ny} {vol.nz}\n".encode())
         for z in range(vol.nz):
             if z > 0:
                 fh.write(b"\n")
-            for y in range(vol.ny):
-                fh.write(digits[z, y].tobytes() + b"\n")
+            fh.write(text[z].tobytes())

@@ -107,16 +107,30 @@ class TestPbm:
             read_pbm(path)
 
     def test_truncated_p1_body(self, tmp_path):
+        # The line named is the one after the body's last line.
         path = tmp_path / "g.pbm"
         path.write_bytes(b"P1\n3 2\n101\n")
-        with pytest.raises(ParseError, match="truncated"):
+        with pytest.raises(ParseError) as err:
             read_pbm(path)
+        assert str(err.value) == "line 5: bitmap truncated: expected 6 bits, found 3"
 
     def test_bad_p1_character(self, tmp_path):
         path = tmp_path / "h.pbm"
         path.write_bytes(b"P1\n2 2\n10\n21\n")
         with pytest.raises(ParseError, match="line 4"):
             read_pbm(path)
+
+    def test_p1_junk_after_the_completing_line_is_ignored(self, tmp_path):
+        path = tmp_path / "j.pbm"
+        path.write_bytes(b"P1\n2 2\n10\n01\njunk \x80\n")
+        assert read_pbm(path).cells.tolist() == [[True, False], [False, True]]
+
+    def test_p1_junk_on_the_completing_line_raises(self, tmp_path):
+        path = tmp_path / "k.pbm"
+        path.write_bytes(b"P1\n2 2\n10\n01 x1\n")
+        with pytest.raises(ParseError) as err:
+            read_pbm(path)
+        assert str(err.value) == "line 4: unexpected character b'x' in bitmap"
 
     def test_truncated_p4_body(self, tmp_path):
         path = tmp_path / "i.pbm"
@@ -202,6 +216,27 @@ class TestVox3:
         path.write_bytes(b"vox3 2 2 1\n10\n01")
         with pytest.raises(ParseError):
             read_vox3(path)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_line_ends_parse(self, tmp_path, newline):
+        path = tmp_path / "l.vox3"
+        text = b"vox3 2 2 2\n10\n01\n\n11\n00\n"
+        path.write_bytes(text.replace(b"\n", newline))
+        assert np.array_equal(read_vox3(path).cells, volume("10\n01", "11\n00").cells)
+
+    def test_non_ascii_byte_is_reported_as_replacement_character(self, tmp_path):
+        path = tmp_path / "m.vox3"
+        path.write_bytes(b"vox3 3 1 1\n1\x800\n")
+        with pytest.raises(ParseError) as err:
+            read_vox3(path)
+        assert str(err.value) == "line 2: invalid character '\ufffd' at column 2"
+
+    def test_missing_trailing_newline_wins_over_row_length(self, tmp_path):
+        path = tmp_path / "n.vox3"
+        path.write_bytes(b"vox3 2 2 1\n10\n011")
+        with pytest.raises(ParseError) as err:
+            read_vox3(path)
+        assert str(err.value) == "line 3: missing trailing newline"
 
     def test_trailing_content(self, tmp_path):
         path = tmp_path / "k.vox3"

@@ -1,0 +1,185 @@
+"""The block parsers against the loop parsers they replaced.
+
+``pbm._read_p1_body`` classifies the whole P1 body at once and
+``vox3.iter_vox3_slabs`` reads a slab per call. The references below are
+the byte-by-byte P1 body parser and the row-by-row slab reader. On every
+mutant of a valid file both must give the same grid or the same
+``ParseError`` text, line included; for vox3 the slabs yielded before
+the error must match too, since a streaming fold has already seen them.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from digitopo import ParseError, iter_vox3_slabs, pbm, read_pbm
+from digitopo.grid import Image2D
+from digitopo.vox3 import _parse_header, _parse_row
+
+
+def reference_p1_body(body, width, height, line):
+    bits = []
+    need = width * height
+    for raw in body.split(b"\n"):
+        for c in pbm._strip_comment(raw):
+            ch = bytes((c,))
+            if ch in b"01":
+                bits.append(c - 0x30)
+            elif not ch.isspace():
+                raise ParseError(f"unexpected character {ch!r} in bitmap", line)
+        line += 1
+        if len(bits) >= need:
+            break
+    if len(bits) < need:
+        raise ParseError(
+            f"bitmap truncated: expected {need} bits, found {len(bits)}", line
+        )
+    cells = np.array(bits[:need], dtype=bool).reshape(height, width)
+    return Image2D(width, height, cells)
+
+
+def reference_iter_vox3_slabs(path):
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        first = fh.readline()
+        if not first.endswith("\n"):
+            raise ParseError("missing newline after header", 1)
+        nx, ny, nz = _parse_header(first[:-1])
+        yield (nx, ny, nz)
+        lineno = 1
+        for z in range(nz):
+            if z > 0:
+                sep = fh.readline()
+                lineno += 1
+                if sep != "\n":
+                    raise ParseError("expected blank line between slabs", lineno)
+            slab = np.empty((ny, nx), dtype=bool)
+            for y in range(ny):
+                raw = fh.readline()
+                lineno += 1
+                if not raw.endswith("\n"):
+                    raise ParseError(
+                        "unexpected end of file inside slab"
+                        if raw == ""
+                        else "missing trailing newline",
+                        lineno,
+                    )
+                slab[y] = _parse_row(raw[:-1], nx, lineno)
+            yield slab
+        trailing = fh.read()
+        if trailing.strip("\n"):
+            lineno += 1
+            raise ParseError("trailing content after last slab", lineno)
+
+
+# ---------------------------------------------------------------------------
+# mutants
+
+MUTANT_BYTE = st.sampled_from([bytes((b,)) for b in b"01 #\n\r\t\x0bx\x80"])
+
+
+@st.composite
+def mutants(draw, valid):
+    # Most edits land past the header: the header parsers did not change.
+    text, header = draw(valid)
+    data = bytearray(text)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        start = 0 if draw(st.integers(0, 9)) == 0 else min(header, len(data))
+        i = draw(st.integers(start, len(data)))
+        if kind == "insert":
+            data[i:i] = draw(MUTANT_BYTE)
+        elif kind == "truncate":
+            del data[i:]
+        elif i < len(data):
+            data[i : i + 1] = draw(MUTANT_BYTE) if kind == "flip" else b""
+    return bytes(data)
+
+
+@st.composite
+def p1_files(draw):
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from("01"), min_size=width * height,
+                          max_size=width * height))
+    rows = ["".join(cells[y * width : (y + 1) * width]) for y in range(height)]
+    style = draw(st.sampled_from(["packed", "spaced", "one-line"]))
+    if style == "spaced":
+        rows = [" ".join(r) for r in rows]
+    elif style == "one-line":
+        rows = [" ".join(rows)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), "# note 01")
+    header = draw(st.sampled_from([f"P1\n{width} {height}", f"P1 # c\n{width}\n{height}"]))
+    return ("\n".join([header, *rows]) + "\n").encode(), len(header)
+
+
+@st.composite
+def vox3_files(draw):
+    nx, ny, nz = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.sampled_from("01"), min_size=nx * ny * nz,
+                          max_size=nx * ny * nz))
+    rows = ["".join(cells[i * nx : (i + 1) * nx]) + "\n" for i in range(ny * nz)]
+    slabs = ["".join(rows[z * ny : (z + 1) * ny]) for z in range(nz)]
+    header = f"vox3 {nx} {ny} {nz}"
+    text = f"{header}\n" + "\n".join(slabs)
+    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"]))).encode(), len(header)
+
+
+# ---------------------------------------------------------------------------
+# outcomes
+
+
+def pbm_outcome(path):
+    try:
+        img = read_pbm(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "grid", img.cells.dtype, img.cells.shape, img.cells.tobytes()
+
+
+def slab_outcome(iterate, path):
+    seen = []
+    try:
+        for item in iterate(path):
+            if isinstance(item, np.ndarray):
+                item = item.dtype, item.shape, item.tobytes()
+            seen.append(item)
+    except ParseError as exc:
+        return seen, str(exc), exc.line
+    return seen, None, None
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=mutants(p1_files()))
+def test_p1_block_parser_matches_reference(scratch, data):
+    scratch.write_bytes(data)
+    got = pbm_outcome(scratch)
+    with mock.patch.object(pbm, "_read_p1_body", reference_p1_body):
+        want = pbm_outcome(scratch)
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=mutants(vox3_files()))
+def test_vox3_slab_reader_matches_reference(scratch, data):
+    scratch.write_bytes(data)
+    assert slab_outcome(iter_vox3_slabs, scratch) == slab_outcome(
+        reference_iter_vox3_slabs, scratch
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=st.one_of(p1_files(), vox3_files()))
+def test_unmutated_files_parse(scratch, drawn):
+    data, _ = drawn
+    scratch.write_bytes(data)
+    if data.startswith(b"P1"):
+        assert pbm_outcome(scratch)[0] == "grid"
+    else:
+        assert slab_outcome(iter_vox3_slabs, scratch)[1] is None

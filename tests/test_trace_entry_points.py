@@ -7,6 +7,7 @@ file is loaded by path, since ``perfbench`` is not a package.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ def load_spans():
     return module
 
 
-ENTRY_POINTS = load_spans().ENTRY_POINTS
+SPANS_MODULE = load_spans()
+ENTRY_POINTS = SPANS_MODULE.ENTRY_POINTS
 
 
 @pytest.mark.parametrize("module_name", sorted(ENTRY_POINTS))
@@ -30,3 +32,18 @@ def test_every_entry_point_resolves(module_name):
     missing = [name for name in ENTRY_POINTS[module_name] if not hasattr(module, name)]
     assert missing == []
     assert all(callable(getattr(module, name)) for name in ENTRY_POINTS[module_name])
+
+
+def test_generator_spans_wrap_generator_functions():
+    # The tracer steps a GENERATORS span with next(); a plain function
+    # there would break only traced benchmark runs.
+    stepped = [
+        (module_name, name)
+        for module_name, attrs in ENTRY_POINTS.items()
+        for name, span in attrs.items()
+        if span in SPANS_MODULE.GENERATORS
+    ]
+    assert stepped
+    for module_name, name in stepped:
+        fn = getattr(importlib.import_module(module_name), name)
+        assert inspect.isgeneratorfunction(fn), f"{module_name}.{name}"
