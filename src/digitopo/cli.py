@@ -27,8 +27,6 @@ import time
 import tracemalloc
 from datetime import datetime
 
-import numpy as np
-
 from . import oracle, pbm, report, shapes, streaming, topo2d, topo3d, vox3
 from .errors import (
     DigitopoError,
@@ -37,7 +35,14 @@ from .errors import (
     PreconditionFailure,
     RepairDidNotConverge,
 )
-from .grid import Adjacency, Image2D, Volume3D, label_components_2d, label_components_3d
+from .grid import (
+    Adjacency,
+    Image2D,
+    Volume3D,
+    label_components_2d,
+    label_components_3d,
+    _label_sizes,
+)
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -192,7 +197,7 @@ def _cmd_components(ns) -> int:
     else:
         labeling = label_components_3d(grid, Adjacency.INDIRECT_3D)
         adjacency = "indirect-26"
-    sizes = np.bincount(labeling.labels.ravel(), minlength=labeling.count + 1)
+    sizes = _label_sizes(labeling.labels, labeling.count)
     rep = report.base_report("components", report.input_digest(ns.input))
     rep["adjacency"] = adjacency
     rep["count"] = labeling.count
@@ -346,7 +351,7 @@ def _cmd_validate(ns) -> int:
     checks = []
     if isinstance(grid, Image2D):
         results, _actions = topo2d._analyze_components(
-            grid, repair=not ns.no_repair, fallback_oracle=True
+            grid, repair=not ns.no_repair, fallback_oracle=True, keep_pieces=True
         )
         for rep2d, piece in results:
             flood = oracle.holes_by_floodfill(piece)

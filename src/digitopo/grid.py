@@ -228,19 +228,33 @@ class Labeling:
     adjacency: Adjacency
 
 
+# Cells per block of the whole-grid passes over labels, which keep their
+# temporaries to a block rather than a grid.
+_BLOCK = 1 << 18
+
+
 def _scan_order_relabel(raw: np.ndarray, count: int) -> np.ndarray:
     """Renumber labels so they increase with each component's first cell.
 
     ``ndimage.label`` already numbers components this way in practice, so
-    the order is first checked in one linear pass: it holds when every
-    label is at most one more than the largest label before it. Only
-    otherwise are the labels sorted and remapped.
+    the order is first checked in one linear pass, a block of cells at a
+    time: it holds when every label is at most one more than the largest
+    label before it. Only otherwise are the labels sorted and remapped.
     """
     if count == 0:
         return raw.astype(np.int32)
     flat = raw.ravel()
-    peak = np.maximum.accumulate(flat)
-    if flat[0] <= 1 and bool(np.all(flat[1:] <= peak[:-1] + 1)):
+    top = 0  # the largest label before the block
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        # One more than the largest label up to each cell of the block.
+        bound = np.maximum.accumulate(block)
+        np.maximum(bound, top, out=bound)
+        bound += 1
+        if block[0] > top + 1 or not np.all(block[1:] <= bound[:-1]):
+            break
+        top = int(bound[-1]) - 1
+    else:
         return raw.astype(np.int32, copy=False)
     values, first = np.unique(flat, return_index=True)
     keep = values > 0
@@ -257,6 +271,20 @@ def label_components_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D
         raise ValueError("2D labeling requires a 2D adjacency")
     raw, count = ndimage.label(img.cells, structure=adjacency._structure())
     return Labeling(_scan_order_relabel(raw, count), int(count), adjacency)
+
+
+def _label_sizes(labels: np.ndarray, count: int) -> np.ndarray:
+    """Cell count of every label ``0..count``.
+
+    ``np.bincount`` casts its input to intp, so it runs on one block of
+    cells at a time rather than on a whole-grid copy twice the size of
+    the int32 labels.
+    """
+    flat = labels.reshape(-1)
+    sizes = np.zeros(count + 1, dtype=np.int64)
+    for start in range(0, flat.size, _BLOCK):
+        sizes += np.bincount(flat[start : start + _BLOCK], minlength=count + 1)
+    return sizes
 
 
 def _count_components(cells: np.ndarray, adjacency: Adjacency) -> int:

@@ -22,15 +22,16 @@ def _strip_comment(line: bytes) -> bytes:
     return line if cut < 0 else line[:cut]
 
 
-def _header_tokens(data: bytes, want: int, start_line: int):
-    """Collect `want` whitespace-separated header tokens with line tracking.
+def _header_tokens(data: bytes, want: int, start_line: int, start: int):
+    """Collect `want` whitespace-separated header tokens with line tracking,
+    reading `data` from offset `start`.
 
     Returns (tokens, offset_after_last, line_of_last). Comments count as
     whitespace. Offsets are into `data`.
     """
     tokens: list[bytes] = []
     line = start_line
-    i = 0
+    i = start
     n = len(data)
     while len(tokens) < want:
         if i >= n:
@@ -62,18 +63,17 @@ def read_pbm(path) -> Image2D:
     if data[:2] not in (b"P1", b"P4"):
         raise ParseError("not a PBM file (magic must be P1 or P4)", 1)
     magic = data[:2]
-    rest = data[2:]
-    (wtok, htok), consumed, line = _header_tokens(rest, 2, 1)
+    # The body is read in place, from offset `start` of the file's bytes.
+    (wtok, htok), start, line = _header_tokens(data, 2, 1, 2)
     try:
         width, height = int(wtok), int(htok)
     except ValueError:
         raise ParseError(f"bad dimensions {wtok!r} {htok!r}", line) from None
     if width <= 0 or height <= 0:
         raise ParseError(f"bad dimensions {width} {height}", line)
-    body = rest[consumed:]
     if magic == b"P1":
-        return _read_p1_body(body, width, height, line)
-    return _read_p4_body(body, width, height, line)
+        return _read_p1_body(data, start, width, height, line)
+    return _read_p4_body(data, start, width, height, line)
 
 
 # P1 body byte classes: 0 whitespace, 1 bit digit, 2 anything else.
@@ -81,53 +81,71 @@ _P1_CLASS = np.full(256, 2, dtype=np.uint8)
 _P1_CLASS[list(b" \t\n\r\x0b\x0c")] = 0
 _P1_CLASS[list(b"01")] = 1
 
+# Bytes per block of ``_nth_true``.
+_BLOCK = 1 << 16
 
-def _read_p1_body(body: bytes, width: int, height: int, line: int) -> Image2D:
-    # Lines are scanned whole and none after the one that completes the
-    # bitmap, so a bad byte raises only up to the end of that line.
+
+def _nth_true(mask: np.ndarray, n: int) -> int:
+    """Index of the n-th (1-based) True of ``mask``, which holds at least
+    n; only the block holding it is expanded to indices."""
+    for start in range(0, mask.size, _BLOCK):
+        block = mask[start : start + _BLOCK]
+        found = int(np.count_nonzero(block))
+        if found >= n:
+            return start + int(np.flatnonzero(block)[n - 1])
+        n -= found
+    raise ValueError("mask holds fewer than n True values")
+
+
+def _read_p1_body(data: bytes, start: int, width: int, height: int, line: int) -> Image2D:
+    # The body is data[start:]. Lines are scanned whole and none after the
+    # one that completes the bitmap, so a bad byte raises only up to the
+    # end of that line.
     need = width * height
-    if b"#" in body:
-        body = b"\n".join(_strip_comment(raw) for raw in body.split(b"\n"))
-    data = np.frombuffer(body, dtype=np.uint8)
-    kind = _P1_CLASS[data]
+    if data.find(b"#", start) >= 0:
+        data = b"\n".join(_strip_comment(raw) for raw in data[start:].split(b"\n"))
+        start = 0
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    kind = _P1_CLASS[body]
     is_bit = kind == 1
     found = int(np.count_nonzero(is_bit))
-    end = len(body)
+    end = len(data)
     if found >= need:
-        cut = body.find(b"\n", int(np.flatnonzero(is_bit)[need - 1]))
+        cut = data.find(b"\n", start + _nth_true(is_bit, need))
         if cut >= 0:
             end = cut
-    bad = kind[:end] == 2
+    bad = kind[: end - start] == 2
     if bad.any():
-        off = int(np.argmax(bad))
-        ch = body[off : off + 1]
+        off = start + int(np.argmax(bad))
+        ch = data[off : off + 1]
         raise ParseError(
-            f"unexpected character {ch!r} in bitmap", line + body.count(b"\n", 0, off)
+            f"unexpected character {ch!r} in bitmap", line + data.count(b"\n", start, off)
         )
     if found < need:
         raise ParseError(
             f"bitmap truncated: expected {need} bits, found {found}",
-            line + body.count(b"\n") + 1,
+            line + data.count(b"\n", start) + 1,
         )
-    cells = data[is_bit][:need] == 0x31
+    cells = body[is_bit][:need] == 0x31
     return Image2D(width, height, cells.reshape(height, width))
 
 
-def _read_p4_body(body: bytes, width: int, height: int, line: int) -> Image2D:
+def _read_p4_body(data: bytes, start: int, width: int, height: int, line: int) -> Image2D:
     # Header ends at exactly one whitespace byte before the packed rows.
-    if not body or not body[:1].isspace():
+    sep = data[start : start + 1]
+    if not sep.isspace():
         raise ParseError("P4 header must end with whitespace", line)
-    if body[:1] == b"\n":
+    if sep == b"\n":
         line += 1
-    packed = body[1:]
+    start += 1
     stride = (width + 7) // 8
     need = stride * height
-    if len(packed) < need:
+    if len(data) - start < need:
         raise ParseError(
-            f"bitmap truncated: expected {need} bytes, found {len(packed)}", line
+            f"bitmap truncated: expected {need} bytes, found {len(data) - start}", line
         )
-    rows = np.frombuffer(packed[:need], dtype=np.uint8).reshape(height, stride)
-    bits = np.unpackbits(rows, axis=1)[:, :width]
+    rows = np.frombuffer(data, dtype=np.uint8, count=need, offset=start)
+    bits = np.unpackbits(rows.reshape(height, stride), axis=1)[:, :width]
     return Image2D(width, height, bits.astype(bool))
 
 

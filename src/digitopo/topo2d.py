@@ -34,8 +34,11 @@ from .grid import (
     Adjacency,
     Image2D,
     label_components_2d,
+    _box_canvas,
+    _component_boxes,
     _component_canvases,
     _count_components,
+    _label_sizes,
     _pad,
     _window_codes,
 )
@@ -164,6 +167,14 @@ _DIAGONAL = np.isin(np.arange(16), (_MAIN, _ANTI))
 # Per code: +1 at an inward corner point (three object pixels), -1 at an
 # outward one (one object pixel), 0 elsewhere.
 _TURN = np.array([(n == 3) - (n == 1) for n in map(int.bit_count, range(16))])
+# The bits of a code's lowest and highest object pixel; on a diagonal
+# window, its two pixels.
+_LOW = np.array([(c & -c).bit_length() - 1 for c in range(16)])
+_HIGH = np.array([c.bit_length() - 1 for c in range(16)])
+# Per code: the corner points it gives the component of its lowest pixel.
+# A diagonal window is an outward corner of each of its two pixels.
+_LOW_TURN = _TURN - _DIAGONAL
+_CORNER = _LOW_TURN != 0
 
 
 # A boundary pixel's N, W, E and S neighbors, as bits 0-3 of a 4-bit key,
@@ -184,20 +195,24 @@ def _quads(codes: np.ndarray):
     return codes[:-1, :-1], codes[:-1, 1:], codes[1:, :-1], codes[1:, 1:]
 
 
-def _boundary_bins(codes: np.ndarray) -> np.ndarray:
-    """Bincount of the boundary pixels (object pixels with a background
-    pixel among their 8 neighbors) by their N/W/E/S key, read from the
+def _boundary_keys(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary pixels (object pixels with a background pixel among
+    their 8 neighbors), as a mask, and their N/W/E/S keys, read from the
     vertex codes (``_window_codes``) of the padded grid.
 
     The grid is padded by empty cells or, in a streaming fold, by the
-    neighboring rows; the pixels counted are those inside the frame.
+    neighboring rows; the pixels read are those inside the frame.
     """
     ul, ur, dl, dr = _quads(codes)
     # Bit 3 of ul is the pixel; the four codes' AND is 15 only when all
     # nine cells are set.
     boundary = (ul >= 8) & ((ul & ur & dl & dr) != 15)
-    keys = ((ul & 6) >> 1) | ((dr & 6) << 1)
-    return np.bincount(keys[boundary], minlength=16)
+    return boundary, ((ul[boundary] & 6) >> 1) | ((dr[boundary] & 6) << 1)
+
+
+def _boundary_bins(codes: np.ndarray) -> np.ndarray:
+    """Bincount of the boundary pixels by their N/W/E/S key."""
+    return np.bincount(_boundary_keys(codes)[1], minlength=16)
 
 
 def _corner_histogram(bins) -> CornerHistogram:
@@ -217,19 +232,28 @@ def classify_boundary_2d(component: Image2D) -> CornerHistogram:
     return _corner_histogram(_boundary_bins(_window_codes(_pad(component.cells))))
 
 
+def _one_pixel_holes(ul, ur, dl, dr) -> np.ndarray:
+    """The background pixels whose 8 neighbors are all object, from the
+    ``_quads`` of the padded grid's codes."""
+    return (ul == 7) & (ur == 11) & (dl == 13) & (dr == 14)
+
+
 def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
     """Fill single-pixel holes and delete single-pixel islands.
 
     A background pixel whose 8 indirect neighbors are all foreground is
     filled; a foreground pixel whose 8 indirect neighbors are all
-    background is deleted. One pass suffices: a filled pixel's neighbors
-    are all foreground and a deleted pixel's all background, so no edit
-    makes a fill or a deletion of another pixel possible, and a second
-    pass finds nothing. Edits are listed in row-major order.
+    background is deleted. Both are tested on the image given: a pixel
+    that touches another component diagonally is not 8-isolated and
+    stays, though ``holes_pipeline``, which cleans each component as if
+    it were alone, deletes it. One pass suffices: a filled pixel's
+    neighbors are all foreground and a deleted pixel's all background, so
+    no edit makes a fill or a deletion of another pixel possible, and a
+    second pass finds nothing. Edits are listed in row-major order.
     """
     cells = img.cells.copy()
     ul, ur, dl, dr = _quads(_window_codes(_pad(cells)))
-    fills = (ul == 7) & (ur == 11) & (dl == 13) & (dr == 14)
+    fills = _one_pixel_holes(ul, ur, dl, dr)
     deletes = (ul == 8) & (ur == 4) & (dl == 2) & (dr == 1)
     ys, xs = np.nonzero(fills | deletes)
     actions = []
@@ -383,38 +407,111 @@ def _shift_actions(actions, origin) -> list[RepairAction]:
     ]
 
 
+def _window_pixels(vertices: np.ndarray, bits: np.ndarray, width: int) -> np.ndarray:
+    """Flat pixel index of bit ``bits`` of each window; ``vertices`` are
+    flat indices into the (height + 1, width + 1) codes of the padded
+    image, whose window (vx, vy) holds pixels (vx - 1 + dx, vy - 1 + dy)."""
+    return vertices - vertices // (width + 1) + (bits >> 1) * width + (bits & 1) - width - 1
+
+
 def _analyze_components(
     img: Image2D,
     repair: bool = True,
     fallback_oracle: bool = True,
+    keep_pieces: bool = False,
 ):
-    """Full per-component pipeline; yields (report, canvas) pairs.
-
-    Steps per component: extract onto a padded canvas, remove speckles,
-    repair pathologies, relabel (a deletion can split a component), then
-    classify and count each surviving piece.
-    """
+    """``holes_pipeline``, with each report paired with its piece (on its
+    own padded canvas) when ``keep_pieces`` is set, else with None."""
     labeling = label_components_2d(img, Adjacency.DIRECT_2D)
-    actions: list[RepairAction] = []
+    count, width = labeling.count, img.width
+    # The labels are edited in place with the speckles. Other image-sized
+    # arrays are dropped once read, so at most a few live beside them.
+    flat = labeling.labels.reshape(-1)
+    p = _pad(img.cells)
+    # Speckles as each component's canvas sees them: a pixel with no
+    # 4-neighbor is deleted, and a one-pixel hole is filled into the
+    # component of its 8 neighbors, which the ring of them 4-connects.
+    ul, ur, dl, dr = _quads(_window_codes(p))
+    edits = ((ul & 14) == 8) & ((dr & 6) == 0)
+    edits |= _one_pixel_holes(ul, ur, dl, dr)
+    at = np.flatnonzero(edits)
+    del ul, ur, dl, dr, edits
+    fill = ~img.cells.reshape(-1)[at]
+    owner = flat[at]
+    owner[fill] = flat[at[fill] - width]
+    flat[at] = np.where(fill, owner, 0)
+    ys, xs = np.divmod(at, width)
+    p[ys + 1, xs + 1] = fill
+    # Grouped by component, row-major within each.
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    speckles = [
+        RepairAction(x, y, RepairOp.ADD if f else RepairOp.DELETE, RepairReason.SPECKLE)
+        for x, y, f in zip(xs[order].tolist(), ys[order].tolist(), fill[order].tolist())
+    ]
+
+    # Holes, histograms and areas of every component from one code array.
+    # A window without a diagonal pair has its object pixels 4-adjacent
+    # through it, so it lies in one component and reads the same on that
+    # component's canvas; a diagonal window whose two pixels are in two
+    # components reads as one outward corner on each canvas.
+    codes = _window_codes(p)
+    del p
+    vertices = np.flatnonzero(_CORNER[codes])
+    c = codes.reshape(-1)[vertices]
+    low = flat[_window_pixels(vertices, _LOW[c], width)]
+    diagonal = _DIAGONAL[c]
+    high = flat[_window_pixels(vertices[diagonal], _HIGH[c[diagonal]], width)]
+    # Weighted, so float; the counts are small integers and exact.
+    turn = np.bincount(low, _LOW_TURN[c], minlength=count + 1)
+    turn -= np.bincount(high, minlength=count + 1)
+    # A diagonal window inside one component makes it dirty: only it
+    # takes the canvas path of repair, relabelling and ``hole_count``.
+    low = low[diagonal]
+    dirty = set(low[low == high].tolist())
+    boundary, keys = _boundary_keys(codes)
+    keys = labeling.labels[boundary] * 16 + keys
+    del codes, boundary
+    bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
+    # The components left after the speckle deletions.
+    sizes = _label_sizes(labeling.labels, count)
+    kept = np.flatnonzero(sizes[1:]) + 1
+    rows = zip(
+        kept.tolist(),
+        sizes[kept].tolist(),
+        (bins[kept] @ _FOLD).tolist(),
+        (1 + turn[kept].astype(np.int64) // 4).tolist(),
+    )
+    del keys, bins
+    boxes = _component_boxes(labeling) if dirty or keep_pieces else None
+
     results = []
-    next_id = 1
-    for canvas, origin in _component_canvases(labeling):
-        canvas, speckle_actions = remove_speckles(canvas)
-        actions.extend(_shift_actions(speckle_actions, origin))
-        if not canvas.cells.any():
+    actions: list[RepairAction] = []
+    done = 0
+    for cid, area, (cp0, cp1, cp2, cp3, cp4, thin), holes in rows:
+        if cid not in dirty:
+            hist = CornerHistogram(cp1, cp2, cp3, cp4, thin, cp0)
+            report = HoleReport(
+                len(results) + 1, area, hist, holes, HoleMethod.FORMULA, True
+            )
+            piece = _box_canvas(labeling, cid, boxes[cid - 1])[0] if keep_pieces else None
+            results.append((report, piece))
             continue
+        canvas, origin = _box_canvas(labeling, cid, boxes[cid - 1])
         if repair:
             canvas, repair_actions = repair_2d(canvas)
-            actions.extend(_shift_actions(repair_actions, origin))
+            end = int(np.searchsorted(owner, cid, side="right"))
+            actions += speckles[done:end] + _shift_actions(repair_actions, origin)
+            done = end
         sub = label_components_2d(canvas, Adjacency.DIRECT_2D)
         for piece, _ in _component_canvases(sub):
-            report = hole_count(piece, component_id=next_id, check_single=False)
+            report = hole_count(piece, component_id=len(results) + 1, check_single=False)
             if not report.precondition_ok and not fallback_oracle:
                 raise PreconditionFailure(
-                    f"component {next_id} has a diagonal window"
+                    f"component {report.component_id} has a diagonal window"
                 )
-            results.append((report, piece))
-            next_id += 1
+            results.append((report, piece if keep_pieces else None))
+    actions += speckles[done:]
     return results, actions
 
 
@@ -427,7 +524,30 @@ def holes_pipeline(
 
     Returns one report per surviving component (single-pixel speckles are
     deleted and produce none) plus the combined edit log in source
-    coordinates.
+    coordinates. Each component is reported as if it were cleaned,
+    repaired, relabelled and counted piece by piece on its own padded
+    canvas; the log lists, component by component, its speckle edits in
+    row-major order and then its repair edits.
+
+    The work is done per image, not per component: one labelling and one
+    array of 2x2 window codes answer every clean component.
+
+    * Speckles: alone on its canvas, every single-pixel 4-component is
+      deleted, even one that touches another component diagonally (so
+      not 8-isolated, and kept by ``remove_speckles`` on the whole
+      image). A one-pixel hole is filled; its 8 neighbors are one
+      component, which owns the fill.
+    * A window with no diagonal pair has its object pixels 4-adjacent
+      through it, so it lies in one component and reads as it does on
+      that component's canvas; a diagonal window whose two pixels lie in
+      two components is an outward corner of each. So one bincount keyed
+      by label gives every component's corner points, and another its
+      boundary histogram.
+    * A component with a diagonal window between two of its own pixels is
+      dirty, and only it is cut onto its canvas for ``repair_2d``,
+      relabelling and ``hole_count`` on each piece. A clean component has
+      no diagonal window on its canvas: repair leaves it alone, it stays
+      one piece, and the corner law answers for it.
     """
     results, actions = _analyze_components(img, repair, fallback_oracle)
     return [r for r, _ in results], actions

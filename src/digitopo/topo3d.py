@@ -65,6 +65,7 @@ from .grid import (
     label_components_3d,
     _box_canvas,
     _component_boxes,
+    _label_sizes,
     _pad,
     _window_codes,
 )
@@ -704,7 +705,7 @@ def _formula_pass(cells: np.ndarray, labeling) -> tuple[list, list[int]]:
     """Formula surfaces (see ``_formula_surfaces``) and voxel count of
     every labelled component."""
     formula = _formula_surfaces(cells, labeling.labels, labeling.count)
-    sizes = np.bincount(labeling.labels.ravel(), minlength=labeling.count + 1)
+    sizes = _label_sizes(labeling.labels, labeling.count)
     return formula, sizes.tolist()
 
 
@@ -740,7 +741,7 @@ def _canvas_passes(canvases) -> list[tuple[list, list[int]]]:
         count = 0
         for i in members:
             lab = canvases[i][1]
-            sizes = np.bincount(lab.labels.ravel(), minlength=lab.count + 1)
+            sizes = _label_sizes(lab.labels, lab.count)
             out[i] = ([None] + formula[count + 1 : count + 1 + lab.count], sizes.tolist())
             count += lab.count
     return out

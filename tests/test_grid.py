@@ -15,7 +15,13 @@ from digitopo import (
     window2,
     window8,
 )
-from digitopo.grid import _component_canvas, _component_canvases, _scan_order_relabel
+from digitopo import grid
+from digitopo.grid import (
+    _component_canvas,
+    _component_canvases,
+    _label_sizes,
+    _scan_order_relabel,
+)
 from gridtext import image, volume
 
 BLOB_NO_HOLE = image(
@@ -256,3 +262,25 @@ def test_relabel_extracted_component_idempotent():
         for cid in range(1, lab.count + 1):
             piece = extract_component(lab, cid)
             assert label_components_2d(piece).count == 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 1 << 18])
+def test_label_passes_agree_across_block_sizes(monkeypatch, block):
+    # The order check and the sizes run a block of cells at a time; the
+    # answer must not depend on where the blocks end.
+    monkeypatch.setattr(grid, "_BLOCK", block)
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        ordered = label_components_2d(Image2D(9, 7, rng.random((7, 9)) < 0.5))
+        labels, count = ordered.labels, ordered.count
+        assert _scan_order_relabel(labels, count) is labels
+        assert _label_sizes(labels, count).tolist() == np.bincount(
+            labels.ravel(), minlength=count + 1
+        ).tolist()
+        if count < 2:
+            continue
+        a, b = rng.choice(np.arange(1, count + 1), 2, replace=False)
+        swapped = labels.copy()
+        swapped[labels == a] = b
+        swapped[labels == b] = a
+        assert np.array_equal(_scan_order_relabel(swapped, count), labels)

@@ -19,7 +19,8 @@ from digitopo.grid import Image2D
 from digitopo.vox3 import _parse_header, _parse_row
 
 
-def reference_p1_body(body, width, height, line):
+def reference_p1_body(data, start, width, height, line):
+    body = data[start:]
     bits = []
     need = width * height
     for raw in body.split(b"\n"):

@@ -477,7 +477,7 @@ def raw_images(draw):
 @given(img=raw_images())
 def test_every_piece_matches_both_oracles(img):
     for repair in (True, False):
-        results, _ = _analyze_components(img, repair)
+        results, _ = _analyze_components(img, repair, keep_pieces=True)
         for rep, piece in results:
             assert rep.holes == holes_by_floodfill(piece) == 1 - euler_2d(piece).chi
             formula = rep.method is HoleMethod.FORMULA
