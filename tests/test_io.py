@@ -132,6 +132,15 @@ class TestPbm:
             read_pbm(path)
         assert str(err.value) == "line 4: unexpected character b'x' in bitmap"
 
+    def test_p1_junk_after_a_line_opening_last_bit_raises(self, tmp_path):
+        # The last needed bit opens its line: the scan for bad bytes must
+        # still reach the end of that line.
+        path = tmp_path / "k.pbm"
+        path.write_bytes(b"P1\n2 2\n101\n1 x\n")
+        with pytest.raises(ParseError) as err:
+            read_pbm(path)
+        assert str(err.value) == "line 4: unexpected character b'x' in bitmap"
+
     def test_truncated_p4_body(self, tmp_path):
         path = tmp_path / "i.pbm"
         path.write_bytes(b"P4\n16 4\n\x00\x00")

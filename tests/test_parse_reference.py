@@ -175,6 +175,17 @@ def test_vox3_slab_reader_matches_reference(scratch, data):
     )
 
 
+@pytest.mark.parametrize("block", [1, 2, 7, 1 << 16])
+def test_nth_true_finds_the_bit_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(pbm, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        mask = rng.random(int(rng.integers(1, 40))) < rng.random()
+        where = np.flatnonzero(mask)
+        for n in range(1, where.size + 1):
+            assert pbm._nth_true(mask, n) == where[n - 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(drawn=st.one_of(p1_files(), vox3_files()))
 def test_unmutated_files_parse(scratch, drawn):

@@ -179,16 +179,14 @@ def test_clean_components_are_labelled_once(monkeypatch):
         return label(*args, **kwargs)
 
     monkeypatch.setattr(topo2d, "label_components_2d", counting)
-    # 2x2 blocks on a 4-pixel pitch, every other one with a one-pixel
-    # tail, in a grid of 15 x 15: 225 clean components and no speckle.
+    # A 2x2 block and a 2x1 bar in each 4x4 cell of a 15 x 15 grid: 450
+    # clean components, each touching others only diagonally.
     cells = np.zeros((60, 60), dtype=bool)
     for y in range(0, 60, 4):
         for x in range(0, 60, 4):
             cells[y : y + 2, x : x + 2] = True
-            if (x + y) % 8 == 0:
-                cells[y + 2, x] = True
-    img = Image2D(60, 60, cells)
-    reports, actions = holes_pipeline(img)
-    assert len(reports) == 225
+            cells[y + 2, x + 2 : x + 4] = True
+    reports, actions = holes_pipeline(Image2D(60, 60, cells))
+    assert len(reports) == 450
     assert actions == []
     assert len(calls) == 1
