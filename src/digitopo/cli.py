@@ -97,7 +97,11 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_homology)
 
-    p = sub("repair", "remove pathological configurations")
+    p = sub(
+        "repair",
+        "remove pathological configurations from the whole grid at once"
+        " (holes, homology and validate repair each component alone)",
+    )
     p.add_argument("input")
     p.add_argument("-o", "--output", help="write the repaired grid here")
     p.set_defaults(func=_cmd_repair)

@@ -102,6 +102,8 @@ def _read_p1_body(data: bytes, start: int, width: int, height: int, line: int) -
     # one that completes the bitmap, so a bad byte raises only up to the
     # end of that line.
     need = width * height
+    # A final newline ends the file's last line rather than starting one.
+    final_newline = data.endswith(b"\n")
     if data.find(b"#", start) >= 0:
         data = b"\n".join(_strip_comment(raw) for raw in data[start:].split(b"\n"))
         start = 0
@@ -124,7 +126,7 @@ def _read_p1_body(data: bytes, start: int, width: int, height: int, line: int) -
     if found < need:
         raise ParseError(
             f"bitmap truncated: expected {need} bits, found {found}",
-            line + data.count(b"\n", start) + 1,
+            line + data.count(b"\n", start) - final_newline,
         )
     cells = body[is_bit][:need] == 0x31
     return Image2D(width, height, cells.reshape(height, width))

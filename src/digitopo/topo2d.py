@@ -483,7 +483,7 @@ def _analyze_components(
         (1 + turn[kept].astype(np.int64) // 4).tolist(),
     )
     del keys, bins
-    boxes = _component_boxes(labeling) if dirty or keep_pieces else None
+    boxes = _component_boxes(labeling, None if keep_pieces else dirty)
 
     results = []
     actions: list[RepairAction] = []
@@ -494,10 +494,10 @@ def _analyze_components(
             report = HoleReport(
                 len(results) + 1, area, hist, holes, HoleMethod.FORMULA, True
             )
-            piece = _box_canvas(labeling, cid, boxes[cid - 1])[0] if keep_pieces else None
+            piece = _box_canvas(labeling, cid, boxes[cid])[0] if keep_pieces else None
             results.append((report, piece))
             continue
-        canvas, origin = _box_canvas(labeling, cid, boxes[cid - 1])
+        canvas, origin = _box_canvas(labeling, cid, boxes[cid])
         if repair:
             canvas, repair_actions = repair_2d(canvas)
             end = int(np.searchsorted(owner, cid, side="right"))

@@ -55,8 +55,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import InvalidSurfaceError, RepairDidNotConverge
 from .grid import (
@@ -65,6 +63,7 @@ from .grid import (
     label_components_3d,
     _box_canvas,
     _component_boxes,
+    _components,
     _label_sizes,
     _pad,
     _window_codes,
@@ -552,10 +551,7 @@ def _surface_graph(mask: np.ndarray, codes: np.ndarray):
     ends = [node_ids[r] + step for r, step in zip(rows, (1, nx1, ny1 * nx1))]
     a = np.concatenate(rows)
     b = np.searchsorted(node_ids, np.concatenate(ends))
-    graph = sparse.coo_matrix(
-        (np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n)
-    ).tocsr()
-    count, labels = csgraph.connected_components(graph, directed=False)
+    count, labels = _components(n, a, b)
     return node_ids, count, labels
 
 
@@ -757,18 +753,20 @@ def _analyze_pieces(
     6-component on its own padded canvas) when ``keep_pieces`` is set,
     else with None."""
     lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
-    boxes = _component_boxes(lab26)
     # A component's windows, shifted onto its canvas, are what a scan of
     # the canvas finds, in the same order.
     windows: dict[int, list[Pathology3D]] = {}
     for p in find_pathologies_3d(vol):
         windows.setdefault(_window_owner(lab26.labels, p), []).append(p)
+    # Boxes only for the components cut onto a canvas: the dirty ones
+    # here, and below those whose report needs a piece.
+    boxes = _component_boxes(lab26, windows)
     # Dirty components first, so that a repair cycle is reported before
     # any classification work.
     dirty = {}
     actions: list[RepairAction] = []
     for cid in sorted(windows):
-        canvas, origin = _box_canvas(lab26, cid, boxes[cid - 1])
+        canvas, origin = _box_canvas(lab26, cid, boxes[cid])
         shifted: list[RepairAction] = []
         if repair:
             found = [_shift_window(p, origin) for p in windows[cid]]
@@ -790,13 +788,20 @@ def _analyze_pieces(
         passes = [None] * len(kept)
     passed = dict(zip(kept, passes))
 
+    def need_pieces(labeling, formula_pass):
+        """Ids of the components of ``labeling`` whose report needs a piece."""
+        ids = range(1, labeling.count + 1)
+        if keep_pieces or formula_pass is None:
+            return ids
+        return [i for i in ids if formula_pass[0][i] is None]
+
     results = []
 
     def add(labeling, boxes, formula_pass, cid, repair_actions):
         surfaces = formula_pass[0][cid] if formula_pass else None
         piece = None
         if keep_pieces or surfaces is None:
-            piece, _ = _box_canvas(labeling, cid, boxes[cid - 1])
+            piece, _ = _box_canvas(labeling, cid, boxes[cid])
         if surfaces is None:
             rep = homology(piece, fallback_oracle, len(results) + 1, repair_actions)
         else:
@@ -805,12 +810,15 @@ def _analyze_pieces(
         results.append((rep, piece if keep_pieces else None))
 
     whole = _formula_pass(vol.cells, lab26)
+    boxes.update(
+        _component_boxes(lab26, [i for i in need_pieces(lab26, whole) if i not in boxes])
+    )
     for cid in range(1, lab26.count + 1):
         if cid not in dirty:
             add(lab26, boxes, whole, cid, ())
         elif dirty[cid] is not None:
             _, lab6, shifted = dirty[cid]
-            pieces = _component_boxes(lab6)
+            pieces = _component_boxes(lab6, need_pieces(lab6, passed[cid]))
             for sid in range(1, lab6.count + 1):
                 add(lab6, pieces, passed[cid], sid, shifted)
     return results, actions

@@ -20,7 +20,6 @@ from digitopo.grid import (
     _component_canvas,
     _component_canvases,
     _label_sizes,
-    _scan_order_relabel,
 )
 from gridtext import image, volume
 
@@ -212,15 +211,6 @@ def test_component_canvases_match_single_extraction():
             assert origin == want_origin
 
 
-def test_scan_order_relabel_reorders_out_of_order_labels():
-    # Labels whose first cells appear in the order 2, 3, 1.
-    raw = np.array([[0, 2, 2, 0], [3, 0, 1, 1], [3, 0, 0, 2]], dtype=np.int32)
-    want = np.array([[0, 1, 1, 0], [2, 0, 3, 3], [2, 0, 0, 1]], dtype=np.int32)
-    assert np.array_equal(_scan_order_relabel(raw, 3), want)
-    ordered = np.array([[1, 0, 2], [1, 3, 2]], dtype=np.int32)
-    assert np.array_equal(_scan_order_relabel(ordered, 3), ordered)
-
-
 def test_window2_interior_and_outside():
     img = image(
         """
@@ -266,21 +256,13 @@ def test_relabel_extracted_component_idempotent():
 
 @pytest.mark.parametrize("block", [1, 2, 5, 1 << 18])
 def test_label_passes_agree_across_block_sizes(monkeypatch, block):
-    # The order check and the sizes run a block of cells at a time; the
-    # answer must not depend on where the blocks end.
+    # The sizes run a block of cells at a time; the answer must not
+    # depend on where the blocks end.
     monkeypatch.setattr(grid, "_BLOCK", block)
     rng = np.random.default_rng(4)
     for _ in range(100):
         ordered = label_components_2d(Image2D(9, 7, rng.random((7, 9)) < 0.5))
         labels, count = ordered.labels, ordered.count
-        assert _scan_order_relabel(labels, count) is labels
         assert _label_sizes(labels, count).tolist() == np.bincount(
             labels.ravel(), minlength=count + 1
         ).tolist()
-        if count < 2:
-            continue
-        a, b = rng.choice(np.arange(1, count + 1), 2, replace=False)
-        swapped = labels.copy()
-        swapped[labels == a] = b
-        swapped[labels == b] = a
-        assert np.array_equal(_scan_order_relabel(swapped, count), labels)

@@ -107,12 +107,14 @@ class TestPbm:
             read_pbm(path)
 
     def test_truncated_p1_body(self, tmp_path):
-        # The line named is the one after the body's last line.
+        # The line named is the body's last line, with or without a final
+        # newline.
         path = tmp_path / "g.pbm"
-        path.write_bytes(b"P1\n3 2\n101\n")
-        with pytest.raises(ParseError) as err:
-            read_pbm(path)
-        assert str(err.value) == "line 5: bitmap truncated: expected 6 bits, found 3"
+        for data in (b"P1\n3 2\n101\n", b"P1\n3 2\n101"):
+            path.write_bytes(data)
+            with pytest.raises(ParseError) as err:
+                read_pbm(path)
+            assert str(err.value) == "line 3: bitmap truncated: expected 6 bits, found 3"
 
     def test_bad_p1_character(self, tmp_path):
         path = tmp_path / "h.pbm"
@@ -334,6 +336,23 @@ class TestCliReports:
         assert out.startswith("# ")
         assert "digitopo genus" in out.splitlines()[0]
         assert "genus: 1" in out
+
+    def test_repair_cleans_the_whole_grid_holes_each_component(self, capsys, tmp_path):
+        # `holes` cleans each component alone and counts at once: on its
+        # own canvas the lone pixel at (0, 0) is a speckle, and fixing the
+        # diagonal window of the rest adds (0, 1), which leaves (1, 2) a
+        # one-pixel hole. `repair` cleans the image as one grid: (0, 0)
+        # touches the rest diagonally and stays, the fix is the same, and
+        # `holes` on the output cleans again and fills the one-pixel hole.
+        path = tmp_path / "in.pbm"
+        write_pbm(image("101\n011\n101\n111"), path)
+        _, out = run_cli(capsys, "holes", "--json", str(path))
+        assert json.loads(out)["total_holes"] == 1
+        repaired = tmp_path / "out.pbm"
+        run_cli(capsys, "repair", str(path), "-o", str(repaired))
+        for flags in ((), ("--no-repair",)):
+            _, out = run_cli(capsys, "holes", "--json", str(repaired), *flags)
+            assert json.loads(out)["total_holes"] == 0
 
     def test_json_mode_has_no_timestamp(self, capsys, tmp_path):
         path = tmp_path / "frame.vox3"

@@ -34,8 +34,10 @@ def reference_p1_body(data, start, width, height, line):
         if len(bits) >= need:
             break
     if len(bits) < need:
+        # The last line holds the last byte; a final newline ends it.
         raise ParseError(
-            f"bitmap truncated: expected {need} bits, found {len(bits)}", line
+            f"bitmap truncated: expected {need} bits, found {len(bits)}",
+            line - 1 - body.endswith(b"\n"),
         )
     cells = np.array(bits[:need], dtype=bool).reshape(height, width)
     return Image2D(width, height, cells)
