@@ -249,6 +249,8 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     still between two roots go round again. A node's parent is never
     larger than the node, so each component's root is its smallest node.
     """
+    if not a.size:
+        return n, np.arange(n, dtype=np.int32)
     parent = np.arange(n)
     if a.size < _SMALL_UNION:
         up: dict[int, int] = {}
@@ -284,7 +286,7 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
         # A node that was a root in an earlier round still points at the
         # root that round hooked it under.
         parent = _jump(parent)
-    ids = np.cumsum(parent == np.arange(n), dtype=np.int32) - 1
+    ids = (parent == np.arange(n)).cumsum(dtype=np.int32) - 1
     return int(ids[-1]) + 1 if n else 0, ids[parent]
 
 
@@ -300,8 +302,8 @@ def _runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.zeros((nz, ny + 1, nx + 2), dtype=bool)
     p[:, :ny, 1:-1] = cells
     # A run starts and ends where a cell differs from the one before it.
-    keys = np.flatnonzero(p[..., 1:] != p[..., :-1]).reshape(-1, 2)
-    return keys[:, 0].copy(), keys[:, 1].copy()
+    keys = (p[:, :, 1:] != p[:, :, :-1]).reshape(-1).nonzero()[0]
+    return keys[0::2], keys[1::2]
 
 
 def _run_components(cells: np.ndarray, adjacency: Adjacency):
@@ -323,14 +325,14 @@ def _run_components(cells: np.ndarray, adjacency: Adjacency):
     # slack and e1 > s0 - slack, with both runs keyed on one line. The
     # runs of a line are sorted, so each run meets a slice of them.
     slack = 0 if adjacency.is_direct else 1
-    hi = np.searchsorted(starts, ends + (steps + slack))
-    lo = np.searchsorted(ends, starts + (steps - slack), side="right")
-    meets = (hi - lo).ravel()
-    src = np.repeat(np.arange(meets.size) % starts.size, meets)
-    first = np.cumsum(meets) - meets
-    dst = np.repeat(lo.ravel() - first, meets) + np.arange(src.size)
+    hi = starts.searchsorted(ends + (steps + slack))
+    lo = ends.searchsorted(starts + (steps - slack), side="right").reshape(-1)
+    # Query i meets runs lo[i] .. hi[i] - 1; its k-th edge ends at lo[i] + k.
+    meets = hi.reshape(-1) - lo
+    src = (np.arange(meets.size) % starts.size).repeat(meets)
+    dst = (lo - meets.cumsum() + meets).repeat(meets) + np.arange(src.size)
     count, comp = _components(starts.size, src, dst)
-    return starts, ends, count, comp, cells3.shape
+    return starts, ends, count, comp
 
 
 def _label(cells: np.ndarray, adjacency: Adjacency) -> tuple[np.ndarray, int]:
@@ -344,18 +346,11 @@ def _label(cells: np.ndarray, adjacency: Adjacency) -> tuple[np.ndarray, int]:
     inputs and on the serpentines and spiral of the tests there are one
     to three.
     """
-    starts, ends, count, comp, (nz, ny, nx) = _run_components(cells, adjacency)
-    # Paint +label at each run's first cell and -label just past its last,
-    # then a running sum fills the runs.
-    # Key line * (nx + 1) + x is cell (line - z) * nx + x, z = line // (ny + 1).
-    line = starts // (nx + 1)
-    at = starts - line - line // (ny + 1) * nx
-    out = np.zeros(cells.size + 1, dtype=np.int32)
-    lab = comp + 1
-    out[at] = lab
-    out[at + (ends - starts)] -= lab
-    np.cumsum(out, dtype=np.int32, out=out)
-    return out[:-1].reshape(cells.shape), count
+    starts, ends, count, comp = _run_components(cells, adjacency)
+    # The runs hold the True cells in scan order.
+    labels = np.zeros(cells.shape, dtype=np.int32)
+    labels[cells] = (comp + 1).repeat(ends - starts)
+    return labels, count
 
 
 def label_components_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D) -> Labeling:
