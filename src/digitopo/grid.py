@@ -243,8 +243,8 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
 
     Returns ``(count, comp)``: ``comp[v]`` numbers v's component by its
     smallest node, so components come in the order of their first node.
-    Each round hooks every root under the smallest root it shares an edge
-    with (``np.minimum.at``), and the hooked roots' pointers jump
+    Each round hooks every root under the smallest lower root it shares an
+    edge with (``np.minimum.at``), and the hooked roots' pointers jump
     (``parent = parent[parent]``) until each points at a root; the edges
     still between two roots go round again. A node's parent is never
     larger than the node, so each component's root is its smallest node.
@@ -271,9 +271,12 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     else:
         while a.size:
             np.minimum.at(parent, b, a)
+            # Only the hooked roots moved. Jumping just them costs a
+            # scatter, which beats a pass over every node only when few
+            # were hooked.
             if 4 * b.size > n:
                 parent = _jump(parent)
-            else:  # only the hooked roots moved; jump just them
+            else:
                 while True:
                     top = parent[b]
                     jumped = parent[top]
@@ -287,7 +290,7 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
         # root that round hooked it under.
         parent = _jump(parent)
     ids = (parent == np.arange(n)).cumsum(dtype=np.int32) - 1
-    return int(ids[-1]) + 1 if n else 0, ids[parent]
+    return int(ids[-1]) + 1, ids[parent]
 
 
 def _runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

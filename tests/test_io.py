@@ -337,6 +337,15 @@ class TestCliReports:
         assert "digitopo genus" in out.splitlines()[0]
         assert "genus: 1" in out
 
+    def test_json_mode_has_no_timestamp(self, capsys, tmp_path):
+        path = tmp_path / "frame.vox3"
+        write_vox3(gen_frame(1), path)
+        _, out = run_cli(capsys, "genus", "--json", str(path))
+        json.loads(out)  # pure JSON, no leading comment line
+        assert not out.startswith("#")
+
+
+class TestCliRepairValidate:
     def test_repair_cleans_the_whole_grid_holes_each_component(self, capsys, tmp_path):
         # `holes` cleans each component alone and counts at once: on its
         # own canvas the lone pixel at (0, 0) is a speckle, and fixing the
@@ -354,15 +363,6 @@ class TestCliReports:
             _, out = run_cli(capsys, "holes", "--json", str(repaired), *flags)
             assert json.loads(out)["total_holes"] == 0
 
-    def test_json_mode_has_no_timestamp(self, capsys, tmp_path):
-        path = tmp_path / "frame.vox3"
-        write_vox3(gen_frame(1), path)
-        _, out = run_cli(capsys, "genus", "--json", str(path))
-        json.loads(out)  # pure JSON, no leading comment line
-        assert not out.startswith("#")
-
-
-class TestCliRepairValidate:
     def test_repair_writes_clean_pbm(self, capsys, tmp_path):
         src = tmp_path / "noisy.pbm"
         dst = tmp_path / "clean.pbm"
