@@ -23,14 +23,28 @@ draw protocol is part of the contract:
 Changing any of this invalidates frozen test expectations.
 
 A new super-cell is accepted only when it touches the shape in a single
-boundary arc (2D) or a single disk of shared faces (3D). Grown this way
-the coarse shape stays contractible, so the scaled output is
-simply connected, has minimum feature width ``min_width``, and contains
-no pathological configurations and no thin or stray boundary pixels.
+boundary arc (2D) or a single disk of shared faces (3D). The test is a
+sum over the 2x2 (2D) or 2x2x2 (3D) windows that hold the candidate, as
+in Gray's bit quads and Lee, Kashyap and Chu's octant Euler table: the
+window's other cells form a code, and a table gives the window's share
+of the contact's Euler characteristic, 2*[corner touched] - (shared
+edges) in 2D and 4*[corner touched] - 2*(touched edges) + (shared faces)
+in 3D. A window rejects outright when a touched corner or edge has no
+shared edge (2D) or face (3D) beside it in the window, or when the
+candidate would complete a 3D window of six occupied cells whose two
+empty ones are antipodal. The candidate is accepted when no window
+rejects and the sum is 2 (2D) or 4 (3D): Euler characteristic 1, a disk,
+times the window weight. These are the decisions of the cell-by-cell
+contact test, which ``tests/test_shapes_reference.py`` keeps, so the
+draw protocol above is unchanged. Grown this way the coarse shape stays
+contractible, so the scaled output is simply connected, has minimum
+feature width ``min_width``, and contains no pathological configurations
+and no thin or stray boundary pixels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -146,137 +160,113 @@ def extrude(img: Image2D, layers: int = 2) -> Volume3D:
 
 # ---------------------------------------------------------------------------
 # coarse accretion
+#
+# A growing shape holds its cells as int keys: x + y*base (+ z*base**2),
+# each coordinate biased by base // 2. Its cells stay face-connected to
+# the origin, so they lie within +-(target - 1) on every axis, and the
+# window probes of a candidate within +-(target + 1). Every digit is then
+# in [0, base) for base = 2*target + 3, and no two probed cells share a
+# key.
+
+_REJECT = 8  # more than any sum of accepting entries can reach
 
 
-_DIRS_2D = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_DIRS_3D = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+@functools.cache
+def _window_rule(dim: int) -> tuple[tuple[int, ...], tuple]:
+    """The acceptance rule in ``dim`` dimensions as a window table.
 
+    Each of the 2**dim windows of 2x2(x2) cells that hold the candidate
+    codes its other cells in k = 2**dim - 1 bits: bit u-1 is the cell
+    that steps away from the candidate along the axes set in u. A
+    nonempty axis set s in the window also names a cell of the
+    candidate's boundary (an edge or corner in 2D; a face, edge or
+    corner in 3D), touched when an occupied u lies in s. ``table[code]``
+    sums (-1)**(dim - |s|) * 2**(|s| - 1) over the touched s: the
+    window's share of the contact's Euler characteristic, times
+    2**(dim - 1). It is ``_REJECT`` when a touched s has no shared facet
+    (one-axis u) in it, or when the window's only empty cells are an
+    antipodal pair (in 2D that pattern is already impure).
 
-def _accept_2d(occ: set, c: tuple[int, int]) -> bool:
-    """Accept iff the contact with the shape is one boundary arc.
-
-    The contact set on the candidate square's boundary circle is a
-    disjoint union of arcs, one per shared-corner minus shared-edge
-    excess, so it is a single arc containing an edge exactly when
-    e >= 1 and v - e == 1.
+    ``neighbors`` pairs each neighbour offset (x first) with the code
+    bits it sets when occupied; window w takes bits w*k to w*k + k - 1.
     """
-    x, y = c
-    e = 0
-    for dx, dy in _DIRS_2D:
-        if (x + dx, y + dy) in occ:
-            e += 1
-    if e == 0:
-        return False
-    v = 0
-    for cx, cy in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
-        for ox in (cx - 1, cx):
-            for oy in (cy - 1, cy):
-                if (ox, oy) != (x, y) and (ox, oy) in occ:
-                    v += 1
-                    break
-            else:
+    k = (1 << dim) - 1
+    table = []
+    for code in range(1 << k):
+        occupied = [u for u in range(1, k + 1) if code >> (u - 1) & 1]
+        empty = [u for u in range(1, k + 1) if u not in occupied]
+        entry = 0
+        for s in range(1, k + 1):
+            if not any(u & s == u for u in occupied):
                 continue
-            break
-    return v - e == 1
+            facets = [1 << a for a in range(dim) if s >> a & 1]
+            if not any(f in occupied for f in facets):
+                entry = _REJECT
+                break
+            entry += (-1) ** (dim - len(facets)) << (len(facets) - 1)
+        if len(empty) == 2 and empty[0] ^ empty[1] == k:
+            entry = _REJECT
+        table.append(entry)
+    neighbors = []
+    for d in itertools.product((-1, 0, 1), repeat=dim):
+        if any(d):
+            u = sum(1 << a for a in range(dim) if d[a])
+            bits = 0
+            for w, signs in enumerate(itertools.product((-1, 1), repeat=dim)):
+                if all(c in (0, s) for c, s in zip(d, signs)):
+                    bits |= 1 << (w * k + u - 1)
+            neighbors.append((d, bits))
+    return tuple(table), tuple(neighbors)
 
 
-_EDGES_3D = []
-for _a in range(3):
-    for _b in range(_a + 1, 3):
-        for _sa in (-1, 1):
-            for _sb in (-1, 1):
-                _d1 = [0, 0, 0]
-                _d2 = [0, 0, 0]
-                _d1[_a] = _sa
-                _d2[_b] = _sb
-                _EDGES_3D.append((tuple(_d1), tuple(_d2)))
+def _key(cell: tuple[int, ...], base: int) -> int:
+    return sum((c + base // 2) * base**a for a, c in enumerate(cell))
 
-_CORNERS_3D = [
-    ((sx, 0, 0), (0, sy, 0), (0, 0, sz))
-    for sx in (-1, 1)
-    for sy in (-1, 1)
-    for sz in (-1, 1)
-]
 
-def _accept_3d(occ: set, c: tuple[int, int, int]) -> bool:
-    """Accept iff the contact with the shape is a single disk of faces.
+def _cell(key: int, base: int, dim: int) -> tuple[int, ...]:
+    return tuple(key // base**a % base - base // 2 for a in range(dim))
 
-    Contact must be pure (every shared edge and corner lies in a shared
-    face), connected, and have Euler characteristic 1; adding the cell
-    must also not complete a window of 6 occupied cells around a vertex
-    with the remaining two antipodal cells empty.
+
+def _acceptor(dim: int, base: int):
+    """``accept(occ, key)``: may the cell at ``key`` join the shape ``occ``?
+
+    Accept iff no window rejects and the window sum is 2**(dim - 1):
+    the contact is then one boundary arc (2D) or a single disk of shared
+    faces (3D), Euler characteristic 1. Contact with no shared facet, or
+    only an opposite pair of faces, fails the sum.
     """
-    x, y, z = c
+    table, neighbors = _window_rule(dim)
+    origin = _key((0,) * dim, base)
+    probes = [(_key(d, base) - origin, bits) for d, bits in neighbors]
+    k = (1 << dim) - 1
+    mask = (1 << k) - 1
+    shifts = range(0, k << dim, k)
+    chi = 1 << (dim - 1)
 
-    def has(d):
-        return (x + d[0], y + d[1], z + d[2]) in occ
+    def accept(occ: set, key: int) -> bool:
+        n = sum([bits for step, bits in probes if key + step in occ])
+        return sum([table[n >> s & mask] for s in shifts]) == chi
 
-    faces = [d for d in _DIRS_3D if has(d)]
-    f = len(faces)
-    if f == 0:
-        return False
-    face_set = set(faces)
-    # Two shared faces that are not opposite always meet along a shared
-    # edge, so the contact is disconnected only when it is exactly one
-    # opposite pair.
-    if f == 2 and faces[0] == tuple(-k for k in faces[1]):
-        return False
-    e = 0
-    for d1, d2 in _EDGES_3D:
-        d12 = (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2])
-        if has(d1) or has(d2) or has(d12):
-            e += 1
-            if d1 not in face_set and d2 not in face_set:
-                return False  # edge contact outside any shared face
-    v = 0
-    for d1, d2, d3 in _CORNERS_3D:
-        touched = False
-        for use1 in (0, 1):
-            for use2 in (0, 1):
-                for use3 in (0, 1):
-                    if not (use1 or use2 or use3):
-                        continue
-                    d = (
-                        d1[0] * use1 + d2[0] * use2 + d3[0] * use3,
-                        d1[1] * use1 + d2[1] * use2 + d3[1] * use3,
-                        d1[2] * use1 + d2[2] * use2 + d3[2] * use3,
-                    )
-                    if has(d):
-                        touched = True
-        if touched:
-            v += 1
-            if d1 not in face_set and d2 not in face_set and d3 not in face_set:
-                return False  # corner contact outside any shared face
-    if v - e + f != 1:
-        return False
-    # No complement pattern in any vertex window gaining this cell.
-    for wx in (x - 1, x):
-        for wy in (y - 1, y):
-            for wz in (z - 1, z):
-                window = {}
-                for dx in (0, 1):
-                    for dy in (0, 1):
-                        for dz in (0, 1):
-                            cell = (wx + dx, wy + dy, wz + dz)
-                            window[(dx, dy, dz)] = cell == c or cell in occ
-                if sum(window.values()) == 6:
-                    empty = [k for k, val in window.items() if not val]
-                    a, b = empty
-                    if all(a[i] + b[i] == 1 for i in range(3)):
-                        return False
-    return True
+    return accept
 
 
-def _grow(rng: random.Random, target: int, dirs, accept) -> set:
-    """Grow a coarse shape to ``target`` cells by random accretion."""
-    origin = (0,) * len(dirs[0])
+def _grow(rng: random.Random, target: int, dim: int) -> np.ndarray:
+    """Grow a coarse shape to ``target`` cells by random accretion.
+
+    Returns the shape on its tight bounding box, indexed [y, x] or
+    [z, y, x].
+    """
+    base = 2 * target + 3
+    accept = _acceptor(dim, base)
+    steps = [sign * base**a for a in range(dim) for sign in (1, -1)]
+    origin = _key((0,) * dim, base)
     occ = {origin}
     candidates: list = []
     queued: set = set()
 
-    def push_neighbors(cell):
-        for d in dirs:
-            nb = tuple(a + b for a, b in zip(cell, d))
+    def push_neighbors(key):
+        for step in steps:
+            nb = key + step
             if nb not in occ and nb not in queued:
                 candidates.append(nb)
                 queued.add(nb)
@@ -285,39 +275,36 @@ def _grow(rng: random.Random, target: int, dirs, accept) -> set:
     while len(occ) < target:
         if not candidates:
             # Rare stall: every queued cell was rejected. Rescan the
-            # border deterministically and requeue whatever is valid.
+            # border in coordinate-tuple order (not key order, which
+            # puts z first) and requeue whatever is valid.
             border = sorted(
-                {
-                    tuple(a + b for a, b in zip(cell, d))
-                    for cell in occ
-                    for d in dirs
-                }
-                - occ
+                {key + step for key in occ for step in steps} - occ,
+                key=lambda key: _cell(key, base, dim),
             )
-            candidates = [cell for cell in border if accept(occ, cell)]
+            candidates = [key for key in border if accept(occ, key)]
             queued = set(candidates)
             if not candidates:
                 break
         i = rng.randrange(len(candidates))
-        cell = candidates.pop(i)
-        queued.discard(cell)
-        if accept(occ, cell):
-            occ.add(cell)
-            push_neighbors(cell)
-    return occ
+        key = candidates.pop(i)
+        queued.discard(key)
+        if accept(occ, key):
+            occ.add(key)
+            push_neighbors(key)
+    return _coarse_grid(occ, base, dim)
 
 
-def _coarse_grid(occ: set) -> np.ndarray:
-    """The coarse shape on its tight bounding box, indexed [y, x] or [z, y, x]."""
-    pts = np.array(list(occ), dtype=np.int64)
-    pts -= pts.min(axis=0)
-    coarse = np.zeros(tuple(pts.max(axis=0)[::-1] + 1), dtype=bool)
-    coarse[tuple(pts[:, ::-1].T)] = True
+def _coarse_grid(occ: set, base: int, dim: int) -> np.ndarray:
+    """Packed keys on their tight bounding box, indexed [y, x] or [z, y, x]."""
+    keys = np.array(list(occ))  # int64, widened to uint64 or object past it
+    pts = [keys // base**a % base for a in reversed(range(dim))]
+    pts = tuple((p - p.min()).astype(np.intp) for p in pts)
+    coarse = np.zeros(tuple(int(p.max()) + 1 for p in pts), dtype=bool)
+    coarse[pts] = True
     return coarse
 
 
-def _coarse_to_image(occ: set, min_width: int) -> Image2D:
-    coarse = _coarse_grid(occ)
+def _coarse_to_image(coarse: np.ndarray, min_width: int) -> Image2D:
     fine = np.kron(coarse, np.ones((min_width, min_width), dtype=bool))
     cells = np.pad(fine, 1, constant_values=False)
     return Image2D(cells.shape[1], cells.shape[0], cells)
@@ -334,37 +321,33 @@ def gen_fat_polyomino_2d(seed: int, target_area: int, min_width: int = 2) -> Ima
         raise ValueError("bad polyomino parameters")
     rng = random.Random(seed)
     coarse_target = -(-target_area // (min_width * min_width))
-    occ = _grow(rng, coarse_target, _DIRS_2D, _accept_2d)
-    return _coarse_to_image(occ, min_width)
+    return _coarse_to_image(_grow(rng, coarse_target, 2), min_width)
 
 
-def _drill_holes(rng: random.Random, occ: set, holes: int) -> int:
+def _drill_holes(rng: random.Random, coarse: np.ndarray, holes: int) -> None:
     """Remove up to ``holes`` interior cells, pairwise well separated.
 
     Eligible cells have all 8 neighbors occupied and Chebyshev distance
-    >= 2 from every earlier hole, so each removal adds exactly one hole.
-    Returns the number actually drilled.
+    >= 2 from every earlier hole, so each removal adds exactly one hole;
+    they are listed in scan order. A removal changes the interior only
+    within distance 1, where no cell is eligible any more, so the
+    interior is found once and then filtered by distance per hole.
     """
-    drilled: list = []
+    h, w = coarse.shape
+    padded = np.pad(coarse, 1)
+    interior = coarse.copy()
+    for dy in range(3):
+        for dx in range(3):
+            interior &= padded[dy : dy + h, dx : dx + w]
+    ys, xs = np.nonzero(interior)
     for _ in range(holes):
-        eligible = []
-        for x, y in sorted(occ, key=lambda c: (c[1], c[0])):
-            ok = all(
-                (x + dx, y + dy) in occ
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                if (dx, dy) != (0, 0)
-            )
-            if ok and all(
-                max(abs(x - hx), abs(y - hy)) >= 2 for hx, hy in drilled
-            ):
-                eligible.append((x, y))
-        if not eligible:
+        if not len(ys):
             break
-        cell = eligible[rng.randrange(len(eligible))]
-        occ.discard(cell)
-        drilled.append(cell)
-    return len(drilled)
+        i = rng.randrange(len(ys))
+        y, x = ys[i], xs[i]
+        coarse[y, x] = False
+        far = np.maximum(abs(ys - y), abs(xs - x)) >= 2
+        ys, xs = ys[far], xs[far]
 
 
 def gen_holey_polyomino_2d(
@@ -380,9 +363,9 @@ def gen_holey_polyomino_2d(
         raise ValueError("bad polyomino parameters")
     rng = random.Random(seed)
     coarse_target = -(-target_area // (min_width * min_width))
-    occ = _grow(rng, coarse_target, _DIRS_2D, _accept_2d)
-    _drill_holes(rng, occ, holes)
-    return _coarse_to_image(occ, min_width)
+    coarse = _grow(rng, coarse_target, 2)
+    _drill_holes(rng, coarse, holes)
+    return _coarse_to_image(coarse, min_width)
 
 
 def gen_fat_blob_3d(seed: int, target_volume: int, min_width: int = 2) -> Volume3D:
@@ -396,11 +379,9 @@ def gen_fat_blob_3d(seed: int, target_volume: int, min_width: int = 2) -> Volume
     if target_volume < 1 or min_width < 1:
         raise ValueError("bad blob parameters")
     rng = random.Random(seed)
-    mw3 = min_width**3
-    coarse_target = -(-target_volume // mw3)
-    occ = _grow(rng, coarse_target, _DIRS_3D, _accept_3d)
     mw = min_width
-    fine = np.kron(_coarse_grid(occ), np.ones((mw, mw, mw), dtype=bool))
+    coarse = _grow(rng, -(-target_volume // mw**3), 3)
+    fine = np.kron(coarse, np.ones((mw, mw, mw), dtype=bool))
     cells = np.pad(fine, 1, constant_values=False)
     return Volume3D(cells.shape[2], cells.shape[1], cells.shape[0], cells)
 
@@ -430,9 +411,9 @@ def gen_scene_2d(
         area = max(16, base_area >> rng.randrange(3))
         holes = rng.randrange(3)
         coarse_target = -(-area // (min_width * min_width))
-        occ = _grow(rng, coarse_target, _DIRS_2D, _accept_2d)
-        _drill_holes(rng, occ, holes)
-        parts.append(_coarse_to_image(occ, min_width))
+        coarse = _grow(rng, coarse_target, 2)
+        _drill_holes(rng, coarse, holes)
+        parts.append(_coarse_to_image(coarse, min_width))
     gap = 2
     strip = 4 if decorations else 0
     width = sum(p.width for p in parts) + gap * (len(parts) - 1) + 2
@@ -460,8 +441,7 @@ def gen_noisy_image_2d(
     """
     rng = random.Random(seed)
     coarse_target = max(1, (width * height) // 16)
-    occ = _grow(rng, coarse_target, _DIRS_2D, _accept_2d)
-    base = _coarse_to_image(occ, 2)
+    base = _coarse_to_image(_grow(rng, coarse_target, 2), 2)
     cells = np.zeros((height, width), dtype=bool)
     h = min(height, base.height)
     w = min(width, base.width)
@@ -500,8 +480,7 @@ def gen_noisy_volume_3d(
     for attempt in itertools.count():
         rng = random.Random(seed * 1000003 + attempt)
         coarse_target = max(1, (nx * ny * nz) // 48)
-        occ = _grow(rng, coarse_target, _DIRS_3D, _accept_3d)
-        base = np.kron(_coarse_grid(occ), np.ones((2, 2, 2), dtype=bool))
+        base = np.kron(_grow(rng, coarse_target, 3), np.ones((2, 2, 2), dtype=bool))
         cells = np.zeros((nz, ny, nx), dtype=bool)
         d = min(nz, base.shape[0])
         h = min(ny, base.shape[1])

@@ -342,6 +342,14 @@ PINNED = [
      "07fd9ca34cbba164d2d16f748afefeb6a97377c36761be479c84b77e91e63cda"),
     ("gen_fat_polyomino_2d", (3, 150), {'min_width': 3}, (17, 23),
      "1a5f247f79e33b162135b138941fdbfa0427700557dd0919a746aa6f52467ed5"),
+    # The benchmark's generator ops: gen blob3d --volume 32768,
+    # gen poly2d --area 16384 and gen holey2d --area 4096 --holes 4.
+    ("gen_fat_blob_3d", (1, 32768), {}, (74, 66, 66),
+     "6fd85c9513ae7ab11d62720248b00846cfc360e783ffecca748bff12548b9b6f"),
+    ("gen_fat_polyomino_2d", (1, 16384), {}, (168, 174),
+     "78886277c994af01c092dd9ef38443f48abe33125acae0075179ca7954f477c4"),
+    ("gen_holey_polyomino_2d", (2, 4096, 4), {}, (98, 84),
+     "7d7b5f63c84139af45f2f8b1909cf687ebc9731cc0a9328d0404c0623db8e262"),
 ]
 
 
