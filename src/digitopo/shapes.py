@@ -223,10 +223,6 @@ def _key(cell: tuple[int, ...], base: int) -> int:
     return sum((c + base // 2) * base**a for a, c in enumerate(cell))
 
 
-def _cell(key: int, base: int, dim: int) -> tuple[int, ...]:
-    return tuple(key // base**a % base - base // 2 for a in range(dim))
-
-
 def _acceptor(dim: int, base: int):
     """``accept(occ, key)``: may the cell at ``key`` join the shape ``occ``?
 
@@ -279,7 +275,7 @@ def _grow(rng: random.Random, target: int, dim: int) -> np.ndarray:
             # puts z first) and requeue whatever is valid.
             border = sorted(
                 {key + step for key in occ for step in steps} - occ,
-                key=lambda key: _cell(key, base, dim),
+                key=lambda key: [key // base**a % base for a in range(dim)],
             )
             candidates = [key for key in border if accept(occ, key)]
             queued = set(candidates)
