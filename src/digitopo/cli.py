@@ -352,43 +352,23 @@ def _cmd_validate(ns) -> int:
     if bad is not None:
         return bad
     grid = _load_any(ns.input)
+    in_2d = isinstance(grid, Image2D)
+    analyze = topo2d._analyze_components if in_2d else topo3d._analyze_pieces
+    results, _ = analyze(grid, repair=not ns.no_repair, keep_pieces=True)
     checks = []
-    if isinstance(grid, Image2D):
-        results, _actions = topo2d._analyze_components(
-            grid, repair=not ns.no_repair, fallback_oracle=True, keep_pieces=True
-        )
-        for rep2d, piece in results:
-            flood = oracle.holes_by_floodfill(piece)
-            chi = oracle.euler_2d(piece).chi
-            agree = rep2d.holes == flood == 1 - chi
-            checks.append(
-                {
-                    "component": rep2d.component_id,
-                    "formula": rep2d.holes,
-                    "flood_fill": flood,
-                    "euler": 1 - chi,
-                    "agree": agree,
-                }
-            )
-    else:
-        results, _actions = topo3d._analyze_pieces(
-            grid, repair=not ns.no_repair, fallback_oracle=True, keep_pieces=True
-        )
-        for rep3d, piece in results:
-            formula_genus = sum(s.genus for s in rep3d.boundary_surfaces)
+    for rep, piece in results:
+        if in_2d:
+            formula, flood = rep.holes, oracle.holes_by_floodfill(piece)
+            euler = 1 - oracle.euler_2d(piece).chi
+            check = {"formula": formula, "flood_fill": flood, "euler": euler}
+            agree = formula == flood == euler
+        else:
             summaries = oracle.euler_surface_3d(piece)
-            oracle_genus = sum((2 - s.chi) // 2 for s in summaries)
-            agree = formula_genus == oracle_genus and len(summaries) == len(
-                rep3d.boundary_surfaces
-            )
-            checks.append(
-                {
-                    "component": rep3d.component_id,
-                    "formula": formula_genus,
-                    "euler": oracle_genus,
-                    "agree": agree,
-                }
-            )
+            formula = sum(s.genus for s in rep.boundary_surfaces)
+            euler = sum((2 - s.chi) // 2 for s in summaries)
+            check = {"formula": formula, "euler": euler}
+            agree = formula == euler and len(summaries) == len(rep.boundary_surfaces)
+        checks.append({"component": rep.component_id, **check, "agree": agree})
     all_agree = all(c["agree"] for c in checks)
     rep = report.base_report("validate", report.input_digest(ns.input))
     rep["checks"] = checks

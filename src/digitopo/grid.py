@@ -25,8 +25,10 @@ root is its scan-first run, so the labels come out in scan order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -444,19 +446,18 @@ def _window_codes(p: np.ndarray) -> np.ndarray:
     return code
 
 
+def _grid_of(cells: np.ndarray):
+    """``cells``, (ny, nx) or (nz, ny, nx), as an Image2D or a Volume3D."""
+    if cells.ndim == 2:
+        return Image2D(cells.shape[1], cells.shape[0], cells)
+    return Volume3D(cells.shape[2], cells.shape[1], cells.shape[0], cells)
+
+
 def _box_canvas(labeling: Labeling, component_id: int, box: tuple[slice, ...]):
     """The component inside its bounding ``box``, as ``_component_canvas``
     returns it."""
-    region = labeling.labels[box] == component_id
-    padded = _pad(region)
-    lo = [s.start for s in box]
-    if region.ndim == 2:
-        grid = Image2D(padded.shape[1], padded.shape[0], padded)
-        origin = (lo[1] - 1, lo[0] - 1)
-    else:
-        grid = Volume3D(padded.shape[2], padded.shape[1], padded.shape[0], padded)
-        origin = (lo[2] - 1, lo[1] - 1, lo[0] - 1)
-    return grid, origin
+    origin = tuple([s.start - 1 for s in box][::-1])
+    return _grid_of(_pad(labeling.labels[box] == component_id)), origin
 
 
 def _component_canvas(labeling: Labeling, component_id: int):
@@ -510,17 +511,124 @@ def _component_boxes(labeling: Labeling, ids=None) -> dict[int, tuple[slice, ...
     }
 
 
-def _component_canvases(labeling: Labeling):
-    """Yield ``(grid, origin)`` for every component in id order, as
-    ``_component_canvas`` returns it.
+def _cut_out(labeling: Labeling, component_id: int, boxes: dict):
+    """The component on its own padded canvas if ``boxes`` holds its box,
+    else None."""
+    box = boxes.get(component_id)
+    return None if box is None else _box_canvas(labeling, component_id, box)[0]
 
-    All boxes come from one ``_component_boxes`` pass, so extracting every
-    component costs one pass over the grid plus the boxes, not one pass
-    over the grid per component.
+
+class _Hooks(NamedTuple):
+    """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
+    and ``topo3d._HOOKS``. A hook looks up what it calls when it runs, so
+    that a traced entry point stays traced."""
+
+    capture: Adjacency  # the components reported and repaired
+    pieces: Adjacency  # the pieces of a canvas
+    # (grid, labeling) -> (windows, edits, owners, answers): the dirty
+    # components' windows by id, the edits made to the labels and their
+    # owners' ids (ascending), and the grid's answers or None.
+    scan: Callable
+    # (cells, labeling) -> {label: answer or None} over labels with cells.
+    classify: Callable
+    repair: Callable  # (canvas, origin, windows) -> (canvas, moved edits)
+    slow: Callable  # (piece, fallback_oracle, component_id, edits) -> report
+    report: Callable  # (component_id, answer, edits) -> report
+
+
+def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
+    """Report each component of ``grid`` as if it were cut alone onto a
+    padded canvas, repaired there, relabelled into pieces and each piece
+    classified: ``holes_pipeline``, ``analyze_volume`` and ``validate``,
+    with the ``hooks`` of their dimension. Returns one ``(report, piece)``
+    per piece in component order (the piece on its own padded canvas when
+    ``keep_pieces`` is set, else None), and the edits of the scan and of
+    repair in source coordinates, component by component.
+
+    The work is done per grid, not per component. Every answer is read
+    from 2x2 (2x2x2) windows, whose object cells are adjacent through the
+    window under the capture adjacency (26 in 3D; 4 in 2D, unless they
+    are a diagonal pair, which is an outward corner of each of its two
+    components, as on their canvases). So a window lies in one component
+    and reads the same on the grid as on that component's canvas. Hence:
+
+    * one labelling and one scan find the dirty components, those with a
+      pathological window of their own, and the windows a scan of each
+      one's canvas would find, which repair takes as its first round;
+    * a clean component is one piece that repair leaves alone, and one
+      classification of the whole grid answers for all of them;
+    * the dirty components are repaired on their canvases in id order,
+      before any classification, so a repair cycle raises first. The
+      canvases are stacked along the slowest axis (y in 2D, z in 3D) in
+      groups whose other extents round up to the same powers of two, and
+      each stack is labelled once and, if repaired, classified once. The
+      one-cell frames keep two canvases' objects apart, and scan order
+      visits one canvas after another, so a stack's labels number each
+      canvas's pieces as labelling that canvas alone would;
+    * a piece without an answer, and every piece of an unrepaired canvas,
+      goes to ``slow``. Reports are assembled in component order, so the
+      first piece that raises is the one a loop over components would.
     """
-    boxes = _component_boxes(labeling)
-    for cid in range(1, labeling.count + 1):
-        yield _box_canvas(labeling, cid, boxes[cid])
+    label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
+    labeling = label(grid, hooks.capture)
+    windows, edits, owners, answers = hooks.scan(grid, labeling)
+    boxes = _component_boxes(labeling, None if keep_pieces else windows)
+    log: list = []
+    done = 0
+    canvases, repaired = {}, {}
+    for cid in sorted(windows):
+        canvas, origin = _box_canvas(labeling, cid, boxes[cid])
+        acts = []
+        if repair:
+            canvas, acts = hooks.repair(canvas, origin, windows[cid])
+            end = bisect_right(owners, cid)
+            log += edits[done:end] + acts
+            done = end
+        canvases[cid], repaired[cid] = canvas.cells, tuple(acts)
+    log += edits[done:]
+    if answers is None:
+        answers = hooks.classify(grid.cells, labeling)
+
+    # A piece is cut out onto its canvas when it has a box: with
+    # ``keep_pieces`` all of them, else those without an answer.
+    cut = [cid for cid, answer in answers.items() if answer is None and cid not in boxes]
+    boxes.update(_component_boxes(labeling, cut))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for cid, cells in canvases.items():
+        key = tuple(1 << (n - 1).bit_length() for n in cells.shape[1:])
+        groups.setdefault(key, []).append(cid)
+    pieces = {}  # (piece, answer, edits) of each piece of a canvas
+    for members in groups.values():
+        shapes = np.array([canvases[cid].shape for cid in members])
+        starts = np.concatenate(([0], shapes[:, 0].cumsum()))
+        stack = np.zeros((starts[-1], *shapes[:, 1:].max(axis=0)), dtype=bool)
+        for cid, start, shape in zip(members, starts.tolist(), shapes.tolist()):
+            stack[(slice(start, start + shape[0]), *map(slice, shape[1:]))] = canvases.pop(cid)
+        lab = label(_grid_of(stack), hooks.pieces)
+        found = hooks.classify(stack, lab) if repair else {}
+        cut = [i for i in range(1, lab.count + 1) if found.get(i) is None]
+        lab_boxes = _component_boxes(lab, None if keep_pieces else cut)
+        # Labels rise in scan order, so each canvas holds the labels up to
+        # the largest one in its rows.
+        last = lab.labels.reshape(len(stack), -1).max(axis=1)
+        last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1])).tolist()
+        for cid, lo, hi in zip(members, [0, *last], last):
+            pieces[cid] = [
+                (_cut_out(lab, i, lab_boxes), found.get(i), repaired[cid])
+                for i in range(lo + 1, hi + 1)
+            ]
+
+    results = []
+    for cid, answer in answers.items():
+        group = pieces[cid] if cid in pieces else [(_cut_out(labeling, cid, boxes), answer, ())]
+        for piece, answer, acts in group:
+            n = len(results) + 1
+            if answer is None:
+                report = hooks.slow(piece, fallback_oracle, n, acts)
+            else:
+                report = hooks.report(n, answer, acts)
+            results.append((report, piece if keep_pieces else None))
+    return results, log
 
 
 def extract_component(labeling: Labeling, component_id: int):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -33,13 +34,12 @@ from .errors import PreconditionFailure, RepairDidNotConverge
 from .grid import (
     Adjacency,
     Image2D,
-    label_components_2d,
-    _box_canvas,
-    _component_boxes,
-    _component_canvases,
+    Labeling,
+    _Hooks,
     _count_components,
     _label_sizes,
     _pad,
+    _per_component,
     _window_codes,
 )
 from .oracle import holes_by_floodfill
@@ -414,47 +414,52 @@ def _window_pixels(vertices: np.ndarray, bits: np.ndarray, width: int) -> np.nda
     return vertices - vertices // (width + 1) + (bits >> 1) * width + (bits & 1) - width - 1
 
 
-def _analyze_components(
-    img: Image2D,
-    repair: bool = True,
-    fallback_oracle: bool = True,
-    keep_pieces: bool = False,
-):
-    """``holes_pipeline``, with each report paired with its piece (on its
-    own padded canvas) when ``keep_pieces`` is set, else with None."""
-    labeling = label_components_2d(img, Adjacency.DIRECT_2D)
-    count, width = labeling.count, img.width
-    # The labels are edited in place with the speckles. Other image-sized
-    # arrays are dropped once read, so at most a few live beside them.
-    flat = labeling.labels.reshape(-1)
-    p = _pad(img.cells)
-    # Speckles as each component's canvas sees them: a pixel with no
-    # 4-neighbor is deleted, and a one-pixel hole is filled into the
-    # component of its 8 neighbors, which the ring of them 4-connects.
+def _despeckle(p: np.ndarray, labeling: Labeling):
+    """Delete and fill the speckles of ``p``, the labelled image in a frame
+    of one empty pixel, as each component's canvas sees them, in ``p`` and
+    in the labels. Returns the edits, grouped by component and row-major
+    within each, and their owners' ids.
+
+    A pixel with no 4-neighbor is deleted, even one that touches another
+    component diagonally, and a one-pixel hole is filled into the
+    component of its 8 neighbors, which the ring of them 4-connects.
+    """
+    flat, width = labeling.labels.reshape(-1), labeling.labels.shape[1]
     ul, ur, dl, dr = _quads(_window_codes(p))
     edits = ((ul & 14) == 8) & ((dr & 6) == 0)
     edits |= _one_pixel_holes(ul, ur, dl, dr)
     at = np.flatnonzero(edits)
     del ul, ur, dl, dr, edits
-    fill = ~img.cells.reshape(-1)[at]
     owner = flat[at]
+    fill = owner == 0
     owner[fill] = flat[at[fill] - width]
     flat[at] = np.where(fill, owner, 0)
     ys, xs = np.divmod(at, width)
     p[ys + 1, xs + 1] = fill
-    # Grouped by component, row-major within each.
     order = np.argsort(owner, kind="stable")
-    owner = owner[order]
     speckles = [
         RepairAction(x, y, RepairOp.ADD if f else RepairOp.DELETE, RepairReason.SPECKLE)
         for x, y, f in zip(xs[order].tolist(), ys[order].tolist(), fill[order].tolist())
     ]
+    return speckles, owner[order].tolist()
 
-    # Holes, histograms and areas of every component from one code array.
-    # A window without a diagonal pair has its object pixels 4-adjacent
-    # through it, so it lies in one component and reads the same on that
-    # component's canvas; a diagonal window whose two pixels are in two
-    # components reads as one outward corner on each canvas.
+
+def _window_pass(cells: np.ndarray, labeling: Labeling, speckles: bool = False):
+    """The answer of every labelled component of ``cells`` that has a
+    pixel, ``(area, histogram, holes)``, or None for a component with a
+    diagonal window between two of its own pixels; returned as
+    ``(answers, edits, owners)``, with the speckle edits of ``_despeckle``
+    when ``speckles`` is set.
+
+    One bincount of the corner windows keyed by label gives every
+    component's corner points, and one of the boundary pixels its
+    histogram (``grid._per_component`` says why each window is read as
+    on the component's own canvas).
+    """
+    labels, count = labeling.labels, labeling.count
+    flat, width = labels.reshape(-1), labels.shape[1]
+    p = _pad(cells)
+    edits, owners = _despeckle(p, labeling) if speckles else ([], [])
     codes = _window_codes(p)
     del p
     vertices = np.flatnonzero(_CORNER[codes])
@@ -465,16 +470,13 @@ def _analyze_components(
     # Weighted, so float; the counts are small integers and exact.
     turn = np.bincount(low, _LOW_TURN[c], minlength=count + 1)
     turn -= np.bincount(high, minlength=count + 1)
-    # A diagonal window inside one component makes it dirty: only it
-    # takes the canvas path of repair, relabelling and ``hole_count``.
     low = low[diagonal]
     dirty = set(low[low == high].tolist())
     boundary, keys = _boundary_keys(codes)
-    keys = labeling.labels[boundary] * 16 + keys
+    keys = labels[boundary] * 16 + keys
     del codes, boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
-    # The components left after the speckle deletions.
-    sizes = _label_sizes(labeling.labels, count)
+    sizes = _label_sizes(labels, count)
     kept = np.flatnonzero(sizes[1:]) + 1
     rows = zip(
         kept.tolist(),
@@ -483,36 +485,44 @@ def _analyze_components(
         (1 + turn[kept].astype(np.int64) // 4).tolist(),
     )
     del keys, bins
-    boxes = _component_boxes(labeling, None if keep_pieces else dirty)
+    answers = {
+        cid: None if cid in dirty else (area, CornerHistogram(c1, c2, c3, c4, thin, c0), holes)
+        for cid, area, (c0, c1, c2, c3, c4, thin), holes in rows
+    }
+    return answers, edits, owners
 
-    results = []
-    actions: list[RepairAction] = []
-    done = 0
-    for cid, area, (cp0, cp1, cp2, cp3, cp4, thin), holes in rows:
-        if cid not in dirty:
-            hist = CornerHistogram(cp1, cp2, cp3, cp4, thin, cp0)
-            report = HoleReport(
-                len(results) + 1, area, hist, holes, HoleMethod.FORMULA, True
-            )
-            piece = _box_canvas(labeling, cid, boxes[cid])[0] if keep_pieces else None
-            results.append((report, piece))
-            continue
-        canvas, origin = _box_canvas(labeling, cid, boxes[cid])
-        if repair:
-            canvas, repair_actions = repair_2d(canvas)
-            end = int(np.searchsorted(owner, cid, side="right"))
-            actions += speckles[done:end] + _shift_actions(repair_actions, origin)
-            done = end
-        sub = label_components_2d(canvas, Adjacency.DIRECT_2D)
-        for piece, _ in _component_canvases(sub):
-            report = hole_count(piece, component_id=len(results) + 1, check_single=False)
-            if not report.precondition_ok and not fallback_oracle:
-                raise PreconditionFailure(
-                    f"component {report.component_id} has a diagonal window"
-                )
-            results.append((report, piece if keep_pieces else None))
-    actions += speckles[done:]
-    return results, actions
+
+def _scan(img: Image2D, labeling: Labeling):
+    """The driver's scan (``grid._Hooks``): the speckles, then the answers
+    of the despeckled image, whose None marks the dirty components."""
+    answers, edits, owners = _window_pass(img.cells, labeling, speckles=True)
+    dirty = {cid: None for cid, answer in answers.items() if answer is None}
+    return dirty, edits, owners, answers
+
+
+def _repair_canvas(canvas: Image2D, origin, _windows):
+    canvas, actions = repair_2d(canvas)
+    return canvas, _shift_actions(actions, origin)
+
+
+def _checked_hole_count(piece: Image2D, fallback_oracle, component_id, _edits):
+    report = hole_count(piece, component_id, check_single=False)
+    if not report.precondition_ok and not fallback_oracle:
+        raise PreconditionFailure(f"component {component_id} has a diagonal window")
+    return report
+
+
+_HOOKS = _Hooks(
+    capture=Adjacency.DIRECT_2D,
+    pieces=Adjacency.DIRECT_2D,
+    scan=_scan,
+    classify=lambda cells, labeling: _window_pass(cells, labeling)[0],
+    repair=_repair_canvas,
+    slow=_checked_hole_count,
+    report=lambda n, answer, _: HoleReport(n, *answer, HoleMethod.FORMULA, True),
+)
+# ``holes_pipeline`` with ``keep_pieces``: see ``grid._per_component``.
+_analyze_components = partial(_per_component, _HOOKS)
 
 
 def holes_pipeline(
@@ -526,28 +536,11 @@ def holes_pipeline(
     deleted and produce none) plus the combined edit log in source
     coordinates. Each component is reported as if it were cleaned,
     repaired, relabelled and counted piece by piece on its own padded
-    canvas; the log lists, component by component, its speckle edits in
-    row-major order and then its repair edits.
-
-    The work is done per image, not per component: one labelling and one
-    array of 2x2 window codes answer every clean component.
-
-    * Speckles: alone on its canvas, every single-pixel 4-component is
-      deleted, even one that touches another component diagonally (so
-      not 8-isolated, and kept by ``remove_speckles`` on the whole
-      image). A one-pixel hole is filled; its 8 neighbors are one
-      component, which owns the fill.
-    * A window with no diagonal pair has its object pixels 4-adjacent
-      through it, so it lies in one component and reads as it does on
-      that component's canvas; a diagonal window whose two pixels lie in
-      two components is an outward corner of each. So one bincount keyed
-      by label gives every component's corner points, and another its
-      boundary histogram.
-    * A component with a diagonal window between two of its own pixels is
-      dirty, and only it is cut onto its canvas for ``repair_2d``,
-      relabelling and ``hole_count`` on each piece. A clean component has
-      no diagonal window on its canvas: repair leaves it alone, it stays
-      one piece, and the corner law answers for it.
+    canvas (``grid._per_component``); the log lists, component by
+    component, its speckle edits in row-major order and then its repair
+    edits. Alone on its canvas, every single-pixel 4-component is
+    deleted, even one that touches another component diagonally (so not
+    8-isolated, and kept by ``remove_speckles`` on the whole image).
     """
     results, actions = _analyze_components(img, repair, fallback_oracle)
     return [r for r, _ in results], actions

@@ -41,11 +41,8 @@ side, each vertex has one code, and it gives:
   on the last layer of an axis are still seen.
 
 The eight voxels are pairwise 26-adjacent, so their object voxels belong
-to one 26-component. A pass over a whole volume therefore gives every
-component the same surfaces, in the same order, as a pass over that
-component alone, and a pathology scan of the whole volume tells which
-components repair would edit. ``analyze_volume`` relies on this to
-classify all components in one pass over the grid.
+to one 26-component; ``grid._per_component`` builds ``analyze_volume`` on
+this.
 """
 
 from __future__ import annotations
@@ -53,19 +50,20 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidSurfaceError, RepairDidNotConverge
 from .grid import (
     Adjacency,
+    Labeling,
     Volume3D,
-    label_components_3d,
-    _box_canvas,
-    _component_boxes,
+    _Hooks,
     _components,
     _label_sizes,
     _pad,
+    _per_component,
     _window_codes,
 )
 from .oracle import _surface_components
@@ -144,19 +142,32 @@ class SurfacePointSet:
     (x, y, z) tuples. ``_codes`` holds the window code of every vertex of
     the owner's grid (see the module docstring), shared by the parts of a
     split; each point's surface edges and neighbor count are read from it.
-    Built by ``to_point_space`` and ``split_surface_components``.
+    Built by ``to_point_space``, which keeps the mask, and by
+    ``split_surface_components``, whose parts keep only ``_ids``, their
+    flat vertex indices in ascending order, and build ``mask`` when it is
+    read.
     """
 
-    __slots__ = ("mask", "owner", "_codes")
+    __slots__ = ("owner", "_codes", "_mask", "_ids")
 
-    def __init__(self, mask: np.ndarray, owner: Volume3D, codes: np.ndarray):
-        self.mask = mask
+    def __init__(self, mask, owner: Volume3D, codes: np.ndarray, ids=None):
         self.owner = owner
         self._codes = codes
+        self._mask = mask
+        self._ids = ids
+
+    @property
+    def mask(self) -> np.ndarray:
+        if self._mask is not None:
+            return self._mask
+        mask = np.zeros(self._codes.shape, dtype=bool)
+        mask.ravel()[self._ids] = True
+        return mask
 
     @property
     def points(self) -> set[tuple[int, int, int]]:
-        zs, ys, xs = np.nonzero(self.mask)
+        ids = np.flatnonzero(self._mask) if self._ids is None else self._ids
+        zs, ys, xs = np.unravel_index(ids, self._codes.shape)
         return {
             (int(x), int(y), int(z))
             for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())
@@ -164,13 +175,17 @@ class SurfacePointSet:
 
     def __contains__(self, p) -> bool:
         x, y, z = p
-        nz1, ny1, nx1 = self.mask.shape
-        if 0 <= x < nx1 and 0 <= y < ny1 and 0 <= z < nz1:
-            return bool(self.mask[z, y, x])
-        return False
+        nz1, ny1, nx1 = self._codes.shape
+        if not (0 <= x < nx1 and 0 <= y < ny1 and 0 <= z < nz1):
+            return False
+        if self._ids is None:
+            return bool(self._mask[z, y, x])
+        at = (z * ny1 + y) * nx1 + x
+        i = int(self._ids.searchsorted(at))
+        return i < self._ids.size and int(self._ids[i]) == at
 
     def __len__(self) -> int:
-        return int(self.mask.sum())
+        return int(self._mask.sum()) if self._ids is None else int(self._ids.size)
 
     def __repr__(self) -> str:
         return f"SurfacePointSet({len(self)} points)"
@@ -189,7 +204,12 @@ class SurfaceReport:
 
 @dataclass(frozen=True)
 class TopoReport3D:
-    """Topological summary of one connected voxel component."""
+    """Topological summary of one connected voxel component.
+
+    ``repair_actions`` is the whole repair log, in source coordinates, of
+    the 26-component the piece was cut from: every piece of one component
+    carries the same log, as the JSON output always has.
+    """
 
     component_id: int
     voxel_count: int
@@ -558,22 +578,19 @@ def _surface_graph(mask: np.ndarray, codes: np.ndarray):
 def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     """Partition surface points by surface-edge connectivity.
 
-    Components are ordered by their minimal vertex in scan order.
+    Components are ordered by their minimal vertex in scan order. Each
+    part holds its points' flat vertex indices, not a mask of the grid.
     """
     mask = s.mask
     if not mask.any():
         return []
     node_ids, count, labels = _surface_graph(mask, s._codes)
-    out = []
-    for comp in range(count):
-        members = node_ids[labels == comp]
-        m = np.zeros(mask.shape, dtype=bool)
-        m.ravel()[members] = True
-        # node_ids is ascending, so members.min() is the minimal vertex in
-        # scan order.
-        out.append((int(members.min()), m))
-    out.sort(key=lambda t: t[0])
-    return [SurfacePointSet(m, s.owner, s._codes) for _, m in out]
+    # Components are numbered by their first node and node_ids ascend, so
+    # they come by minimal vertex, and a stable sort keeps each one's
+    # points ascending.
+    members = node_ids[np.argsort(labels, kind="stable")]
+    cuts = np.bincount(labels, minlength=count).cumsum()[:-1]
+    return [SurfacePointSet(None, s.owner, s._codes, ids) for ids in np.split(members, cuts)]
 
 
 def _vertex_owner(labels: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -596,12 +613,9 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
 
     Returns a list indexed by label ``0..count``: each entry holds that
     component's surfaces ordered by minimal vertex, or is None when one
-    of them fails ``genus``. Every surface point, surface edge and neighbor
-    count is read from one vertex code, whose voxels are pairwise
-    26-adjacent; so each lies in the boundary of exactly one 26-component
-    and equals its value on that component's own canvas. ``labels`` must
-    keep 26-adjacent voxels under one label; a surface belongs to the
-    label of the voxels around its minimal vertex.
+    of them fails ``genus``. ``labels`` must keep 26-adjacent voxels under
+    one label; a surface belongs to the label of the voxels around its
+    minimal vertex.
     """
     codes = _window_codes(_pad(cells))
     node_ids, n, comp = _surface_graph(_surface_mask(codes), codes)
@@ -631,7 +645,8 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
     """Histogram of surface neighbor counts over one point set."""
-    return _surface_histogram(np.bincount(_DEGREE[s._codes[s.mask]], minlength=7))
+    codes = s._codes[s._mask] if s._ids is None else s._codes.ravel()[s._ids]
+    return _surface_histogram(np.bincount(_DEGREE[codes], minlength=7))
 
 
 def genus(hist: SurfaceHistogram) -> int:
@@ -697,131 +712,42 @@ def homology(
     return _report(component_id, vol.voxel_count, surfaces, repair_actions)
 
 
-def _formula_pass(cells: np.ndarray, labeling) -> tuple[list, list[int]]:
-    """Formula surfaces (see ``_formula_surfaces``) and voxel count of
-    every labelled component."""
-    formula = _formula_surfaces(cells, labeling.labels, labeling.count)
-    sizes = _label_sizes(labeling.labels, labeling.count)
-    return formula, sizes.tolist()
-
-
-def _canvas_passes(canvases) -> list[tuple[list, list[int]]]:
-    """``_formula_pass`` of each (canvas, labeling) pair, from one pass
-    per group of canvases laid side by side along x.
-
-    Each canvas has a 1-voxel background pad, so the objects of two
-    neighboring canvases are two voxels apart and share no vertex. A
-    group holds the canvases whose height and depth round up to the same
-    powers of two, so no canvas is padded to more than four times its size.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (canvas, _) in enumerate(canvases):
-        key = (1 << (canvas.nz - 1).bit_length(), 1 << (canvas.ny - 1).bit_length())
-        groups.setdefault(key, []).append(i)
-    out: list = [None] * len(canvases)
-    for members in groups.values():
-        nz = max(canvases[i][0].nz for i in members)
-        ny = max(canvases[i][0].ny for i in members)
-        nx = sum(canvases[i][0].nx for i in members)
-        cells = np.zeros((nz, ny, nx), dtype=bool)
-        labels = np.zeros((nz, ny, nx), dtype=np.int32)
-        x = count = 0
-        for i in members:
-            canvas, lab = canvases[i]
-            box = (slice(0, canvas.nz), slice(0, canvas.ny), slice(x, x + canvas.nx))
-            cells[box] = canvas.cells
-            labels[box] = np.where(canvas.cells, lab.labels + count, 0)
-            x += canvas.nx
-            count += lab.count
-        formula = _formula_surfaces(cells, labels, count)
-        count = 0
-        for i in members:
-            lab = canvases[i][1]
-            sizes = _label_sizes(lab.labels, lab.count)
-            out[i] = ([None] + formula[count + 1 : count + 1 + lab.count], sizes.tolist())
-            count += lab.count
-    return out
-
-
-def _analyze_pieces(
-    vol: Volume3D,
-    repair: bool = True,
-    fallback_oracle: bool = True,
-    keep_pieces: bool = False,
-):
-    """``analyze_volume``, with each report paired with its piece (the
-    6-component on its own padded canvas) when ``keep_pieces`` is set,
-    else with None."""
-    lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
-    # A component's windows, shifted onto its canvas, are what a scan of
-    # the canvas finds, in the same order.
+def _scan(vol: Volume3D, lab26: Labeling):
+    """The driver's scan (``grid._Hooks``): the pathological windows,
+    grouped by the component that owns them. A component's windows,
+    shifted onto its canvas, are what a scan of the canvas finds, in the
+    same order."""
     windows: dict[int, list[Pathology3D]] = {}
     for p in find_pathologies_3d(vol):
         windows.setdefault(_window_owner(lab26.labels, p), []).append(p)
-    # Boxes only for the components cut onto a canvas: the dirty ones
-    # here, and below those whose report needs a piece.
-    boxes = _component_boxes(lab26, windows)
-    # Dirty components first, so that a repair cycle is reported before
-    # any classification work.
-    dirty = {}
-    actions: list[RepairAction] = []
-    for cid in sorted(windows):
-        canvas, origin = _box_canvas(lab26, cid, boxes[cid])
-        shifted: list[RepairAction] = []
-        if repair:
-            found = [_shift_window(p, origin) for p in windows[cid]]
-            canvas, acts = repair_3d(canvas, found=found)
-            shifted = _shift_actions(acts, origin)
-            actions.extend(shifted)
-        if canvas.cells.any():
-            lab6 = label_components_3d(canvas, Adjacency.DIRECT_3D)
-            dirty[cid] = (canvas, lab6, tuple(shifted))
-        else:
-            dirty[cid] = None
-    # A repaired canvas has no pathological window, so its 6-pieces are
-    # its 26-components and a formula pass serves them all; the pieces of
-    # an unrepaired one go through ``homology`` one by one.
-    kept = [cid for cid, d in dirty.items() if d is not None]
-    if repair:
-        passes = _canvas_passes([dirty[cid][:2] for cid in kept])
-    else:
-        passes = [None] * len(kept)
-    passed = dict(zip(kept, passes))
+    return windows, [], [], None
 
-    def need_pieces(labeling, formula_pass):
-        """Ids of the components of ``labeling`` whose report needs a piece."""
-        ids = range(1, labeling.count + 1)
-        if keep_pieces or formula_pass is None:
-            return ids
-        return [i for i in ids if formula_pass[0][i] is None]
 
-    results = []
+def _classify(cells: np.ndarray, labeling: Labeling) -> dict:
+    """``(voxels, surfaces)`` of every labelled component, or None where
+    ``_formula_surfaces`` gives None."""
+    formula = _formula_surfaces(cells, labeling.labels, labeling.count)
+    sizes = _label_sizes(labeling.labels, labeling.count).tolist()
+    return {i: None if s is None else (sizes[i], s) for i, s in enumerate(formula) if i}
 
-    def add(labeling, boxes, formula_pass, cid, repair_actions):
-        surfaces = formula_pass[0][cid] if formula_pass else None
-        piece = None
-        if keep_pieces or surfaces is None:
-            piece, _ = _box_canvas(labeling, cid, boxes[cid])
-        if surfaces is None:
-            rep = homology(piece, fallback_oracle, len(results) + 1, repair_actions)
-        else:
-            voxels = formula_pass[1][cid]
-            rep = _report(len(results) + 1, voxels, surfaces, repair_actions)
-        results.append((rep, piece if keep_pieces else None))
 
-    whole = _formula_pass(vol.cells, lab26)
-    boxes.update(
-        _component_boxes(lab26, [i for i in need_pieces(lab26, whole) if i not in boxes])
-    )
-    for cid in range(1, lab26.count + 1):
-        if cid not in dirty:
-            add(lab26, boxes, whole, cid, ())
-        elif dirty[cid] is not None:
-            _, lab6, shifted = dirty[cid]
-            pieces = _component_boxes(lab6, need_pieces(lab6, passed[cid]))
-            for sid in range(1, lab6.count + 1):
-                add(lab6, pieces, passed[cid], sid, shifted)
-    return results, actions
+def _repair_canvas(canvas: Volume3D, origin, windows):
+    found = [_shift_window(p, origin) for p in windows]
+    canvas, actions = repair_3d(canvas, found=found)
+    return canvas, _shift_actions(actions, origin)
+
+
+_HOOKS = _Hooks(
+    capture=Adjacency.INDIRECT_3D,
+    pieces=Adjacency.DIRECT_3D,
+    scan=_scan,
+    classify=_classify,
+    repair=_repair_canvas,
+    slow=lambda *args: homology(*args),
+    report=lambda component_id, answer, edits: _report(component_id, *answer, edits),
+)
+# ``analyze_volume`` with ``keep_pieces``: see ``grid._per_component``.
+_analyze_pieces = partial(_per_component, _HOOKS)
 
 
 def analyze_volume(
@@ -833,31 +759,13 @@ def analyze_volume(
 
     Components are captured with indirect (26-) adjacency. Each one is
     reported as if it were repaired on its own padded canvas, relabeled
-    with direct (6-) adjacency and each resulting piece classified there;
-    edit coordinates are mapped back to the source volume.
-
-    The work is done per grid, not per component. Every voxel window that
-    decides a pathology, a surface point, a surface edge or a neighbor
-    count holds only voxels incident to one grid vertex, which are
-    pairwise 26-adjacent, so it lies inside one component and reads the
-    same on the whole volume as on that component's canvas. Hence:
-
-    * one pathology scan over the volume finds the dirty components and,
-      shifted, the windows a scan of each one's canvas would find, which
-      repair takes as its first round; repair edits no other component;
-    * dirty components are repaired first, in id order, on their own
-      canvases, so a repair cycle raises before any classification; the
-      repaired canvases, laid side by side in a few grids, are classified
-      by passes keyed by their 6-labels;
-    * every clean component is one 6-piece (without a pathological window
-      26- and 6-adjacency agree), and one pass over the unedited volume
-      classifies all of them; surfaces keep their minimal-vertex order,
-      since a canvas is a translation of the volume.
-
-    ``homology`` runs only on a piece whose histogram fails ``genus``,
-    for the oracle fallback, and, without repair, on each piece of a
-    dirty component. Reports are assembled in component order, so the
-    first piece that raises is the one that raised before.
+    with direct (6-) adjacency and each resulting piece classified there
+    (``grid._per_component``); edit coordinates are mapped back to the
+    source volume. A repaired canvas has no pathological window, so its
+    6-pieces are its 26-components and one formula pass keyed by their
+    labels classifies them. ``homology`` runs only on a piece whose
+    histogram fails ``genus``, for the oracle fallback, and, without
+    repair, on each piece of a dirty component.
     """
     results, actions = _analyze_pieces(vol, repair, fallback_oracle)
     return [r for r, _ in results], actions

@@ -59,3 +59,17 @@ NONCONVERGENT_SLABS = (
     "0101\n1111\n0111\n0010",
     "1011\n1111\n1011\n1010",
 )
+
+
+# Ten voxels (z slabs of y rows of x) on which 3D repair oscillates.
+REPAIR_CYCLE = np.array(
+    [
+        [[c == "#" for c in row] for row in z.split()]
+        for z in """
+        ....  .#..  ....
+        .#..  ##..  ....
+        ....  ...#  ..##
+        ....  ..##  ..#.
+        """.strip().splitlines()
+    ]
+)

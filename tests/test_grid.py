@@ -18,7 +18,6 @@ from digitopo import (
 from digitopo import grid
 from digitopo.grid import (
     _component_canvas,
-    _component_canvases,
     _label_sizes,
 )
 from gridtext import image, volume
@@ -190,25 +189,6 @@ def test_extract_component_3d():
     assert isinstance(part, Volume3D)
     assert part.cells.sum() == 1
     assert part.cells[1, 1, 1]
-
-
-def test_component_canvases_match_single_extraction():
-    rng = np.random.default_rng(5)
-    grids = [
-        Image2D(9, 7, rng.random((7, 9)) < 0.4),
-        Volume3D(6, 5, 4, rng.random((4, 5, 6)) < 0.12),
-    ]
-    for grid in grids:
-        if isinstance(grid, Image2D):
-            lab = label_components_2d(grid)
-        else:
-            lab = label_components_3d(grid, Adjacency.INDIRECT_3D)
-        got = list(_component_canvases(lab))
-        assert len(got) == lab.count
-        for cid, (canvas, origin) in enumerate(got, start=1):
-            want, want_origin = _component_canvas(lab, cid)
-            assert canvas == want
-            assert origin == want_origin
 
 
 def test_window2_interior_and_outside():

@@ -24,7 +24,7 @@ from digitopo import (
     write_pbm_p4,
     write_vox3,
 )
-from gridtext import NONCONVERGENT_SLABS, image, volume
+from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, image, volume
 
 BLOB = image(
     """
@@ -448,6 +448,60 @@ class TestCliPinnedOutput:
             h.update(f"{code}\n{out}".encode())
             if cmd == "repair":
                 h.update(open("out.pbm", "rb").read())
+        assert h.hexdigest() == self.DIGESTS[command]
+
+
+def _raw_volumes(seed: int, count: int):
+    """Bernoulli volumes (sides 1-12, density 0-1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nz, ny, nx = (int(n) for n in rng.integers(1, 13, size=3))
+        cells = rng.random((nz, ny, nx)) < rng.random()
+        yield Volume3D(nx, ny, nz, cells)
+
+
+class TestCliPinnedOutput3D:
+    """The 3D commands' ``--json`` output on 20 raw volumes, then on one
+    holding ``REPAIR_CYCLE`` beside a block (exit 3 with repair), pinned
+    by digest as ``TestCliPinnedOutput`` pins the 2D ones."""
+
+    DIGESTS = {
+        "homology": (
+            "8bc336c556f4483f094dc91a77331c5a"
+            "5673344cb9c83dd183901d7e10628d01"
+        ),
+        "homology --no-repair": (
+            "260c952725bed4f9a93e97af9865c6f8"
+            "3b61dc5cd5868dc4b46a68374d93d2eb"
+        ),
+        "homology --no-fallback-oracle": (
+            "8bc336c556f4483f094dc91a77331c5a"
+            "5673344cb9c83dd183901d7e10628d01"
+        ),
+        "validate": (
+            "aec5900a9fd465c061ce0723b0407142"
+            "a31130b4dc0d97801c73622c06c26e6e"
+        ),
+        "validate --no-repair": (
+            "39dc4ec80b223198a3003a84e84d764b"
+            "b973e82380223fcfc64e43cd182af908"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_json_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cmd, *flags = command.split()
+        cells = np.zeros((6, 5, 9), dtype=bool)
+        cells[1:5, 1:4, 1:5] = REPAIR_CYCLE
+        cells[1:4, 1:4, 6:8] = True
+        vols = [*_raw_volumes(seed=9, count=20), Volume3D(9, 5, 6, cells)]
+        h = hashlib.sha256()
+        for i, vol in enumerate(vols):
+            name = f"raw{i}.vox3"
+            write_vox3(vol, name)
+            code, out = run_cli(capsys, cmd, "--json", name, *flags)
+            h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == self.DIGESTS[command]
 
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from digitopo import Image2D, PreconditionFailure, holes_pipeline, topo2d
-from digitopo.grid import Adjacency, _component_canvases, label_components_2d
+from digitopo import Image2D, PreconditionFailure, grid, holes_pipeline
+from digitopo.grid import Adjacency, _component_canvas, label_components_2d
 from digitopo.topo2d import (
     _analyze_components,
     _shift_actions,
@@ -31,7 +31,8 @@ def reference_analyze_components(img, repair=True, fallback_oracle=True):
     actions = []
     results = []
     next_id = 1
-    for canvas, origin in _component_canvases(labeling):
+    for cid in range(1, labeling.count + 1):
+        canvas, origin = _component_canvas(labeling, cid)
         canvas, speckle_actions = remove_speckles(canvas)
         actions.extend(_shift_actions(speckle_actions, origin))
         if not canvas.cells.any():
@@ -40,7 +41,8 @@ def reference_analyze_components(img, repair=True, fallback_oracle=True):
             canvas, repair_actions = repair_2d(canvas)
             actions.extend(_shift_actions(repair_actions, origin))
         sub = label_components_2d(canvas, Adjacency.DIRECT_2D)
-        for piece, _ in _component_canvases(sub):
+        for sid in range(1, sub.count + 1):
+            piece, _ = _component_canvas(sub, sid)
             report = hole_count(piece, component_id=next_id, check_single=False)
             if not report.precondition_ok and not fallback_oracle:
                 raise PreconditionFailure(f"component {next_id} has a diagonal window")
@@ -117,6 +119,17 @@ DIRTY_SPLIT_BY_REPAIR = image(
     """
 )
 
+# Rings closed by a diagonal window, 3, 8, 3 and 16 pixels wide, so their
+# canvases (widths 5, 10, 5 and 18) go to three stacks, the first holding
+# two canvases.
+DIRTY_OF_THREE_WIDTHS = image(
+    """
+    111011111111011101111111111111111
+    101010000001010101000000000000001
+    110011111110011001111111111111110
+    """
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(img=raw_images())
@@ -124,6 +137,7 @@ DIRTY_SPLIT_BY_REPAIR = image(
 @example(img=DIAGONAL_BETWEEN_TWO)
 @example(img=ONE_PIXEL_HOLE)
 @example(img=DIRTY_SPLIT_BY_REPAIR)
+@example(img=DIRTY_OF_THREE_WIDTHS)
 def test_pipeline_matches_reference(img):
     for repair in (True, False):
         for fallback_oracle in (True, False):
@@ -172,13 +186,13 @@ def test_examples_take_the_paths_they_name():
 
 def test_clean_components_are_labelled_once(monkeypatch):
     calls = []
-    label = topo2d.label_components_2d
+    label = grid.label_components_2d
 
     def counting(*args, **kwargs):
         calls.append(args)
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(topo2d, "label_components_2d", counting)
+    monkeypatch.setattr(grid, "label_components_2d", counting)
     # A 2x2 block and a 2x1 bar in each 4x4 cell of a 15 x 15 grid: 450
     # clean components, each touching others only diagonally.
     cells = np.zeros((60, 60), dtype=bool)

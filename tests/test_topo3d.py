@@ -5,9 +5,11 @@ oracle and hand enumeration on small volumes before the classification
 code existed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from digitopo import (
     Adjacency,
@@ -26,6 +28,7 @@ from digitopo import (
     gen_block_3d,
     gen_frame,
     gen_shell,
+    grid,
     homology,
     label_components_3d,
     repair_3d,
@@ -48,7 +51,7 @@ from digitopo.topo3d import (
     _matches_3d,
 )
 
-from gridtext import NONCONVERGENT_SLABS, volume
+from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, volume
 
 
 def hist_tuple(h):
@@ -411,6 +414,24 @@ class TestSplitSurfaces:
             merged |= c.points
         assert merged == pts.points
 
+    def test_parts_hold_their_points_not_a_grid_mask(self):
+        # 48^3 at 2%: about 1,700 parts over 117,649 vertices. A whole-grid
+        # mask per part would take about 190 MiB; indices take a few.
+        cells = np.random.default_rng(3).random((48, 48, 48)) < 0.02
+        pts = to_point_space(Volume3D(48, 48, 48, cells))
+        tracemalloc.start()
+        try:
+            parts = split_surface_components(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parts) > 1500
+        assert peak < 8 << 20
+        assert sum(len(part) for part in parts) == len(pts)
+        part = parts[len(parts) // 2]
+        assert all(p in part for p in part.points)
+        assert np.array_equal(np.flatnonzero(part.mask), part._ids)
+
 
 # ---------------------------------------------------------------------------
 # genus
@@ -681,20 +702,6 @@ class TestNonConvergence:
 # the whole-grid driver against a per-component reference
 
 
-# Ten voxels (z slabs of y rows of x) on which 3D repair oscillates.
-REPAIR_CYCLE = np.array(
-    [
-        [[c == "#" for c in row] for row in z.split()]
-        for z in """
-        ....  .#..  ....
-        .#..  ##..  ....
-        ....  ...#  ..##
-        ....  ..##  ..#.
-        """.strip().splitlines()
-    ]
-)
-
-
 def reference_homology(piece, fallback_oracle, component_id, actions):
     """One piece through the public point-space, split and classify path;
     a piece whose histogram fails ``genus`` goes to ``homology``."""
@@ -763,6 +770,10 @@ class TestWholeGridDriver:
         fallback_oracle=st.booleans(),
         cycle_at=st.none() | st.tuples(*[st.integers(0, 8)] * 3),
     )
+    # 15 dirty components whose canvases fall into six stacks, repaired
+    # and not.
+    @example((12, 12, 12), 0.15, 25, True, True, None)
+    @example((12, 12, 12), 0.15, 25, False, True, None)
     def test_matches_per_component_reference(
         self, shape, density, seed, repair, fallback_oracle, cycle_at
     ):
@@ -821,6 +832,30 @@ class TestWholeGridDriver:
     def test_pieces_are_not_kept_by_default(self):
         results, _ = _analyze_pieces(gen_frame(1))
         assert [piece for _, piece in results] == [None]
+
+    def test_each_stack_is_labelled_once(self, monkeypatch):
+        # 30 dirty components: bars of 1, 5 and 13 voxels along x, each
+        # with one voxel meeting its end at a vertex only. Their canvases
+        # are 4 voxels deep and high and 4, 8 or 16 wide: three stacks.
+        calls = []
+        label = grid.label_components_3d
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return label(*args, **kwargs)
+
+        cells = np.zeros((15, 18, 15), dtype=bool)
+        for i in range(30):
+            z, y, n = 3 * (i % 5), 3 * (i // 5), (1, 5, 13)[i % 3]
+            cells[z, y, :n] = True
+            cells[z + 1, y + 1, n] = True
+        vol = Volume3D(15, 18, 15, cells)
+        monkeypatch.setattr(grid, "label_components_3d", counting)
+        got = analyze_volume(vol)
+        assert len(calls) <= 1 + 3
+        monkeypatch.undo()
+        assert len(got[1]) == 30
+        assert got == reference_analyze(vol)
 
 
 def cycle_among_clean_components():
