@@ -67,15 +67,12 @@ def _build_parser() -> _Parser:
         default=True,
         help="fall back to slow exact counting when formula preconditions fail",
     )
-    shared.add_argument(
-        "--streaming",
-        action="store_true",
-        help="fold slab by slab in bounded memory (genus and bench only)",
-    )
     shared.add_argument("--seed", type=int, default=0, help="generator seed")
 
     parser = _Parser(prog="digitopo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="cmd", required=True, metavar="command")
+
+    streaming_help = "fold slab by slab in bounded memory"
 
     def sub(name, helptext, **kw):
         p = subs.add_parser(name, parents=[shared], help=helptext, **kw)
@@ -91,6 +88,7 @@ def _build_parser() -> _Parser:
 
     p = sub("genus", "genus of the whole boundary surface of a 3D volume")
     p.add_argument("input")
+    p.add_argument("--streaming", action="store_true", help=streaming_help)
     p.set_defaults(func=_cmd_genus)
 
     p = sub("homology", "Betti numbers per 3D component")
@@ -148,6 +146,7 @@ def _build_parser() -> _Parser:
         default="64,128",
         help="comma-separated frame ring widths; object voxels = 8*r^3",
     )
+    p.add_argument("--streaming", action="store_true", help=streaming_help)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -176,24 +175,11 @@ def _emit(ns, rep: dict, human_lines: list[str]) -> None:
         sys.stdout.write("".join(line + "\n" for line in human_lines))
 
 
-def _reject_streaming(ns) -> int | None:
-    if ns.streaming:
-        print(
-            "digitopo: error: --streaming applies to genus and bench only",
-            file=sys.stderr,
-        )
-        return 64
-    return None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_components(ns) -> int:
-    bad = _reject_streaming(ns)
-    if bad is not None:
-        return bad
     grid = _load_any(ns.input)
     if isinstance(grid, Image2D):
         labeling = label_components_2d(grid, Adjacency.DIRECT_2D)
@@ -215,9 +201,6 @@ def _cmd_components(ns) -> int:
 
 
 def _cmd_holes(ns) -> int:
-    bad = _reject_streaming(ns)
-    if bad is not None:
-        return bad
     grid = _load_any(ns.input)
     if not isinstance(grid, Image2D):
         print("digitopo: error: holes expects a 2D PBM input", file=sys.stderr)
@@ -242,14 +225,7 @@ def _cmd_holes(ns) -> int:
 def _genus_report_from_histogram(hist, digest: str) -> dict:
     g = topo3d.genus(hist)
     rep = report.base_report("genus", digest)
-    rep["histogram"] = {
-        "m3": hist.m3,
-        "m4": hist.m4,
-        "m5": hist.m5,
-        "m6": hist.m6,
-        "irregular": hist.irregular,
-        "total": hist.total,
-    }
+    rep["histogram"] = report._surface_histogram_record(hist)
     rep["genus"] = g
     rep["euler_characteristic"] = 2 - 2 * g
     rep["method"] = "formula"
@@ -288,9 +264,6 @@ def _cmd_genus(ns) -> int:
 
 
 def _cmd_homology(ns) -> int:
-    bad = _reject_streaming(ns)
-    if bad is not None:
-        return bad
     grid = _load_any(ns.input)
     if not isinstance(grid, Volume3D):
         print("digitopo: error: homology expects a vox3 input", file=sys.stderr)
@@ -319,9 +292,6 @@ def _cmd_homology(ns) -> int:
 
 
 def _cmd_repair(ns) -> int:
-    bad = _reject_streaming(ns)
-    if bad is not None:
-        return bad
     grid = _load_any(ns.input)
     if isinstance(grid, Image2D):
         cleaned, speckle_actions = topo2d.remove_speckles(grid)
@@ -348,9 +318,6 @@ def _cmd_repair(ns) -> int:
 
 
 def _cmd_validate(ns) -> int:
-    bad = _reject_streaming(ns)
-    if bad is not None:
-        return bad
     grid = _load_any(ns.input)
     in_2d = isinstance(grid, Image2D)
     analyze = topo2d._analyze_components if in_2d else topo3d._analyze_pieces
@@ -382,10 +349,6 @@ def _cmd_validate(ns) -> int:
 
 
 def _cmd_gen(ns) -> int:
-    bad = _reject_streaming(ns)
-    if bad is not None:
-        return bad
-
     def triple(text):
         parts = [int(p) for p in text.split(",")]
         if len(parts) != 3:

@@ -25,6 +25,7 @@ root is its scan-first run, so the labels come out in scan order.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NoSuchComponentError
+from .errors import NoSuchComponentError, RepairDidNotConverge
 
 __all__ = [
     "Adjacency",
@@ -446,6 +447,65 @@ def _window_codes(p: np.ndarray) -> np.ndarray:
     return code
 
 
+# Per dimension: the bit of a cell at index i of a padded grid in the
+# codes of the windows that hold it, ``codes[i - 1 : i + 1]`` per axis.
+# The first of them holds it as its highest bit.
+_FLIP = {d: (1 << np.arange(2**d)[::-1]).astype(np.uint8).reshape((2,) * d) for d in (2, 3)}
+
+
+def _flip(p: np.ndarray, codes: np.ndarray, cell: tuple[int, ...]) -> None:
+    """Toggle ``p[cell]`` and its bit in the codes (``_window_codes(p)``)
+    of the 2x2 (2x2x2) windows that hold it."""
+    p[cell] = not p[cell]
+    codes[tuple(slice(i - 1, i + 1) for i in cell)] ^= _FLIP[p.ndim]
+
+
+def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray) -> list:
+    """``(vertex, hit)`` for every hit that ``hits`` lists at the code of
+    each vertex (an index tuple into ``codes``) whose ``order`` is not 0:
+    by ``order``, then in scan order, then in the order of the list."""
+    flat = codes.reshape(-1)
+    # ``take`` and a bool mask: half the time of ``order[codes]`` on a
+    # large grid.
+    at = np.flatnonzero(order.take(flat) != 0)
+    at = at[np.argsort(order[flat[at]], kind="stable")]
+    vertices = zip(*(i.tolist() for i in np.unravel_index(at, codes.shape)))
+    return [(v, hit) for v, code in zip(vertices, flat[at].tolist()) for hit in hits[code]]
+
+
+def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable):
+    """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
+    ``repair_3d``. Returns the edited copy and the list of ``fix`` results.
+
+    The edits go to one padded copy ``p`` (``_pad``), whose window codes
+    are computed once and kept current by ``_flip``. A round takes the
+    hits of the codes (``_hits``); it re-checks each against its window's
+    current code, since an earlier edit may have resolved it, and calls
+    ``fix(p, codes, vertex, hit)``, which edits through ``_flip``. Rounds
+    repeat until no hit is left. The loop is deterministic, so a round
+    that starts from a state already seen would repeat forever: it raises
+    ``RepairDidNotConverge``, as does a total of more than 4 edits per
+    cell.
+    """
+    p = _pad(cells)
+    codes = _window_codes(p)
+    cap = 4 * cells.size
+    fixes: list = []
+    seen: set[bytes] = set()
+    while found := _hits(codes, hits, order):
+        digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
+        if digest in seen:
+            raise RepairDidNotConverge("repair did not converge")
+        seen.add(digest)
+        for vertex, hit in found:
+            if hit not in hits[codes[vertex]]:
+                continue
+            if len(fixes) >= cap:
+                raise RepairDidNotConverge("repair did not converge")
+            fixes.append(fix(p, codes, vertex, hit))
+    return p[(slice(1, -1),) * p.ndim].copy(), fixes
+
+
 def _grid_of(cells: np.ndarray):
     """``cells``, (ny, nx) or (nz, ny, nx), as an Image2D or a Volume3D."""
     if cells.ndim == 2:
@@ -525,13 +585,13 @@ class _Hooks(NamedTuple):
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (grid, labeling) -> (windows, edits, owners, answers): the dirty
-    # components' windows by id, the edits made to the labels and their
-    # owners' ids (ascending), and the grid's answers or None.
+    # (grid, labeling) -> (dirty, edits, owners, answers): the dirty
+    # components' ids, the edits made to the labels and their owners' ids
+    # (ascending), and the grid's answers or None.
     scan: Callable
     # (cells, labeling) -> {label: answer or None} over labels with cells.
     classify: Callable
-    repair: Callable  # (canvas, origin, windows) -> (canvas, moved edits)
+    repair: Callable  # (canvas, origin) -> (canvas, moved edits)
     slow: Callable  # (piece, fallback_oracle, component_id, edits) -> report
     report: Callable  # (component_id, answer, edits) -> report
 
@@ -553,8 +613,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     and reads the same on the grid as on that component's canvas. Hence:
 
     * one labelling and one scan find the dirty components, those with a
-      pathological window of their own, and the windows a scan of each
-      one's canvas would find, which repair takes as its first round;
+      pathological window of their own;
     * a clean component is one piece that repair leaves alone, and one
       classification of the whole grid answers for all of them;
     * the dirty components are repaired on their canvases in id order,
@@ -571,16 +630,16 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     """
     label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
     labeling = label(grid, hooks.capture)
-    windows, edits, owners, answers = hooks.scan(grid, labeling)
-    boxes = _component_boxes(labeling, None if keep_pieces else windows)
+    dirty, edits, owners, answers = hooks.scan(grid, labeling)
+    boxes = _component_boxes(labeling, None if keep_pieces else dirty)
     log: list = []
     done = 0
     canvases, repaired = {}, {}
-    for cid in sorted(windows):
+    for cid in sorted(dirty):
         canvas, origin = _box_canvas(labeling, cid, boxes[cid])
         acts = []
         if repair:
-            canvas, acts = hooks.repair(canvas, origin, windows[cid])
+            canvas, acts = hooks.repair(canvas, origin)
             end = bisect_right(owners, cid)
             log += edits[done:end] + acts
             done = end

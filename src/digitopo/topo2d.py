@@ -30,16 +30,19 @@ from functools import partial
 
 import numpy as np
 
-from .errors import PreconditionFailure, RepairDidNotConverge
+from .errors import PreconditionFailure
 from .grid import (
     Adjacency,
     Image2D,
     Labeling,
     _Hooks,
     _count_components,
+    _flip,
+    _hits,
     _label_sizes,
     _pad,
     _per_component,
+    _repair,
     _window_codes,
 )
 from .oracle import holes_by_floodfill
@@ -164,6 +167,10 @@ class HoleReport:
 # 2x2 window codes (``_window_codes``): bit dx + 2*dy holds pixel (dx, dy).
 _MAIN, _ANTI = 0b1001, 0b0110
 _DIAGONAL = np.isin(np.arange(16), (_MAIN, _ANTI))
+# Per code: the pathological window it is, if any (``grid._hits``).
+_HITS = tuple(
+    {_MAIN: (Diag2D.MAIN,), _ANTI: (Diag2D.ANTI,)}.get(code, ()) for code in range(16)
+)
 # Per code: +1 at an inward corner point (three object pixels), -1 at an
 # outward one (one object pixel), 0 elsewhere.
 _TURN = np.array([(n == 3) - (n == 1) for n in map(int.bit_count, range(16))])
@@ -268,46 +275,14 @@ def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
 def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
     """All pathological 2x2 windows, in row-major anchor order.
 
-    Only windows inside the image are read: an overhanging window holds
-    at most one in-range cell of each diagonal, so it can never match.
+    A window overhanging the image holds at most one in-range cell of
+    each diagonal, so it can never match.
     """
-    codes = _window_codes(img.cells)
-    ys, xs = np.nonzero(_DIAGONAL[codes])
+    # Vertex (y, x) of the padded image anchors the window at (x - 1, y - 1).
     return [
-        Pathology2D(x, y, Diag2D.MAIN if code == _MAIN else Diag2D.ANTI)
-        for y, x, code in zip(ys.tolist(), xs.tolist(), codes[ys, xs].tolist())
+        Pathology2D(x - 1, y - 1, kind)
+        for (y, x), kind in _hits(_window_codes(_pad(img.cells)), _HITS, _DIAGONAL)
     ]
-
-
-def _window_cells(x: int, y: int) -> tuple[tuple[int, int], ...]:
-    return ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-
-
-def _get(cells: np.ndarray, x: int, y: int) -> bool:
-    if 0 <= y < cells.shape[0] and 0 <= x < cells.shape[1]:
-        return bool(cells[y, x])
-    return False
-
-
-def _window_pathological(cells: np.ndarray, x: int, y: int) -> Diag2D | None:
-    a = _get(cells, x, y)
-    b = _get(cells, x + 1, y)
-    c = _get(cells, x, y + 1)
-    d = _get(cells, x + 1, y + 1)
-    if a and d and not b and not c:
-        return Diag2D.MAIN
-    if b and c and not a and not d:
-        return Diag2D.ANTI
-    return None
-
-
-def _region_clean(cells: np.ndarray, x: int, y: int) -> bool:
-    """No pathological window within the 4x4 region around window (x, y)."""
-    for ay in range(y - 1, y + 2):
-        for ax in range(x - 1, x + 2):
-            if _window_pathological(cells, ax, ay) is not None:
-                return False
-    return True
 
 
 def repair_2d(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
@@ -318,45 +293,36 @@ def repair_2d(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
     delete the row-major-first foreground cell, delete the other. The first
     candidate that leaves the surrounding 4x4 region clean is kept. If all
     four create a new pathology nearby, the row-major-first foreground cell
-    is deleted regardless; deletions always terminate. A hard cap of
-    4 * width * height total actions guards against non-convergence.
+    is deleted regardless. Rounds over the pathologies left repeat until
+    none is (``grid._repair``); a round that starts from a state already
+    seen, or more than 4 * width * height actions in all, raises
+    ``RepairDidNotConverge``.
     """
-    cells = img.cells.copy()
-    actions: list[RepairAction] = []
-    cap = 4 * img.width * img.height
-    while True:
-        found = find_pathologies_2d(Image2D(img.width, img.height, cells))
-        if not found:
-            break
-        for p in found:
-            if _window_pathological(cells, p.x, p.y) != p.kind:
-                continue
-            if len(actions) >= cap:
-                raise RepairDidNotConverge("repair did not converge")
-            actions.append(_fix_window(cells, p))
+    cells, actions = _repair(img.cells, _HITS, _DIAGONAL, _fix_window)
     return Image2D(img.width, img.height, cells), actions
 
 
-def _fix_window(cells: np.ndarray, p: Pathology2D) -> RepairAction:
-    order = _window_cells(p.x, p.y)
-    bg = [c for c in order if not cells[c[1], c[0]]]
-    fg = [c for c in order if cells[c[1], c[0]]]
-    candidates = [
-        (RepairOp.ADD, bg[0]),
-        (RepairOp.ADD, bg[1]),
-        (RepairOp.DELETE, fg[0]),
-        (RepairOp.DELETE, fg[1]),
-    ]
-    for op, (cx, cy) in candidates:
-        cells[cy, cx] = op is RepairOp.ADD
-        if _region_clean(cells, p.x, p.y):
-            return RepairAction(cx, cy, op, RepairReason.PATHOLOGY)
-        cells[cy, cx] = op is not RepairOp.ADD
-    # Every candidate spawns a new pathology; fall back to deleting the
-    # row-major-first foreground cell, which at least shrinks the object.
-    cx, cy = fg[0]
-    cells[cy, cx] = False
-    return RepairAction(cx, cy, RepairOp.DELETE, RepairReason.PATHOLOGY)
+def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, _kind) -> RepairAction:
+    """``repair_2d``'s edit of the diagonal window at ``vertex`` of the
+    padded image ``p``, whose codes are ``codes`` (``grid._repair``)."""
+    y, x = vertex
+    window = [(y + dy, x + dx) for dy in (0, 1) for dx in (0, 1)]
+    bg = [c for c in window if not p[c]]
+    fg = [c for c in window if p[c]]
+    # The windows anchored within one pixel of this one.
+    region = codes[y - 1 : y + 2, x - 1 : x + 2]
+    for cell in bg + fg:
+        _flip(p, codes, cell)
+        if not _DIAGONAL[region].any():
+            break
+        _flip(p, codes, cell)
+    else:
+        # Every candidate spawns a new pathology; fall back to deleting the
+        # row-major-first foreground cell, which at least shrinks the object.
+        cell = fg[0]
+        _flip(p, codes, cell)
+    op = RepairOp.ADD if p[cell] else RepairOp.DELETE
+    return RepairAction(cell[1] - 1, cell[0] - 1, op, RepairReason.PATHOLOGY)
 
 
 def check_preconditions_2d(component: Image2D) -> PreconditionReport:
@@ -496,11 +462,11 @@ def _scan(img: Image2D, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
     of the despeckled image, whose None marks the dirty components."""
     answers, edits, owners = _window_pass(img.cells, labeling, speckles=True)
-    dirty = {cid: None for cid, answer in answers.items() if answer is None}
+    dirty = [cid for cid, answer in answers.items() if answer is None]
     return dirty, edits, owners, answers
 
 
-def _repair_canvas(canvas: Image2D, origin, _windows):
+def _repair_canvas(canvas: Image2D, origin):
     canvas, actions = repair_2d(canvas)
     return canvas, _shift_actions(actions, origin)
 

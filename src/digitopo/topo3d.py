@@ -36,9 +36,10 @@ side, each vertex has one code, and it gives:
 * its neighbor count, ``_DEGREE``: the number of mixed halves;
 * the pathological windows, from tables mapping a code to the windows it
   anchors: the vertex and complement patterns of the whole window, and
-  the edge patterns of its three low faces. The pathology scan pads on
-  the high side only, so every voxel anchors a window and edge windows
-  on the last layer of an axis are still seen.
+  the edge patterns of its three low faces. With the frame, every voxel
+  is the minimal voxel of one window, so edge windows on the last layer
+  of an axis are seen too. Repair keeps the codes of its padded copy
+  current through each edit (``grid._repair``).
 
 The eight voxels are pairwise 26-adjacent, so their object voxels belong
 to one 26-component; ``grid._per_component`` builds ``analyze_volume`` on
@@ -47,23 +48,25 @@ this.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
-from .errors import InvalidSurfaceError, RepairDidNotConverge
+from .errors import InvalidSurfaceError
 from .grid import (
     Adjacency,
     Labeling,
     Volume3D,
     _Hooks,
     _components,
+    _flip,
+    _hits,
     _label_sizes,
     _pad,
     _per_component,
+    _repair,
     _window_codes,
 )
 from .oracle import _surface_components
@@ -137,37 +140,31 @@ class SurfaceHistogram:
 class SurfacePointSet:
     """Surface points of a volume on the dual vertex grid.
 
-    ``mask`` is a boolean array over the (nx+1, ny+1, nz+1) vertex grid,
-    indexed ``mask[vz, vy, vx]``. ``points`` materializes the vertex set as
-    (x, y, z) tuples. ``_codes`` holds the window code of every vertex of
-    the owner's grid (see the module docstring), shared by the parts of a
-    split; each point's surface edges and neighbor count are read from it.
-    Built by ``to_point_space``, which keeps the mask, and by
-    ``split_surface_components``, whose parts keep only ``_ids``, their
-    flat vertex indices in ascending order, and build ``mask`` when it is
-    read.
+    ``_codes`` holds the window code of every vertex of the owner's grid
+    (see the module docstring), shared by the parts of a split; each
+    point's surface edges and neighbor count are read from it. ``_ids``
+    holds the points' flat indices into ``_codes``, in ascending order.
+    ``mask``, a boolean array over the (nx+1, ny+1, nz+1) vertex grid
+    indexed ``mask[vz, vy, vx]``, and ``points``, the (x, y, z) tuples,
+    are built from them when read.
     """
 
-    __slots__ = ("owner", "_codes", "_mask", "_ids")
+    __slots__ = ("owner", "_codes", "_ids")
 
-    def __init__(self, mask, owner: Volume3D, codes: np.ndarray, ids=None):
+    def __init__(self, owner: Volume3D, codes: np.ndarray, ids: np.ndarray):
         self.owner = owner
         self._codes = codes
-        self._mask = mask
         self._ids = ids
 
     @property
     def mask(self) -> np.ndarray:
-        if self._mask is not None:
-            return self._mask
         mask = np.zeros(self._codes.shape, dtype=bool)
         mask.ravel()[self._ids] = True
         return mask
 
     @property
     def points(self) -> set[tuple[int, int, int]]:
-        ids = np.flatnonzero(self._mask) if self._ids is None else self._ids
-        zs, ys, xs = np.unravel_index(ids, self._codes.shape)
+        zs, ys, xs = np.unravel_index(self._ids, self._codes.shape)
         return {
             (int(x), int(y), int(z))
             for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())
@@ -178,14 +175,12 @@ class SurfacePointSet:
         nz1, ny1, nx1 = self._codes.shape
         if not (0 <= x < nx1 and 0 <= y < ny1 and 0 <= z < nz1):
             return False
-        if self._ids is None:
-            return bool(self._mask[z, y, x])
         at = (z * ny1 + y) * nx1 + x
         i = int(self._ids.searchsorted(at))
         return i < self._ids.size and int(self._ids[i]) == at
 
     def __len__(self) -> int:
-        return int(self._mask.sum()) if self._ids is None else int(self._ids.size)
+        return int(self._ids.size)
 
     def __repr__(self) -> str:
         return f"SurfacePointSet({len(self)} points)"
@@ -232,6 +227,9 @@ _ANTIPODAL = (
 # Voxel offsets (dx, dy, dz) of a 2x2x2 window, in scan order.
 _CUBE = tuple((dx, dy, dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1))
 
+# Index offsets (dz, dy, dx) of a voxel's six face neighbours.
+_FACES = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0))
+
 # The two unit offsets spanning the 2x2 voxel block around an edge along
 # x, y and z.
 _EDGE_SPANS = (
@@ -275,9 +273,17 @@ def _code_hits() -> tuple:
     return tuple(tuple(h) for h in hits)
 
 
-# Per window code: the windows it anchors, and whether there are any.
+# Per window code: the windows it anchors, whether there are any, and
+# the pass of a repair round that takes them (complement windows first).
 _CODE_HITS = _code_hits()
 _CODE_DIRTY = np.array([bool(hits) for hits in _CODE_HITS])
+_CODE_PASS = np.array(
+    [
+        0 if not hits else 1 if hits[0][0] is Pathology3DKind.COMPLEMENT_VERTEX_PAIR else 2
+        for hits in _CODE_HITS
+    ],
+    dtype=np.uint8,
+)
 
 
 def _surface_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -307,169 +313,69 @@ _DEGREE, _UP_EDGES = _surface_tables()
 def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
     """All pathological windows, ordered by anchor in scan order.
 
-    One pass builds the 8-bit code of every 2x2x2 window, the grid padded
-    by one empty voxel on the high side of each axis; a 256-entry table
-    marks the codes anchoring a pathology, and a second one lists those
-    windows per code. Windows sharing an anchor come vertex pairs first,
-    then edge pairs by axis, then complement pairs. An edge window is
-    anchored at its minimum voxel, as the low face of the window there.
+    One pass builds the 8-bit code of every 2x2x2 window of the padded
+    grid; a 256-entry table marks the codes anchoring a pathology, and a
+    second one lists those windows per code. Windows sharing an anchor
+    come vertex pairs first, then edge pairs by axis, then complement
+    pairs. An edge window is anchored at its minimum voxel, as the low
+    face of the window there.
     """
-    nz, ny, nx = vol.cells.shape
-    # Padded on the high side only, so the code array needs no slice and
-    # stays contiguous for ``ravel``.
-    p = np.zeros((nz + 1, ny + 1, nx + 1), dtype=bool)
-    p[:nz, :ny, :nx] = vol.cells
-    codes = _window_codes(p)
-    at = np.flatnonzero(_CODE_DIRTY[codes])
-    zs, ys, xs = np.unravel_index(at, codes.shape)
     found = []
-    for z, y, x, code in zip(
-        zs.tolist(), ys.tolist(), xs.tolist(), codes.ravel()[at].tolist()
+    for (z, y, x), (kind, (a, b), axis) in _hits(
+        _window_codes(_pad(vol.cells)), _CODE_HITS, _CODE_DIRTY
     ):
-        for kind, (a, b), axis in _CODE_HITS[code]:
-            pair = (
-                (x + a[0], y + a[1], z + a[2]),
-                (x + b[0], y + b[1], z + b[2]),
-            )
-            found.append(Pathology3D(x, y, z, kind, pair, axis))
+        # Vertex (z, y, x) anchors the window at voxel (x - 1, y - 1, z - 1).
+        x, y, z = x - 1, y - 1, z - 1
+        pair = ((x + a[0], y + a[1], z + a[2]), (x + b[0], y + b[1], z + b[2]))
+        found.append(Pathology3D(x, y, z, kind, pair, axis))
     return found
-
-
-def _window_owner(labels: np.ndarray, p: Pathology3D) -> int:
-    """Label of a pathological window's component.
-
-    The object voxels of a window are pairwise 26-adjacent, so they all
-    carry one label. The pair of a complement window is empty, but the
-    voxel next to its first along x is object.
-    """
-    x, y, z = p.pair[0]
-    if p.kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR:
-        x = 2 * p.x + 1 - x
-    return int(labels[z, y, x])
-
-
-def _shift_window(p: Pathology3D, origin) -> Pathology3D:
-    """``p`` in the coordinates of a canvas at ``origin``."""
-    ox, oy, oz = origin
-    a, b = ((x - ox, y - oy, z - oz) for x, y, z in p.pair)
-    return Pathology3D(p.x - ox, p.y - oy, p.z - oz, p.kind, (a, b), p.axis)
 
 
 # ---------------------------------------------------------------------------
 # repair
 
 
-def _vget(cells: np.ndarray, x: int, y: int, z: int) -> bool:
-    nz, ny, nx = cells.shape
-    if 0 <= x < nx and 0 <= y < ny and 0 <= z < nz:
-        return bool(cells[z, y, x])
-    return False
-
-
-def _object_degree(cells: np.ndarray, p: tuple[int, int, int]) -> int:
-    x, y, z = p
-    return sum(
-        _vget(cells, x + dx, y + dy, z + dz)
-        for dx, dy, dz in (
-            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-        )
-    )
-
-
-def _flat(cells: np.ndarray, p: tuple[int, int, int]) -> int:
-    nz, ny, nx = cells.shape
-    x, y, z = p
-    return (z * ny + y) * nx + x
-
-
-def _matches_3d(cells: np.ndarray, p: Pathology3D) -> bool:
-    if p.kind is Pathology3DKind.EDGE_PAIR:
-        lo = (p.x, p.y, p.z)
-        offs = {0: ((0, 1, 0), (0, 0, 1), (0, 1, 1)),
-                1: ((1, 0, 0), (0, 0, 1), (1, 0, 1)),
-                2: ((1, 0, 0), (0, 1, 0), (1, 1, 0))}[p.axis]
-        window = [lo] + [(lo[0] + o[0], lo[1] + o[1], lo[2] + o[2]) for o in offs]
-        pair = set(p.pair)
-        return all(
-            _vget(cells, *cell) == (cell in pair) for cell in window
-        )
-    count = 0
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                count += _vget(cells, p.x + dx, p.y + dy, p.z + dz)
-    a, b = p.pair
-    if p.kind is Pathology3DKind.VERTEX_PAIR:
-        return count == 2 and _vget(cells, *a) and _vget(cells, *b)
-    return count == 6 and not _vget(cells, *a) and not _vget(cells, *b)
-
-
-def _fix_3d(cells: np.ndarray, p: Pathology3D) -> RepairAction:
-    a, b = p.pair
-    da, db = _object_degree(cells, a), _object_degree(cells, b)
-    if p.kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR:
-        # Fill the empty position that shares the most faces with the set;
-        # ties go to the scan-first position.
-        if (db, -_flat(cells, b)) > (da, -_flat(cells, a)):
-            target = b
-        else:
-            target = a
-        cells[target[2], target[1], target[0]] = True
-        return RepairAction(
-            target[0], target[1], RepairOp.ADD, RepairReason.PATHOLOGY, z=target[2]
-        )
-    # Delete the less connected voxel of the pair; ties delete the
-    # scan-later one.
-    if (da, -_flat(cells, a)) < (db, -_flat(cells, b)):
-        target = a
-    else:
-        target = b
-    cells[target[2], target[1], target[0]] = False
-    return RepairAction(
-        target[0], target[1], RepairOp.DELETE, RepairReason.PATHOLOGY, z=target[2]
-    )
-
-
-def repair_3d(
-    vol: Volume3D, *, found: list[Pathology3D] | None = None
-) -> tuple[Volume3D, list[RepairAction]]:
+def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
     """Edit the volume until no pathological window remains.
 
-    Each scan applies fills for complement windows first, then deletions
+    Each round applies fills for complement windows first, then deletions
     for vertex and edge pairs, re-verifying each window before acting since
-    earlier edits may have resolved it. Scans repeat until clean, with a
-    hard cap of 4 * nx * ny * nz total actions.
+    earlier edits may have resolved it. Rounds repeat until clean, with a
+    hard cap of 4 * nx * ny * nz total actions (``grid._repair``).
 
     The greedy rules can oscillate: a fill may complete a pair whose
     deletion restores the filled voxel. The loop is deterministic, so a
     repeated grid state proves the cap will be exceeded; it is reported
     immediately instead of grinding out the remaining actions.
-
-    ``found``, when given, must equal ``find_pathologies_3d(vol)``; a
-    caller that has already scanned the volume passes it to spare the
-    first scan.
     """
-    cells = vol.cells.copy()
-    actions: list[RepairAction] = []
-    cap = 4 * vol.nx * vol.ny * vol.nz
-    seen_states: set[bytes] = set()
-    if found is None:
-        found = find_pathologies_3d(vol)
-    while found:
-        digest = hashlib.blake2b(cells.tobytes(), digest_size=16).digest()
-        if digest in seen_states:
-            raise RepairDidNotConverge("repair did not converge")
-        seen_states.add(digest)
-        ordered = [p for p in found if p.kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR]
-        ordered += [p for p in found if p.kind is not Pathology3DKind.COMPLEMENT_VERTEX_PAIR]
-        for p in ordered:
-            if not _matches_3d(cells, p):
-                continue
-            if len(actions) >= cap:
-                raise RepairDidNotConverge("repair did not converge")
-            actions.append(_fix_3d(cells, p))
-        found = find_pathologies_3d(Volume3D(vol.nx, vol.ny, vol.nz, cells))
+    cells, actions = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window)
     return Volume3D(vol.nx, vol.ny, vol.nz, cells), actions
+
+
+def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> RepairAction:
+    """``repair_3d``'s edit of the pathological window ``hit`` at
+    ``vertex`` of the padded volume ``p``, whose codes are ``codes``
+    (``grid._repair``).
+
+    A complement window gets the empty voxel of its pair that shares the
+    most faces with the set, the scan-first on a tie; any other loses the
+    object voxel of its pair that shares the fewest, the scan-later on a
+    tie.
+    """
+    kind, pair, _ = hit
+    # Index tuples (z, y, x) of the pair, scan-first first.
+    a, b = sorted(tuple(i + d for i, d in zip(vertex, off[::-1])) for off in pair)
+    da, db = (
+        sum(bool(p[z + dz, y + dy, x + dx]) for dz, dy, dx in _FACES) for z, y, x in (a, b)
+    )
+    if kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR:
+        cell = b if db > da else a
+    else:
+        cell = a if da < db else b
+    _flip(p, codes, cell)
+    z, y, x = cell
+    op = RepairOp.ADD if p[cell] else RepairOp.DELETE
+    return RepairAction(x - 1, y - 1, op, RepairReason.PATHOLOGY, z=z - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +416,7 @@ def _surface_mask(codes: np.ndarray) -> np.ndarray:
 def to_point_space(vol: Volume3D) -> SurfacePointSet:
     """All surface points of a volume on the dual vertex grid."""
     codes = _window_codes(_pad(vol.cells))
-    return SurfacePointSet(_surface_mask(codes), vol, codes)
+    return SurfacePointSet(vol, codes, np.flatnonzero(_surface_mask(codes)))
 
 
 def _surface_histogram(bins) -> SurfaceHistogram:
@@ -553,20 +459,19 @@ def surface_neighbors(p: tuple[int, int, int], s: SurfacePointSet) -> int:
     return count
 
 
-def _surface_graph(mask: np.ndarray, codes: np.ndarray):
-    """The points of ``mask`` and their surface-edge components.
+def _surface_graph(node_ids: np.ndarray, codes: np.ndarray):
+    """The surface-edge components of the points ``node_ids``, flat vertex
+    indices into ``codes`` in ascending order.
 
     ``codes`` are the vertex codes of the whole grid. Returns
-    ``(node_ids, count, labels)``: the flat vertex indices of the points in
-    ascending order, the number of components and each point's component.
-    Edges are read from the points' own codes, and a surface edge joins
-    two points of one surface, so when ``mask`` is a union of surfaces the
-    edges never leave it.
+    ``(node_ids, count, labels)``: the points, the number of components
+    and each point's component. Edges are read from the points' own
+    codes, and a surface edge joins two points of one surface, so when
+    the points are a union of surfaces the edges never leave them.
     """
-    node_ids = np.flatnonzero(mask)
     n = node_ids.size
     up = _UP_EDGES[codes.ravel()[node_ids]]
-    _, ny1, nx1 = mask.shape
+    _, ny1, nx1 = codes.shape
     rows = [np.flatnonzero(up & bit) for bit in (1, 2, 4)]
     ends = [node_ids[r] + step for r, step in zip(rows, (1, nx1, ny1 * nx1))]
     a = np.concatenate(rows)
@@ -581,16 +486,15 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     Components are ordered by their minimal vertex in scan order. Each
     part holds its points' flat vertex indices, not a mask of the grid.
     """
-    mask = s.mask
-    if not mask.any():
+    if not s._ids.size:
         return []
-    node_ids, count, labels = _surface_graph(mask, s._codes)
+    node_ids, count, labels = _surface_graph(s._ids, s._codes)
     # Components are numbered by their first node and node_ids ascend, so
     # they come by minimal vertex, and a stable sort keeps each one's
     # points ascending.
     members = node_ids[np.argsort(labels, kind="stable")]
     cuts = np.bincount(labels, minlength=count).cumsum()[:-1]
-    return [SurfacePointSet(None, s.owner, s._codes, ids) for ids in np.split(members, cuts)]
+    return [SurfacePointSet(s.owner, s._codes, ids) for ids in np.split(members, cuts)]
 
 
 def _vertex_owner(labels: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -618,7 +522,7 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
     minimal vertex.
     """
     codes = _window_codes(_pad(cells))
-    node_ids, n, comp = _surface_graph(_surface_mask(codes), codes)
+    node_ids, n, comp = _surface_graph(np.flatnonzero(_surface_mask(codes)), codes)
     out: list = [[] for _ in range(count + 1)]
     if n == 0:
         return out
@@ -645,8 +549,7 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
     """Histogram of surface neighbor counts over one point set."""
-    codes = s._codes[s._mask] if s._ids is None else s._codes.ravel()[s._ids]
-    return _surface_histogram(np.bincount(_DEGREE[codes], minlength=7))
+    return _surface_histogram(np.bincount(_DEGREE[s._codes.ravel()[s._ids]], minlength=7))
 
 
 def genus(hist: SurfaceHistogram) -> int:
@@ -713,14 +616,12 @@ def homology(
 
 
 def _scan(vol: Volume3D, lab26: Labeling):
-    """The driver's scan (``grid._Hooks``): the pathological windows,
-    grouped by the component that owns them. A component's windows,
-    shifted onto its canvas, are what a scan of the canvas finds, in the
-    same order."""
-    windows: dict[int, list[Pathology3D]] = {}
-    for p in find_pathologies_3d(vol):
-        windows.setdefault(_window_owner(lab26.labels, p), []).append(p)
-    return windows, [], [], None
+    """The driver's scan (``grid._Hooks``): the ids of the components
+    that own a pathological window. A window's object voxels are
+    26-adjacent, so they carry one label."""
+    codes = _window_codes(_pad(vol.cells))
+    dirty = _vertex_owner(lab26.labels, np.flatnonzero(_CODE_DIRTY[codes]))
+    return set(dirty.tolist()), [], [], None
 
 
 def _classify(cells: np.ndarray, labeling: Labeling) -> dict:
@@ -731,9 +632,8 @@ def _classify(cells: np.ndarray, labeling: Labeling) -> dict:
     return {i: None if s is None else (sizes[i], s) for i, s in enumerate(formula) if i}
 
 
-def _repair_canvas(canvas: Volume3D, origin, windows):
-    found = [_shift_window(p, origin) for p in windows]
-    canvas, actions = repair_3d(canvas, found=found)
+def _repair_canvas(canvas: Volume3D, origin):
+    canvas, actions = repair_3d(canvas)
     return canvas, _shift_actions(actions, origin)
 
 

@@ -570,7 +570,10 @@ class TestCliExitCodes:
         write_vox3(gen_frame(1), path)
         # --streaming outside genus/bench, and genus --streaming without
         # --no-repair, are both usage errors.
-        assert run_cli(capsys, "homology", "--streaming", str(path))[0] == 64
+        for cmd in ("components", "holes", "homology", "repair", "validate"):
+            assert run_cli(capsys, cmd, "--streaming", str(path))[0] == 64, cmd
+        assert run_cli(capsys, "gen", "frame", "--streaming", str(tmp_path / "g.vox3"))[0] == 64
+        assert not (tmp_path / "g.vox3").exists()
         assert run_cli(capsys, "genus", "--streaming", str(path))[0] == 64
 
     def test_help_exits_zero(self, capsys):

@@ -148,7 +148,7 @@ def test_surface_graph_matches_csgraph(shape, density, seed):
     cells = np.random.default_rng(seed).random(shape) < density
     codes = _window_codes(_pad(cells))
     mask = topo3d._surface_mask(codes)
-    got = topo3d._surface_graph(mask, codes)
+    got = topo3d._surface_graph(np.flatnonzero(mask), codes)
     want = csgraph_surface_components(mask, codes)
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]

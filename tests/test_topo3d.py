@@ -47,11 +47,10 @@ from digitopo.topo3d import (
     _DEGREE,
     _UP_EDGES,
     _analyze_pieces,
-    _fix_3d,
-    _matches_3d,
 )
 
 from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, volume
+from test_repair_reference import _fix_3d, _matches_3d
 
 
 def hist_tuple(h):
