@@ -58,40 +58,40 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit a JSON report")
-    shared.add_argument(
+    # The analysis flags, on the commands that read them.
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument(
         "--no-repair", action="store_true", help="analyze the input as-is"
     )
-    shared.add_argument(
+    analysis.add_argument(
         "--fallback-oracle",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="fall back to slow exact counting when formula preconditions fail",
     )
-    shared.add_argument("--seed", type=int, default=0, help="generator seed")
 
     parser = _Parser(prog="digitopo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="cmd", required=True, metavar="command")
 
     streaming_help = "fold slab by slab in bounded memory"
 
-    def sub(name, helptext, **kw):
-        p = subs.add_parser(name, parents=[shared], help=helptext, **kw)
-        return p
+    def sub(name, helptext, *parents):
+        return subs.add_parser(name, parents=[shared, *parents], help=helptext)
 
     p = sub("components", "count connected components")
     p.add_argument("input")
     p.set_defaults(func=_cmd_components)
 
-    p = sub("holes", "hole count per 2D component")
+    p = sub("holes", "hole count per 2D component", analysis)
     p.add_argument("input")
     p.set_defaults(func=_cmd_holes)
 
-    p = sub("genus", "genus of the whole boundary surface of a 3D volume")
+    p = sub("genus", "genus of the whole boundary surface of a 3D volume", analysis)
     p.add_argument("input")
     p.add_argument("--streaming", action="store_true", help=streaming_help)
     p.set_defaults(func=_cmd_genus)
 
-    p = sub("homology", "Betti numbers per 3D component")
+    p = sub("homology", "Betti numbers per 3D component", analysis)
     p.add_argument("input")
     p.set_defaults(func=_cmd_homology)
 
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="write the repaired grid here")
     p.set_defaults(func=_cmd_repair)
 
-    p = sub("validate", "run formula and oracle paths and compare")
+    p = sub("validate", "run formula and oracle paths and compare", analysis)
     p.add_argument("input")
     p.set_defaults(func=_cmd_validate)
 
@@ -124,6 +124,7 @@ def _build_parser() -> _Parser:
         ],
     )
     p.add_argument("output")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--nx", type=int)
@@ -497,7 +498,7 @@ def cli_dispatch(argv) -> int:
         return 2
     except InvalidSurfaceError as e:
         print(f"digitopo: error: {e}", file=sys.stderr)
-        return 1 if ns.fallback_oracle else 2
+        return 1 if getattr(ns, "fallback_oracle", True) else 2
     except (DigitopoError, OSError, ValueError) as e:
         print(f"digitopo: error: {e}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ root is its scan-first run, so the labels come out in scan order.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -222,6 +221,39 @@ class Labeling:
     adjacency: Adjacency
 
 
+class RepairOp(Enum):
+    DELETE = "delete"
+    ADD = "add"
+
+
+class RepairReason(Enum):
+    SPECKLE = "speckle"
+    PATHOLOGY = "pathology-fix"
+
+
+@dataclass(frozen=True, slots=True)
+class RepairAction:
+    """One grid edit. ``z`` is None for image edits."""
+
+    x: int
+    y: int
+    op: RepairOp
+    reason: RepairReason
+    z: int | None = None
+
+
+def _shift_actions(actions, origin) -> list[RepairAction]:
+    """``actions`` moved by ``origin``, (x, y) or (x, y, z); ``z`` is
+    shifted only when it is not None."""
+    ox, oy, oz = (*origin, 0)[:3]
+    return [
+        RepairAction(
+            a.x + ox, a.y + oy, a.op, a.reason, None if a.z is None else a.z + oz
+        )
+        for a in actions
+    ]
+
+
 # Cells per block of the whole-grid passes over labels, which keep their
 # temporaries to a block rather than a grid.
 _BLOCK = 1 << 18
@@ -409,13 +441,6 @@ def label_background_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D
     return Labeling(labels[1:-1, 1:-1].copy(), count, adjacency)
 
 
-def _component_bounds(labels: np.ndarray, component_id: int, count: int):
-    if not 1 <= component_id <= count:
-        raise NoSuchComponentError(f"no such component: {component_id}")
-    idx = np.nonzero(labels == component_id)
-    return tuple(slice(int(axis.min()), int(axis.max()) + 1) for axis in idx)
-
-
 def _pad(cells: np.ndarray) -> np.ndarray:
     """``cells`` inside a frame of one empty cell on every side."""
     # np.pad's fixed cost outweighs a whole classification of a small
@@ -447,6 +472,24 @@ def _window_codes(p: np.ndarray) -> np.ndarray:
     return code
 
 
+# Per window code: the bit of its lowest and of its highest set cell.
+_LOW_BIT = np.array([(c & -c).bit_length() - 1 for c in range(256)])
+_HIGH_BIT = np.array([c.bit_length() - 1 for c in range(256)])
+
+
+def _window_cells(shape: tuple[int, ...], vertices: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Flat index into a grid of ``shape`` of the cell at bit ``bits`` of
+    each window; ``vertices`` are flat indices into the window codes of
+    that grid padded by one empty cell (``_pad``, ``_window_codes``),
+    whose window at vertex i holds cells i - 1 + d per axis. The bits
+    must be set cells (``_LOW_BIT``, ``_HIGH_BIT``), so none is a pad."""
+    at = np.unravel_index(vertices, tuple(n + 1 for n in shape))
+    top = len(shape) - 1
+    return np.ravel_multi_index(
+        tuple(i + (bits >> (top - axis) & 1) - 1 for axis, i in enumerate(at)), shape
+    )
+
+
 # Per dimension: the bit of a cell at index i of a padded grid in the
 # codes of the windows that hold it, ``codes[i - 1 : i + 1]`` per axis.
 # The first of them holds it as its highest bit.
@@ -475,22 +518,24 @@ def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray) -> list:
 
 def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable):
     """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
-    ``repair_3d``. Returns the edited copy and the list of ``fix`` results.
+    ``repair_3d``. Returns the edited copy and its edits, in the
+    coordinates of ``cells``.
 
     The edits go to one padded copy ``p`` (``_pad``), whose window codes
     are computed once and kept current by ``_flip``. A round takes the
     hits of the codes (``_hits``); it re-checks each against its window's
     current code, since an earlier edit may have resolved it, and calls
-    ``fix(p, codes, vertex, hit)``, which edits through ``_flip``. Rounds
-    repeat until no hit is left. The loop is deterministic, so a round
-    that starts from a state already seen would repeat forever: it raises
-    ``RepairDidNotConverge``, as does a total of more than 4 edits per
-    cell.
+    ``fix(p, codes, vertex, hit)``, which flips one cell through
+    ``_flip`` and returns it. The edit is an ADD when the cell is now
+    set, else a DELETE. Rounds repeat until no hit is left. The loop is
+    deterministic, so a round that starts from a state already seen
+    would repeat forever: it raises ``RepairDidNotConverge``, as does a
+    total of more than 4 edits per cell.
     """
     p = _pad(cells)
     codes = _window_codes(p)
     cap = 4 * cells.size
-    fixes: list = []
+    actions: list[RepairAction] = []
     seen: set[bytes] = set()
     while found := _hits(codes, hits, order):
         digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
@@ -500,10 +545,14 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable):
         for vertex, hit in found:
             if hit not in hits[codes[vertex]]:
                 continue
-            if len(fixes) >= cap:
+            if len(actions) >= cap:
                 raise RepairDidNotConverge("repair did not converge")
-            fixes.append(fix(p, codes, vertex, hit))
-    return p[(slice(1, -1),) * p.ndim].copy(), fixes
+            cell = fix(p, codes, vertex, hit)
+            op = RepairOp.ADD if p[cell] else RepairOp.DELETE
+            # ``cell`` indexes ``p``: (y, x) or (z, y, x), one past the source.
+            x, y, *z = (i - 1 for i in reversed(cell))
+            actions.append(RepairAction(x, y, op, RepairReason.PATHOLOGY, *z))
+    return p[(slice(1, -1),) * p.ndim].copy(), actions
 
 
 def _grid_of(cells: np.ndarray):
@@ -513,21 +562,22 @@ def _grid_of(cells: np.ndarray):
     return Volume3D(cells.shape[2], cells.shape[1], cells.shape[0], cells)
 
 
-def _box_canvas(labeling: Labeling, component_id: int, box: tuple[slice, ...]):
-    """The component inside its bounding ``box``, as ``_component_canvas``
-    returns it."""
-    origin = tuple([s.start - 1 for s in box][::-1])
-    return _grid_of(_pad(labeling.labels[box] == component_id)), origin
-
-
-def _component_canvas(labeling: Labeling, component_id: int):
+def _component_canvas(labeling: Labeling, component_id: int, box=None):
     """Extract one component onto a canvas with a 1-cell background pad.
 
     Returns ``(grid, origin)`` where ``origin`` maps canvas coordinates back
     to the source: source = canvas + origin, per axis in (x, y[, z]) order.
+    ``box``, the component's bounding box as one slice per array axis
+    (``_component_boxes``), is found here when not given. Raises
+    NoSuchComponentError for ids outside ``1..count``.
     """
-    box = _component_bounds(labeling.labels, component_id, labeling.count)
-    return _box_canvas(labeling, component_id, box)
+    if not 1 <= component_id <= labeling.count:
+        raise NoSuchComponentError(f"no such component: {component_id}")
+    if box is None:
+        at = np.nonzero(labeling.labels == component_id)
+        box = tuple(slice(int(axis.min()), int(axis.max()) + 1) for axis in at)
+    origin = tuple([s.start - 1 for s in box][::-1])
+    return _grid_of(_pad(labeling.labels[box] == component_id)), origin
 
 
 def _component_boxes(labeling: Labeling, ids=None) -> dict[int, tuple[slice, ...]]:
@@ -575,23 +625,25 @@ def _cut_out(labeling: Labeling, component_id: int, boxes: dict):
     """The component on its own padded canvas if ``boxes`` holds its box,
     else None."""
     box = boxes.get(component_id)
-    return None if box is None else _box_canvas(labeling, component_id, box)[0]
+    return None if box is None else _component_canvas(labeling, component_id, box)[0]
 
 
 class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
-    and ``topo3d._HOOKS``. A hook looks up what it calls when it runs, so
-    that a traced entry point stays traced."""
+    and ``topo3d._HOOKS``: the dimension's rules only. The driver cuts
+    the canvases (``_component_canvas``) and moves edits to the source.
+    A hook looks up what it calls when it runs, so that a traced entry
+    point stays traced."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (grid, labeling) -> (dirty, edits, owners, answers): the dirty
-    # components' ids, the edits made to the labels and their owners' ids
-    # (ascending), and the grid's answers or None.
+    # (grid, labeling) -> (dirty, (owners, edits), answers): the dirty
+    # components' ids, the edits made to the labels with the id of each
+    # one's owner, and the grid's answers or None.
     scan: Callable
     # (cells, labeling) -> {label: answer or None} over labels with cells.
     classify: Callable
-    repair: Callable  # (canvas, origin) -> (canvas, moved edits)
+    repair: Callable  # canvas -> (canvas, edits in canvas coordinates)
     slow: Callable  # (piece, fallback_oracle, component_id, edits) -> report
     report: Callable  # (component_id, answer, edits) -> report
 
@@ -602,8 +654,9 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     classified: ``holes_pipeline``, ``analyze_volume`` and ``validate``,
     with the ``hooks`` of their dimension. Returns one ``(report, piece)``
     per piece in component order (the piece on its own padded canvas when
-    ``keep_pieces`` is set, else None), and the edits of the scan and of
-    repair in source coordinates, component by component.
+    ``keep_pieces`` is set, else None), and the log in source
+    coordinates: per component in id order, its scan edits and then its
+    repair edits, moved by its canvas origin.
 
     The work is done per grid, not per component. Every answer is read
     from 2x2 (2x2x2) windows, whose object cells are adjacent through the
@@ -630,21 +683,19 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     """
     label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
     labeling = label(grid, hooks.capture)
-    dirty, edits, owners, answers = hooks.scan(grid, labeling)
+    dirty, (owners, log), answers = hooks.scan(grid, labeling)
     boxes = _component_boxes(labeling, None if keep_pieces else dirty)
-    log: list = []
-    done = 0
     canvases, repaired = {}, {}
     for cid in sorted(dirty):
-        canvas, origin = _box_canvas(labeling, cid, boxes[cid])
+        canvas, origin = _component_canvas(labeling, cid, boxes[cid])
         acts = []
         if repair:
-            canvas, acts = hooks.repair(canvas, origin)
-            end = bisect_right(owners, cid)
-            log += edits[done:end] + acts
-            done = end
-        canvases[cid], repaired[cid] = canvas.cells, tuple(acts)
-    log += edits[done:]
+            canvas, acts = hooks.repair(canvas)
+        canvases[cid], repaired[cid] = canvas.cells, tuple(_shift_actions(acts, origin))
+        owners += [cid] * len(acts)
+        log += repaired[cid]
+    # A stable sort by owner: each component's scan edits, then its repair edits.
+    log = [log[i] for i in np.argsort(owners, kind="stable").tolist()]
     if answers is None:
         answers = hooks.classify(grid.cells, labeling)
 
@@ -694,8 +745,7 @@ def extract_component(labeling: Labeling, component_id: int):
     """Copy one component to a fresh grid: tight bounding box plus a 1-cell
     background pad on every side. Raises NoSuchComponentError for ids
     outside ``1..count``."""
-    grid, _ = _component_canvas(labeling, component_id)
-    return grid
+    return _component_canvas(labeling, component_id)[0]
 
 
 def window2(img: Image2D, x: int, y: int) -> tuple[bool, bool, bool, bool]:

@@ -50,7 +50,7 @@ import random
 
 import numpy as np
 
-from .grid import Image2D, Volume3D
+from .grid import Image2D, Volume3D, _grid_of, _pad
 
 __all__ = [
     "gen_block_2d",
@@ -71,18 +71,14 @@ def gen_block_2d(w: int, h: int) -> Image2D:
     """Solid w-by-h rectangle with a 1-pixel background pad."""
     if w <= 0 or h <= 0:
         raise ValueError("block extents must be positive")
-    cells = np.zeros((h + 2, w + 2), dtype=bool)
-    cells[1:-1, 1:-1] = True
-    return Image2D(w + 2, h + 2, cells)
+    return _grid_of(_pad(np.ones((h, w), dtype=bool)))
 
 
 def gen_block_3d(nx: int, ny: int, nz: int) -> Volume3D:
     """Solid block with a 1-voxel background pad."""
     if nx <= 0 or ny <= 0 or nz <= 0:
         raise ValueError("block extents must be positive")
-    cells = np.zeros((nz + 2, ny + 2, nx + 2), dtype=bool)
-    cells[1:-1, 1:-1, 1:-1] = True
-    return Volume3D(nx + 2, ny + 2, nz + 2, cells)
+    return _grid_of(_pad(np.ones((nz, ny, nx), dtype=bool)))
 
 
 def gen_frame(holes: int, ring_width: int = 1, thickness: int = 1) -> Volume3D:
@@ -95,15 +91,8 @@ def gen_frame(holes: int, ring_width: int = 1, thickness: int = 1) -> Volume3D:
     """
     if holes < 0 or ring_width < 1 or thickness < 1:
         raise ValueError("bad frame parameters")
-    rw, t = ring_width, thickness
-    x_ext = (2 * holes + 1) * rw
-    y_ext = 3 * rw
-    cells = np.zeros((t + 2, y_ext + 2, x_ext + 2), dtype=bool)
-    cells[1:-1, 1:-1, 1:-1] = True
-    for j in range(holes):
-        x0 = 1 + (2 * j + 1) * rw
-        cells[1:-1, 1 + rw : 1 + 2 * rw, x0 : x0 + rw] = False
-    return Volume3D(x_ext + 2, y_ext + 2, t + 2, cells)
+    slabs = [frame_slab(z, holes, ring_width, thickness) for z in range(thickness + 2)]
+    return _grid_of(np.stack(slabs))
 
 
 def frame_slab(
@@ -111,8 +100,8 @@ def frame_slab(
 ) -> np.ndarray:
     """One z-slab of gen_frame's output, computed without the full volume.
 
-    Lets benchmarks stream arbitrarily large frames slab by slab;
-    ``gen_frame(...)[z] == frame_slab(z, ...)`` cell for cell.
+    ``gen_frame`` stacks these; benchmarks stream arbitrarily large
+    frames slab by slab.
     """
     rw, t = ring_width, thickness
     x_ext = (2 * holes + 1) * rw
@@ -137,8 +126,7 @@ def gen_shell(
     ox, oy, oz = outer
     if ox <= 0 or oy <= 0 or oz <= 0:
         raise ValueError("outer extents must be positive")
-    cells = np.zeros((oz + 2, oy + 2, ox + 2), dtype=bool)
-    cells[1:-1, 1:-1, 1:-1] = True
+    cells = _pad(np.ones((oz, oy, ox), dtype=bool))
     if cavity is not None and all(c > 0 for c in cavity):
         cx, cy, cz = cavity
         if cx > ox - 2 or cy > oy - 2 or cz > oz - 2:
@@ -300,10 +288,15 @@ def _coarse_grid(occ: set, base: int, dim: int) -> np.ndarray:
     return coarse
 
 
-def _coarse_to_image(coarse: np.ndarray, min_width: int) -> Image2D:
-    fine = np.kron(coarse, np.ones((min_width, min_width), dtype=bool))
-    cells = np.pad(fine, 1, constant_values=False)
-    return Image2D(cells.shape[1], cells.shape[0], cells)
+def _scale(coarse: np.ndarray, width: int) -> np.ndarray:
+    """Each cell of ``coarse`` as a ``width``-wide square (cube)."""
+    return np.kron(coarse, np.ones((width,) * coarse.ndim, dtype=bool))
+
+
+def _coarse_to_grid(coarse: np.ndarray, min_width: int):
+    """``coarse`` scaled by ``min_width`` in a one-cell frame, as an
+    Image2D or a Volume3D."""
+    return _grid_of(_pad(_scale(coarse, min_width)))
 
 
 def gen_fat_polyomino_2d(seed: int, target_area: int, min_width: int = 2) -> Image2D:
@@ -317,7 +310,7 @@ def gen_fat_polyomino_2d(seed: int, target_area: int, min_width: int = 2) -> Ima
         raise ValueError("bad polyomino parameters")
     rng = random.Random(seed)
     coarse_target = -(-target_area // (min_width * min_width))
-    return _coarse_to_image(_grow(rng, coarse_target, 2), min_width)
+    return _coarse_to_grid(_grow(rng, coarse_target, 2), min_width)
 
 
 def _drill_holes(rng: random.Random, coarse: np.ndarray, holes: int) -> None:
@@ -361,7 +354,7 @@ def gen_holey_polyomino_2d(
     coarse_target = -(-target_area // (min_width * min_width))
     coarse = _grow(rng, coarse_target, 2)
     _drill_holes(rng, coarse, holes)
-    return _coarse_to_image(coarse, min_width)
+    return _coarse_to_grid(coarse, min_width)
 
 
 def gen_fat_blob_3d(seed: int, target_volume: int, min_width: int = 2) -> Volume3D:
@@ -375,11 +368,8 @@ def gen_fat_blob_3d(seed: int, target_volume: int, min_width: int = 2) -> Volume
     if target_volume < 1 or min_width < 1:
         raise ValueError("bad blob parameters")
     rng = random.Random(seed)
-    mw = min_width
-    coarse = _grow(rng, -(-target_volume // mw**3), 3)
-    fine = np.kron(coarse, np.ones((mw, mw, mw), dtype=bool))
-    cells = np.pad(fine, 1, constant_values=False)
-    return Volume3D(cells.shape[2], cells.shape[1], cells.shape[0], cells)
+    coarse = _grow(rng, -(-target_volume // min_width**3), 3)
+    return _coarse_to_grid(coarse, min_width)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +399,7 @@ def gen_scene_2d(
         coarse_target = -(-area // (min_width * min_width))
         coarse = _grow(rng, coarse_target, 2)
         _drill_holes(rng, coarse, holes)
-        parts.append(_coarse_to_image(coarse, min_width))
+        parts.append(_coarse_to_grid(coarse, min_width))
     gap = 2
     strip = 4 if decorations else 0
     width = sum(p.width for p in parts) + gap * (len(parts) - 1) + 2
@@ -437,15 +427,19 @@ def gen_noisy_image_2d(
     """
     rng = random.Random(seed)
     coarse_target = max(1, (width * height) // 16)
-    base = _coarse_to_image(_grow(rng, coarse_target, 2), 2)
-    cells = np.zeros((height, width), dtype=bool)
-    h = min(height, base.height)
-    w = min(width, base.width)
-    y0 = (height - h) // 2
-    x0 = (width - w) // 2
-    cells[y0 : y0 + h, x0 : x0 + w] = base.cells[:h, :w]
+    cells = _centred(_pad(_scale(_grow(rng, coarse_target, 2), 2)), (height, width))
     cells ^= _noise_mask(rng, cells.shape, rate)
     return Image2D(width, height, cells)
+
+
+def _centred(base: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """An empty grid of ``shape`` with ``base``, cut to fit from its low
+    corner, centred in it."""
+    fit = [min(n, m) for n, m in zip(shape, base.shape)]
+    cells = np.zeros(shape, dtype=bool)
+    at = tuple(slice((n - f) // 2, (n - f) // 2 + f) for n, f in zip(shape, fit))
+    cells[at] = base[tuple(map(slice, fit))]
+    return cells
 
 
 def _noise_mask(rng: random.Random, shape: tuple[int, ...], rate: float) -> np.ndarray:
@@ -476,15 +470,7 @@ def gen_noisy_volume_3d(
     for attempt in itertools.count():
         rng = random.Random(seed * 1000003 + attempt)
         coarse_target = max(1, (nx * ny * nz) // 48)
-        base = np.kron(_grow(rng, coarse_target, 3), np.ones((2, 2, 2), dtype=bool))
-        cells = np.zeros((nz, ny, nx), dtype=bool)
-        d = min(nz, base.shape[0])
-        h = min(ny, base.shape[1])
-        w = min(nx, base.shape[2])
-        z0 = (nz - d) // 2
-        y0 = (ny - h) // 2
-        x0 = (nx - w) // 2
-        cells[z0 : z0 + d, y0 : y0 + h, x0 : x0 + w] = base[:d, :h, :w]
+        cells = _centred(_scale(_grow(rng, coarse_target, 3), 2), (nz, ny, nx))
         cells ^= _noise_mask(rng, cells.shape, rate)
         vol = Volume3D(nx, ny, nz, cells)
         try:

@@ -35,7 +35,12 @@ from .grid import (
     Adjacency,
     Image2D,
     Labeling,
+    RepairAction,
+    RepairOp,
+    RepairReason,
+    _HIGH_BIT,
     _Hooks,
+    _LOW_BIT,
     _count_components,
     _flip,
     _hits,
@@ -43,6 +48,7 @@ from .grid import (
     _pad,
     _per_component,
     _repair,
+    _window_cells,
     _window_codes,
 )
 from .oracle import holes_by_floodfill
@@ -86,27 +92,6 @@ class Pathology2D:
     x: int
     y: int
     kind: Diag2D
-
-
-class RepairOp(Enum):
-    DELETE = "delete"
-    ADD = "add"
-
-
-class RepairReason(Enum):
-    SPECKLE = "speckle"
-    PATHOLOGY = "pathology-fix"
-
-
-@dataclass(frozen=True)
-class RepairAction:
-    """One grid edit. ``z`` is None for image edits."""
-
-    x: int
-    y: int
-    op: RepairOp
-    reason: RepairReason
-    z: int | None = None
 
 
 @dataclass(frozen=True)
@@ -174,10 +159,6 @@ _HITS = tuple(
 # Per code: +1 at an inward corner point (three object pixels), -1 at an
 # outward one (one object pixel), 0 elsewhere.
 _TURN = np.array([(n == 3) - (n == 1) for n in map(int.bit_count, range(16))])
-# The bits of a code's lowest and highest object pixel; on a diagonal
-# window, its two pixels.
-_LOW = np.array([(c & -c).bit_length() - 1 for c in range(16)])
-_HIGH = np.array([c.bit_length() - 1 for c in range(16)])
 # Per code: the corner points it gives the component of its lowest pixel.
 # A diagonal window is an outward corner of each of its two pixels.
 _LOW_TURN = _TURN - _DIAGONAL
@@ -302,9 +283,12 @@ def repair_2d(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
     return Image2D(img.width, img.height, cells), actions
 
 
-def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, _kind) -> RepairAction:
+def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, _kind) -> tuple[int, int]:
     """``repair_2d``'s edit of the diagonal window at ``vertex`` of the
-    padded image ``p``, whose codes are ``codes`` (``grid._repair``)."""
+    padded image ``p``, whose codes are ``codes`` (``grid._repair``): the
+    cell (y, x) of ``p`` it leaves flipped. Candidates are flipped through
+    ``_flip`` and flipped back when they leave a diagonal window nearby.
+    """
     y, x = vertex
     window = [(y + dy, x + dx) for dy in (0, 1) for dx in (0, 1)]
     bg = [c for c in window if not p[c]]
@@ -321,8 +305,7 @@ def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, _kind) -> RepairAction
         # row-major-first foreground cell, which at least shrinks the object.
         cell = fg[0]
         _flip(p, codes, cell)
-    op = RepairOp.ADD if p[cell] else RepairOp.DELETE
-    return RepairAction(cell[1] - 1, cell[0] - 1, op, RepairReason.PATHOLOGY)
+    return cell
 
 
 def check_preconditions_2d(component: Image2D) -> PreconditionReport:
@@ -361,30 +344,11 @@ def hole_count(
     return HoleReport(component_id, area, hist, holes, HoleMethod.ORACLE_FALLBACK, False)
 
 
-def _shift_actions(actions, origin) -> list[RepairAction]:
-    """``actions`` moved by ``origin``, (x, y) or (x, y, z); ``z`` is
-    shifted only when it is not None."""
-    ox, oy, oz = (*origin, 0)[:3]
-    return [
-        RepairAction(
-            a.x + ox, a.y + oy, a.op, a.reason, None if a.z is None else a.z + oz
-        )
-        for a in actions
-    ]
-
-
-def _window_pixels(vertices: np.ndarray, bits: np.ndarray, width: int) -> np.ndarray:
-    """Flat pixel index of bit ``bits`` of each window; ``vertices`` are
-    flat indices into the (height + 1, width + 1) codes of the padded
-    image, whose window (vx, vy) holds pixels (vx - 1 + dx, vy - 1 + dy)."""
-    return vertices - vertices // (width + 1) + (bits >> 1) * width + (bits & 1) - width - 1
-
-
 def _despeckle(p: np.ndarray, labeling: Labeling):
     """Delete and fill the speckles of ``p``, the labelled image in a frame
     of one empty pixel, as each component's canvas sees them, in ``p`` and
-    in the labels. Returns the edits, grouped by component and row-major
-    within each, and their owners' ids.
+    in the labels. Returns the owner's id of each edit and the edits, in
+    row-major order.
 
     A pixel with no 4-neighbor is deleted, even one that touches another
     component diagonally, and a one-pixel hole is filled into the
@@ -402,20 +366,18 @@ def _despeckle(p: np.ndarray, labeling: Labeling):
     flat[at] = np.where(fill, owner, 0)
     ys, xs = np.divmod(at, width)
     p[ys + 1, xs + 1] = fill
-    order = np.argsort(owner, kind="stable")
-    speckles = [
+    edits = [
         RepairAction(x, y, RepairOp.ADD if f else RepairOp.DELETE, RepairReason.SPECKLE)
-        for x, y, f in zip(xs[order].tolist(), ys[order].tolist(), fill[order].tolist())
+        for x, y, f in zip(xs.tolist(), ys.tolist(), fill.tolist())
     ]
-    return speckles, owner[order].tolist()
+    return owner.tolist(), edits
 
 
-def _window_pass(cells: np.ndarray, labeling: Labeling, speckles: bool = False):
-    """The answer of every labelled component of ``cells`` that has a
-    pixel, ``(area, histogram, holes)``, or None for a component with a
-    diagonal window between two of its own pixels; returned as
-    ``(answers, edits, owners)``, with the speckle edits of ``_despeckle``
-    when ``speckles`` is set.
+def _window_pass(p: np.ndarray, labeling: Labeling) -> dict:
+    """The answer of every labelled component of ``p``, the labelled
+    image in a frame of one empty pixel, that has a pixel: ``(area,
+    histogram, holes)``, or None for a component with a diagonal window
+    between two of its own pixels.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
@@ -423,16 +385,13 @@ def _window_pass(cells: np.ndarray, labeling: Labeling, speckles: bool = False):
     on the component's own canvas).
     """
     labels, count = labeling.labels, labeling.count
-    flat, width = labels.reshape(-1), labels.shape[1]
-    p = _pad(cells)
-    edits, owners = _despeckle(p, labeling) if speckles else ([], [])
+    flat = labels.reshape(-1)
     codes = _window_codes(p)
-    del p
     vertices = np.flatnonzero(_CORNER[codes])
     c = codes.reshape(-1)[vertices]
-    low = flat[_window_pixels(vertices, _LOW[c], width)]
+    low = flat[_window_cells(labels.shape, vertices, _LOW_BIT[c])]
     diagonal = _DIAGONAL[c]
-    high = flat[_window_pixels(vertices[diagonal], _HIGH[c[diagonal]], width)]
+    high = flat[_window_cells(labels.shape, vertices[diagonal], _HIGH_BIT[c[diagonal]])]
     # Weighted, so float; the counts are small integers and exact.
     turn = np.bincount(low, _LOW_TURN[c], minlength=count + 1)
     turn -= np.bincount(high, minlength=count + 1)
@@ -451,24 +410,19 @@ def _window_pass(cells: np.ndarray, labeling: Labeling, speckles: bool = False):
         (1 + turn[kept].astype(np.int64) // 4).tolist(),
     )
     del keys, bins
-    answers = {
+    return {
         cid: None if cid in dirty else (area, CornerHistogram(c1, c2, c3, c4, thin, c0), holes)
         for cid, area, (c0, c1, c2, c3, c4, thin), holes in rows
     }
-    return answers, edits, owners
 
 
 def _scan(img: Image2D, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
     of the despeckled image, whose None marks the dirty components."""
-    answers, edits, owners = _window_pass(img.cells, labeling, speckles=True)
-    dirty = [cid for cid, answer in answers.items() if answer is None]
-    return dirty, edits, owners, answers
-
-
-def _repair_canvas(canvas: Image2D, origin):
-    canvas, actions = repair_2d(canvas)
-    return canvas, _shift_actions(actions, origin)
+    p = _pad(img.cells)
+    speckles = _despeckle(p, labeling)
+    answers = _window_pass(p, labeling)
+    return [cid for cid, answer in answers.items() if answer is None], speckles, answers
 
 
 def _checked_hole_count(piece: Image2D, fallback_oracle, component_id, _edits):
@@ -482,8 +436,8 @@ _HOOKS = _Hooks(
     capture=Adjacency.DIRECT_2D,
     pieces=Adjacency.DIRECT_2D,
     scan=_scan,
-    classify=lambda cells, labeling: _window_pass(cells, labeling)[0],
-    repair=_repair_canvas,
+    classify=lambda cells, labeling: _window_pass(_pad(cells), labeling),
+    repair=lambda canvas: repair_2d(canvas),
     slow=_checked_hole_count,
     report=lambda n, answer, _: HoleReport(n, *answer, HoleMethod.FORMULA, True),
 )

@@ -58,8 +58,10 @@ from .errors import InvalidSurfaceError
 from .grid import (
     Adjacency,
     Labeling,
+    RepairAction,
     Volume3D,
     _Hooks,
+    _LOW_BIT,
     _components,
     _flip,
     _hits,
@@ -67,10 +69,10 @@ from .grid import (
     _pad,
     _per_component,
     _repair,
+    _window_cells,
     _window_codes,
 )
 from .oracle import _surface_components
-from .topo2d import RepairAction, RepairOp, RepairReason, _shift_actions
 
 __all__ = [
     "Pathology3DKind",
@@ -352,10 +354,11 @@ def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
     return Volume3D(vol.nx, vol.ny, vol.nz, cells), actions
 
 
-def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> RepairAction:
+def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> tuple[int, int, int]:
     """``repair_3d``'s edit of the pathological window ``hit`` at
     ``vertex`` of the padded volume ``p``, whose codes are ``codes``
-    (``grid._repair``).
+    (``grid._repair``): it flips one voxel through ``_flip`` and returns
+    it, (z, y, x) in ``p``.
 
     A complement window gets the empty voxel of its pair that shares the
     most faces with the set, the scan-first on a tie; any other loses the
@@ -373,9 +376,7 @@ def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> RepairAction:
     else:
         cell = a if da < db else b
     _flip(p, codes, cell)
-    z, y, x = cell
-    op = RepairOp.ADD if p[cell] else RepairOp.DELETE
-    return RepairAction(x - 1, y - 1, op, RepairReason.PATHOLOGY, z=z - 1)
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +498,6 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     return [SurfacePointSet(s.owner, s._codes, ids) for ids in np.split(members, cuts)]
 
 
-def _vertex_owner(labels: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Largest label among the up-to-eight voxels incident to each vertex,
-    given as flat indices into the (nz+1, ny+1, nx+1) vertex grid."""
-    nz, ny, nx = labels.shape
-    p = np.zeros((nz + 2, ny + 2, nx + 2), dtype=labels.dtype)
-    p[1:-1, 1:-1, 1:-1] = labels
-    # Vertex (vx, vy, vz) is the minimal corner of padded voxel
-    # (vx, vy, vz); its eight incident voxels follow at fixed offsets.
-    at = np.ravel_multi_index(np.unravel_index(vertices, (nz + 1, ny + 1, nx + 1)), p.shape)
-    flat = p.ravel()
-    return np.maximum.reduce(
-        [flat[at + np.ravel_multi_index((dz, dy, dx), p.shape)] for dx, dy, dz in _CUBE]
-    )
-
-
 def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
     """Formula surface reports of every labelled component, in one pass.
 
@@ -519,7 +505,7 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
     component's surfaces ordered by minimal vertex, or is None when one
     of them fails ``genus``. ``labels`` must keep 26-adjacent voxels under
     one label; a surface belongs to the label of the voxels around its
-    minimal vertex.
+    minimal vertex, read at its lowest object voxel.
     """
     codes = _window_codes(_pad(cells))
     node_ids, n, comp = _surface_graph(np.flatnonzero(_surface_mask(codes)), codes)
@@ -531,7 +517,8 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
     # vertex in scan order.
     _, first = np.unique(comp, return_index=True)
     first = node_ids[first]
-    owner = _vertex_owner(labels, first)
+    low = _window_cells(labels.shape, first, _LOW_BIT[codes.ravel()[first]])
+    owner = labels.reshape(-1)[low]
     hist = np.bincount(comp * 7 + counts, minlength=7 * n).reshape(n, 7)
     for o, _, h in sorted(zip(owner.tolist(), first.tolist(), hist.tolist())):
         surfaces = out[o]
@@ -618,10 +605,11 @@ def homology(
 def _scan(vol: Volume3D, lab26: Labeling):
     """The driver's scan (``grid._Hooks``): the ids of the components
     that own a pathological window. A window's object voxels are
-    26-adjacent, so they carry one label."""
-    codes = _window_codes(_pad(vol.cells))
-    dirty = _vertex_owner(lab26.labels, np.flatnonzero(_CODE_DIRTY[codes]))
-    return set(dirty.tolist()), [], [], None
+    26-adjacent, so they carry one label, read at its lowest one."""
+    codes = _window_codes(_pad(vol.cells)).reshape(-1)
+    at = np.flatnonzero(_CODE_DIRTY[codes])
+    owners = lab26.labels.reshape(-1)[_window_cells(vol.cells.shape, at, _LOW_BIT[codes[at]])]
+    return set(owners.tolist()), ([], []), None
 
 
 def _classify(cells: np.ndarray, labeling: Labeling) -> dict:
@@ -632,17 +620,12 @@ def _classify(cells: np.ndarray, labeling: Labeling) -> dict:
     return {i: None if s is None else (sizes[i], s) for i, s in enumerate(formula) if i}
 
 
-def _repair_canvas(canvas: Volume3D, origin):
-    canvas, actions = repair_3d(canvas)
-    return canvas, _shift_actions(actions, origin)
-
-
 _HOOKS = _Hooks(
     capture=Adjacency.INDIRECT_3D,
     pieces=Adjacency.DIRECT_3D,
     scan=_scan,
     classify=_classify,
-    repair=_repair_canvas,
+    repair=lambda canvas: repair_3d(canvas),
     slow=lambda *args: homology(*args),
     report=lambda component_id, answer, edits: _report(component_id, *answer, edits),
 )

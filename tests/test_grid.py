@@ -2,23 +2,34 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitopo import (
     Adjacency,
     Image2D,
     NoSuchComponentError,
     Volume3D,
+    analyze_volume,
     extract_component,
+    holes_pipeline,
     label_background_2d,
     label_components_2d,
     label_components_3d,
+    topo3d,
     window2,
     window8,
 )
 from digitopo import grid
 from digitopo.grid import (
+    _HIGH_BIT,
+    _LOW_BIT,
+    _component_boxes,
     _component_canvas,
+    _grid_of,
     _label_sizes,
+    _pad,
+    _window_cells,
+    _window_codes,
 )
 from gridtext import image, volume
 
@@ -246,3 +257,96 @@ def test_label_passes_agree_across_block_sizes(monkeypatch, block):
         assert _label_sizes(labels, count).tolist() == np.bincount(
             labels.ravel(), minlength=count + 1
         ).tolist()
+
+
+def test_component_canvas_with_and_without_box():
+    rng = np.random.default_rng(5)
+    for adjacency in Adjacency:
+        shape = (6, 7) if adjacency.ndim == 2 else (4, 5, 6)
+        label = label_components_2d if adjacency.ndim == 2 else label_components_3d
+        for _ in range(10):
+            lab = label(_grid_of(rng.random(shape) < 0.4), adjacency)
+            boxes = _component_boxes(lab)
+            for cid in range(1, lab.count + 1):
+                canvas, origin = _component_canvas(lab, cid, boxes[cid])
+                assert (canvas, origin) == _component_canvas(lab, cid)
+            for cid in (0, lab.count + 1):
+                with pytest.raises(NoSuchComponentError):
+                    _component_canvas(lab, cid)
+
+
+def test_driver_cuts_canvases_through_component_canvas(monkeypatch):
+    # The driver looks the cut up when it runs, so a wrapper (the
+    # benchmark's tracer) sees every canvas.
+    cut = []
+
+    def counted(labeling, component_id, box=None):
+        cut.append(component_id)
+        return real(labeling, component_id, box)
+
+    real = grid._component_canvas
+    monkeypatch.setattr(grid, "_component_canvas", counted)
+    holes_pipeline(image("111\n101\n110"))
+    assert cut == [1]
+    cut.clear()
+    analyze_volume(volume("10\n00", "00\n01"))
+    assert cut == [1]
+
+
+def reference_window_pixels(vertices, bits, width):
+    """The 2D closed form that ``_window_cells`` replaced: flat pixel index
+    of bit ``bits`` of each window, at flat vertices of the padded image's
+    (height + 1, width + 1) codes."""
+    return vertices - vertices // (width + 1) + (bits >> 1) * width + (bits & 1) - width - 1
+
+
+def reference_vertex_owner(labels, vertices):
+    """The largest label among the up-to-eight voxels incident to each
+    vertex: the 3D owner lookup that reading the lowest voxel replaced."""
+    nz, ny, nx = labels.shape
+    p = np.zeros((nz + 2, ny + 2, nx + 2), dtype=labels.dtype)
+    p[1:-1, 1:-1, 1:-1] = labels
+    at = np.ravel_multi_index(np.unravel_index(vertices, (nz + 1, ny + 1, nx + 1)), p.shape)
+    flat = p.ravel()
+    offsets = [(dz, dy, dx) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
+    return np.maximum.reduce([flat[at + np.ravel_multi_index(d, p.shape)] for d in offsets])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_cells_match_2d_closed_form(shape, density, seed):
+    cells = np.random.default_rng(seed).random(shape) < density
+    codes = _window_codes(_pad(cells)).reshape(-1)
+    vertices = np.flatnonzero(codes)
+    for table in (_LOW_BIT, _HIGH_BIT):
+        bits = table[codes[vertices]]
+        got = _window_cells(shape, vertices, bits)
+        assert got.tolist() == reference_window_pixels(vertices, bits, shape[1]).tolist()
+        assert cells.reshape(-1)[got].all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 10)] * 3),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowest_voxel_owner_is_max_of_eight(shape, density, seed):
+    # Every object voxel of a window carries one 26-label, so the label of
+    # its lowest object voxel is the largest label around the vertex.
+    cells = np.random.default_rng(seed).random(shape) < density
+    vol = _grid_of(cells)
+    lab = label_components_3d(vol, Adjacency.INDIRECT_3D)
+    codes = _window_codes(_pad(cells)).reshape(-1)
+    dirty = np.flatnonzero(topo3d._CODE_DIRTY[codes])
+    surface = np.flatnonzero((codes != 0) & (codes != 255))
+    for vertices in (dirty, surface):
+        low = _window_cells(shape, vertices, _LOW_BIT[codes[vertices]])
+        owner = lab.labels.reshape(-1)[low]
+        assert owner.tolist() == reference_vertex_owner(lab.labels, vertices).tolist()
+    want = set(reference_vertex_owner(lab.labels, dirty).tolist())
+    assert topo3d._scan(vol, lab)[0] == want

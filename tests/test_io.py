@@ -575,6 +575,22 @@ class TestCliExitCodes:
         assert run_cli(capsys, "gen", "frame", "--streaming", str(tmp_path / "g.vox3"))[0] == 64
         assert not (tmp_path / "g.vox3").exists()
         assert run_cli(capsys, "genus", "--streaming", str(path))[0] == 64
+        # --no-repair and --fallback-oracle exist only on the analysis
+        # commands, and --seed only on gen.
+        unknown = [
+            (cmd, flag)
+            for cmd in ("components", "repair")
+            for flag in ("--no-repair", "--fallback-oracle", "--no-fallback-oracle", "--seed=1")
+        ]
+        unknown += [(cmd, "--seed=1") for cmd in ("holes", "genus", "homology", "validate")]
+        for cmd, flag in unknown:
+            assert cli_dispatch([cmd, flag, str(path)]) == 64, (cmd, flag)
+            err = capsys.readouterr().err
+            assert f"digitopo: error: unrecognized arguments: {flag}\n" in err
+        for flag in ("--no-repair", "--no-fallback-oracle"):
+            assert run_cli(capsys, "gen", "frame", flag, str(tmp_path / "g.vox3"))[0] == 64
+            assert run_cli(capsys, "bench", flag, "--ring-widths", "2")[0] == 64
+        assert not (tmp_path / "g.vox3").exists()
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -15,14 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from digitopo import Image2D, PreconditionFailure, grid, holes_pipeline
-from digitopo.grid import Adjacency, _component_canvas, label_components_2d
-from digitopo.topo2d import (
-    _analyze_components,
-    _shift_actions,
-    hole_count,
-    remove_speckles,
-    repair_2d,
-)
+from digitopo.grid import Adjacency, _component_canvas, _shift_actions, label_components_2d
+from digitopo.topo2d import _analyze_components, hole_count, remove_speckles, repair_2d
 from gridtext import image
 
 

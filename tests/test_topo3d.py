@@ -36,8 +36,7 @@ from digitopo import (
     surface_neighbors,
     to_point_space,
 )
-from digitopo.grid import _component_canvas
-from digitopo.topo2d import RepairAction
+from digitopo.grid import RepairAction, _component_canvas
 from digitopo.topo3d import (
     SurfaceHistogram,
     SurfaceReport,
