@@ -6,12 +6,13 @@ bench. Input format is sniffed from the file: PBM (P1/P4) is 2D, vox3 is
 
 Exit codes:
     0   success
-    1   runtime failure: parse errors, invalid surfaces with the fallback
-        enabled, validate disagreement
+    1   runtime failure: parse errors, an input of the other dimension,
+        invalid surfaces with the fallback enabled, validate disagreement
     2   formula preconditions failed with the oracle fallback disabled
     3   repair did not converge
     64  usage error: unknown flag or subcommand, bad flag combination
 
+validate runs both routes, so it takes no `--no-fallback-oracle`.
 `--streaming` applies to genus and bench only, and genus additionally
 needs `--no-repair` there (repair edits need the whole grid in memory).
 Streaming and default mode produce byte-identical reports. JSON output
@@ -22,6 +23,7 @@ starts with one comment line giving the time and command.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import tracemalloc
@@ -55,15 +57,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit a JSON report")
     # The analysis flags, on the commands that read them.
-    analysis = argparse.ArgumentParser(add_help=False)
-    analysis.add_argument(
+    no_repair = argparse.ArgumentParser(add_help=False)
+    no_repair.add_argument(
         "--no-repair", action="store_true", help="analyze the input as-is"
     )
-    analysis.add_argument(
+    fallback = argparse.ArgumentParser(add_help=False)
+    fallback.add_argument(
         "--fallback-oracle",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -82,16 +86,16 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_components)
 
-    p = sub("holes", "hole count per 2D component", analysis)
+    p = sub("holes", "hole count per 2D component", no_repair, fallback)
     p.add_argument("input")
     p.set_defaults(func=_cmd_holes)
 
-    p = sub("genus", "genus of the whole boundary surface of a 3D volume", analysis)
+    p = sub("genus", "genus of the whole boundary surface of a 3D volume", no_repair, fallback)
     p.add_argument("input")
     p.add_argument("--streaming", action="store_true", help=streaming_help)
     p.set_defaults(func=_cmd_genus)
 
-    p = sub("homology", "Betti numbers per 3D component", analysis)
+    p = sub("homology", "Betti numbers per 3D component", no_repair, fallback)
     p.add_argument("input")
     p.set_defaults(func=_cmd_homology)
 
@@ -104,7 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="write the repaired grid here")
     p.set_defaults(func=_cmd_repair)
 
-    p = sub("validate", "run formula and oracle paths and compare", analysis)
+    p = sub("validate", "run formula and oracle paths and compare", no_repair)
     p.add_argument("input")
     p.set_defaults(func=_cmd_validate)
 
@@ -157,14 +161,19 @@ def _build_parser() -> _Parser:
 # input loading and output
 
 
-def _load_any(path):
-    with open(path, "rb") as fh:
+def _load_any(ns, want=None):
+    """The grid in ``ns.input``, of type ``want`` when given."""
+    with open(ns.input, "rb") as fh:
         head = fh.read(4)
     if head[:2] in (b"P1", b"P4"):
-        return pbm.read_pbm(path)
-    if head == b"vox3":
-        return vox3.read_vox3(path)
-    raise ParseError("unrecognized input format (want PBM P1/P4 or vox3)", 1)
+        grid = pbm.read_pbm(ns.input)
+    elif head == b"vox3":
+        grid = vox3.read_vox3(ns.input)
+    else:
+        raise ParseError("unrecognized input format (want PBM P1/P4 or vox3)", 1)
+    if want is not None and not isinstance(grid, want):
+        raise DigitopoError(f"{ns.cmd} expects a {'2D PBM' if want is Image2D else 'vox3'} input")
+    return grid
 
 
 def _emit(ns, rep: dict, human_lines: list[str]) -> None:
@@ -181,7 +190,7 @@ def _emit(ns, rep: dict, human_lines: list[str]) -> None:
 
 
 def _cmd_components(ns) -> int:
-    grid = _load_any(ns.input)
+    grid = _load_any(ns)
     if isinstance(grid, Image2D):
         labeling = label_components_2d(grid, Adjacency.DIRECT_2D)
         adjacency = "direct-4"
@@ -202,10 +211,7 @@ def _cmd_components(ns) -> int:
 
 
 def _cmd_holes(ns) -> int:
-    grid = _load_any(ns.input)
-    if not isinstance(grid, Image2D):
-        print("digitopo: error: holes expects a 2D PBM input", file=sys.stderr)
-        return 1
+    grid = _load_any(ns, Image2D)
     reports, actions = topo2d.holes_pipeline(
         grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
     )
@@ -247,10 +253,7 @@ def _cmd_genus(ns) -> int:
         next(slabs)  # dimension triple
         hist, _stats = streaming.fold_surface_histogram_3d(slabs)
     else:
-        grid = _load_any(ns.input)
-        if not isinstance(grid, Volume3D):
-            print("digitopo: error: genus expects a vox3 input", file=sys.stderr)
-            return 1
+        grid = _load_any(ns, Volume3D)
         if not ns.no_repair:
             grid, _actions = topo3d.repair_3d(grid)
         hist = topo3d.classify_surface(topo3d.to_point_space(grid))
@@ -265,10 +268,7 @@ def _cmd_genus(ns) -> int:
 
 
 def _cmd_homology(ns) -> int:
-    grid = _load_any(ns.input)
-    if not isinstance(grid, Volume3D):
-        print("digitopo: error: homology expects a vox3 input", file=sys.stderr)
-        return 1
+    grid = _load_any(ns, Volume3D)
     reports, actions = topo3d.analyze_volume(
         grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
     )
@@ -293,7 +293,7 @@ def _cmd_homology(ns) -> int:
 
 
 def _cmd_repair(ns) -> int:
-    grid = _load_any(ns.input)
+    grid = _load_any(ns)
     if isinstance(grid, Image2D):
         cleaned, speckle_actions = topo2d.remove_speckles(grid)
         cleaned, path_actions = topo2d.repair_2d(cleaned)
@@ -319,7 +319,7 @@ def _cmd_repair(ns) -> int:
 
 
 def _cmd_validate(ns) -> int:
-    grid = _load_any(ns.input)
+    grid = _load_any(ns)
     in_2d = isinstance(grid, Image2D)
     analyze = topo2d._analyze_components if in_2d else topo3d._analyze_pieces
     results, _ = analyze(grid, repair=not ns.no_repair, keep_pieces=True)
@@ -483,9 +483,8 @@ def _cmd_bench(ns) -> int:
 
 def cli_dispatch(argv) -> int:
     """Parse argv and run one subcommand, mapping errors to exit codes."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:

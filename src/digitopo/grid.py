@@ -630,18 +630,18 @@ def _cut_out(labeling: Labeling, component_id: int, boxes: dict):
 
 class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
-    and ``topo3d._HOOKS``: the dimension's rules only. The driver cuts
-    the canvases (``_component_canvas``) and moves edits to the source.
-    A hook looks up what it calls when it runs, so that a traced entry
-    point stays traced."""
+    and ``topo3d._HOOKS``: the dimension's rules only. The driver codes
+    each grid (``_window_codes``), cuts the canvases (``_component_canvas``)
+    and moves edits to the source. A hook looks up what it calls when it
+    runs, so that a traced entry point stays traced."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (grid, labeling) -> (dirty, (owners, edits), answers): the dirty
-    # components' ids, the edits made to the labels with the id of each
-    # one's owner, and the grid's answers or None.
+    # (padded grid, its codes, labeling) -> (dirty, (owners, edits),
+    # answers): the dirty components' ids, the edits made to the grid and
+    # the labels with the id of each one's owner, and the answers or None.
     scan: Callable
-    # (cells, labeling) -> {label: answer or None} over labels with cells.
+    # (codes, labeling) -> {label: answer or None} over labels with cells.
     classify: Callable
     repair: Callable  # canvas -> (canvas, edits in canvas coordinates)
     slow: Callable  # (piece, fallback_oracle, component_id, edits) -> report
@@ -665,25 +665,28 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     components, as on their canvases). So a window lies in one component
     and reads the same on the grid as on that component's canvas. Hence:
 
-    * one labelling and one scan find the dirty components, those with a
-      pathological window of their own;
+    * one labelling and one scan of the grid's window codes find the
+      dirty components, those with a pathological window of their own;
     * a clean component is one piece that repair leaves alone, and one
-      classification of the whole grid answers for all of them;
+      classification of the same codes answers for all of them;
     * the dirty components are repaired on their canvases in id order,
       before any classification, so a repair cycle raises first. The
       canvases are stacked along the slowest axis (y in 2D, z in 3D) in
       groups whose other extents round up to the same powers of two, and
-      each stack is labelled once and, if repaired, classified once. The
-      one-cell frames keep two canvases' objects apart, and scan order
-      visits one canvas after another, so a stack's labels number each
-      canvas's pieces as labelling that canvas alone would;
+      each stack is labelled once and, if repaired, coded and classified
+      once. The one-cell frames keep two canvases' objects apart, and scan
+      order visits one canvas after another, so a stack's labels number
+      each canvas's pieces as labelling that canvas alone would;
     * a piece without an answer, and every piece of an unrepaired canvas,
       goes to ``slow``. Reports are assembled in component order, so the
       first piece that raises is the one a loop over components would.
     """
     label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
     labeling = label(grid, hooks.capture)
-    dirty, (owners, log), answers = hooks.scan(grid, labeling)
+    p = _pad(grid.cells)
+    codes = _window_codes(p)
+    dirty, (owners, log), answers = hooks.scan(p, codes, labeling)
+    del p
     boxes = _component_boxes(labeling, None if keep_pieces else dirty)
     canvases, repaired = {}, {}
     for cid in sorted(dirty):
@@ -697,7 +700,8 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     # A stable sort by owner: each component's scan edits, then its repair edits.
     log = [log[i] for i in np.argsort(owners, kind="stable").tolist()]
     if answers is None:
-        answers = hooks.classify(grid.cells, labeling)
+        answers = hooks.classify(codes, labeling)
+    del codes
 
     # A piece is cut out onto its canvas when it has a box: with
     # ``keep_pieces`` all of them, else those without an answer.
@@ -715,7 +719,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         for cid, start, shape in zip(members, starts.tolist(), shapes.tolist()):
             stack[(slice(start, start + shape[0]), *map(slice, shape[1:]))] = canvases.pop(cid)
         lab = label(_grid_of(stack), hooks.pieces)
-        found = hooks.classify(stack, lab) if repair else {}
+        found = hooks.classify(_window_codes(_pad(stack)), lab) if repair else {}
         cut = [i for i in range(1, lab.count + 1) if found.get(i) is None]
         lab_boxes = _component_boxes(lab, None if keep_pieces else cut)
         # Labels rise in scan order, so each canvas holds the labels up to

@@ -344,18 +344,18 @@ def hole_count(
     return HoleReport(component_id, area, hist, holes, HoleMethod.ORACLE_FALLBACK, False)
 
 
-def _despeckle(p: np.ndarray, labeling: Labeling):
+def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """Delete and fill the speckles of ``p``, the labelled image in a frame
-    of one empty pixel, as each component's canvas sees them, in ``p`` and
-    in the labels. Returns the owner's id of each edit and the edits, in
-    row-major order.
+    of one empty pixel whose window codes are ``codes``, as each
+    component's canvas sees them, in ``p`` and in the labels. Returns the
+    owner's id of each edit and the edits, in row-major order.
 
     A pixel with no 4-neighbor is deleted, even one that touches another
     component diagonally, and a one-pixel hole is filled into the
     component of its 8 neighbors, which the ring of them 4-connects.
     """
     flat, width = labeling.labels.reshape(-1), labeling.labels.shape[1]
-    ul, ur, dl, dr = _quads(_window_codes(p))
+    ul, ur, dl, dr = _quads(codes)
     edits = ((ul & 14) == 8) & ((dr & 6) == 0)
     edits |= _one_pixel_holes(ul, ur, dl, dr)
     at = np.flatnonzero(edits)
@@ -373,11 +373,11 @@ def _despeckle(p: np.ndarray, labeling: Labeling):
     return owner.tolist(), edits
 
 
-def _window_pass(p: np.ndarray, labeling: Labeling) -> dict:
-    """The answer of every labelled component of ``p``, the labelled
-    image in a frame of one empty pixel, that has a pixel: ``(area,
-    histogram, holes)``, or None for a component with a diagonal window
-    between two of its own pixels.
+def _window_pass(codes: np.ndarray, labeling: Labeling) -> dict:
+    """The answer of every labelled component that has a pixel, from the
+    window codes of the labelled image in a frame of one empty pixel:
+    ``(area, histogram, holes)``, or None for a component with a diagonal
+    window between two of its own pixels.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
@@ -386,7 +386,6 @@ def _window_pass(p: np.ndarray, labeling: Labeling) -> dict:
     """
     labels, count = labeling.labels, labeling.count
     flat = labels.reshape(-1)
-    codes = _window_codes(p)
     vertices = np.flatnonzero(_CORNER[codes])
     c = codes.reshape(-1)[vertices]
     low = flat[_window_cells(labels.shape, vertices, _LOW_BIT[c])]
@@ -399,7 +398,7 @@ def _window_pass(p: np.ndarray, labeling: Labeling) -> dict:
     dirty = set(low[low == high].tolist())
     boundary, keys = _boundary_keys(codes)
     keys = labels[boundary] * 16 + keys
-    del codes, boundary
+    del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
     sizes = _label_sizes(labels, count)
     kept = np.flatnonzero(sizes[1:]) + 1
@@ -416,12 +415,11 @@ def _window_pass(p: np.ndarray, labeling: Labeling) -> dict:
     }
 
 
-def _scan(img: Image2D, labeling: Labeling):
+def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
-    of the despeckled image, whose None marks the dirty components."""
-    p = _pad(img.cells)
-    speckles = _despeckle(p, labeling)
-    answers = _window_pass(p, labeling)
+    of the despeckled image, coded anew, whose None marks the dirty ones."""
+    speckles = _despeckle(p, codes, labeling)
+    answers = _window_pass(_window_codes(p), labeling)
     return [cid for cid, answer in answers.items() if answer is None], speckles, answers
 
 
@@ -436,7 +434,7 @@ _HOOKS = _Hooks(
     capture=Adjacency.DIRECT_2D,
     pieces=Adjacency.DIRECT_2D,
     scan=_scan,
-    classify=lambda cells, labeling: _window_pass(_pad(cells), labeling),
+    classify=_window_pass,
     repair=lambda canvas: repair_2d(canvas),
     slow=_checked_hole_count,
     report=lambda n, answer, _: HoleReport(n, *answer, HoleMethod.FORMULA, True),

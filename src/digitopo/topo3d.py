@@ -498,8 +498,8 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     return [SurfacePointSet(s.owner, s._codes, ids) for ids in np.split(members, cuts)]
 
 
-def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
-    """Formula surface reports of every labelled component, in one pass.
+def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int):
+    """Formula surface reports of every labelled component, from the padded grid's ``codes``.
 
     Returns a list indexed by label ``0..count``: each entry holds that
     component's surfaces ordered by minimal vertex, or is None when one
@@ -507,7 +507,6 @@ def _formula_surfaces(cells: np.ndarray, labels: np.ndarray, count: int):
     one label; a surface belongs to the label of the voxels around its
     minimal vertex, read at its lowest object voxel.
     """
-    codes = _window_codes(_pad(cells))
     node_ids, n, comp = _surface_graph(np.flatnonzero(_surface_mask(codes)), codes)
     out: list = [[] for _ in range(count + 1)]
     if n == 0:
@@ -556,10 +555,9 @@ def genus(hist: SurfaceHistogram) -> int:
     return g
 
 
-def _oracle_surfaces(vol: Volume3D) -> list[SurfaceReport]:
-    """Surface reports from the boundary-face Euler characteristic."""
+def _oracle_surfaces(vol: Volume3D, codes: np.ndarray) -> list[SurfaceReport]:
+    """Surface reports from the boundary-face Euler characteristic of ``vol``, coded ``codes``."""
     surfaces = []
-    codes = _window_codes(_pad(vol.cells))
     for summary, verts in _surface_components(vol):
         if summary.chi % 2 != 0:
             raise InvalidSurfaceError("non-orientable or non-manifold boundary")
@@ -593,29 +591,30 @@ def homology(
     """
     if not vol.cells.any():
         raise ValueError("empty volume")
+    codes = _window_codes(_pad(vol.cells))
     # The cells as labels: every surface belongs to label 1.
-    surfaces = _formula_surfaces(vol.cells, vol.cells.view(np.uint8), 1)[1]
+    surfaces = _formula_surfaces(codes, vol.cells.view(np.uint8), 1)[1]
     if surfaces is None:
         if not fallback_oracle:
             raise InvalidSurfaceError("not a valid digital surface")
-        surfaces = _oracle_surfaces(vol)
+        surfaces = _oracle_surfaces(vol, codes)
     return _report(component_id, vol.voxel_count, surfaces, repair_actions)
 
 
-def _scan(vol: Volume3D, lab26: Labeling):
+def _scan(_p, codes: np.ndarray, lab26: Labeling):
     """The driver's scan (``grid._Hooks``): the ids of the components
     that own a pathological window. A window's object voxels are
     26-adjacent, so they carry one label, read at its lowest one."""
-    codes = _window_codes(_pad(vol.cells)).reshape(-1)
+    codes = codes.reshape(-1)
     at = np.flatnonzero(_CODE_DIRTY[codes])
-    owners = lab26.labels.reshape(-1)[_window_cells(vol.cells.shape, at, _LOW_BIT[codes[at]])]
+    owners = lab26.labels.reshape(-1)[_window_cells(lab26.labels.shape, at, _LOW_BIT[codes[at]])]
     return set(owners.tolist()), ([], []), None
 
 
-def _classify(cells: np.ndarray, labeling: Labeling) -> dict:
+def _classify(codes: np.ndarray, labeling: Labeling) -> dict:
     """``(voxels, surfaces)`` of every labelled component, or None where
     ``_formula_surfaces`` gives None."""
-    formula = _formula_surfaces(cells, labeling.labels, labeling.count)
+    formula = _formula_surfaces(codes, labeling.labels, labeling.count)
     sizes = _label_sizes(labeling.labels, labeling.count).tolist()
     return {i: None if s is None else (sizes[i], s) for i, s in enumerate(formula) if i}
 

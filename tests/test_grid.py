@@ -11,10 +11,12 @@ from digitopo import (
     Volume3D,
     analyze_volume,
     extract_component,
+    gen_frame,
     holes_pipeline,
     label_background_2d,
     label_components_2d,
     label_components_3d,
+    topo2d,
     topo3d,
     window2,
     window8,
@@ -341,7 +343,8 @@ def test_lowest_voxel_owner_is_max_of_eight(shape, density, seed):
     cells = np.random.default_rng(seed).random(shape) < density
     vol = _grid_of(cells)
     lab = label_components_3d(vol, Adjacency.INDIRECT_3D)
-    codes = _window_codes(_pad(cells)).reshape(-1)
+    p = _pad(cells)
+    codes = _window_codes(p).reshape(-1)
     dirty = np.flatnonzero(topo3d._CODE_DIRTY[codes])
     surface = np.flatnonzero((codes != 0) & (codes != 255))
     for vertices in (dirty, surface):
@@ -349,4 +352,28 @@ def test_lowest_voxel_owner_is_max_of_eight(shape, density, seed):
         owner = lab.labels.reshape(-1)[low]
         assert owner.tolist() == reference_vertex_owner(lab.labels, vertices).tolist()
     want = set(reference_vertex_owner(lab.labels, dirty).tolist())
-    assert topo3d._scan(vol, lab)[0] == want
+    assert topo3d._scan(p, codes, lab)[0] == want
+
+
+def test_driver_codes_each_grid_once(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p.shape)
+        return _window_codes(p)
+
+    for module in (grid, topo2d, topo3d):
+        monkeypatch.setattr(module, "_window_codes", counting)
+    analyze_volume(gen_frame(1))
+    assert len(calls) == 1
+    # A 2x2 block and a 2x1 bar in each 4x4 cell of a 15 x 15 grid: 450
+    # clean components. The image is coded before and after despeckling.
+    cells = np.zeros((60, 60), dtype=bool)
+    for y in range(0, 60, 4):
+        for x in range(0, 60, 4):
+            cells[y : y + 2, x : x + 2] = True
+            cells[y + 2, x + 2 : x + 4] = True
+    calls.clear()
+    reports, _ = holes_pipeline(Image2D(60, 60, cells))
+    assert len(reports) == 450
+    assert calls == [(62, 62)] * 2

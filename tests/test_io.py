@@ -24,6 +24,7 @@ from digitopo import (
     write_pbm_p4,
     write_vox3,
 )
+from digitopo import cli
 from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, image, volume
 
 BLOB = image(
@@ -576,12 +577,14 @@ class TestCliExitCodes:
         assert not (tmp_path / "g.vox3").exists()
         assert run_cli(capsys, "genus", "--streaming", str(path))[0] == 64
         # --no-repair and --fallback-oracle exist only on the analysis
-        # commands, and --seed only on gen.
+        # commands that read them (validate takes no --fallback-oracle),
+        # and --seed only on gen.
         unknown = [
             (cmd, flag)
             for cmd in ("components", "repair")
             for flag in ("--no-repair", "--fallback-oracle", "--no-fallback-oracle", "--seed=1")
         ]
+        unknown += [("validate", "--fallback-oracle"), ("validate", "--no-fallback-oracle")]
         unknown += [(cmd, "--seed=1") for cmd in ("holes", "genus", "homology", "validate")]
         for cmd, flag in unknown:
             assert cli_dispatch([cmd, flag, str(path)]) == 64, (cmd, flag)
@@ -598,7 +601,26 @@ class TestCliExitCodes:
     def test_wrong_format_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "f.vox3"
         write_vox3(gen_frame(1), path)
-        assert run_cli(capsys, "holes", str(path))[0] == 1
+        flat = tmp_path / "f.pbm"
+        write_pbm(image("11\n11"), flat)
+        for cmd, arg, kind in (
+            ("holes", path, "2D PBM"),
+            ("genus", flat, "vox3"),
+            ("homology", flat, "vox3"),
+        ):
+            assert cli_dispatch([cmd, str(arg)]) == 1, cmd
+            err = capsys.readouterr().err
+            assert err == f"digitopo: error: {cmd} expects a {kind} input\n"
+
+    def test_parser_is_built_once(self, capsys, tmp_path):
+        path = tmp_path / "f.pbm"
+        write_pbm(image("11\n11"), path)
+        code, out = run_cli(capsys, "holes", "--json", str(path))
+        assert code == 0 and out.startswith("{")
+        code, out = run_cli(capsys, "holes", str(path))
+        assert code == 0 and out.startswith("# ") and " digitopo holes\n" in out
+        assert run_cli(capsys, "holes", "--bogus-flag", str(path))[0] == 64
+        assert cli._build_parser() is cli._build_parser()
 
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "holes", "/nonexistent/x.pbm")[0] == 1
