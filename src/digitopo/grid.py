@@ -25,7 +25,7 @@ root is its scan-first run, so the labels come out in scan order.
 
 from __future__ import annotations
 
-import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -242,16 +242,17 @@ class RepairAction:
     z: int | None = None
 
 
-def _shift_actions(actions, origin) -> list[RepairAction]:
-    """``actions`` moved by ``origin``, (x, y) or (x, y, z); ``z`` is
-    shifted only when it is not None."""
-    ox, oy, oz = (*origin, 0)[:3]
-    return [
-        RepairAction(
-            a.x + ox, a.y + oy, a.op, a.reason, None if a.z is None else a.z + oz
-        )
-        for a in actions
-    ]
+_OPS = (RepairOp.DELETE, RepairOp.ADD)
+
+
+def _actions(edits: np.ndarray) -> list[RepairAction]:
+    """The ``RepairAction`` of each row ``(*index, added)`` of ``edits``
+    (``_repair``), the index in array order: (y, x) or (z, y, x)."""
+    out = []
+    for *at, added in edits.tolist():
+        x, y, *z = reversed(at)
+        out.append(RepairAction(x, y, _OPS[added], RepairReason.PATHOLOGY, *z))
+    return out
 
 
 # Cells per block of the whole-grid passes over labels, which keep their
@@ -503,56 +504,107 @@ def _flip(p: np.ndarray, codes: np.ndarray, cell: tuple[int, ...]) -> None:
     codes[tuple(slice(i - 1, i + 1) for i in cell)] ^= _FLIP[p.ndim]
 
 
-def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray) -> list:
+def _flip_all(p: np.ndarray, codes: np.ndarray, at: tuple[np.ndarray, ...]) -> None:
+    """``_flip`` of the distinct cells ``at`` (one index array per axis):
+    one XOR per window offset. At one offset, distinct cells have distinct
+    windows, so no index repeats within a step (which ``^=`` would drop,
+    and ``np.bitwise_xor.at`` handles at several times the cost)."""
+    p[at] = ~p[at]
+    flat = codes.reshape(-1)
+    first = np.ravel_multi_index(tuple(i - 1 for i in at), codes.shape)
+    for offset in np.ndindex(*(2,) * p.ndim):
+        flat[first + np.ravel_multi_index(offset, codes.shape)] ^= _FLIP[p.ndim][offset]
+
+
+def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
     """``(vertex, hit)`` for every hit that ``hits`` lists at the code of
     each vertex (an index tuple into ``codes``) whose ``order`` is not 0:
-    by ``order``, then in scan order, then in the order of the list."""
+    by ``order``, then in scan order, then in the order of the list. The
+    vertices are all of them, or those of ``at``, ascending flat indices."""
     flat = codes.reshape(-1)
-    # ``take`` and a bool mask: half the time of ``order[codes]`` on a
-    # large grid.
-    at = np.flatnonzero(order.take(flat) != 0)
+    if at is None:
+        # A 256-byte ``bytes.translate`` table: unlike ``order[codes]`` or
+        # ``take``, no intp copy of the codes, and half the time of ``take``
+        # on a large grid.
+        table = np.zeros(256, dtype=bool)
+        table[: order.size] = order != 0
+        at = np.flatnonzero(np.frombuffer(flat.tobytes().translate(table.tobytes()), dtype=bool))
+    else:
+        at = at[order.take(flat[at]) != 0]
     at = at[np.argsort(order[flat[at]], kind="stable")]
     vertices = zip(*(i.tolist() for i in np.unravel_index(at, codes.shape)))
     return [(v, hit) for v, code in zip(vertices, flat[at].tolist()) for hit in hits[code]]
 
 
-def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable):
+def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, canvases=None):
     """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
-    ``repair_3d``. Returns the edited copy and its edits, in the
-    coordinates of ``cells``.
+    ``repair_3d``. Returns the edited copy and its edits, one row
+    ``(*index, added)`` each, the index into ``cells`` in array order.
 
     The edits go to one padded copy ``p`` (``_pad``), whose window codes
     are computed once and kept current by ``_flip``. A round takes the
     hits of the codes (``_hits``); it re-checks each against its window's
     current code, since an earlier edit may have resolved it, and calls
-    ``fix(p, codes, vertex, hit)``, which flips one cell through
-    ``_flip`` and returns it. The edit is an ADD when the cell is now
-    set, else a DELETE. Rounds repeat until no hit is left. The loop is
-    deterministic, so a round that starts from a state already seen
-    would repeat forever: it raises ``RepairDidNotConverge``, as does a
-    total of more than 4 edits per cell.
+    ``fix(p, codes, vertex, hit)``, which flips one cell of the hit's
+    window through ``_flip`` and returns it. The edit is an ADD when the
+    cell is now set, else a DELETE. Rounds repeat until no hit is left.
+    Only the first round reads every code: a window with a hit at the
+    start of a round was fixed or changed in the round before, by an edit
+    of one of its cells, so a later round reads only the windows that
+    hold a cell the round before edited.
+
+    The loop is deterministic, so a round that starts from a state
+    already seen would repeat forever: it raises ``RepairDidNotConverge``,
+    as does a total of more than 4 edits per cell. A state is the set of
+    cells edited an odd number of times.
+
+    ``canvases`` cuts ``cells`` along its first axis into canvases,
+    ``(rows, cells)`` each (default: one, the whole grid), as
+    ``_per_component`` stacks them. A hit window lies in one canvas, and
+    its fix reads and flips only cells of that canvas, so each canvas goes
+    through the rounds and edits it would alone, with its own state and
+    its own cap.
     """
     p = _pad(cells)
     codes = _window_codes(p)
-    cap = 4 * cells.size
-    actions: list[RepairAction] = []
-    seen: set[bytes] = set()
-    while found := _hits(codes, hits, order):
-        digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
-        if digest in seen:
-            raise RepairDidNotConverge("repair did not converge")
-        seen.add(digest)
-        for vertex, hit in found:
+    if canvases is None:
+        canvases = [(len(cells), cells.size)]
+    # Cells row i is row i + 1 of ``p``; a hit window holds a cell of its
+    # canvas in its first row.
+    stops = np.cumsum([rows for rows, _ in canvases]).tolist()
+    left = [4 * size for _, size in canvases]
+    odd: list[set] = [set() for _ in canvases]
+    seen: list[set] = [set() for _ in canvases]
+    edits: list[tuple] = []
+    # Cell i is in the windows i - 1 and i per axis.
+    offsets = np.indices((2,) * p.ndim).reshape(p.ndim, 1, -1)
+    found = _hits(codes, hits, order)
+    while found:
+        owner = [bisect_right(stops, vertex[0] - 1) for vertex, _ in found]
+        for k in set(owner):
+            state = frozenset(odd[k])
+            if state in seen[k]:
+                raise RepairDidNotConverge("repair did not converge")
+            seen[k].add(state)
+        start = len(edits)
+        for (vertex, hit), k in zip(found, owner):
             if hit not in hits[codes[vertex]]:
                 continue
-            if len(actions) >= cap:
+            if not left[k]:
                 raise RepairDidNotConverge("repair did not converge")
+            left[k] -= 1
             cell = fix(p, codes, vertex, hit)
-            op = RepairOp.ADD if p[cell] else RepairOp.DELETE
-            # ``cell`` indexes ``p``: (y, x) or (z, y, x), one past the source.
-            x, y, *z = (i - 1 for i in reversed(cell))
-            actions.append(RepairAction(x, y, op, RepairReason.PATHOLOGY, *z))
-    return p[(slice(1, -1),) * p.ndim].copy(), actions
+            odd[k] ^= {cell}
+            edits.append((*cell, p[cell]))
+        near = np.array(edits[start:])[:, :-1].T[:, :, None] - offsets
+        # Sorted and deduplicated without ``np.unique``, which imports
+        # ``numpy.ma`` on first use.
+        at = np.sort(np.ravel_multi_index(tuple(near.reshape(p.ndim, -1)), codes.shape))
+        at = at[np.diff(at, prepend=-1) != 0]
+        found = _hits(codes, hits, order, at)
+    edits = np.array(edits, dtype=np.int64).reshape(-1, p.ndim + 1)
+    edits[:, :-1] -= 1
+    return p[(slice(1, -1),) * p.ndim].copy(), edits
 
 
 def _grid_of(cells: np.ndarray):
@@ -631,9 +683,10 @@ def _cut_out(labeling: Labeling, component_id: int, boxes: dict):
 class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
     and ``topo3d._HOOKS``: the dimension's rules only. The driver codes
-    each grid (``_window_codes``), cuts the canvases (``_component_canvas``)
-    and moves edits to the source. A hook looks up what it calls when it
-    runs, so that a traced entry point stays traced."""
+    each grid (``_window_codes``), cuts and stacks the canvases
+    (``_component_canvas``) and moves edits to the source. A hook looks
+    up what it calls when it runs, so that a traced entry point stays
+    traced."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
@@ -643,9 +696,26 @@ class _Hooks(NamedTuple):
     scan: Callable
     # (codes, labeling) -> {label: answer or None} over labels with cells.
     classify: Callable
-    repair: Callable  # canvas -> (canvas, edits in canvas coordinates)
+    # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
+    # canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
+    repair: Callable
     slow: Callable  # (piece, fallback_oracle, component_id, edits) -> report
     report: Callable  # (component_id, answer, edits) -> report
+
+
+def _canvas_actions(edits: np.ndarray, starts: list, origins: list) -> list[tuple]:
+    """The edits of a repaired stack (``_repair``) as one tuple of
+    ``RepairAction``s per canvas: each edit goes to the canvas whose rows
+    hold it, starting at ``starts``, and is moved to the source by that
+    canvas's origin, (x, y[, z])."""
+    owner = np.searchsorted(starts, edits[:, 0], side="right") - 1
+    shift = np.array([origin[::-1] for origin in origins])
+    shift[:, 0] -= starts
+    edits[:, :-1] += shift[owner]
+    order = np.argsort(owner, kind="stable")
+    acts = _actions(edits[order])
+    cuts = np.cumsum(np.bincount(owner, minlength=len(origins))).tolist()
+    return [tuple(acts[i:j]) for i, j in zip([0, *cuts], cuts)]
 
 
 def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
@@ -669,14 +739,15 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       dirty components, those with a pathological window of their own;
     * a clean component is one piece that repair leaves alone, and one
       classification of the same codes answers for all of them;
-    * the dirty components are repaired on their canvases in id order,
-      before any classification, so a repair cycle raises first. The
-      canvases are stacked along the slowest axis (y in 2D, z in 3D) in
-      groups whose other extents round up to the same powers of two, and
-      each stack is labelled once and, if repaired, coded and classified
-      once. The one-cell frames keep two canvases' objects apart, and scan
-      order visits one canvas after another, so a stack's labels number
-      each canvas's pieces as labelling that canvas alone would;
+    * the dirty components' canvases are stacked along the slowest axis
+      (y in 2D, z in 3D) in groups whose other extents round up to the
+      same powers of two. Each stack is repaired once (``_repair``, every
+      canvas apart, with its own checks), then labelled once and, if
+      repaired, coded and classified once. Every stack is repaired before
+      anything is classified, so a repair cycle raises first. The one-cell
+      frames keep two canvases' objects and windows apart, and scan order
+      visits one canvas after another, so a stack's labels number each
+      canvas's pieces as labelling that canvas alone would;
     * a piece without an answer, and every piece of an unrepaired canvas,
       goes to ``slow``. Reports are assembled in component order, so the
       first piece that raises is the one a loop over components would.
@@ -688,17 +759,28 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     dirty, (owners, log), answers = hooks.scan(p, codes, labeling)
     del p
     boxes = _component_boxes(labeling, None if keep_pieces else dirty)
-    canvases, repaired = {}, {}
+    canvases, origins = {}, {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for cid in sorted(dirty):
-        canvas, origin = _component_canvas(labeling, cid, boxes[cid])
-        acts = []
+        canvas, origins[cid] = _component_canvas(labeling, cid, boxes[cid])
+        canvases[cid] = canvas.cells
+        key = tuple(1 << (n - 1).bit_length() for n in canvas.cells.shape[1:])
+        groups.setdefault(key, []).append(cid)
+    stacks, repaired = [], {}
+    for members in groups.values():
+        shapes = np.array([canvases[cid].shape for cid in members])
+        starts = np.concatenate(([0], shapes[:, 0].cumsum()))
+        stack = np.zeros((starts[-1], *shapes[:, 1:].max(axis=0)), dtype=bool)
+        for cid, start, shape in zip(members, starts.tolist(), shapes.tolist()):
+            stack[(slice(start, start + shape[0]), *map(slice, shape[1:]))] = canvases.pop(cid)
+        acts = [()] * len(members)
         if repair:
-            canvas, acts = hooks.repair(canvas)
-        canvases[cid], repaired[cid] = canvas.cells, tuple(_shift_actions(acts, origin))
-        owners += [cid] * len(acts)
-        log += repaired[cid]
-    # A stable sort by owner: each component's scan edits, then its repair edits.
-    log = [log[i] for i in np.argsort(owners, kind="stable").tolist()]
+            sizes = shapes.prod(axis=1).tolist()
+            stack, edits = hooks.repair(_grid_of(stack), list(zip(shapes[:, 0].tolist(), sizes)))
+            stack = stack.cells
+            acts = _canvas_actions(edits, starts[:-1], [origins[cid] for cid in members])
+        repaired.update(zip(members, acts))
+        stacks.append((members, starts, stack))
     if answers is None:
         answers = hooks.classify(codes, labeling)
     del codes
@@ -707,17 +789,9 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     # ``keep_pieces`` all of them, else those without an answer.
     cut = [cid for cid, answer in answers.items() if answer is None and cid not in boxes]
     boxes.update(_component_boxes(labeling, cut))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for cid, cells in canvases.items():
-        key = tuple(1 << (n - 1).bit_length() for n in cells.shape[1:])
-        groups.setdefault(key, []).append(cid)
     pieces = {}  # (piece, answer, edits) of each piece of a canvas
-    for members in groups.values():
-        shapes = np.array([canvases[cid].shape for cid in members])
-        starts = np.concatenate(([0], shapes[:, 0].cumsum()))
-        stack = np.zeros((starts[-1], *shapes[:, 1:].max(axis=0)), dtype=bool)
-        for cid, start, shape in zip(members, starts.tolist(), shapes.tolist()):
-            stack[(slice(start, start + shape[0]), *map(slice, shape[1:]))] = canvases.pop(cid)
+    while stacks:  # popped, so that a stack is freed once it is labelled
+        members, starts, stack = stacks.pop()
         lab = label(_grid_of(stack), hooks.pieces)
         found = hooks.classify(_window_codes(_pad(stack)), lab) if repair else {}
         cut = [i for i in range(1, lab.count + 1) if found.get(i) is None]
@@ -731,6 +805,11 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
                 (_cut_out(lab, i, lab_boxes), found.get(i), repaired[cid])
                 for i in range(lo + 1, hi + 1)
             ]
+    for cid in sorted(repaired):
+        owners += [cid] * len(repaired[cid])
+        log += repaired[cid]
+    # A stable sort by owner: each component's scan edits, then its repair edits.
+    log = [log[i] for i in np.argsort(owners, kind="stable").tolist()]
 
     results = []
     for cid, answer in answers.items():

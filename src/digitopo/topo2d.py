@@ -41,8 +41,10 @@ from .grid import (
     _HIGH_BIT,
     _Hooks,
     _LOW_BIT,
+    _actions,
     _count_components,
     _flip,
+    _flip_all,
     _hits,
     _label_sizes,
     _pad,
@@ -266,7 +268,7 @@ def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
     ]
 
 
-def repair_2d(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
+def repair_2d(img: Image2D, *, _canvases=None) -> tuple[Image2D, list[RepairAction]]:
     """Remove pathological windows by local add/delete edits.
 
     For each pathology, candidates are tried in a fixed order: add the
@@ -278,9 +280,13 @@ def repair_2d(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
     none is (``grid._repair``); a round that starts from a state already
     seen, or more than 4 * width * height actions in all, raises
     ``RepairDidNotConverge``.
+
+    ``grid._per_component`` passes a stack of canvases as ``img`` and
+    their extents as ``_canvases`` (``grid._repair``), and gets the edits
+    back as rows of ``grid._repair`` rather than as actions.
     """
-    cells, actions = _repair(img.cells, _HITS, _DIAGONAL, _fix_window)
-    return Image2D(img.width, img.height, cells), actions
+    cells, edits = _repair(img.cells, _HITS, _DIAGONAL, _fix_window, _canvases)
+    return Image2D(img.width, img.height, cells), edits if _canvases else _actions(edits)
 
 
 def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, _kind) -> tuple[int, int]:
@@ -347,8 +353,9 @@ def hole_count(
 def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """Delete and fill the speckles of ``p``, the labelled image in a frame
     of one empty pixel whose window codes are ``codes``, as each
-    component's canvas sees them, in ``p`` and in the labels. Returns the
-    owner's id of each edit and the edits, in row-major order.
+    component's canvas sees them, in ``p``, its codes (``grid._flip_all``)
+    and the labels. Returns the owner's id of each edit and the edits, in
+    row-major order.
 
     A pixel with no 4-neighbor is deleted, even one that touches another
     component diagonally, and a one-pixel hole is filled into the
@@ -365,7 +372,7 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     owner[fill] = flat[at[fill] - width]
     flat[at] = np.where(fill, owner, 0)
     ys, xs = np.divmod(at, width)
-    p[ys + 1, xs + 1] = fill
+    _flip_all(p, codes, (ys + 1, xs + 1))
     edits = [
         RepairAction(x, y, RepairOp.ADD if f else RepairOp.DELETE, RepairReason.SPECKLE)
         for x, y, f in zip(xs.tolist(), ys.tolist(), fill.tolist())
@@ -417,9 +424,9 @@ def _window_pass(codes: np.ndarray, labeling: Labeling) -> dict:
 
 def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
-    of the despeckled image, coded anew, whose None marks the dirty ones."""
+    of the despeckled image, whose None marks the dirty ones."""
     speckles = _despeckle(p, codes, labeling)
-    answers = _window_pass(_window_codes(p), labeling)
+    answers = _window_pass(codes, labeling)
     return [cid for cid, answer in answers.items() if answer is None], speckles, answers
 
 
@@ -435,7 +442,7 @@ _HOOKS = _Hooks(
     pieces=Adjacency.DIRECT_2D,
     scan=_scan,
     classify=_window_pass,
-    repair=lambda canvas: repair_2d(canvas),
+    repair=lambda stack, canvases: repair_2d(stack, _canvases=canvases),
     slow=_checked_hole_count,
     report=lambda n, answer, _: HoleReport(n, *answer, HoleMethod.FORMULA, True),
 )

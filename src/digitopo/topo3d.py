@@ -62,6 +62,7 @@ from .grid import (
     Volume3D,
     _Hooks,
     _LOW_BIT,
+    _actions,
     _components,
     _flip,
     _hits,
@@ -229,9 +230,6 @@ _ANTIPODAL = (
 # Voxel offsets (dx, dy, dz) of a 2x2x2 window, in scan order.
 _CUBE = tuple((dx, dy, dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1))
 
-# Index offsets (dz, dy, dx) of a voxel's six face neighbours.
-_FACES = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0))
-
 # The two unit offsets spanning the 2x2 voxel block around an edge along
 # x, y and z.
 _EDGE_SPANS = (
@@ -337,7 +335,7 @@ def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
 # repair
 
 
-def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
+def repair_3d(vol: Volume3D, *, _canvases=None) -> tuple[Volume3D, list[RepairAction]]:
     """Edit the volume until no pathological window remains.
 
     Each round applies fills for complement windows first, then deletions
@@ -349,9 +347,32 @@ def repair_3d(vol: Volume3D) -> tuple[Volume3D, list[RepairAction]]:
     deletion restores the filled voxel. The loop is deterministic, so a
     repeated grid state proves the cap will be exceeded; it is reported
     immediately instead of grinding out the remaining actions.
+
+    ``grid._per_component`` passes a stack of canvases as ``vol`` and
+    their extents as ``_canvases`` (``grid._repair``), and gets the edits
+    back as rows of ``grid._repair`` rather than as actions.
     """
-    cells, actions = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window)
-    return Volume3D(vol.nx, vol.ny, vol.nz, cells), actions
+    cells, edits = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window, _canvases)
+    return Volume3D(vol.nx, vol.ny, vol.nz, cells), edits if _canvases else _actions(edits)
+
+
+# Per window code: the set face neighbours of its minimal voxel toward +x,
+# +y and +z (bits 1, 2 and 4), and of its maximal voxel toward -x, -y and
+# -z (bits 6, 5 and 3).
+_UP_FACES = tuple(int.bit_count(code & 0b00010110) for code in range(256))
+_DOWN_FACES = tuple(int.bit_count(code & 0b01101000) for code in range(256))
+
+
+# Per voxel pair of a hit: its index offsets (dz, dy, dx), scan-first first.
+_PAIR_AT = {pair: tuple(sorted(off[::-1] for off in pair)) for h in _CODE_HITS for _, pair, _ in h}
+
+
+def _face_degree(codes: np.ndarray, cell) -> int:
+    """The set face neighbours of ``cell`` (z, y, x) of a padded volume,
+    read from its codes: the minimal voxel of the window at ``cell`` and
+    the maximal one of the window one vertex below."""
+    z, y, x = cell
+    return _UP_FACES[codes.item(z, y, x)] + _DOWN_FACES[codes.item(z - 1, y - 1, x - 1)]
 
 
 def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> tuple[int, int, int]:
@@ -366,11 +387,10 @@ def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> tuple[int, int
     tie.
     """
     kind, pair, _ = hit
-    # Index tuples (z, y, x) of the pair, scan-first first.
-    a, b = sorted(tuple(i + d for i, d in zip(vertex, off[::-1])) for off in pair)
-    da, db = (
-        sum(bool(p[z + dz, y + dy, x + dx]) for dz, dy, dx in _FACES) for z, y, x in (a, b)
-    )
+    z, y, x = vertex
+    (az, ay, ax), (bz, by, bx) = _PAIR_AT[pair]
+    a, b = (z + az, y + ay, x + ax), (z + bz, y + by, x + bx)
+    da, db = _face_degree(codes, a), _face_degree(codes, b)
     if kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR:
         cell = b if db > da else a
     else:
@@ -624,7 +644,7 @@ _HOOKS = _Hooks(
     pieces=Adjacency.DIRECT_3D,
     scan=_scan,
     classify=_classify,
-    repair=lambda canvas: repair_3d(canvas),
+    repair=lambda stack, canvases: repair_3d(stack, _canvases=canvases),
     slow=lambda *args: homology(*args),
     report=lambda component_id, answer, edits: _report(component_id, *answer, edits),
 )

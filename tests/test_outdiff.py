@@ -4,6 +4,8 @@ The tool is loaded by path, since ``tools`` is not a package.
 """
 
 import importlib.util
+import shutil
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,3 +29,28 @@ def test_a_tree_against_itself_has_no_differences(tmp_path):
         f"outdiff: {len(cases)} runs per tree, 0 differ,"
         f" in 0 of {len(groups)} command and flag sets"
     )
+
+
+def test_a_planted_difference_is_grouped_by_its_json_key_path(tmp_path):
+    # A copy of the package whose hole records count one hole more: only
+    # the JSON runs of holes differ, each at ``components[].holes`` alone.
+    outdiff = load_outdiff()
+    planted = tmp_path / "planted"
+    shutil.copytree(ROOT / "src", planted, ignore=shutil.ignore_patterns("__pycache__"))
+    record = planted / "digitopo" / "report.py"
+    text = record.read_text()
+    assert text.count('"holes": r.holes,') == 1
+    record.write_text(text.replace('"holes": r.holes,', '"holes": r.holes + 1,'))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    cases, diffs = outdiff.compare(ROOT / "src", planted, runs, tiny=True)
+    differ = Counter(case["group"] for case, diff in zip(cases, diffs) if diff is not None)
+    assert set(differ) == {
+        "holes --json",
+        "holes --json --no-repair",
+        "holes --json --no-fallback-oracle",
+        "holes --json --no-repair --no-fallback-oracle",
+    }
+    lines = outdiff.report(cases, diffs)
+    keys = [line.strip() for line in lines if "json keys:" in line]
+    assert sorted(keys) == sorted(f"json keys: components[].holes: {n}" for n in differ.values())

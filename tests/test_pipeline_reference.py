@@ -15,12 +15,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from digitopo import Image2D, PreconditionFailure, grid, holes_pipeline
-from digitopo.grid import Adjacency, _component_canvas, _shift_actions, label_components_2d
+from digitopo.grid import Adjacency, RepairAction, _component_canvas, label_components_2d
 from digitopo.topo2d import _analyze_components, hole_count, remove_speckles, repair_2d
 from gridtext import image
 
 
-def reference_analyze_components(img, repair=True, fallback_oracle=True):
+def _shift_actions(actions, origin):
+    ox, oy = origin
+    return [RepairAction(a.x + ox, a.y + oy, a.op, a.reason) for a in actions]
+
+
+def reference_analyze_components(img, repair=True, fallback_oracle=True, repair_fn=repair_2d):
     labeling = label_components_2d(img, Adjacency.DIRECT_2D)
     actions = []
     results = []
@@ -32,7 +37,7 @@ def reference_analyze_components(img, repair=True, fallback_oracle=True):
         if not canvas.cells.any():
             continue
         if repair:
-            canvas, repair_actions = repair_2d(canvas)
+            canvas, repair_actions = repair_fn(canvas)
             actions.extend(_shift_actions(repair_actions, origin))
         sub = label_components_2d(canvas, Adjacency.DIRECT_2D)
         for sid in range(1, sub.count + 1):

@@ -26,7 +26,7 @@ from digitopo import (
     repair_2d as live_repair_2d,
     repair_3d as live_repair_3d,
 )
-from digitopo.grid import _flip, _pad, _window_codes
+from digitopo.grid import _flip, _flip_all, _pad, _window_codes
 from digitopo.topo2d import _DIAGONAL, _MAIN, Diag2D
 from digitopo.topo3d import _CODE_DIRTY, _CODE_HITS
 
@@ -298,3 +298,16 @@ def test_flipped_codes_stay_current():
             assert p[cell] != before
             assert np.array_equal(codes, _window_codes(p)), (shape, cell)
         assert not p[(0,) * len(shape)] and not p[(-1,) * len(shape)]
+
+
+def test_flipping_many_cells_at_once_keeps_codes_current():
+    # Random sets of distinct cells, many of them sharing windows, flipped
+    # with one call: the codes equal those computed afresh.
+    rng = np.random.default_rng(11)
+    for shape in ((9, 11), (30, 30), (5, 6, 7)):
+        p = _pad(rng.random(shape) < 0.5)
+        codes = _window_codes(p)
+        for density in (0.05, 0.5, 1.0):
+            at = np.nonzero(rng.random(shape) < density)
+            _flip_all(p, codes, tuple(i + 1 for i in at))
+            assert np.array_equal(codes, _window_codes(p)), (shape, density)

@@ -1,0 +1,235 @@
+"""The stacked repair loop against repairing each canvas alone.
+
+``grid._per_component`` stacks the dirty canvases of a grid and repairs
+each stack with one ``grid._repair`` call, whose later rounds read only
+the windows around the cells the round before edited, and which tells a
+state by the cells edited an odd number of times. The loop below is the
+one it replaced, kept as the reference: it repairs one canvas, reads
+every window code each round and digests the whole grid to find a
+repeated state. Driving the per-component references with it must give
+the same reports, the same log and the same exceptions.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
+
+from digitopo import (
+    Image2D,
+    RepairAction,
+    RepairDidNotConverge,
+    RepairOp,
+    RepairReason,
+    Volume3D,
+    analyze_volume,
+    grid,
+    holes_pipeline,
+    topo3d,
+)
+from digitopo.grid import _hits, _pad, _repair, _window_codes
+from digitopo.topo2d import _DIAGONAL, _HITS
+from digitopo.topo2d import _fix_window as fix_2d
+from digitopo.topo3d import _CODE_HITS, _CODE_PASS
+from digitopo.topo3d import _fix_window as fix_3d
+
+from gridtext import REPAIR_CYCLE
+from test_pipeline_reference import raw_images, reference_analyze_components
+from test_topo3d import outcome, reference_analyze
+
+
+def reference_loop(cells, hits, order, fix):
+    """One canvas: every round reads all window codes and digests the
+    padded copy; a repeated digest, or more than 4 edits per cell, raises."""
+    p = _pad(cells)
+    codes = _window_codes(p)
+    cap = 4 * cells.size
+    actions = []
+    seen = set()
+    while found := _hits(codes, hits, order):
+        digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
+        if digest in seen:
+            raise RepairDidNotConverge("repair did not converge")
+        seen.add(digest)
+        for vertex, hit in found:
+            if hit not in hits[codes[vertex]]:
+                continue
+            if len(actions) >= cap:
+                raise RepairDidNotConverge("repair did not converge")
+            cell = fix(p, codes, vertex, hit)
+            op = RepairOp.ADD if p[cell] else RepairOp.DELETE
+            x, y, *z = (i - 1 for i in reversed(cell))
+            actions.append(RepairAction(x, y, op, RepairReason.PATHOLOGY, *z))
+    return p[(slice(1, -1),) * p.ndim].copy(), actions
+
+
+def reference_repair_2d(img):
+    cells, actions = reference_loop(img.cells, _HITS, _DIAGONAL, fix_2d)
+    return Image2D(img.width, img.height, cells), actions
+
+
+def reference_repair_3d(vol):
+    cells, actions = reference_loop(vol.cells, _CODE_HITS, _CODE_PASS, fix_3d)
+    return Volume3D(vol.nx, vol.ny, vol.nz, cells), actions
+
+
+def _event(got):
+    event(got[0].__name__ if isinstance(got[0], type) else "reports")
+
+
+def three_copies(seed):
+    """A Bernoulli image, three times side by side: its dirty components'
+    canvases, three of each, stack together. Seed 73's take a second
+    round of repair."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(4, 25, size=2).tolist()
+    cells = rng.random((h, w)) < rng.uniform(0.3, 0.8)
+    cells = np.hstack([cells, np.zeros((h, 1), dtype=bool)] * 3)
+    return Image2D(cells.shape[1], h, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=raw_images())
+@example(img=three_copies(73))
+def test_2d_driver_matches_canvases_repaired_alone(img):
+    got = outcome(holes_pipeline, img)
+    want = outcome(reference_analyze_components, img, repair_fn=reference_repair_2d)
+    if not isinstance(want[0], type):
+        want = ([r for r, _ in want[0]], want[1])
+    _event(got)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 12)] * 3),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    cycle=st.booleans(),
+)
+@example((12, 12, 12), 0.15, 25, False)
+@example((12, 12, 12), 0.15, 25, True)
+def test_3d_driver_matches_canvases_repaired_alone(shape, density, seed, cycle):
+    # Raw Bernoulli volumes, with the cycling pattern written into a
+    # corner of some of them.
+    cells = np.random.default_rng(seed).random(shape) < density
+    if cycle and all(n >= k for n, k in zip(shape, REPAIR_CYCLE.shape)):
+        cells[tuple(slice(0, k) for k in REPAIR_CYCLE.shape)] = REPAIR_CYCLE
+    vol = Volume3D(shape[2], shape[1], shape[0], cells)
+    got = outcome(analyze_volume, vol)
+    _event(got)
+    assert got == outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
+
+
+def plate_pairs(count, cells=None):
+    """``count`` dirty 26-components, each a 4x4 plate and one voxel that
+    meets its corner at a vertex only, along x at z 1; their canvases are
+    4 x 7 x 7, one stack. Repair deletes each lone voxel."""
+    if cells is None:
+        cells = np.zeros((4, 7, 7 * count), dtype=bool)
+    for i in range(count):
+        cells[1, 1:5, 7 * i + 1 : 7 * i + 5] = True
+        cells[2, 5, 7 * i + 5] = True
+    return cells
+
+
+def test_a_cycling_canvas_among_converging_ones_raises(monkeypatch):
+    calls = []
+    repair_3d = topo3d.repair_3d
+
+    def counting(vol, **kwargs):
+        calls.append(kwargs["_canvases"])
+        return repair_3d(vol, **kwargs)
+
+    monkeypatch.setattr(topo3d, "repair_3d", counting)
+    cells = plate_pairs(4, np.zeros((6, 7, 36), dtype=bool))
+    reports, actions = analyze_volume(Volume3D(36, 7, 6, cells))
+    assert len(reports) == 4 and len(actions) == 4
+    assert len(calls) == 1 and len(calls[0]) == 4
+    # The cycling pattern's canvas falls into the same stack, first (as
+    # component 1) or last (moved two voxels up, as component 5).
+    for z in (0, 2):
+        cycling = cells.copy()
+        cycling[z : z + 4, 1:4, 29:33] = REPAIR_CYCLE
+        calls.clear()
+        with pytest.raises(RepairDidNotConverge, match="did not converge"):
+            analyze_volume(Volume3D(36, 7, 6, cycling))
+        assert len(calls) == 1 and len(calls[0]) == 5
+    with pytest.raises(RepairDidNotConverge):
+        reference_repair_3d(Volume3D(4, 3, 4, REPAIR_CYCLE))
+
+
+def test_a_canvas_that_reaches_its_own_cap_raises():
+    # Made-up rules over 2x2 windows. Codes 4 and 12 (a set cell with no
+    # set cell above it or above-right, alone or with its right
+    # neighbour) each list 100 hits. On the spinner, a 1 x 2 bar, a fix
+    # flips the window's bit-3 cell, the bar's right end, which turns code
+    # 12 into 4 and back, so its window takes all 100 hits in each round.
+    # Elsewhere a fix deletes the window's bit-2 cell, which empties a
+    # 3 x 3 block in three rounds of 3 edits.
+    hits = tuple(tuple(range(100)) if code in (4, 12) else () for code in range(16))
+    order = np.array([bool(hits[code]) for code in range(16)])
+    spinner = np.zeros((3, 4), dtype=bool)
+    spinner[1, 1:3] = True
+    block = np.zeros((5, 5), dtype=bool)
+    block[1:4, 1:4] = True
+    stack = np.zeros((13, 5), dtype=bool)
+    stack[0:5], stack[5:10], stack[10:13, :4] = block, block, spinner
+    canvases = [(5, 25), (5, 25), (3, 12)]
+    fixes = []
+
+    def spinning_from(row):
+        def fix(p, codes, vertex, _hit):
+            y, x = vertex
+            fixes.append(vertex)
+            cell = (y + 1, x + 1) if y >= row else (y + 1, x)
+            grid._flip(p, codes, cell)
+            return cell
+
+        return fix
+
+    # The blocks' first 6 edits, then the spinner's 48 = 4 x 12, far
+    # below the 248 of all three caps.
+    with pytest.raises(RepairDidNotConverge):
+        _repair(stack, hits, order, spinning_from(10), canvases)
+    assert len(fixes) == 6 + 48
+    # With the stack as one canvas, the spinner spins on to the stack's
+    # cap, 4 x 65 edits in all.
+    fixes.clear()
+    with pytest.raises(RepairDidNotConverge):
+        _repair(stack, hits, order, spinning_from(10))
+    assert len(fixes) == 260
+    # Alone, a block converges and the spinner reaches its cap.
+    fixes.clear()
+    fixed, edits = _repair(block, hits, order, spinning_from(5))
+    assert not fixed.any() and len(edits) == len(fixes) == 9
+    fixes.clear()
+    with pytest.raises(RepairDidNotConverge):
+        _repair(spinner, hits, order, spinning_from(0))
+    assert len(fixes) == 48
+
+
+def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
+    # 50 dirty components whose canvases are all 4 x 7 x 7: one stack.
+    repairs, full_reads = [], []
+    repair_3d, hits = topo3d.repair_3d, grid._hits
+
+    def counting_repair(vol, **kwargs):
+        repairs.append(len(kwargs["_canvases"]))
+        return repair_3d(vol, **kwargs)
+
+    def counting_hits(codes, table, order, at=None):
+        if at is None:
+            full_reads.append(codes.shape)
+        return hits(codes, table, order, at)
+
+    monkeypatch.setattr(topo3d, "repair_3d", counting_repair)
+    monkeypatch.setattr(grid, "_hits", counting_hits)
+    cells = np.concatenate([plate_pairs(10)] * 5, axis=0)
+    reports, actions = analyze_volume(Volume3D(70, 7, 20, cells))
+    assert len(reports) == 50 and len(actions) == 50
+    assert repairs == [50]
+    # The codes of the stack of 50 canvases of 4 x 7 x 7, padded by one
+    # voxel: one window per vertex.
+    assert full_reads == [(201, 8, 8)]

@@ -36,7 +36,7 @@ from digitopo import (
     surface_neighbors,
     to_point_space,
 )
-from digitopo.grid import RepairAction, _component_canvas
+from digitopo.grid import RepairAction, _component_canvas, _pad, _window_codes
 from digitopo.topo3d import (
     SurfaceHistogram,
     SurfaceReport,
@@ -46,6 +46,7 @@ from digitopo.topo3d import (
     _DEGREE,
     _UP_EDGES,
     _analyze_pieces,
+    _face_degree,
 )
 
 from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, volume
@@ -718,10 +719,10 @@ def reference_homology(piece, fallback_oracle, component_id, actions):
     )
 
 
-def reference_analyze(vol, repair=True, fallback_oracle=True):
+def reference_analyze(vol, repair=True, fallback_oracle=True, repair_fn=repair_3d):
     """``analyze_volume`` as a loop over components: each 26-component is
-    repaired on its own canvas, relabeled with 6-adjacency, and every
-    piece is classified by itself."""
+    repaired on its own canvas by ``repair_fn``, relabeled with
+    6-adjacency, and every piece is classified by itself."""
     lab26 = label_components_3d(vol, Adjacency.INDIRECT_3D)
     reports = []
     all_actions = []
@@ -729,7 +730,7 @@ def reference_analyze(vol, repair=True, fallback_oracle=True):
         canvas, (ox, oy, oz) = _component_canvas(lab26, cid)
         shifted = []
         if repair:
-            canvas, acts = repair_3d(canvas)
+            canvas, acts = repair_fn(canvas)
             shifted = [
                 RepairAction(a.x + ox, a.y + oy, a.op, a.reason, a.z + oz)
                 for a in acts
@@ -1057,3 +1058,24 @@ class TestWindowCodes:
         else:
             assert np.array_equal(got[0].cells, want[0].cells)
             assert got[1] == want[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 8)] * 3),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_face_degree_tables_count_face_neighbours(self, shape, density, seed):
+        # Every voxel of a padded grid: the two codes' table sums equal a
+        # direct count of its set face neighbours.
+        p = _pad(np.random.default_rng(seed).random(shape) < density)
+        codes = _window_codes(p)
+        for cell in np.ndindex(*shape):
+            z, y, x = (i + 1 for i in cell)
+            want = sum(
+                bool(p[z + dz, y + dy, x + dx])
+                for dz, dy, dx in (
+                    (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0),
+                )
+            )
+            assert _face_degree(codes, (z, y, x)) == want, cell

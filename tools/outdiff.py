@@ -21,7 +21,9 @@ Each tree runs the whole matrix in one subprocess, in process through
 ``src``. A run's exit code, stdout (the human printer's timestamp line
 masked), stderr and written bytes are compared. The differences are
 printed grouped by command and flag set, then one summary line; the exit
-status is 1 when any run differs.
+status is 1 when any run differs. Within a group, runs whose stdout is
+JSON on both sides are also counted by the key paths whose values differ
+(``_json_paths``), such as ``components[].surfaces[].genus``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,6 +172,30 @@ def _digest(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
+def _json_paths(text: bytes) -> dict[str, str] | None:
+    """A digest of the values at each key path of the JSON document
+    ``text``, or None when it is not one. A path names the keys from the
+    root, with ``[]`` for the items of a list: ``components[].holes``
+    holds every component's hole count, in document order, and
+    ``components`` the length of the list."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    values = defaultdict(list)
+    todo = [("", doc)]
+    while todo:
+        path, node = todo.pop()
+        if isinstance(node, dict):
+            todo += [(f"{path}.{key}" if path else key, v) for key, v in reversed(node.items())]
+        elif isinstance(node, list):
+            values[path].append(len(node))
+            todo += [(f"{path}[]", v) for v in reversed(node)]
+        else:
+            values[path].append(node)
+    return {path: _digest(json.dumps(v).encode()) for path, v in values.items()}
+
+
 def work(cases_path: str, results_path: str) -> None:
     """Run every case of ``cases_path`` through ``cli_dispatch`` in this
     process and write one result per case to ``results_path``."""
@@ -197,6 +223,7 @@ def work(cases_path: str, results_path: str) -> None:
             "exit": code,
             "stdout": _digest(stdout),
             "stdout_bytes": len(stdout),
+            "json": _json_paths(stdout) if "--json" in case["argv"] else None,
             "stderr": err.getvalue(),
             "output": _digest(written),
         })
@@ -255,8 +282,17 @@ def _describe(x: dict, y: dict) -> str:
     return "; ".join(parts)
 
 
+def _key_paths(x: dict, y: dict) -> list[str]:
+    """The JSON key paths whose values differ between two runs' stdout,
+    or none when either is not JSON."""
+    if x["stdout"] == y["stdout"] or x["json"] is None or y["json"] is None:
+        return []
+    return sorted(p for p in x["json"].keys() | y["json"].keys() if x["json"].get(p) != y["json"].get(p))
+
+
 def report(cases: list, diffs: list) -> list[str]:
-    """The differences grouped by command and flag set, then one line."""
+    """The differences grouped by command and flag set, with the JSON key
+    paths that differ, then one line."""
     groups: dict[str, list] = {}
     runs = Counter(case["group"] for case in cases)
     for case, diff in zip(cases, diffs):
@@ -267,6 +303,9 @@ def report(cases: list, diffs: list) -> list[str]:
         lines.append(f"== {group}: {len(found)} of {runs[group]} runs differ")
         exits = Counter(f"exit {x['exit']} -> {y['exit']}" for _, x, y in found)
         lines.append("   " + ", ".join(f"{k}: {n}" for k, n in sorted(exits.items())))
+        keys = Counter(p for _, x, y in found for p in _key_paths(x, y))
+        if keys:
+            lines.append("   json keys: " + ", ".join(f"{k}: {n}" for k, n in sorted(keys.items())))
         for path, x, y in found[:_SHOWN]:
             lines.append(f"   {path}: {_describe(x, y)}")
         if len(found) > _SHOWN:
