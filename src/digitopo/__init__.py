@@ -6,176 +6,34 @@ counting formulas, with slow flood-fill and cell-complex oracles for
 cross-checking, repair of pathological voxel configurations, streaming
 folds for bounded-memory processing, and PBM/vox3 file formats behind a
 command-line interface.
+
+The package exports each module's ``__all__``, plus ``cli_dispatch``.
 """
 
-from .errors import (
-    DigitopoError,
-    InvalidSurfaceError,
-    NoSuchComponentError,
-    ParseError,
-    PreconditionFailure,
-    RepairDidNotConverge,
-)
-from .grid import (
-    Adjacency,
-    Image2D,
-    Labeling,
-    Volume3D,
-    extract_component,
-    label_background_2d,
-    label_components_2d,
-    label_components_3d,
-    window2,
-    window8,
-)
-from .oracle import (
-    CellComplexSummary,
-    curvature_audit,
-    euler_2d,
-    euler_surface_3d,
-    holes_by_floodfill,
-)
-from .topo2d import (
-    CornerHistogram,
-    HoleMethod,
-    HoleReport,
-    Pathology2D,
-    PreconditionReport,
-    RepairAction,
-    RepairOp,
-    RepairReason,
-    check_preconditions_2d,
-    classify_boundary_2d,
-    find_pathologies_2d,
-    hole_count,
-    holes_pipeline,
-    remove_speckles,
-    repair_2d,
-)
-from .topo3d import (
-    Pathology3D,
-    Pathology3DKind,
-    SurfaceHistogram,
-    SurfacePointSet,
-    SurfaceReport,
-    TopoReport3D,
-    analyze_volume,
-    boundary_voxels,
-    classify_surface,
-    find_pathologies_3d,
-    genus,
-    homology,
-    repair_3d,
-    split_surface_components,
-    surface_neighbors,
-    to_point_space,
-)
-from .shapes import (
-    extrude,
-    gen_block_2d,
-    gen_block_3d,
-    gen_fat_blob_3d,
-    gen_fat_polyomino_2d,
-    gen_frame,
-    gen_holey_polyomino_2d,
-    gen_noisy_image_2d,
-    gen_noisy_volume_3d,
-    gen_scene_2d,
-    gen_shell,
-)
-from .pbm import read_pbm, write_pbm, write_pbm_p4
-from .vox3 import iter_vox3_slabs, read_vox3, write_vox3
-from .streaming import (
-    FoldStats,
-    fold_boundary_count_3d,
-    fold_corner_histogram_2d,
-    fold_surface_histogram_3d,
-)
+from . import errors, grid, oracle, pbm, shapes, streaming, topo2d, topo3d, vox3
+from .errors import *
+from .grid import *
+from .oracle import *
+from .topo2d import *
+from .topo3d import *
+from .shapes import *
+from .pbm import *
+from .vox3 import *
+from .streaming import *
 from .cli import cli_dispatch
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "DigitopoError",
-    "InvalidSurfaceError",
-    "NoSuchComponentError",
-    "ParseError",
-    "PreconditionFailure",
-    "RepairDidNotConverge",
-    # grids
-    "Adjacency",
-    "Image2D",
-    "Labeling",
-    "Volume3D",
-    "extract_component",
-    "label_background_2d",
-    "label_components_2d",
-    "label_components_3d",
-    "window2",
-    "window8",
-    # oracles
-    "CellComplexSummary",
-    "curvature_audit",
-    "euler_2d",
-    "euler_surface_3d",
-    "holes_by_floodfill",
-    # 2D analysis
-    "CornerHistogram",
-    "HoleMethod",
-    "HoleReport",
-    "Pathology2D",
-    "PreconditionReport",
-    "RepairAction",
-    "RepairOp",
-    "RepairReason",
-    "check_preconditions_2d",
-    "classify_boundary_2d",
-    "find_pathologies_2d",
-    "hole_count",
-    "holes_pipeline",
-    "remove_speckles",
-    "repair_2d",
-    # 3D analysis
-    "Pathology3D",
-    "Pathology3DKind",
-    "SurfaceHistogram",
-    "SurfacePointSet",
-    "SurfaceReport",
-    "TopoReport3D",
-    "analyze_volume",
-    "boundary_voxels",
-    "classify_surface",
-    "find_pathologies_3d",
-    "genus",
-    "homology",
-    "repair_3d",
-    "split_surface_components",
-    "surface_neighbors",
-    "to_point_space",
-    # generators
-    "extrude",
-    "gen_block_2d",
-    "gen_block_3d",
-    "gen_fat_blob_3d",
-    "gen_fat_polyomino_2d",
-    "gen_frame",
-    "gen_holey_polyomino_2d",
-    "gen_noisy_image_2d",
-    "gen_noisy_volume_3d",
-    "gen_scene_2d",
-    "gen_shell",
-    # formats and folds
-    "read_pbm",
-    "write_pbm",
-    "write_pbm_p4",
-    "iter_vox3_slabs",
-    "read_vox3",
-    "write_vox3",
-    "FoldStats",
-    "fold_boundary_count_3d",
-    "fold_corner_histogram_2d",
-    "fold_surface_histogram_3d",
+    *errors.__all__,
+    *grid.__all__,
+    *oracle.__all__,
+    *topo2d.__all__,
+    *topo3d.__all__,
+    *shapes.__all__,
+    *pbm.__all__,
+    *vox3.__all__,
+    *streaming.__all__,
     "cli_dispatch",
 ]

@@ -4,15 +4,16 @@ Subcommands: components, holes, genus, homology, repair, validate, gen,
 bench. Input format is sniffed from the file: PBM (P1/P4) is 2D, vox3 is
 3D. Flags go after the subcommand.
 
-Exit codes:
+Exit codes (an error's code is its type's ``exit_code``, see ``errors``):
     0   success
     1   runtime failure: parse errors, an input of the other dimension,
-        invalid surfaces with the fallback enabled, validate disagreement
+        invalid surfaces, validate disagreement
     2   formula preconditions failed with the oracle fallback disabled
     3   repair did not converge
     64  usage error: unknown flag or subcommand, bad flag combination
 
-validate runs both routes, so it takes no `--no-fallback-oracle`.
+`--no-fallback-oracle` exists only on holes and homology, the commands
+that fall back: validate runs both routes and genus only the formula.
 `--streaming` applies to genus and bench only, and genus additionally
 needs `--no-repair` there (repair edits need the whole grid in memory).
 Streaming and default mode produce byte-identical reports. JSON output
@@ -30,13 +31,7 @@ import tracemalloc
 from datetime import datetime
 
 from . import oracle, pbm, report, shapes, streaming, topo2d, topo3d, vox3
-from .errors import (
-    DigitopoError,
-    InvalidSurfaceError,
-    ParseError,
-    PreconditionFailure,
-    RepairDidNotConverge,
-)
+from .errors import DigitopoError, ParseError
 from .grid import (
     Adjacency,
     Image2D,
@@ -90,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_holes)
 
-    p = sub("genus", "genus of the whole boundary surface of a 3D volume", no_repair, fallback)
+    p = sub("genus", "genus of the whole boundary surface of a 3D volume", no_repair)
     p.add_argument("input")
     p.add_argument("--streaming", action="store_true", help=streaming_help)
     p.set_defaults(func=_cmd_genus)
@@ -113,20 +108,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub("gen", "write a generated shape to a file")
-    p.add_argument(
-        "shape",
-        choices=[
-            "block2d",
-            "block3d",
-            "frame",
-            "shell",
-            "poly2d",
-            "holey2d",
-            "blob3d",
-            "noisy2d",
-            "noisy3d",
-        ],
-    )
+    p.add_argument("shape", choices=list(_GEN))
     p.add_argument("output")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--width", type=int)
@@ -349,62 +331,52 @@ def _cmd_validate(ns) -> int:
     return 0 if all_agree else 1
 
 
+def _triple(text):
+    parts = [int(p) for p in text.split(",")]
+    if len(parts) != 3:
+        raise ParseError(f"expected x,y,z, got {text!r}")
+    return tuple(parts)
+
+
+def _sizes(ns, *names):
+    """The block extents ``names``, 8 where unset."""
+    return [8 if getattr(ns, n) is None else getattr(ns, n) for n in names]
+
+
+def _given(ns, *names):
+    """The flags among ``names`` that were set; unset ones fall through
+    to the generator's defaults."""
+    return {n: getattr(ns, n) for n in names if getattr(ns, n) is not None}
+
+
+# Shape name -> its generator call on the parsed flags. The generator is
+# looked up when the entry runs, so a wrapper installed on ``shapes``
+# sees the call.
+_GEN = {
+    "block2d": lambda ns: shapes.gen_block_2d(*_sizes(ns, "width", "height")),
+    "block3d": lambda ns: shapes.gen_block_3d(*_sizes(ns, "nx", "ny", "nz")),
+    "frame": lambda ns: shapes.gen_frame(ns.holes, ns.ring_width, ns.thickness),
+    "shell": lambda ns: shapes.gen_shell(_triple(ns.outer), _triple(ns.cavity)),
+    "poly2d": lambda ns: shapes.gen_fat_polyomino_2d(ns.seed, ns.area, ns.min_width),
+    "holey2d": lambda ns: shapes.gen_holey_polyomino_2d(ns.seed, ns.area, ns.holes, ns.min_width),
+    "blob3d": lambda ns: shapes.gen_fat_blob_3d(ns.seed, ns.volume, ns.min_width),
+    "noisy2d": lambda ns: shapes.gen_noisy_image_2d(
+        ns.seed, **_given(ns, "width", "height", "rate")
+    ),
+    "noisy3d": lambda ns: shapes.gen_noisy_volume_3d(
+        ns.seed, **_given(ns, "nx", "ny", "nz", "rate")
+    ),
+}
+
+
 def _cmd_gen(ns) -> int:
-    def triple(text):
-        parts = [int(p) for p in text.split(",")]
-        if len(parts) != 3:
-            raise ParseError(f"expected x,y,z, got {text!r}")
-        return tuple(parts)
-
-    # Unset size and rate flags fall through to the generators' defaults.
-    given = {
-        k: v
-        for k, v in {
-            "width": ns.width,
-            "height": ns.height,
-            "nx": ns.nx,
-            "ny": ns.ny,
-            "nz": ns.nz,
-            "rate": ns.rate,
-        }.items()
-        if v is not None
-    }
-
-    def sized(names, fallback=8):
-        return [given.get(n, fallback) for n in names]
-
-    shape = ns.shape
-    if shape == "block2d":
-        out = shapes.gen_block_2d(*sized(("width", "height")))
-    elif shape == "block3d":
-        out = shapes.gen_block_3d(*sized(("nx", "ny", "nz")))
-    elif shape == "frame":
-        out = shapes.gen_frame(ns.holes, ns.ring_width, ns.thickness)
-    elif shape == "shell":
-        out = shapes.gen_shell(triple(ns.outer), triple(ns.cavity))
-    elif shape == "poly2d":
-        out = shapes.gen_fat_polyomino_2d(ns.seed, ns.area, ns.min_width)
-    elif shape == "holey2d":
-        out = shapes.gen_holey_polyomino_2d(ns.seed, ns.area, ns.holes, ns.min_width)
-    elif shape == "blob3d":
-        out = shapes.gen_fat_blob_3d(ns.seed, ns.volume, ns.min_width)
-    elif shape == "noisy2d":
-        kw = {k: given[k] for k in ("width", "height", "rate") if k in given}
-        out = shapes.gen_noisy_image_2d(ns.seed, **kw)
-    else:
-        kw = {k: given[k] for k in ("nx", "ny", "nz", "rate") if k in given}
-        out = shapes.gen_noisy_volume_3d(ns.seed, **kw)
-
-    if isinstance(out, Image2D):
-        pbm.write_pbm(out, ns.output)
-        dims = f"{out.width}x{out.height}"
-        cells = int(out.cells.sum())
-    else:
-        vox3.write_vox3(out, ns.output)
-        dims = f"{out.nx}x{out.ny}x{out.nz}"
-        cells = int(out.cells.sum())
+    out = _GEN[ns.shape](ns)
+    write = pbm.write_pbm if isinstance(out, Image2D) else vox3.write_vox3
+    write(out, ns.output)
+    dims = "x".join(str(n) for n in reversed(out.cells.shape))
+    cells = int(out.cells.sum())
     rep = report.base_report("gen")
-    rep["shape"] = shape
+    rep["shape"] = ns.shape
     rep["seed"] = ns.seed
     rep["path"] = ns.output
     rep["dimensions"] = dims
@@ -489,18 +461,9 @@ def cli_dispatch(argv) -> int:
         return e.code if isinstance(e.code, int) else 0
     try:
         return ns.func(ns)
-    except RepairDidNotConverge as e:
-        print(f"digitopo: error: {e}", file=sys.stderr)
-        return 3
-    except PreconditionFailure as e:
-        print(f"digitopo: error: {e}", file=sys.stderr)
-        return 2
-    except InvalidSurfaceError as e:
-        print(f"digitopo: error: {e}", file=sys.stderr)
-        return 1 if getattr(ns, "fallback_oracle", True) else 2
     except (DigitopoError, OSError, ValueError) as e:
         print(f"digitopo: error: {e}", file=sys.stderr)
-        return 1
+        return getattr(e, "exit_code", 1)
 
 
 def main() -> None:

@@ -1,8 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the command-line exit code of the errors it covers as
+``exit_code``; ``cli_dispatch`` returns it.
+"""
+
+__all__ = [
+    "DigitopoError",
+    "ParseError",
+    "NoSuchComponentError",
+    "RepairDidNotConverge",
+    "InvalidSurfaceError",
+    "PreconditionFailure",
+]
 
 
 class DigitopoError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class ParseError(DigitopoError):
@@ -20,7 +35,11 @@ class NoSuchComponentError(DigitopoError):
 
 
 class RepairDidNotConverge(DigitopoError):
-    """Repair exceeded its action cap without reaching a clean grid."""
+    """Repair could not reach a clean grid: it hit its action cap, or
+    came back to a state it had already been in, so it would repeat
+    forever."""
+
+    exit_code = 3
 
 
 class InvalidSurfaceError(DigitopoError):
@@ -29,3 +48,10 @@ class InvalidSurfaceError(DigitopoError):
 
 class PreconditionFailure(DigitopoError):
     """Formula preconditions failed and the oracle fallback was disabled."""
+
+    exit_code = 2
+
+
+class _SurfaceFormulaRefused(PreconditionFailure, InvalidSurfaceError):
+    """A surface failed the genus formula and the oracle fallback was
+    disabled. Callers catch it as either base."""

@@ -54,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidSurfaceError
+from .errors import InvalidSurfaceError, _SurfaceFormulaRefused
 from .grid import (
     Adjacency,
     Labeling,
@@ -616,7 +616,7 @@ def homology(
     surfaces = _formula_surfaces(codes, vol.cells.view(np.uint8), 1)[1]
     if surfaces is None:
         if not fallback_oracle:
-            raise InvalidSurfaceError("not a valid digital surface")
+            raise _SurfaceFormulaRefused("not a valid digital surface")
         surfaces = _oracle_surfaces(vol, codes)
     return _report(component_id, vol.voxel_count, surfaces, repair_actions)
 

@@ -13,7 +13,12 @@ from digitopo import (
     cli_dispatch,
     find_pathologies_2d,
     find_pathologies_3d,
+    gen_block_2d,
+    gen_block_3d,
+    gen_fat_blob_3d,
+    gen_fat_polyomino_2d,
     gen_frame,
+    gen_holey_polyomino_2d,
     gen_noisy_image_2d,
     gen_noisy_volume_3d,
     gen_shell,
@@ -303,6 +308,21 @@ class TestCliReports:
         assert rep["components"][0]["betti"] == [1, 0, 1, 0]
         assert len(rep["components"][0]["surfaces"]) == 2
 
+    def test_components_on_a_volume_counts_26_components(self, capsys, tmp_path):
+        # (0,0,0) and (1,0,1) share an edge: one 26-component, two
+        # 6-components. (3,1,1) stands alone.
+        path = tmp_path / "v.vox3"
+        write_vox3(volume("1000\n0000", "0100\n0001"), path)
+        code, out = run_cli(capsys, "components", "--json", str(path))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["adjacency"] == "indirect-26"
+        assert rep["count"] == 2
+        assert rep["components"] == [
+            {"component": 1, "cells": 2},
+            {"component": 2, "cells": 1},
+        ]
+
     def test_components_adjacency(self, capsys, tmp_path):
         path = tmp_path / "two.pbm"
         write_pbm(image("10\n01"), path)
@@ -506,7 +526,48 @@ class TestCliPinnedOutput3D:
         assert h.hexdigest() == self.DIGESTS[command]
 
 
+# One run of every gen shape: its flags, and the library call that they
+# must match. Block sizes left unset default to 8.
+GEN_RUNS = [
+    ("block2d", ["--width", "5", "--height", "3"], lambda: gen_block_2d(5, 3)),
+    ("block2d", [], lambda: gen_block_2d(8, 8)),
+    ("block3d", ["--nx", "2", "--nz", "4"], lambda: gen_block_3d(2, 8, 4)),
+    ("frame", ["--holes", "2", "--ring-width", "2", "--thickness", "3"],
+     lambda: gen_frame(2, 2, 3)),
+    ("shell", ["--outer", "6,5,4", "--cavity", "2,1,2"], lambda: gen_shell((6, 5, 4), (2, 1, 2))),
+    ("poly2d", ["--seed", "3", "--area", "64", "--min-width", "3"],
+     lambda: gen_fat_polyomino_2d(3, 64, 3)),
+    ("holey2d", ["--seed", "4", "--area", "128", "--holes", "2"],
+     lambda: gen_holey_polyomino_2d(4, 128, 2, 2)),
+    ("blob3d", ["--seed", "2", "--volume", "64"], lambda: gen_fat_blob_3d(2, 64, 2)),
+    ("noisy2d", ["--seed", "5", "--width", "9", "--rate", "0.2"],
+     lambda: gen_noisy_image_2d(5, width=9, rate=0.2)),
+    ("noisy3d", ["--seed", "6", "--nz", "5", "--rate", "0.1"],
+     lambda: gen_noisy_volume_3d(6, nz=5, rate=0.1)),
+]
+
+
 class TestCliGen:
+    def test_every_shape_is_run(self):
+        assert {shape for shape, _, _ in GEN_RUNS} == set(cli._GEN)
+
+    @pytest.mark.parametrize("shape, flags, make", GEN_RUNS)
+    def test_gen_writes_its_generators_bytes(self, capsys, tmp_path, shape, flags, make):
+        out = make()
+        ref, path = tmp_path / "ref", tmp_path / "out"
+        if isinstance(out, Image2D):
+            write_pbm(out, ref)
+            dims, cells = f"{out.width}x{out.height}", out.area
+        else:
+            write_vox3(out, ref)
+            dims, cells = f"{out.nx}x{out.ny}x{out.nz}", out.voxel_count
+        code, text = run_cli(capsys, "gen", "--json", shape, str(path), *flags)
+        assert code == 0
+        assert path.read_bytes() == ref.read_bytes()
+        rep = json.loads(text)
+        assert (rep["shape"], rep["path"]) == (shape, str(path))
+        assert (rep["dimensions"], rep["occupied_cells"]) == (dims, cells)
+
     def test_gen_frame_then_genus(self, capsys, tmp_path):
         path = tmp_path / "g.vox3"
         code, _ = run_cli(capsys, "gen", "frame", str(path), "--holes", "2")
@@ -577,14 +638,15 @@ class TestCliExitCodes:
         assert not (tmp_path / "g.vox3").exists()
         assert run_cli(capsys, "genus", "--streaming", str(path))[0] == 64
         # --no-repair and --fallback-oracle exist only on the analysis
-        # commands that read them (validate takes no --fallback-oracle),
-        # and --seed only on gen.
+        # commands that read them (validate and genus take no
+        # --fallback-oracle), and --seed only on gen.
         unknown = [
             (cmd, flag)
             for cmd in ("components", "repair")
             for flag in ("--no-repair", "--fallback-oracle", "--no-fallback-oracle", "--seed=1")
         ]
         unknown += [("validate", "--fallback-oracle"), ("validate", "--no-fallback-oracle")]
+        unknown += [("genus", "--fallback-oracle"), ("genus", "--no-fallback-oracle")]
         unknown += [(cmd, "--seed=1") for cmd in ("holes", "genus", "homology", "validate")]
         for cmd, flag in unknown:
             assert cli_dispatch([cmd, flag, str(path)]) == 64, (cmd, flag)
@@ -621,6 +683,43 @@ class TestCliExitCodes:
         assert code == 0 and out.startswith("# ") and " digitopo holes\n" in out
         assert run_cli(capsys, "holes", "--bogus-flag", str(path))[0] == 64
         assert cli._build_parser() is cli._build_parser()
+
+    def test_unrecognized_input_format(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"hello\n")
+        assert cli_dispatch(["components", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "digitopo: error: line 1: unrecognized input format (want PBM P1/P4 or vox3)\n"
+        )
+
+    def test_bad_gen_and_bench_values(self, capsys, tmp_path):
+        path = tmp_path / "s.vox3"
+        assert cli_dispatch(["gen", "shell", str(path), "--outer", "5,5"]) == 1
+        assert capsys.readouterr().err == "digitopo: error: expected x,y,z, got '5,5'\n"
+        assert not path.exists()
+        assert cli_dispatch(["bench", "--ring-widths", "2,x"]) == 64
+        assert capsys.readouterr().err == "digitopo: error: bad --ring-widths\n"
+
+    def test_exit_code_follows_the_error_type(self, capsys, tmp_path):
+        # Two raw volumes of TestCliPinnedOutput3D, left unrepaired. On the
+        # first the formula refuses a surface, which exits 2 with the
+        # fallback off; the oracle answers it. On the second the oracle
+        # rejects the boundary too, which exits 1.
+        vols = list(_raw_volumes(seed=9, count=7))
+        refused, rejected = tmp_path / "refused.vox3", tmp_path / "rejected.vox3"
+        write_vox3(vols[3], refused)
+        write_vox3(vols[6], rejected)
+        no_fallback = ["--no-repair", "--no-fallback-oracle"]
+        for path, flags, code, err in (
+            (refused, no_fallback, 2, "not a valid digital surface"),
+            (refused, ["--no-repair"], 0, ""),
+            (rejected, no_fallback, 2, "not a valid digital surface"),
+            (rejected, ["--no-repair"], 1, "non-orientable or non-manifold boundary"),
+        ):
+            argv = ["homology", *flags, str(path)]
+            assert cli_dispatch(argv) == code, argv
+            assert capsys.readouterr().err == (err and f"digitopo: error: {err}\n"), argv
 
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "holes", "/nonexistent/x.pbm")[0] == 1

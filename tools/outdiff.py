@@ -50,6 +50,7 @@ TOOLS = ROOT / "tools"
 FLAGS = {
     "components": (),
     "holes": ("--no-repair", "--no-fallback-oracle"),
+    # genus no longer takes --no-fallback-oracle; the runs keep its exit 64 in view.
     "genus": ("--no-repair", "--no-fallback-oracle", "--streaming"),
     "homology": ("--no-repair", "--no-fallback-oracle"),
     # validate no longer takes --no-fallback-oracle; the runs keep its exit 64 in view.
