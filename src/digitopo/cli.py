@@ -28,6 +28,7 @@ import functools
 import sys
 import time
 import tracemalloc
+from collections.abc import Callable, Iterable
 from datetime import datetime
 
 from . import oracle, pbm, report, shapes, streaming, topo2d, topo3d, vox3
@@ -38,7 +39,6 @@ from .grid import (
     Volume3D,
     label_components_2d,
     label_components_3d,
-    _label_sizes,
 )
 
 __all__ = ["cli_dispatch", "main"]
@@ -158,13 +158,14 @@ def _load_any(ns, want=None):
     return grid
 
 
-def _emit(ns, rep: dict, human_lines: list[str]) -> None:
+def _emit(ns, rep: dict, human_lines: Callable[[], Iterable[str]]) -> None:
+    """Write ``rep`` as JSON, or else the lines that ``human_lines()`` builds."""
     if ns.json:
         sys.stdout.write(report.dumps(rep))
     else:
         stamp = datetime.now().isoformat(timespec="seconds")
         sys.stdout.write(f"# {stamp} digitopo {ns.cmd}\n")
-        sys.stdout.write("".join(line + "\n" for line in human_lines))
+        sys.stdout.write("".join(line + "\n" for line in human_lines()))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +180,17 @@ def _cmd_components(ns) -> int:
     else:
         labeling = label_components_3d(grid, Adjacency.INDIRECT_3D)
         adjacency = "indirect-26"
-    sizes = _label_sizes(labeling.labels, labeling.count)
+    sizes = labeling.sizes.tolist()
     rep = report.base_report("components", report.input_digest(ns.input))
     rep["adjacency"] = adjacency
     rep["count"] = labeling.count
     rep["components"] = [
-        {"component": i, "cells": int(sizes[i])} for i in range(1, labeling.count + 1)
+        {"component": i, "cells": sizes[i]} for i in range(1, labeling.count + 1)
     ]
-    lines = [f"components: {labeling.count} ({adjacency})"]
-    lines += [f"component {i}: {int(sizes[i])} cells" for i in range(1, labeling.count + 1)]
-    _emit(ns, rep, lines)
+    _emit(ns, rep, lambda: [
+        f"components: {labeling.count} ({adjacency})",
+        *(f"component {i}: {sizes[i]} cells" for i in range(1, labeling.count + 1)),
+    ])
     return 0
 
 
@@ -201,13 +203,14 @@ def _cmd_holes(ns) -> int:
     rep["components"] = [report.hole_record(r) for r in reports]
     rep["repair_actions"] = [report.action_record(a) for a in actions]
     rep["total_holes"] = sum(r.holes for r in reports)
-    lines = [
-        f"component {r.component_id}: area={r.area} holes={r.holes}"
-        f" method={r.method.value}"
-        for r in reports
-    ]
-    lines.append(f"total holes: {rep['total_holes']} ({len(actions)} repair edits)")
-    _emit(ns, rep, lines)
+    _emit(ns, rep, lambda: [
+        *(
+            f"component {r.component_id}: area={r.area} holes={r.holes}"
+            f" method={r.method.value}"
+            for r in reports
+        ),
+        f"total holes: {rep['total_holes']} ({len(actions)} repair edits)",
+    ])
     return 0
 
 
@@ -240,12 +243,11 @@ def _cmd_genus(ns) -> int:
             grid, _actions = topo3d.repair_3d(grid)
         hist = topo3d.classify_surface(topo3d.to_point_space(grid))
     rep = _genus_report_from_histogram(hist, digest)
-    lines = [
+    _emit(ns, rep, lambda: [
         "histogram: "
         + " ".join(f"m{k}={rep['histogram'][f'm{k}']}" for k in (3, 4, 5, 6)),
         f"genus: {rep['genus']} (euler characteristic {rep['euler_characteristic']})",
-    ]
-    _emit(ns, rep, lines)
+    ])
     return 0
 
 
@@ -257,19 +259,21 @@ def _cmd_homology(ns) -> int:
     rep = report.base_report("homology", report.input_digest(ns.input))
     rep["components"] = [report.component_record_3d(r) for r in reports]
     rep["repair_actions"] = [report.action_record(a) for a in actions]
-    lines = []
-    for r in reports:
-        b = ",".join(str(v) for v in r.betti)
-        lines.append(
-            f"component {r.component_id}: voxels={r.voxel_count}"
-            f" surfaces={len(r.boundary_surfaces)} betti=({b})"
-        )
-        for i, s in enumerate(r.boundary_surfaces, start=1):
-            lines.append(
-                f"  surface {i}: points={s.points} genus={s.genus}"
-                f" method={s.method}"
+
+    def lines():
+        for r in reports:
+            b = ",".join(str(v) for v in r.betti)
+            yield (
+                f"component {r.component_id}: voxels={r.voxel_count}"
+                f" surfaces={len(r.boundary_surfaces)} betti=({b})"
             )
-    lines.append(f"{len(actions)} repair edits")
+            for i, s in enumerate(r.boundary_surfaces, start=1):
+                yield (
+                    f"  surface {i}: points={s.points} genus={s.genus}"
+                    f" method={s.method}"
+                )
+        yield f"{len(actions)} repair edits"
+
     _emit(ns, rep, lines)
     return 0
 
@@ -293,10 +297,10 @@ def _cmd_repair(ns) -> int:
     rep["remaining_pathologies"] = remaining
     if ns.output:
         rep["output"] = ns.output
-    lines = [f"{len(actions)} repair edits, {remaining} pathologies remain"]
-    if ns.output:
-        lines.append(f"wrote {ns.output}")
-    _emit(ns, rep, lines)
+    _emit(ns, rep, lambda: [
+        f"{len(actions)} repair edits, {remaining} pathologies remain",
+        *([f"wrote {ns.output}"] if ns.output else []),
+    ])
     return 0
 
 
@@ -323,11 +327,10 @@ def _cmd_validate(ns) -> int:
     rep = report.base_report("validate", report.input_digest(ns.input))
     rep["checks"] = checks
     rep["agree"] = all_agree
-    lines = [
-        " ".join(f"{k}={v}" for k, v in c.items()) for c in checks
-    ]
-    lines.append("agree" if all_agree else "DISAGREE")
-    _emit(ns, rep, lines)
+    _emit(ns, rep, lambda: [
+        *(" ".join(f"{k}={v}" for k, v in c.items()) for c in checks),
+        "agree" if all_agree else "DISAGREE",
+    ])
     return 0 if all_agree else 1
 
 
@@ -381,7 +384,7 @@ def _cmd_gen(ns) -> int:
     rep["path"] = ns.output
     rep["dimensions"] = dims
     rep["occupied_cells"] = cells
-    _emit(ns, rep, [f"wrote {ns.output} ({dims}, {cells} occupied cells)"])
+    _emit(ns, rep, lambda: [f"wrote {ns.output} ({dims}, {cells} occupied cells)"])
     return 0
 
 
@@ -439,13 +442,12 @@ def _cmd_bench(ns) -> int:
     rows = [_bench_row(w, ns.streaming) for w in widths]
     rep = report.base_report("bench")
     rep["rows"] = rows
-    lines = [
+    _emit(ns, rep, lambda: [
         f"r={r['ring_width']} voxels={r['object_voxels']}"
         f" time={r['time_us']}us peak={r['tracemalloc_peak_bytes']}B"
         f" genus={r['genus']} ({r['mode']})"
         for r in rows
-    ]
-    _emit(ns, rep, lines)
+    ])
     return 0
 
 

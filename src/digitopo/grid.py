@@ -213,12 +213,16 @@ class Labeling:
     ``labels`` matches the source grid's shape; background cells hold 0 and
     each component holds one value in ``1..count``. Labels are assigned in
     scan order of each component's first cell, which makes the numbering
-    deterministic for a given grid and adjacency.
+    deterministic for a given grid and adjacency. ``sizes[i]`` counts the
+    cells labelled i, index 0 the background: it equals
+    ``np.bincount(labels.ravel(), minlength=count + 1)``, counted by the
+    labeller from its runs.
     """
 
     labels: np.ndarray
     count: int
     adjacency: Adjacency
+    sizes: np.ndarray
 
 
 class RepairOp(Enum):
@@ -255,15 +259,6 @@ def _actions(edits: np.ndarray) -> list[RepairAction]:
     return out
 
 
-# Cells per block of the whole-grid passes over labels, which keep their
-# temporaries to a block rather than a grid.
-_BLOCK = 1 << 18
-
-# Below this many edges a Python union-find beats the numpy rounds, whose
-# fixed cost is a few dozen array calls.
-_SMALL_UNION = 64
-
-
 def _jump(parent: np.ndarray) -> np.ndarray:
     """``parent`` with every node pointing at its root."""
     while True:
@@ -284,47 +279,31 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     (``parent = parent[parent]``) until each points at a root; the edges
     still between two roots go round again. A node's parent is never
     larger than the node, so each component's root is its smallest node.
+    Small graphs take the same rounds: their fixed cost of a few dozen
+    array calls is paid once per grid or stack that the driver labels.
     """
     if not a.size:
         return n, np.arange(n, dtype=np.int32)
     parent = np.arange(n)
-    if a.size < _SMALL_UNION:
-        up: dict[int, int] = {}
-        for u, v in zip(a.tolist(), b.tolist()):
-            while u in up:
-                u = up[u]
-            while v in up:
-                v = up[v]
-            if u < v:
-                up[v] = u
-            elif v < u:
-                up[u] = v
-        if up:
-            hooked = sorted(up)
-            for v in hooked:  # up[v] < v is final by the time v is reached
-                up[v] = up.get(up[v], up[v])
-            parent[hooked] = [up[v] for v in hooked]
-    else:
-        while a.size:
-            np.minimum.at(parent, b, a)
-            # Only the hooked roots moved. Jumping just them costs a
-            # scatter, which beats a pass over every node only when few
-            # were hooked.
-            if 4 * b.size > n:
-                parent = _jump(parent)
-            else:
-                while True:
-                    top = parent[b]
-                    jumped = parent[top]
-                    if np.array_equal(jumped, top):
-                        break
-                    parent[b] = jumped
-            ra, rb = parent[a], parent[b]
-            cross = ra != rb
-            a, b = np.minimum(ra[cross], rb[cross]), np.maximum(ra[cross], rb[cross])
-        # A node that was a root in an earlier round still points at the
-        # root that round hooked it under.
-        parent = _jump(parent)
+    while a.size:
+        np.minimum.at(parent, b, a)
+        # Only the hooked roots moved. Jumping just them costs a scatter,
+        # which beats a pass over every node only when few were hooked.
+        if 4 * b.size > n:
+            parent = _jump(parent)
+        else:
+            while True:
+                top = parent[b]
+                jumped = parent[top]
+                if np.array_equal(jumped, top):
+                    break
+                parent[b] = jumped
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        a, b = np.minimum(ra[cross], rb[cross]), np.maximum(ra[cross], rb[cross])
+    # A node that was a root in an earlier round still points at the root
+    # that round hooked it under.
+    parent = _jump(parent)
     ids = (parent == np.arange(n)).cumsum(dtype=np.int32) - 1
     return int(ids[-1]) + 1, ids[parent]
 
@@ -374,8 +353,10 @@ def _run_components(cells: np.ndarray, adjacency: Adjacency):
     return starts, ends, count, comp
 
 
-def _label(cells: np.ndarray, adjacency: Adjacency) -> tuple[np.ndarray, int]:
-    """Scan-order labels of the True cells of ``cells``, and their count.
+def _label(cells: np.ndarray, adjacency: Adjacency) -> Labeling:
+    """Scan-order labels of the True cells of ``cells``, their count and
+    each label's cell count (``Labeling``). Raises ValueError for an
+    adjacency of another dimension.
 
     The labels are a fresh C-contiguous int32 array. Cost: O(n) to find
     the runs of n cells, plus O(R log R) numpy work for R runs: a sorted
@@ -383,35 +364,25 @@ def _label(cells: np.ndarray, adjacency: Adjacency) -> tuple[np.ndarray, int]:
     halve every chain, so a round takes O(log R) jumps of O(R) each. The
     rounds repeat only for edges left between two trees; on the benchmark
     inputs and on the serpentines and spiral of the tests there are one
-    to three.
+    to three. The sizes are one bincount over the runs, weighted by their
+    lengths, so no pass over the labels counts them.
     """
+    if adjacency.ndim != cells.ndim:
+        raise ValueError(f"{cells.ndim}D labeling requires a {cells.ndim}D adjacency")
     starts, ends, count, comp = _run_components(cells, adjacency)
+    lengths = ends - starts
     # The runs hold the True cells in scan order.
     labels = np.zeros(cells.shape, dtype=np.int32)
-    labels[cells] = (comp + 1).repeat(ends - starts)
-    return labels, count
+    labels[cells] = (comp + 1).repeat(lengths)
+    # Weighted, so float; the counts are integers below 2**53 and exact.
+    sizes = np.bincount(comp + 1, lengths, minlength=count + 1).astype(np.int64)
+    sizes[0] = cells.size - sizes.sum()
+    return Labeling(labels, count, adjacency, sizes)
 
 
 def label_components_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D) -> Labeling:
     """Label foreground components of an image (see ``_label``)."""
-    if adjacency.ndim != 2:
-        raise ValueError("2D labeling requires a 2D adjacency")
-    labels, count = _label(img.cells, adjacency)
-    return Labeling(labels, count, adjacency)
-
-
-def _label_sizes(labels: np.ndarray, count: int) -> np.ndarray:
-    """Cell count of every label ``0..count``.
-
-    ``np.bincount`` casts its input to intp, so it runs on one block of
-    cells at a time rather than on a whole-grid copy twice the size of
-    the int32 labels.
-    """
-    flat = labels.reshape(-1)
-    sizes = np.zeros(count + 1, dtype=np.int64)
-    for start in range(0, flat.size, _BLOCK):
-        sizes += np.bincount(flat[start : start + _BLOCK], minlength=count + 1)
-    return sizes
+    return _label(img.cells, adjacency)
 
 
 def _count_components(cells: np.ndarray, adjacency: Adjacency) -> int:
@@ -421,10 +392,7 @@ def _count_components(cells: np.ndarray, adjacency: Adjacency) -> int:
 
 def label_components_3d(vol: Volume3D, adjacency: Adjacency = Adjacency.DIRECT_3D) -> Labeling:
     """Label object components of a volume (see ``_label``)."""
-    if adjacency.ndim != 3:
-        raise ValueError("3D labeling requires a 3D adjacency")
-    labels, count = _label(vol.cells, adjacency)
-    return Labeling(labels, count, adjacency)
+    return _label(vol.cells, adjacency)
 
 
 def label_background_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D) -> Labeling:
@@ -433,13 +401,14 @@ def label_background_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D
     The outer region (everything connected to the infinite background pad)
     is always label 1. Remaining background components are numbered in scan
     order. ``count`` includes the outer region even when no in-range cell
-    belongs to it, so a fully foreground image reports count 1.
+    belongs to it, so a fully foreground image reports count 1. The sizes
+    count in-range cells only: ``sizes[1]`` leaves out the pad, so it is 0
+    for a fully foreground image, and ``sizes[0]`` counts the object pixels.
     """
-    if adjacency.ndim != 2:
-        raise ValueError("2D labeling requires a 2D adjacency")
     # The pad corner is the scan-first cell, so the outer region is label 1.
-    labels, count = _label(~_pad(img.cells), adjacency)
-    return Labeling(labels[1:-1, 1:-1].copy(), count, adjacency)
+    lab = _label(~_pad(img.cells), adjacency)
+    lab.sizes[1] -= 2 * (img.width + img.height) + 4
+    return Labeling(lab.labels[1:-1, 1:-1].copy(), lab.count, adjacency, lab.sizes)
 
 
 def _pad(cells: np.ndarray) -> np.ndarray:

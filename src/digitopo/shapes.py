@@ -87,10 +87,8 @@ def gen_frame(holes: int, ring_width: int = 1, thickness: int = 1) -> Volume3D:
     The slab is (2*holes+1)*ring_width wide, with solid bars alternating
     with square tunnels of side ring_width; its boundary is a closed
     surface of genus ``holes``. ``holes=0`` degenerates to a solid block.
-    1-voxel pad.
+    1-voxel pad. Raises ValueError for bad parameters (``frame_slab``).
     """
-    if holes < 0 or ring_width < 1 or thickness < 1:
-        raise ValueError("bad frame parameters")
     slabs = [frame_slab(z, holes, ring_width, thickness) for z in range(thickness + 2)]
     return _grid_of(np.stack(slabs))
 
@@ -101,8 +99,11 @@ def frame_slab(
     """One z-slab of gen_frame's output, computed without the full volume.
 
     ``gen_frame`` stacks these; benchmarks stream arbitrarily large
-    frames slab by slab.
+    frames slab by slab (``streaming.iter_frame_slabs``). Both check the
+    parameters here, so a bad frame raises before any slab is built.
     """
+    if holes < 0 or ring_width < 1 or thickness < 1:
+        raise ValueError("bad frame parameters")
     rw, t = ring_width, thickness
     x_ext = (2 * holes + 1) * rw
     y_ext = 3 * rw
@@ -423,8 +424,11 @@ def gen_noisy_image_2d(
     """Fat polyomino rendered into a fixed canvas, then salted with noise.
 
     Noise flips each pixel independently with probability ``rate``, in
-    scan order, using the same generator that grew the shape.
+    scan order, using the same generator that grew the shape. A rate
+    outside [0, 1] raises ValueError before any draw.
     """
+    if not 0 <= rate <= 1:
+        raise ValueError("bad noise parameters")
     rng = random.Random(seed)
     coarse_target = max(1, (width * height) // 16)
     cells = _centred(_pad(_scale(_grow(rng, coarse_target, 2), 2)), (height, width))
@@ -462,8 +466,11 @@ def gen_noisy_volume_3d(
     therefore verifies each draw and, when repair cannot clean it,
     regenerates the whole volume with an attempt counter mixed into the
     seed. Verification only filters draws, it never edits the output, and
-    the retry protocol is part of the deterministic contract.
+    the retry protocol is part of the deterministic contract. A rate
+    outside [0, 1] raises ValueError before any draw.
     """
+    if not 0 <= rate <= 1:
+        raise ValueError("bad noise parameters")
     from .errors import RepairDidNotConverge
     from .topo3d import repair_3d
 

@@ -46,7 +46,6 @@ from .grid import (
     _flip,
     _flip_all,
     _hits,
-    _label_sizes,
     _pad,
     _per_component,
     _repair,
@@ -353,9 +352,9 @@ def hole_count(
 def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """Delete and fill the speckles of ``p``, the labelled image in a frame
     of one empty pixel whose window codes are ``codes``, as each
-    component's canvas sees them, in ``p``, its codes (``grid._flip_all``)
-    and the labels. Returns the owner's id of each edit and the edits, in
-    row-major order.
+    component's canvas sees them, in ``p``, its codes (``grid._flip_all``),
+    the labels and their sizes. Returns the owner's id of each edit and
+    the edits, in row-major order.
 
     A pixel with no 4-neighbor is deleted, even one that touches another
     component diagonally, and a one-pixel hole is filled into the
@@ -371,6 +370,11 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     fill = owner == 0
     owner[fill] = flat[at[fill] - width]
     flat[at] = np.where(fill, owner, 0)
+    # A fill moves a pixel from the background to its owner, a deletion
+    # back; ``add.at``, since several speckles can share an owner.
+    moved = np.where(fill, 1, -1)
+    np.add.at(labeling.sizes, owner, moved)
+    labeling.sizes[0] -= moved.sum()
     ys, xs = np.divmod(at, width)
     _flip_all(p, codes, (ys + 1, xs + 1))
     edits = [
@@ -391,7 +395,7 @@ def _window_pass(codes: np.ndarray, labeling: Labeling) -> dict:
     histogram (``grid._per_component`` says why each window is read as
     on the component's own canvas).
     """
-    labels, count = labeling.labels, labeling.count
+    labels, count, sizes = labeling.labels, labeling.count, labeling.sizes
     flat = labels.reshape(-1)
     vertices = np.flatnonzero(_CORNER[codes])
     c = codes.reshape(-1)[vertices]
@@ -407,7 +411,6 @@ def _window_pass(codes: np.ndarray, labeling: Labeling) -> dict:
     keys = labels[boundary] * 16 + keys
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
-    sizes = _label_sizes(labels, count)
     kept = np.flatnonzero(sizes[1:]) + 1
     rows = zip(
         kept.tolist(),

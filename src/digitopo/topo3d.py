@@ -66,7 +66,6 @@ from .grid import (
     _components,
     _flip,
     _hits,
-    _label_sizes,
     _pad,
     _per_component,
     _repair,
@@ -562,17 +561,16 @@ def genus(hist: SurfaceHistogram) -> int:
     """Genus of a closed digital surface from its point histogram.
 
     Valid surfaces have no irregular points and a numerator divisible
-    by 8; anything else is rejected.
+    by 8; anything else is rejected. A histogram with no point is not a
+    surface (a volume with no object voxel has none) and is rejected too.
     """
-    if hist.irregular:
-        raise InvalidSurfaceError("not a valid digital surface")
+    if not hist.total:
+        raise InvalidSurfaceError("no digital surface: the histogram has no point")
     num = hist.m5 + 2 * hist.m6 - hist.m3
-    if num % 8 != 0:
+    # A genus below 0 needs num < -8.
+    if hist.irregular or num % 8 or num < -8:
         raise InvalidSurfaceError("not a valid digital surface")
-    g = 1 + num // 8
-    if g < 0:
-        raise InvalidSurfaceError("not a valid digital surface")
-    return g
+    return 1 + num // 8
 
 
 def _oracle_surfaces(vol: Volume3D, codes: np.ndarray) -> list[SurfaceReport]:
@@ -635,7 +633,7 @@ def _classify(codes: np.ndarray, labeling: Labeling) -> dict:
     """``(voxels, surfaces)`` of every labelled component, or None where
     ``_formula_surfaces`` gives None."""
     formula = _formula_surfaces(codes, labeling.labels, labeling.count)
-    sizes = _label_sizes(labeling.labels, labeling.count).tolist()
+    sizes = labeling.sizes.tolist()
     return {i: None if s is None else (sizes[i], s) for i, s in enumerate(formula) if i}
 
 

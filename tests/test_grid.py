@@ -30,7 +30,6 @@ from digitopo.grid import (
     _component_boxes,
     _component_canvas,
     _grid_of,
-    _label_sizes,
     _pad,
     _window_cells,
     _window_codes,
@@ -227,6 +226,32 @@ def test_background_ring_two_regions():
     assert label_background_2d(ring).count == 2
 
 
+def recount(lab) -> list[int]:
+    return np.bincount(lab.labels.ravel(), minlength=lab.count + 1).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    adjacency=st.sampled_from([Adjacency.DIRECT_2D, Adjacency.INDIRECT_2D]),
+)
+def test_background_sizes_count_in_range_cells(shape, density, seed, adjacency):
+    cells = np.random.default_rng(seed).random(shape) < density
+    lab = label_background_2d(Image2D(shape[1], shape[0], cells), adjacency)
+    assert lab.sizes.tolist() == recount(lab)
+
+
+def test_all_foreground_background_sizes():
+    # The outer region has no in-range cell, and the object pixels are
+    # the label-0 cells.
+    for h, w in ((1, 1), (3, 5), (6, 2)):
+        lab = label_background_2d(Image2D(w, h, np.ones((h, w), dtype=bool)))
+        assert lab.count == 1
+        assert lab.sizes.tolist() == recount(lab) == [h * w, 0]
+
+
 def test_extract_component_pads_by_one():
     img = image(
         """
@@ -312,20 +337,6 @@ def test_relabel_extracted_component_idempotent():
         for cid in range(1, lab.count + 1):
             piece = extract_component(lab, cid)
             assert label_components_2d(piece).count == 1
-
-
-@pytest.mark.parametrize("block", [1, 2, 5, 1 << 18])
-def test_label_passes_agree_across_block_sizes(monkeypatch, block):
-    # The sizes run a block of cells at a time; the answer must not
-    # depend on where the blocks end.
-    monkeypatch.setattr(grid, "_BLOCK", block)
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        ordered = label_components_2d(Image2D(9, 7, rng.random((7, 9)) < 0.5))
-        labels, count = ordered.labels, ordered.count
-        assert _label_sizes(labels, count).tolist() == np.bincount(
-            labels.ravel(), minlength=count + 1
-        ).tolist()
 
 
 def test_component_canvas_with_and_without_box():

@@ -272,6 +272,12 @@ def run_cli(capsys, *args):
     return code, captured.out
 
 
+def _untimed(out: str) -> str:
+    """Human stdout without its first line, which holds the time; JSON
+    stdout as it is."""
+    return out.partition("\n")[2] if out.startswith("# ") else out
+
+
 class TestCliReports:
     def test_holes_on_worked_blob(self, capsys, tmp_path):
         path = tmp_path / "blob.pbm"
@@ -427,8 +433,9 @@ def _raw_images(seed: int, count: int):
 class TestCliPinnedOutput:
     """The 2D commands' ``--json`` output on 30 raw images, half of them
     P4, pinned by digest: any changed byte of stdout, of an exit code or
-    of a ``repair -o`` file fails here. Run from the images' directory,
-    so ``repair -o`` echoes a fixed relative path."""
+    of a ``repair -o`` file fails here. The human output is pinned too,
+    without its timestamp line. Run from the images' directory, so
+    ``repair -o`` echoes a fixed relative path."""
 
     DIGESTS = {
         "holes": (
@@ -457,19 +464,56 @@ class TestCliPinnedOutput:
         ),
     }
 
-    @pytest.mark.parametrize("command", list(DIGESTS))
-    def test_json_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
-        monkeypatch.chdir(tmp_path)
+    # The same commands' human stdout, its timestamp line dropped.
+    HUMAN_DIGESTS = {
+        "holes": (
+            "254f8471893355056a92351d098bef1f"
+            "df176c345e421cb46b40a8719653ec53"
+        ),
+        "holes --no-repair": (
+            "6ad1702ab11270de1824679fbbc6cd4d"
+            "e196b4e03e30d7bc61a850d1ffa8c4cf"
+        ),
+        "validate": (
+            "1a4300f7372d17d1fed196ed511c296d"
+            "685c916170103cc154d59ffe8851a544"
+        ),
+        "validate --no-repair": (
+            "1d0dae867eb5d8abd691347e29d52525"
+            "d374747360f4fcf8a9b364ed18ff9542"
+        ),
+        "components": (
+            "3ccb67b392612db9b635bfa3183a4e09"
+            "9050dd669d9afef2659a0e9859ad76c9"
+        ),
+        "repair -o out.pbm": (
+            "7af2545382472d6cfdc1038140476382"
+            "6c7a322cd7bc7909b82e221839005ae8"
+        ),
+    }
+
+    @staticmethod
+    def digest(capsys, command: str, *mode: str) -> str:
         cmd, *flags = command.split()
         h = hashlib.sha256()
         for i, img in enumerate(_raw_images(seed=8, count=30)):
             name = f"raw{i}.pbm"
             (write_pbm_p4 if i % 2 else write_pbm)(img, name)
-            code, out = run_cli(capsys, cmd, "--json", name, *flags)
-            h.update(f"{code}\n{out}".encode())
+            code, out = run_cli(capsys, cmd, *mode, name, *flags)
+            h.update(f"{code}\n{_untimed(out)}".encode())
             if cmd == "repair":
                 h.update(open("out.pbm", "rb").read())
-        assert h.hexdigest() == self.DIGESTS[command]
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_json_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert self.digest(capsys, command, "--json") == self.DIGESTS[command]
+
+    @pytest.mark.parametrize("command", list(HUMAN_DIGESTS))
+    def test_human_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert self.digest(capsys, command) == self.HUMAN_DIGESTS[command]
 
 
 def _raw_volumes(seed: int, count: int):
@@ -483,8 +527,9 @@ def _raw_volumes(seed: int, count: int):
 
 class TestCliPinnedOutput3D:
     """The 3D commands' ``--json`` output on 20 raw volumes, then on one
-    holding ``REPAIR_CYCLE`` beside a block (exit 3 with repair), pinned
-    by digest as ``TestCliPinnedOutput`` pins the 2D ones."""
+    holding ``REPAIR_CYCLE`` beside a block (exit 3 with repair), and
+    their human output, pinned by digest as ``TestCliPinnedOutput`` pins
+    the 2D ones."""
 
     DIGESTS = {
         "homology": (
@@ -509,9 +554,32 @@ class TestCliPinnedOutput3D:
         ),
     }
 
-    @pytest.mark.parametrize("command", list(DIGESTS))
-    def test_json_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
-        monkeypatch.chdir(tmp_path)
+    # The same commands' human stdout, its timestamp line dropped.
+    HUMAN_DIGESTS = {
+        "homology": (
+            "0e2c2eb897f84e0d4de163f606726b53"
+            "e6f8d70177e5eee240f70524e740d911"
+        ),
+        "homology --no-repair": (
+            "2f1a7e769952b0f756c3b7f42de7ff25"
+            "0ace80b4fdd23bada8e5ca9e5b5af638"
+        ),
+        "homology --no-fallback-oracle": (
+            "0e2c2eb897f84e0d4de163f606726b53"
+            "e6f8d70177e5eee240f70524e740d911"
+        ),
+        "validate": (
+            "5b2de673ce8a5e13362e5ad38559d774"
+            "4cbba376af31a41e4a37f68d57126aa7"
+        ),
+        "validate --no-repair": (
+            "e6fb20366810e54fb1582f31dbc3b214"
+            "a1ca732fd73d16650c68276f4b031294"
+        ),
+    }
+
+    @staticmethod
+    def digest(capsys, command: str, *mode: str) -> str:
         cmd, *flags = command.split()
         cells = np.zeros((6, 5, 9), dtype=bool)
         cells[1:5, 1:4, 1:5] = REPAIR_CYCLE
@@ -521,9 +589,19 @@ class TestCliPinnedOutput3D:
         for i, vol in enumerate(vols):
             name = f"raw{i}.vox3"
             write_vox3(vol, name)
-            code, out = run_cli(capsys, cmd, "--json", name, *flags)
-            h.update(f"{code}\n{out}".encode())
-        assert h.hexdigest() == self.DIGESTS[command]
+            code, out = run_cli(capsys, cmd, *mode, name, *flags)
+            h.update(f"{code}\n{_untimed(out)}".encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_json_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert self.digest(capsys, command, "--json") == self.DIGESTS[command]
+
+    @pytest.mark.parametrize("command", list(HUMAN_DIGESTS))
+    def test_human_output_is_pinned(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert self.digest(capsys, command) == self.HUMAN_DIGESTS[command]
 
 
 # One run of every gen shape: its flags, and the library call that they
@@ -700,6 +778,32 @@ class TestCliExitCodes:
         assert not path.exists()
         assert cli_dispatch(["bench", "--ring-widths", "2,x"]) == 64
         assert capsys.readouterr().err == "digitopo: error: bad --ring-widths\n"
+
+    def test_bench_with_a_bad_frame_exits_1_in_both_modes(self, capsys):
+        for flags in ([], ["--streaming"]):
+            assert cli_dispatch(["bench", *flags, "--ring-widths", "2,0"]) == 1, flags
+            captured = capsys.readouterr()
+            assert captured.err == "digitopo: error: bad frame parameters\n", flags
+            assert captured.out == ""
+
+    def test_genus_of_an_empty_volume_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "empty.vox3"
+        write_vox3(Volume3D(3, 4, 5), path)
+        for flags in ([], ["--no-repair"], ["--streaming", "--no-repair"]):
+            assert cli_dispatch(["genus", *flags, str(path)]) == 1, flags
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "digitopo: error: no digital surface: the histogram has no point\n"
+            ), flags
+            assert captured.out == ""
+
+    def test_noise_rate_outside_unit_interval_exits_1(self, capsys, tmp_path):
+        for shape in ("noisy2d", "noisy3d"):
+            for rate in ("-0.1", "2", "nan", "inf"):
+                path = tmp_path / f"{shape}.out"
+                assert cli_dispatch(["gen", shape, str(path), "--rate", rate]) == 1, rate
+                assert capsys.readouterr().err == "digitopo: error: bad noise parameters\n"
+                assert not path.exists()
 
     def test_exit_code_follows_the_error_type(self, capsys, tmp_path):
         # Two raw volumes of TestCliPinnedOutput3D, left unrepaired. On the

@@ -61,6 +61,7 @@ def assert_matches_scipy(cells: np.ndarray, adjacency: Adjacency) -> None:
     assert lab.labels.flags.c_contiguous
     assert lab.count == count
     assert np.array_equal(lab.labels, want)
+    assert lab.sizes.tolist() == np.bincount(want.ravel(), minlength=count + 1).tolist()
     assert _count_components(cells, adjacency) == count
     boxes = _component_boxes(lab)
     assert [boxes[cid] for cid in range(1, count + 1)] == ndimage.find_objects(want)
@@ -102,13 +103,11 @@ def test_labels_and_boxes_match_scipy(drawn):
     assert_matches_scipy(*drawn)
 
 
-@pytest.mark.parametrize("small", [0, 64, 1 << 30])
-def test_union_matches_csgraph(monkeypatch, small):
-    # Both sides of the union, the numpy rounds and the Python loop that
-    # serves small edge lists, on random graphs and on the run graphs of
-    # random volumes.
-    monkeypatch.setattr(grid, "_SMALL_UNION", small)
-    rng = np.random.default_rng(small)
+@pytest.mark.parametrize("seed", [0, 64, 1 << 30])
+def test_union_matches_csgraph(seed):
+    # The union on random graphs of 0-600 edges, small ones included, and
+    # on the run graphs of random volumes.
+    rng = np.random.default_rng(seed)
     for _ in range(100):
         n = int(rng.integers(1, 300))
         a, b = rng.integers(0, n, (2, int(rng.integers(0, 600))))

@@ -1,6 +1,7 @@
 """Generator tests: determinism, validity of advertised invariants."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from digitopo import (
     holes_by_floodfill,
     holes_pipeline,
     hole_count,
+    iter_frame_slabs,
     label_components_2d,
     label_components_3d,
     Adjacency,
@@ -102,6 +104,14 @@ class TestFrame:
 
     def test_slab_outside_is_empty(self):
         assert not frame_slab(99, 2, 1, 1).any()
+
+    @pytest.mark.parametrize("args", [(-1, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_every_path_checks_the_parameters_before_a_slab(self, args):
+        # The batch volume and the streamed slabs both check them in
+        # frame_slab, so both raise the same error.
+        for make in (gen_frame, lambda *a: next(iter_frame_slabs(*a)), partial(frame_slab, 0)):
+            with pytest.raises(ValueError, match="bad frame parameters"):
+                make(*args)
 
 
 class TestShell:
@@ -288,6 +298,22 @@ class TestNoisy:
     def test_volume_dimensions(self):
         vol = gen_noisy_volume_3d(1, nx=10, ny=12, nz=8)
         assert (vol.nx, vol.ny, vol.nz) == (10, 12, 8)
+
+    @pytest.mark.parametrize("make", [gen_noisy_image_2d, gen_noisy_volume_3d])
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_rate_outside_unit_interval_raises_before_any_draw(self, monkeypatch, make, rate):
+        def drawn(*_):
+            raise AssertionError("the shape was drawn before the rate was checked")
+
+        monkeypatch.setattr(shapes, "_grow", drawn)
+        with pytest.raises(ValueError, match="bad noise parameters"):
+            make(0, rate=rate)
+
+    def test_rates_0_and_1_stay_valid(self):
+        clean, flipped = (gen_noisy_image_2d(3, width=9, height=7, rate=r) for r in (0, 1))
+        assert np.array_equal(flipped.cells, ~clean.cells)
+        for rate in (0, 1):
+            assert gen_noisy_volume_3d(3, 6, 5, 4, rate=rate).cells.shape == (4, 5, 6)
 
 
 # Frozen outputs: (generator, args, kwargs, cells shape, SHA-256 of

@@ -20,12 +20,13 @@ from digitopo import (
     hole_count,
     holes_by_floodfill,
     holes_pipeline,
+    label_components_2d,
     remove_speckles,
     repair_2d,
 )
 from digitopo.grid import _pad, _window_codes
 from digitopo.shapes import gen_fat_polyomino_2d, gen_holey_polyomino_2d, gen_noisy_image_2d
-from digitopo.topo2d import Diag2D, _TURN, _analyze_components
+from digitopo.topo2d import Diag2D, _TURN, _analyze_components, _despeckle
 from gridtext import image
 
 # The two worked 8x8 matrices: a blob without holes (cp2=8, cp4=4) and a
@@ -482,6 +483,21 @@ def test_every_piece_matches_both_oracles(img):
             assert rep.holes == holes_by_floodfill(piece) == 1 - euler_2d(piece).chi
             formula = rep.method is HoleMethod.FORMULA
             assert formula == (not find_pathologies_2d(piece))
+
+
+@settings(max_examples=200, deadline=None)
+@given(img=raw_images())
+@example(img=image("1"))
+@example(img=image("11111\n10101\n11111"))  # two fills with one owner
+@example(img=image("101\n000\n101"))  # four deletions
+def test_speckle_scan_keeps_the_sizes_a_recount(img):
+    # The driver's 2D scan edits the labels in place, and their sizes
+    # beside them.
+    labeling = label_components_2d(img)
+    p = _pad(img.cells)
+    _despeckle(p, _window_codes(p), labeling)
+    want = np.bincount(labeling.labels.ravel(), minlength=labeling.count + 1)
+    assert labeling.sizes.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

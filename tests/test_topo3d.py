@@ -461,6 +461,13 @@ class TestGenus:
         with pytest.raises(InvalidSurfaceError):
             genus(SurfaceHistogram(16, 0, 0, 0))
 
+    def test_no_point_is_no_surface(self):
+        # A volume with no object voxel has an empty histogram.
+        empty = classify_surface(to_point_space(Volume3D(2, 3, 4)))
+        assert empty == SurfaceHistogram(0, 0, 0, 0)
+        with pytest.raises(InvalidSurfaceError, match="the histogram has no point"):
+            genus(empty)
+
     def test_matches_euler_oracle_on_frames(self):
         for k in range(4):
             vol = gen_frame(k)
