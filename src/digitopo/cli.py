@@ -143,19 +143,26 @@ def _build_parser() -> _Parser:
 # input loading and output
 
 
-def _load_any(ns, want=None):
-    """The grid in ``ns.input``, of type ``want`` when given."""
+def _sniff(ns, want=None):
+    """The reader of ``ns.input``, by the format its first bytes name.
+    The one check of the input's dimension: it must give a ``want`` when
+    given, checked before any cell is read."""
     with open(ns.input, "rb") as fh:
         head = fh.read(4)
     if head[:2] in (b"P1", b"P4"):
-        grid = pbm.read_pbm(ns.input)
+        read, kind = pbm.read_pbm, Image2D
     elif head == b"vox3":
-        grid = vox3.read_vox3(ns.input)
+        read, kind = vox3.read_vox3, Volume3D
     else:
         raise ParseError("unrecognized input format (want PBM P1/P4 or vox3)", 1)
-    if want is not None and not isinstance(grid, want):
+    if want is not None and kind is not want:
         raise DigitopoError(f"{ns.cmd} expects a {'2D PBM' if want is Image2D else 'vox3'} input")
-    return grid
+    return read
+
+
+def _load_any(ns, want=None):
+    """The grid in ``ns.input``, of type ``want`` when given."""
+    return _sniff(ns, want)(ns.input)
 
 
 def _emit(ns, rep: dict, human_lines: Callable[[], Iterable[str]]) -> None:
@@ -200,8 +207,8 @@ def _cmd_holes(ns) -> int:
         grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
     )
     rep = report.base_report("holes", report.input_digest(ns.input))
-    rep["components"] = [report.hole_record(r) for r in reports]
-    rep["repair_actions"] = [report.action_record(a) for a in actions]
+    rep["components"] = report._hole_records(reports)
+    rep["repair_actions"] = report._action_records(actions)
     rep["total_holes"] = sum(r.holes for r in reports)
     _emit(ns, rep, lambda: [
         *(
@@ -217,7 +224,7 @@ def _cmd_holes(ns) -> int:
 def _genus_report_from_histogram(hist, digest: str) -> dict:
     g = topo3d.genus(hist)
     rep = report.base_report("genus", digest)
-    rep["histogram"] = report._surface_histogram_record(hist)
+    rep["histogram"] = report.surface_histogram_record(hist)
     rep["genus"] = g
     rep["euler_characteristic"] = 2 - 2 * g
     rep["method"] = "formula"
@@ -232,13 +239,14 @@ def _cmd_genus(ns) -> int:
             file=sys.stderr,
         )
         return 64
+    read = _sniff(ns, Volume3D)
     digest = report.input_digest(ns.input)
     if ns.streaming:
         slabs = vox3.iter_vox3_slabs(ns.input)
         next(slabs)  # dimension triple
         hist, _stats = streaming.fold_surface_histogram_3d(slabs)
     else:
-        grid = _load_any(ns, Volume3D)
+        grid = read(ns.input)
         if not ns.no_repair:
             grid, _actions = topo3d.repair_3d(grid)
         hist = topo3d.classify_surface(topo3d.to_point_space(grid))
@@ -257,8 +265,8 @@ def _cmd_homology(ns) -> int:
         grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
     )
     rep = report.base_report("homology", report.input_digest(ns.input))
-    rep["components"] = [report.component_record_3d(r) for r in reports]
-    rep["repair_actions"] = [report.action_record(a) for a in actions]
+    rep["components"] = report._component_records_3d(reports)
+    rep["repair_actions"] = report._action_records(actions)
 
     def lines():
         for r in reports:
@@ -293,7 +301,7 @@ def _cmd_repair(ns) -> int:
         if ns.output:
             vox3.write_vox3(cleaned, ns.output)
     rep = report.base_report("repair", report.input_digest(ns.input))
-    rep["repair_actions"] = [report.action_record(a) for a in actions]
+    rep["repair_actions"] = report._action_records(actions)
     rep["remaining_pathologies"] = remaining
     if ns.output:
         rep["output"] = ns.output

@@ -659,11 +659,14 @@ class _Hooks(NamedTuple):
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (padded grid, its codes, labeling) -> (dirty, (owners, edits),
-    # answers): the dirty components' ids, the edits made to the grid and
-    # the labels with the id of each one's owner, and the answers or None.
+    # (padded grid, its codes, labeling, shared) -> (dirty, (owners,
+    # edits), answers): the dirty components' ids, the edits made to the
+    # grid and the labels with the id of each one's owner, and the answers
+    # or None.
     scan: Callable
-    # (codes, labeling) -> {label: answer or None} over labels with cells.
+    # (codes, labeling, shared) -> {label: answer or None} over labels
+    # with cells. ``shared`` is one dict per run, in which the hooks keep
+    # one object per distinct part of an answer for equal answers to share.
     classify: Callable
     # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
     # canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
@@ -725,7 +728,8 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     labeling = label(grid, hooks.capture)
     p = _pad(grid.cells)
     codes = _window_codes(p)
-    dirty, (owners, log), answers = hooks.scan(p, codes, labeling)
+    shared: dict = {}
+    dirty, (owners, log), answers = hooks.scan(p, codes, labeling, shared)
     del p
     boxes = _component_boxes(labeling, None if keep_pieces else dirty)
     canvases, origins = {}, {}
@@ -751,7 +755,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         repaired.update(zip(members, acts))
         stacks.append((members, starts, stack))
     if answers is None:
-        answers = hooks.classify(codes, labeling)
+        answers = hooks.classify(codes, labeling, shared)
     del codes
 
     # A piece is cut out onto its canvas when it has a box: with
@@ -762,7 +766,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     while stacks:  # popped, so that a stack is freed once it is labelled
         members, starts, stack = stacks.pop()
         lab = label(_grid_of(stack), hooks.pieces)
-        found = hooks.classify(_window_codes(_pad(stack)), lab) if repair else {}
+        found = hooks.classify(_window_codes(_pad(stack)), lab, shared) if repair else {}
         cut = [i for i in range(1, lab.count + 1) if found.get(i) is None]
         lab_boxes = _component_boxes(lab, None if keep_pieces else cut)
         # Labels rise in scan order, so each canvas holds the labels up to

@@ -95,7 +95,7 @@ class Pathology2D:
     kind: Diag2D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CornerHistogram:
     """Counts of boundary pixels by direct foreground neighbor count.
 
@@ -118,7 +118,7 @@ class CornerHistogram:
         return self.cp0 + self.cp1 + self.cp2 + self.cp3 + self.cp4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreconditionReport:
     """Whether the corner formula may answer for a component.
 
@@ -135,7 +135,7 @@ class HoleMethod(Enum):
     ORACLE_FALLBACK = "oracle-fallback"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoleReport:
     """Hole count for one component, with the evidence used to produce it."""
 
@@ -204,10 +204,15 @@ def _boundary_bins(codes: np.ndarray) -> np.ndarray:
     return np.bincount(_boundary_keys(codes)[1], minlength=16)
 
 
+def _histogram_of(counts) -> CornerHistogram:
+    """The histogram of the counts (cp0, cp1, cp2, cp3, cp4, thin)."""
+    cp0, cp1, cp2, cp3, cp4, thin = counts
+    return CornerHistogram(cp1=cp1, cp2=cp2, cp3=cp3, cp4=cp4, thin=thin, cp0=cp0)
+
+
 def _corner_histogram(bins) -> CornerHistogram:
     """The histogram of a ``_boundary_bins`` count."""
-    cp0, cp1, cp2, cp3, cp4, thin = (int(n) for n in bins @ _FOLD)
-    return CornerHistogram(cp1=cp1, cp2=cp2, cp3=cp3, cp4=cp4, thin=thin, cp0=cp0)
+    return _histogram_of((bins @ _FOLD).tolist())
 
 
 def _require_nonempty(cells: np.ndarray) -> None:
@@ -384,11 +389,12 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     return owner.tolist(), edits
 
 
-def _window_pass(codes: np.ndarray, labeling: Labeling) -> dict:
+def _window_pass(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
     """The answer of every labelled component that has a pixel, from the
     window codes of the labelled image in a frame of one empty pixel:
     ``(area, histogram, holes)``, or None for a component with a diagonal
-    window between two of its own pixels.
+    window between two of its own pixels. ``shared`` maps each count seen
+    in the run to its histogram, which equal counts share.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
@@ -412,24 +418,30 @@ def _window_pass(codes: np.ndarray, labeling: Labeling) -> dict:
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
     kept = np.flatnonzero(sizes[1:]) + 1
+    distinct, which = np.unique(bins[kept] @ _FOLD, axis=0, return_inverse=True)
+    histograms = []
+    for counts in map(tuple, distinct.tolist()):
+        if counts not in shared:
+            shared[counts] = _histogram_of(counts)
+        histograms.append(shared[counts])
     rows = zip(
         kept.tolist(),
         sizes[kept].tolist(),
-        (bins[kept] @ _FOLD).tolist(),
+        which.reshape(-1).tolist(),
         (1 + turn[kept].astype(np.int64) // 4).tolist(),
     )
     del keys, bins
     return {
-        cid: None if cid in dirty else (area, CornerHistogram(c1, c2, c3, c4, thin, c0), holes)
-        for cid, area, (c0, c1, c2, c3, c4, thin), holes in rows
+        cid: None if cid in dirty else (area, histograms[i], holes)
+        for cid, area, i, holes in rows
     }
 
 
-def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
+def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling, shared: dict):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
     of the despeckled image, whose None marks the dirty ones."""
     speckles = _despeckle(p, codes, labeling)
-    answers = _window_pass(codes, labeling)
+    answers = _window_pass(codes, labeling, shared)
     return [cid for cid, answer in answers.items() if answer is None], speckles, answers
 
 

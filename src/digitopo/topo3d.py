@@ -119,7 +119,7 @@ class Pathology3D:
     axis: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceHistogram:
     """Surface point counts by number of surface neighbors.
 
@@ -188,7 +188,7 @@ class SurfacePointSet:
         return f"SurfacePointSet({len(self)} points)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceReport:
     """Classification result for one closed boundary surface."""
 
@@ -199,7 +199,7 @@ class SurfaceReport:
     method: str  # "formula" or "euler-oracle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopoReport3D:
     """Topological summary of one connected voxel component.
 
@@ -517,14 +517,15 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     return [SurfacePointSet(s.owner, s._codes, ids) for ids in np.split(members, cuts)]
 
 
-def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int):
+def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int, shared: dict):
     """Formula surface reports of every labelled component, from the padded grid's ``codes``.
 
     Returns a list indexed by label ``0..count``: each entry holds that
     component's surfaces ordered by minimal vertex, or is None when one
     of them fails ``genus``. ``labels`` must keep 26-adjacent voxels under
     one label; a surface belongs to the label of the voxels around its
-    minimal vertex, read at its lowest object voxel.
+    minimal vertex, read at its lowest object voxel. ``shared`` maps each
+    histogram seen to its report, which equal surfaces share.
     """
     node_ids, n, comp = _surface_graph(np.flatnonzero(_surface_mask(codes)), codes)
     out: list = [[] for _ in range(count + 1)]
@@ -538,18 +539,33 @@ def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int):
     low = _window_cells(labels.shape, first, _LOW_BIT[codes.ravel()[first]])
     owner = labels.reshape(-1)[low]
     hist = np.bincount(comp * 7 + counts, minlength=7 * n).reshape(n, 7)
-    for o, _, h in sorted(zip(owner.tolist(), first.tolist(), hist.tolist())):
+    distinct, which = np.unique(hist, axis=0, return_inverse=True)
+    reports = []
+    for h in map(tuple, distinct.tolist()):
+        if h not in shared:
+            shared[h] = _formula_report(h)
+        reports.append(shared[h])
+    for o, _, i in sorted(zip(owner.tolist(), first.tolist(), which.reshape(-1).tolist())):
         surfaces = out[o]
         if surfaces is None:
             continue
-        histogram = _surface_histogram(h)
-        try:
-            g = genus(histogram)
-        except InvalidSurfaceError:
+        report = reports[i]
+        if report is None:
             out[o] = None
-            continue
-        surfaces.append(SurfaceReport(sum(h), histogram, g, 2 - 2 * g, "formula"))
+        else:
+            surfaces.append(report)
     return out
+
+
+def _formula_report(bins: tuple) -> SurfaceReport | None:
+    """The formula report of a surface from its bincount of points by
+    neighbor count, or None where ``genus`` refuses it."""
+    histogram = _surface_histogram(bins)
+    try:
+        g = genus(histogram)
+    except InvalidSurfaceError:
+        return None
+    return SurfaceReport(sum(bins), histogram, g, 2 - 2 * g, "formula")
 
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
@@ -586,12 +602,9 @@ def _oracle_surfaces(vol: Volume3D, codes: np.ndarray) -> list[SurfaceReport]:
     return surfaces
 
 
-def _report(component_id, voxel_count, surfaces, repair_actions) -> TopoReport3D:
-    b1 = sum(s.genus for s in surfaces)
-    betti = (1, b1, len(surfaces) - 1, 0)
-    return TopoReport3D(
-        component_id, voxel_count, tuple(surfaces), betti, tuple(repair_actions)
-    )
+def _betti(surfaces) -> tuple[int, int, int, int]:
+    """The Betti numbers of a component with these boundary surfaces."""
+    return (1, sum(s.genus for s in surfaces), len(surfaces) - 1, 0)
 
 
 def homology(
@@ -611,30 +624,46 @@ def homology(
         raise ValueError("empty volume")
     codes = _window_codes(_pad(vol.cells))
     # The cells as labels: every surface belongs to label 1.
-    surfaces = _formula_surfaces(codes, vol.cells.view(np.uint8), 1)[1]
+    surfaces = _formula_surfaces(codes, vol.cells.view(np.uint8), 1, {})[1]
     if surfaces is None:
         if not fallback_oracle:
             raise _SurfaceFormulaRefused("not a valid digital surface")
         surfaces = _oracle_surfaces(vol, codes)
-    return _report(component_id, vol.voxel_count, surfaces, repair_actions)
+    surfaces = tuple(surfaces)
+    return TopoReport3D(
+        component_id, vol.voxel_count, surfaces, _betti(surfaces), tuple(repair_actions)
+    )
 
 
-def _scan(_p, codes: np.ndarray, lab26: Labeling):
+def _scan(_p, codes: np.ndarray, lab26: Labeling, _shared=None):
     """The driver's scan (``grid._Hooks``): the ids of the components
     that own a pathological window. A window's object voxels are
-    26-adjacent, so they carry one label, read at its lowest one."""
+    26-adjacent, so they carry one label, read at its lowest one. It
+    gives no answers, so it has none to share."""
     codes = codes.reshape(-1)
     at = np.flatnonzero(_CODE_DIRTY[codes])
     owners = lab26.labels.reshape(-1)[_window_cells(lab26.labels.shape, at, _LOW_BIT[codes[at]])]
     return set(owners.tolist()), ([], []), None
 
 
-def _classify(codes: np.ndarray, labeling: Labeling) -> dict:
-    """``(voxels, surfaces)`` of every labelled component, or None where
-    ``_formula_surfaces`` gives None."""
-    formula = _formula_surfaces(codes, labeling.labels, labeling.count)
+def _classify(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
+    """``(voxels, surfaces, betti)`` of every labelled component, or None
+    where ``_formula_surfaces`` gives None. Equal surfaces share one
+    report, and equal lists of them one surfaces tuple and Betti tuple."""
+    reports = shared.setdefault("surfaces", {})
+    formula = _formula_surfaces(codes, labeling.labels, labeling.count, reports)
     sizes = labeling.sizes.tolist()
-    return {i: None if s is None else (sizes[i], s) for i, s in enumerate(formula) if i}
+    answers: dict = {}
+    lists = shared.setdefault("components", {})
+    for i, s in enumerate(formula[1:], 1):
+        if s is None:
+            answers[i] = None
+            continue
+        s = tuple(s)
+        if s not in lists:
+            lists[s] = (s, _betti(s))
+        answers[i] = (sizes[i], *lists[s])
+    return answers
 
 
 _HOOKS = _Hooks(
@@ -644,7 +673,7 @@ _HOOKS = _Hooks(
     classify=_classify,
     repair=lambda stack, canvases: repair_3d(stack, _canvases=canvases),
     slow=lambda *args: homology(*args),
-    report=lambda component_id, answer, edits: _report(component_id, *answer, edits),
+    report=lambda component_id, answer, edits: TopoReport3D(component_id, *answer, tuple(edits)),
 )
 # ``analyze_volume`` with ``keep_pieces``: see ``grid._per_component``.
 _analyze_pieces = partial(_per_component, _HOOKS)

@@ -1,6 +1,8 @@
 """The package's public contracts: its exported names and the exit codes
 that its error types carry."""
 
+import dataclasses
+
 import pytest
 
 import digitopo
@@ -22,6 +24,8 @@ from digitopo import (
     topo3d,
     vox3,
 )
+from digitopo.topo2d import CornerHistogram, HoleMethod, HoleReport, PreconditionReport
+from digitopo.topo3d import SurfaceHistogram, SurfaceReport, TopoReport3D
 from gridtext import volume
 
 MODULES = (errors, grid, oracle, topo2d, topo3d, shapes, pbm, vox3, streaming)
@@ -69,3 +73,24 @@ def test_formula_refusal_is_both_a_precondition_failure_and_an_invalid_surface()
         homology(vol, fallback_oracle=False)
     assert isinstance(info.value, PreconditionFailure)
     assert info.value.exit_code == 2
+
+
+def test_answers_are_slotted_frozen_values():
+    surface = SurfaceReport(8, SurfaceHistogram(8, 0, 0, 0), 0, 2, "formula")
+    corners = CornerHistogram(cp1=0, cp2=0, cp3=0, cp4=1, thin=0)
+    for cls, args in (
+        (SurfaceHistogram, (8, 0, 0, 0)),
+        (SurfaceReport, (8, SurfaceHistogram(8, 0, 0, 0), 0, 2, "formula")),
+        (TopoReport3D, (1, 1, (surface,), (1, 0, 0, 0))),
+        (CornerHistogram, (0, 0, 0, 1, 0)),
+        (HoleReport, (1, 1, corners, 0, HoleMethod.FORMULA, True)),
+        (PreconditionReport, (True, ())),
+    ):
+        a, b = cls(*args), cls(*args)
+        assert a is not b and a == b and hash(a) == hash(b), cls
+        assert not hasattr(a, "__dict__"), cls
+        first = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, first, 0)
+        other = dataclasses.replace(a, **{first: 2})
+        assert other != a, cls

@@ -752,6 +752,19 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert err == f"digitopo: error: {cmd} expects a {kind} input\n"
 
+    def test_the_dimension_is_checked_before_any_cell_is_read(self, capsys, tmp_path):
+        # Batch and streaming genus sniff the header alike; a PBM whose
+        # body would not parse is rejected for its dimension all the same.
+        good, bad = tmp_path / "f.pbm", tmp_path / "bad.pbm"
+        write_pbm(image("11\n11"), good)
+        bad.write_bytes(b"P1\n2 2\n1 x\n")
+        for path in (good, bad):
+            for flags in ([], ["--no-repair"], ["--streaming", "--no-repair"]):
+                assert cli_dispatch(["genus", *flags, str(path)]) == 1, (path, flags)
+                captured = capsys.readouterr()
+                assert captured.err == "digitopo: error: genus expects a vox3 input\n"
+                assert captured.out == ""
+
     def test_parser_is_built_once(self, capsys, tmp_path):
         path = tmp_path / "f.pbm"
         write_pbm(image("11\n11"), path)

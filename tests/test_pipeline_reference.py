@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from digitopo import Image2D, PreconditionFailure, grid, holes_pipeline
+from digitopo import Image2D, PreconditionFailure, Volume3D, analyze_volume, grid, holes_pipeline
 from digitopo.grid import Adjacency, RepairAction, _component_canvas, label_components_2d
 from digitopo.topo2d import _analyze_components, hole_count, remove_speckles, repair_2d
 from gridtext import image
+from test_topo3d import reference_analyze
 
 
 def _shift_actions(actions, origin):
@@ -203,3 +204,23 @@ def test_clean_components_are_labelled_once(monkeypatch):
     assert len(reports) == 450
     assert actions == []
     assert len(calls) == 1
+
+
+def test_equal_answers_share_one_object():
+    # 10% salt: about 1,000 components, with a few dozen distinct
+    # histograms among them.
+    img = Image2D(256, 256, np.random.default_rng(1).random((256, 256)) < 0.10)
+    reports, actions = holes_pipeline(img)
+    ref = reference_analyze_components(img)
+    assert reports == [r for r, _ in ref[0]] and actions == ref[1]
+    histograms = [r.histogram for r in reports]
+    assert len({id(h) for h in histograms}) == len(set(histograms)) < len(reports) // 10
+
+    # 2% salt: mostly one-voxel components, with one surface each.
+    vol = Volume3D(32, 32, 32, np.random.default_rng(2).random((32, 32, 32)) < 0.02)
+    reports, actions = analyze_volume(vol)
+    assert (reports, actions) == reference_analyze(vol)
+    surfaces = [s for r in reports for s in r.boundary_surfaces]
+    histograms = {s.histogram for s in surfaces}
+    assert len({id(s) for s in surfaces}) <= len(histograms) < len(reports) // 10
+    assert len({id(s.histogram) for s in surfaces}) == len(histograms)
