@@ -292,21 +292,21 @@ def _cmd_repair(ns) -> int:
         cleaned, speckle_actions = topo2d.remove_speckles(grid)
         cleaned, path_actions = topo2d.repair_2d(cleaned)
         actions = speckle_actions + path_actions
-        remaining = len(topo2d.find_pathologies_2d(cleaned))
         if ns.output:
             pbm.write_pbm(cleaned, ns.output)
     else:
         cleaned, actions = topo3d.repair_3d(grid)
-        remaining = len(topo3d.find_pathologies_3d(cleaned))
         if ns.output:
             vox3.write_vox3(cleaned, ns.output)
     rep = report.base_report("repair", report.input_digest(ns.input))
     rep["repair_actions"] = report._action_records(actions)
-    rep["remaining_pathologies"] = remaining
+    # Repair returns only once its scan finds no pathological window, and
+    # raises otherwise, so none remains.
+    rep["remaining_pathologies"] = 0
     if ns.output:
         rep["output"] = ns.output
     _emit(ns, rep, lambda: [
-        f"{len(actions)} repair edits, {remaining} pathologies remain",
+        f"{len(actions)} repair edits, 0 pathologies remain",
         *([f"wrote {ns.output}"] if ns.output else []),
     ])
     return 0
@@ -317,15 +317,17 @@ def _cmd_validate(ns) -> int:
     in_2d = isinstance(grid, Image2D)
     analyze = topo2d._analyze_components if in_2d else topo3d._analyze_pieces
     results, _ = analyze(grid, repair=not ns.no_repair, keep_pieces=True)
+    # One oracle call for every 3D piece; an odd chi in any of them raises.
+    surfaces = [] if in_2d else oracle._euler_surfaces([piece for _, piece in results])
     checks = []
-    for rep, piece in results:
+    for i, (rep, piece) in enumerate(results):
         if in_2d:
             formula, flood = rep.holes, oracle.holes_by_floodfill(piece)
             euler = 1 - oracle.euler_2d(piece).chi
             check = {"formula": formula, "flood_fill": flood, "euler": euler}
             agree = formula == flood == euler
         else:
-            summaries = oracle.euler_surface_3d(piece)
+            summaries = surfaces[i]
             formula = sum(s.genus for s in rep.boundary_surfaces)
             euler = sum((2 - s.chi) // 2 for s in summaries)
             check = {"formula": formula, "euler": euler}

@@ -592,11 +592,10 @@ def genus(hist: SurfaceHistogram) -> int:
 def _oracle_surfaces(vol: Volume3D, codes: np.ndarray) -> list[SurfaceReport]:
     """Surface reports from the boundary-face Euler characteristic of ``vol``, coded ``codes``."""
     surfaces = []
-    for summary, verts in _surface_components(vol):
+    for summary, (vx, vy, vz) in _surface_components([vol])[0]:
         if summary.chi % 2 != 0:
             raise InvalidSurfaceError("non-orientable or non-manifold boundary")
         g = (2 - summary.chi) // 2
-        vx, vy, vz = zip(*verts)
         hist = _surface_histogram(np.bincount(_DEGREE[codes[vz, vy, vx]], minlength=7))
         surfaces.append(SurfaceReport(summary.v, hist, g, summary.chi, "euler-oracle"))
     return surfaces

@@ -16,6 +16,8 @@ Readers accept LF, CRLF or lone CR line ends; writers emit LF.
 
 from __future__ import annotations
 
+import os
+import stat
 from typing import Iterator
 
 import numpy as np
@@ -56,7 +58,9 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
     """Yield (ny, nx) boolean slabs in z order without loading the volume.
 
     The first yielded value is the (nx, ny, nz) dimension triple; slabs
-    follow. Streaming consumers fold the slabs one at a time.
+    follow. Streaming consumers fold the slabs one at a time. No read asks
+    for more characters than a regular file holds, so a header that
+    declares more than the file holds costs no memory.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
@@ -65,6 +69,12 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
         nx, ny, nz = _parse_header(first[:-1])
         yield (nx, ny, nz)
         stride = nx + 1  # a row and its newline
+        # Reading past the end of a regular file returns the same; a pipe
+        # has no size (it reports 0).
+        want = ny * stride
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            want = min(want, st.st_size)
         lineno = 1
         for z in range(nz):
             if z > 0:
@@ -72,7 +82,7 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
                 lineno += 1
                 if sep != "\n":
                     raise ParseError("expected blank line between slabs", lineno)
-            block = fh.read(ny * stride)
+            block = fh.read(want)
             rows = len(block) // stride
             codes = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
             codes = codes[: rows * stride].reshape(rows, stride)
@@ -103,9 +113,26 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
 
 
 def read_vox3(path) -> Volume3D:
-    """Parse a vox3 file into a volume."""
+    """Parse a vox3 file into a volume.
+
+    A regular file shorter than the smallest body of the volume its
+    header declares is refused before the volume is allocated.
+    """
     it = iter_vox3_slabs(path)
     nx, ny, nz = next(it)
+    st = os.stat(path)
+    if stat.S_ISREG(st.st_mode):  # a pipe has no size: it reports 0
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            # At most one byte more than follows a CRLF header.
+            left = st.st_size - len(fh.readline())
+        # LF line ends, the shortest; CRLF files are larger.
+        need = nz * ny * (nx + 1) + nz - 1
+        if left < need:
+            raise ParseError(
+                f"a {nx}x{ny}x{nz} volume needs at least {need} bytes after the"
+                f" header, the file has {left}",
+                1,
+            )
     cells = np.empty((nz, ny, nx), dtype=bool)
     for z, slab in enumerate(it):
         cells[z] = slab

@@ -59,6 +59,10 @@ STAIRCASE = image(
 )
 
 
+# A vox3 header that declares 10^15 voxels, in a 26-byte file.
+HUGE_VOX3 = b"vox3 100000 100000 100000\n"
+
+
 # ---------------------------------------------------------------------------
 # PBM
 
@@ -260,6 +264,36 @@ class TestVox3:
         path.write_bytes(b"vox3 2 2 1\n10\n01\n\n11\n")
         with pytest.raises(ParseError):
             read_vox3(path)
+
+    def test_a_header_larger_than_the_file_allocates_nothing(self, tmp_path):
+        # 10^15 declared voxels in a 26-byte file: the volume is refused
+        # before it is allocated, and the slab reader reads no more than
+        # the file holds.
+        path = tmp_path / "big.vox3"
+        path.write_bytes(HUGE_VOX3)
+        with pytest.raises(ParseError) as err:
+            read_vox3(path)
+        assert str(err.value) == (
+            "line 1: a 100000x100000x100000 volume needs at least 1000010000099999"
+            " bytes after the header, the file has 0"
+        )
+        it = iter_vox3_slabs(path)
+        assert next(it) == (100000, 100000, 100000)
+        with pytest.raises(ParseError, match="line 2: unexpected end of file inside slab"):
+            next(it)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_the_size_bound_is_the_shortest_valid_body(self, tmp_path, newline):
+        # A valid file with LF line ends is exactly at the bound, and it
+        # parses with every line end; one byte short of it is refused.
+        path = tmp_path / "s.vox3"
+        text = b"vox3 3 2 2\n101\n010\n\n111\n000\n"
+        path.write_bytes(text.replace(b"\n", newline))
+        assert read_vox3(path) == volume("101\n010", "111\n000")
+        path.write_bytes(text[:-1])
+        with pytest.raises(ParseError) as err:
+            read_vox3(path)
+        assert str(err.value).endswith("needs at least 17 bytes after the header, the file has 16")
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +895,34 @@ class TestCliExitCodes:
         write_vox3(volume(*NONCONVERGENT_SLABS), path)
         assert run_cli(capsys, "repair", str(path))[0] == 3
         assert run_cli(capsys, "homology", str(path))[0] == 3
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["homology"], "line 1: a 100000x100000x100000 volume needs at least"),
+            (["validate", "--json"], "line 1: a 100000x100000x100000 volume needs at least"),
+            (["genus", "--streaming", "--no-repair"], "line 2: unexpected end of file"),
+        ],
+        ids=["homology", "validate", "genus-streaming"],
+    )
+    def test_a_header_larger_than_the_file_exits_1(self, capsys, tmp_path, argv, err):
+        path = tmp_path / "big.vox3"
+        path.write_bytes(HUGE_VOX3)
+        assert cli_dispatch([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"digitopo: error: {err}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("header", [b"P1\n1000000000 1000000000\n", b"P4\n1000000000 1000000000\n"])
+    def test_a_pbm_header_larger_than_the_file_exits_1(self, capsys, tmp_path, header):
+        path = tmp_path / "big.pbm"
+        path.write_bytes(header + b"1")
+        assert cli_dispatch(["holes", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("digitopo: error: line 3: bitmap truncated: expected")
+        assert captured.err.count("\n") == 1
 
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.pbm"

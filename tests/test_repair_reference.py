@@ -5,7 +5,8 @@ padded copy whose window codes each edit keeps current. The functions
 below are the loops they replaced, kept as the reference: each round
 rescans the whole grid, re-checks every window cell by cell and fixes it
 with per-cell reads. Both must give the same cells, the same actions and
-the same ``RepairDidNotConverge``, on raw grids with no filter.
+the same ``RepairDidNotConverge``, on raw grids with no filter. Where
+repair converges, the public pathology scans find nothing left.
 """
 
 import hashlib
@@ -23,6 +24,9 @@ from digitopo import (
     RepairOp,
     RepairReason,
     Volume3D,
+    find_pathologies_2d as live_find_pathologies_2d,
+    find_pathologies_3d as live_find_pathologies_3d,
+    remove_speckles,
     repair_2d as live_repair_2d,
     repair_3d as live_repair_3d,
 )
@@ -281,6 +285,39 @@ def test_repair_3d_matches_reference(cells):
     want = outcome(repair_3d, vol)
     event(_label(want))
     assert outcome(live_repair_3d, vol) == want
+
+
+# ``digitopo repair`` reports no remaining pathology without scanning its
+# output again: wherever repair converges, the public scan finds none.
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=bernoulli(2, 16), speckles=st.booleans())
+@example(cells=np.indices((6, 6)).sum(axis=0) % 2 == 0, speckles=True)
+def test_a_converged_2d_repair_leaves_no_pathology(cells, speckles):
+    img = Image2D(cells.shape[1], cells.shape[0], cells)
+    if speckles:  # as ``digitopo repair`` does
+        img, _ = remove_speckles(img)
+    try:
+        fixed, _ = live_repair_2d(img)
+    except RepairDidNotConverge:
+        event("RepairDidNotConverge")
+        return
+    assert live_find_pathologies_2d(fixed) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=bernoulli(3, 8))
+@example(cells=REPAIR_CYCLE)
+@example(cells=np.indices((4, 4, 4)).sum(axis=0) % 2 == 0)
+def test_a_converged_3d_repair_leaves_no_pathology(cells):
+    vol = Volume3D(cells.shape[2], cells.shape[1], cells.shape[0], cells)
+    try:
+        fixed, _ = live_repair_3d(vol)
+    except RepairDidNotConverge:
+        event("RepairDidNotConverge")
+        return
+    assert live_find_pathologies_3d(fixed) == []
 
 
 def test_flipped_codes_stay_current():
