@@ -485,6 +485,18 @@ def _flip_all(p: np.ndarray, codes: np.ndarray, at: tuple[np.ndarray, ...]) -> N
         flat[first + np.ravel_multi_index(offset, codes.shape)] ^= _FLIP[p.ndim][offset]
 
 
+def _where(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Ascending flat indices of the uint8 ``codes`` whose entry in
+    ``table`` is not 0; a table shorter than 256 entries reads 0 past its
+    end."""
+    # A 256-byte ``bytes.translate`` table: unlike ``table[codes]`` or
+    # ``take``, no intp copy of the codes, and half the time of ``take``
+    # on a large grid.
+    lut = np.zeros(256, dtype=bool)
+    lut[: table.size] = table != 0
+    return np.flatnonzero(np.frombuffer(codes.tobytes().translate(lut.tobytes()), dtype=bool))
+
+
 def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
     """``(vertex, hit)`` for every hit that ``hits`` lists at the code of
     each vertex (an index tuple into ``codes``) whose ``order`` is not 0:
@@ -492,12 +504,7 @@ def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
     vertices are all of them, or those of ``at``, ascending flat indices."""
     flat = codes.reshape(-1)
     if at is None:
-        # A 256-byte ``bytes.translate`` table: unlike ``order[codes]`` or
-        # ``take``, no intp copy of the codes, and half the time of ``take``
-        # on a large grid.
-        table = np.zeros(256, dtype=bool)
-        table[: order.size] = order != 0
-        at = np.flatnonzero(np.frombuffer(flat.tobytes().translate(table.tobytes()), dtype=bool))
+        at = _where(flat, order)
     else:
         at = at[order.take(flat[at]) != 0]
     at = at[np.argsort(order[flat[at]], kind="stable")]

@@ -69,6 +69,7 @@ from .grid import (
     _pad,
     _per_component,
     _repair,
+    _where,
     _window_cells,
     _window_codes,
 )
@@ -485,19 +486,40 @@ def _surface_graph(node_ids: np.ndarray, codes: np.ndarray):
 
     ``codes`` are the vertex codes of the whole grid. Returns
     ``(node_ids, count, labels)``: the points, the number of components
-    and each point's component. Edges are read from the points' own
-    codes, and a surface edge joins two points of one surface, so when
-    the points are a union of surfaces the edges never leave them.
+    and each point's component, numbered by its smallest point. Edges are
+    read from the points' own codes, and a surface edge joins two points
+    of one surface, so when the points are a union of surfaces the edges
+    never leave them.
+
+    The points are joined a line at a time, as the labeller joins runs:
+    O(P) for P points, plus a search and a union over the C chains. A
+    point's edge toward +x ends at the next vertex, a surface point and
+    so the next point (the frame keeps it on its line), so each run of
+    +x edges is one chain of consecutive points, numbered by a cumulative
+    sum. An edge toward +y or +z ends in the chain with the last first
+    point not past its end, and the union joins chains, with the repeats
+    of consecutive edges dropped. Chains ascend, so a component's first
+    chain holds its smallest point.
     """
-    n = node_ids.size
     up = _UP_EDGES[codes.ravel()[node_ids]]
     _, ny1, nx1 = codes.shape
-    rows = [np.flatnonzero(up & bit) for bit in (1, 2, 4)]
-    ends = [node_ids[r] + step for r, step in zip(rows, (1, nx1, ny1 * nx1))]
-    a = np.concatenate(rows)
-    b = np.searchsorted(node_ids, np.concatenate(ends))
-    count, labels = _components(n, a, b)
-    return node_ids, count, labels
+    # A point starts a chain unless the point before it has a +x edge.
+    starts = np.ones(node_ids.size, dtype=bool)
+    starts[1:] = (up[:-1] & 1) == 0
+    chain = starts.cumsum() - 1
+    firsts = node_ids[starts]
+    a, b = [], []
+    for bit, step in ((2, nx1), (4, ny1 * nx1)):
+        rows = np.flatnonzero(up & bit)
+        ca = chain[rows]
+        cb = firsts.searchsorted(node_ids[rows] + step, side="right") - 1
+        # Neighbouring points of one chain often reach the same chain.
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = (ca[1:] != ca[:-1]) | (cb[1:] != cb[:-1])
+        a.append(ca[new])
+        b.append(cb[new])
+    count, labels = _components(firsts.size, np.concatenate(a), np.concatenate(b))
+    return node_ids, count, labels[chain]
 
 
 def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
@@ -640,7 +662,7 @@ def _scan(_p, codes: np.ndarray, lab26: Labeling, _shared=None):
     26-adjacent, so they carry one label, read at its lowest one. It
     gives no answers, so it has none to share."""
     codes = codes.reshape(-1)
-    at = np.flatnonzero(_CODE_DIRTY[codes])
+    at = _where(codes, _CODE_DIRTY)
     owners = lab26.labels.reshape(-1)[_window_cells(lab26.labels.shape, at, _LOW_BIT[codes[at]])]
     return set(owners.tolist()), ([], []), None
 

@@ -29,6 +29,9 @@ __all__ = ["read_vox3", "write_vox3", "iter_vox3_slabs"]
 
 _MAGIC = "vox3"
 
+# The most characters one read asks for on an input with no size (a pipe).
+_PIECE = 1 << 20
+
 
 def _parse_header(line: str) -> tuple[int, int, int]:
     parts = line.split()
@@ -59,8 +62,9 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
 
     The first yielded value is the (nx, ny, nz) dimension triple; slabs
     follow. Streaming consumers fold the slabs one at a time. No read asks
-    for more characters than a regular file holds, so a header that
-    declares more than the file holds costs no memory.
+    for more characters than a regular file holds, nor for more than
+    ``_PIECE`` on an input with no size, so a header that declares more
+    than the input holds costs no memory.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
@@ -70,11 +74,13 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
         yield (nx, ny, nz)
         stride = nx + 1  # a row and its newline
         # Reading past the end of a regular file returns the same; a pipe
-        # has no size (it reports 0).
+        # has no size (it reports 0), so its slabs come in pieces.
         want = ny * stride
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
-            want = min(want, st.st_size)
+            want = piece = min(want, st.st_size)
+        else:
+            piece = _PIECE
         lineno = 1
         for z in range(nz):
             if z > 0:
@@ -82,7 +88,7 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
                 lineno += 1
                 if sep != "\n":
                     raise ParseError("expected blank line between slabs", lineno)
-            block = fh.read(want)
+            block = _read(fh, want, piece)
             rows = len(block) // stride
             codes = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
             codes = codes[: rows * stride].reshape(rows, stride)
@@ -112,27 +118,42 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
             raise ParseError("trailing content after last slab", lineno)
 
 
+def _read(fh, n: int, piece: int) -> str:
+    """Up to ``n`` characters of ``fh``, asking for at most ``piece`` at a
+    time: fewer only at the end of the input."""
+    parts = []
+    while n > 0:
+        part = fh.read(min(n, piece))
+        parts.append(part)
+        n -= len(part)
+        if len(part) < piece:
+            break
+    return "".join(parts)
+
+
 def read_vox3(path) -> Volume3D:
     """Parse a vox3 file into a volume.
 
     A regular file shorter than the smallest body of the volume its
-    header declares is refused before the volume is allocated.
+    header declares is refused before the volume is allocated. An input
+    with no size gets its volume only once every slab has parsed.
     """
     it = iter_vox3_slabs(path)
     nx, ny, nz = next(it)
     st = os.stat(path)
-    if stat.S_ISREG(st.st_mode):  # a pipe has no size: it reports 0
-        with open(path, "r", encoding="ascii", errors="replace") as fh:
-            # At most one byte more than follows a CRLF header.
-            left = st.st_size - len(fh.readline())
-        # LF line ends, the shortest; CRLF files are larger.
-        need = nz * ny * (nx + 1) + nz - 1
-        if left < need:
-            raise ParseError(
-                f"a {nx}x{ny}x{nz} volume needs at least {need} bytes after the"
-                f" header, the file has {left}",
-                1,
-            )
+    if not stat.S_ISREG(st.st_mode):  # a pipe has no size: it reports 0
+        return Volume3D(nx, ny, nz, np.stack(list(it)))
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        # At most one byte more than follows a CRLF header.
+        left = st.st_size - len(fh.readline())
+    # LF line ends, the shortest; CRLF files are larger.
+    need = nz * ny * (nx + 1) + nz - 1
+    if left < need:
+        raise ParseError(
+            f"a {nx}x{ny}x{nz} volume needs at least {need} bytes after the"
+            f" header, the file has {left}",
+            1,
+        )
     cells = np.empty((nz, ny, nx), dtype=bool)
     for z, slab in enumerate(it):
         cells[z] = slab

@@ -411,6 +411,41 @@ def test_window_cells_match_2d_closed_form(shape, density, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(
+    shape=st.lists(st.integers(1, 12), min_size=2, max_size=3).map(tuple),
+    size=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_where_is_the_table_lookup(shape, size, seed):
+    # Random uint8 codes in 2D and 3D, and tables of every length, as
+    # ``_hits`` passes its ``order``: an entry past the end reads 0.
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 256, shape, dtype=np.uint8)
+    table = rng.integers(0, 3, size, dtype=np.uint8)
+    full = np.zeros(256, dtype=np.uint8)
+    full[:size] = table
+    want = np.flatnonzero(full[codes])
+    assert grid._where(codes, table).tolist() == want.tolist()
+    assert grid._where(codes, table.astype(bool)).tolist() == want.tolist()
+    # Codes within the table, such as 2D codes against a 16-entry table.
+    low = (codes % np.uint16(size)).astype(np.uint8)
+    assert grid._where(low, table).tolist() == np.flatnonzero(table[low]).tolist()
+    # A view that is not contiguous is read in its own scan order.
+    view = codes[..., ::-2]
+    assert grid._where(view, table).tolist() == np.flatnonzero(full[view]).tolist()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (4, 8, 8)])
+def test_where_reads_every_entry(shape):
+    codes = np.arange(256, dtype=np.uint8)[::-1].reshape(shape)
+    for code in range(256):
+        for size in (code + 1, 256):
+            table = np.zeros(size, dtype=np.uint8)
+            table[code] = 1
+            assert grid._where(codes, table).tolist() == [255 - code]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
     shape=st.tuples(*[st.integers(1, 10)] * 3),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),

@@ -1,7 +1,9 @@
 """File formats and the command-line interface."""
 
+import contextlib
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from digitopo import (
     write_pbm_p4,
     write_vox3,
 )
-from digitopo import cli
+from digitopo import cli, vox3
 from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, image, volume
 
 BLOB = image(
@@ -61,6 +63,23 @@ STAIRCASE = image(
 
 # A vox3 header that declares 10^15 voxels, in a 26-byte file.
 HUGE_VOX3 = b"vox3 100000 100000 100000\n"
+
+
+@contextlib.contextmanager
+def pipe_holding(data: bytes):
+    """A path naming the read end of a pipe that holds ``data``, then its
+    end; the input has no size, unlike a regular file."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    # Well within the pipe's buffer, so the write does not block.
+    assert len(data) < 4096
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +300,60 @@ class TestVox3:
         assert next(it) == (100000, 100000, 100000)
         with pytest.raises(ParseError, match="line 2: unexpected end of file inside slab"):
             next(it)
+
+    def test_a_header_on_a_pipe_allocates_nothing(self):
+        # A pipe has no size to check, so the volume is allocated only
+        # once its slabs have parsed, and the body is read in pieces.
+        with pipe_holding(HUGE_VOX3) as path:
+            with pytest.raises(ParseError) as err:
+                read_vox3(path)
+        assert str(err.value) == "line 2: unexpected end of file inside slab"
+        with pipe_holding(HUGE_VOX3) as path:
+            it = iter_vox3_slabs(path)
+            assert next(it) == (100000, 100000, 100000)
+            with pytest.raises(ParseError, match="line 2: unexpected end of file inside slab"):
+                next(it)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"vox3 3 2 2\n101\n010\n\n111\n000\n",
+            b"vox3 5 3 1\n10110\n01011\n11111\n",
+            b"vox3 2 2 2\n10\n01\n\n10\n",  # too short
+            b"vox3 2 2 2\n10\n01\n10\n01\n",  # no blank line
+            b"vox3 2 2 1\n100\n01\n",  # a long row
+            b"vox3 2 2 1\n10\n0x\n",  # a bad character
+            b"vox3 2 2 1\n10\n01",  # no trailing newline
+            b"vox3 2 2 1\n10\n01\n\n11\n",  # trailing content
+            b"vox3 2 2 2\r\n10\r\n01\r\n\r\n11\r\n00\r\n",
+        ],
+    )
+    @pytest.mark.parametrize("piece", [1, 2, 5, 1 << 20])
+    def test_a_pipe_reads_as_the_file_does(self, tmp_path, monkeypatch, text, piece):
+        # Pieces of any size give the slabs, or the error, of the same
+        # bytes in a regular file, whose size check is left out here.
+        monkeypatch.setattr(vox3, "_PIECE", piece)
+        path = tmp_path / "p.vox3"
+        path.write_bytes(text)
+
+        def slabs(path):
+            it = iter_vox3_slabs(path)
+            try:
+                return [next(it), *(slab.tolist() for slab in it)]
+            except ParseError as err:
+                return str(err)
+
+        with pipe_holding(text) as pipe:
+            assert slabs(pipe) == slabs(path)
+        with pipe_holding(text) as pipe:
+            try:
+                got = read_vox3(pipe)
+            except ParseError as err:
+                got = str(err)
+        if isinstance(slabs(path), str):
+            assert got == slabs(path)
+        else:
+            assert got == read_vox3(path)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_the_size_bound_is_the_shortest_valid_body(self, tmp_path, newline):
@@ -912,6 +985,19 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"digitopo: error: {err}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["homology"], ["genus", "--streaming", "--no-repair"]],
+        ids=["homology", "genus-streaming"],
+    )
+    def test_a_header_on_a_pipe_exits_1(self, capsys, argv):
+        with pipe_holding(HUGE_VOX3) as path:
+            assert cli_dispatch([*argv, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("digitopo: error: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("header", [b"P1\n1000000000 1000000000\n", b"P4\n1000000000 1000000000\n"])

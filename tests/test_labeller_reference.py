@@ -121,20 +121,42 @@ def test_union_matches_csgraph(seed):
         assert_matches_scipy(rng.random((9, 11, 13)) < rng.random(), Adjacency.INDIRECT_3D)
 
 
-def csgraph_surface_components(mask: np.ndarray, codes: np.ndarray):
-    """The surface-edge components that ``_surface_graph`` computed with
-    scipy: the same edges, through ``csgraph.connected_components``."""
-    node_ids = np.flatnonzero(mask)
+def csgraph_surface_components(node_ids: np.ndarray, codes: np.ndarray):
+    """The surface-edge components of the points ``node_ids`` (ascending
+    flat vertex indices into ``codes``), computed with scipy: every edge
+    point to point, each end found by a search over all the points, and
+    ``csgraph.connected_components`` numbering components by their
+    smallest point."""
     n = node_ids.size
     up = topo3d._UP_EDGES[codes.ravel()[node_ids]]
-    _, ny1, nx1 = mask.shape
+    _, ny1, nx1 = codes.shape
     rows = [np.flatnonzero(up & bit) for bit in (1, 2, 4)]
     ends = [node_ids[r] + step for r, step in zip(rows, (1, nx1, ny1 * nx1))]
     a = np.concatenate(rows)
     b = np.searchsorted(node_ids, np.concatenate(ends))
+    assert np.array_equal(node_ids[b], np.concatenate(ends))
     graph = sparse.coo_matrix((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n)).tocsr()
     count, labels = csgraph.connected_components(graph, directed=False)
     return node_ids, count, labels
+
+
+def assert_surface_graph_matches(cells: np.ndarray, rng) -> None:
+    """``_surface_graph`` equals the reference on all the surface points
+    of ``cells``, and on the points of random unions of its surfaces, as
+    ``split_surface_components`` gets from a part."""
+    codes = _window_codes(_pad(cells))
+    node_ids = np.flatnonzero(topo3d._surface_mask(codes))
+    want = csgraph_surface_components(node_ids, codes)
+    parts = [node_ids]
+    for _ in range(3):
+        keep = rng.random(want[1]) < rng.random()
+        parts.append(node_ids[keep[want[2]]])
+    for ids in parts:
+        got = topo3d._surface_graph(ids, codes)
+        want = csgraph_surface_components(ids, codes)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,14 +166,38 @@ def csgraph_surface_components(mask: np.ndarray, codes: np.ndarray):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_surface_graph_matches_csgraph(shape, density, seed):
-    cells = np.random.default_rng(seed).random(shape) < density
-    codes = _window_codes(_pad(cells))
-    mask = topo3d._surface_mask(codes)
-    got = topo3d._surface_graph(np.flatnonzero(mask), codes)
-    want = csgraph_surface_components(mask, codes)
-    assert np.array_equal(got[0], want[0])
-    assert got[1] == want[1]
-    assert np.array_equal(got[2], want[2])
+    rng = np.random.default_rng(seed)
+    assert_surface_graph_matches(rng.random(shape) < density, rng)
+
+
+def rods(n: int) -> np.ndarray:
+    """One-voxel rods along x, one voxel apart along y and z: every line
+    of surface points is one chain, from one end of the grid to the
+    other."""
+    cells = np.zeros((n, n, 3 * n), dtype=bool)
+    cells[::2, ::2] = True
+    return cells
+
+
+def _thin(shape, density: float) -> np.ndarray:
+    return np.random.default_rng(sum(shape)).random(shape) < density
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        pytest.param(rods(7), id="rods-7"),
+        pytest.param(rods(8), id="rods-8"),
+        pytest.param(np.ones((3, 4, 40), dtype=bool), id="box-3x4x40"),
+    ]
+    + [
+        pytest.param(_thin(shape, density), id=f"{'x'.join(map(str, shape))}-{density}")
+        for shape in [(1, 1, 1), (1, 1, 9), (1, 9, 1), (9, 1, 1), (1, 6, 7), (6, 1, 7), (6, 7, 1)]
+        for density in (0.5, 1.0)
+    ],
+)
+def test_surface_graph_on_long_chains_and_thin_grids(cells):
+    assert_surface_graph_matches(cells, np.random.default_rng(cells.size))
 
 
 def serpentine_2d(n: int) -> np.ndarray:
