@@ -29,7 +29,7 @@ __all__ = ["read_vox3", "write_vox3", "iter_vox3_slabs"]
 
 _MAGIC = "vox3"
 
-# The most characters one read asks for on an input with no size (a pipe).
+# The most characters one read of a slab asks for.
 _PIECE = 1 << 20
 
 
@@ -62,9 +62,8 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
 
     The first yielded value is the (nx, ny, nz) dimension triple; slabs
     follow. Streaming consumers fold the slabs one at a time. No read asks
-    for more characters than a regular file holds, nor for more than
-    ``_PIECE`` on an input with no size, so a header that declares more
-    than the input holds costs no memory.
+    for more than ``_PIECE`` characters, so a header that declares more
+    than the input holds costs no memory, on a pipe as on a regular file.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
@@ -73,14 +72,7 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
         nx, ny, nz = _parse_header(first[:-1])
         yield (nx, ny, nz)
         stride = nx + 1  # a row and its newline
-        # Reading past the end of a regular file returns the same; a pipe
-        # has no size (it reports 0), so its slabs come in pieces.
         want = ny * stride
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            want = piece = min(want, st.st_size)
-        else:
-            piece = _PIECE
         lineno = 1
         for z in range(nz):
             if z > 0:
@@ -88,7 +80,7 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
                 lineno += 1
                 if sep != "\n":
                     raise ParseError("expected blank line between slabs", lineno)
-            block = _read(fh, want, piece)
+            block = _read(fh, want)
             rows = len(block) // stride
             codes = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
             codes = codes[: rows * stride].reshape(rows, stride)
@@ -118,15 +110,16 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
             raise ParseError("trailing content after last slab", lineno)
 
 
-def _read(fh, n: int, piece: int) -> str:
-    """Up to ``n`` characters of ``fh``, asking for at most ``piece`` at a
-    time: fewer only at the end of the input."""
+def _read(fh, n: int) -> str:
+    """Up to ``n`` characters of ``fh``, asking for at most ``_PIECE`` at
+    a time: fewer only at the end of the input."""
     parts = []
     while n > 0:
-        part = fh.read(min(n, piece))
+        ask = min(n, _PIECE)
+        part = fh.read(ask)
         parts.append(part)
         n -= len(part)
-        if len(part) < piece:
+        if len(part) < ask:
             break
     return "".join(parts)
 

@@ -330,9 +330,10 @@ class TestVox3:
     )
     @pytest.mark.parametrize("piece", [1, 2, 5, 1 << 20])
     def test_a_pipe_reads_as_the_file_does(self, tmp_path, monkeypatch, text, piece):
-        # Pieces of any size give the slabs, or the error, of the same
-        # bytes in a regular file, whose size check is left out here.
-        monkeypatch.setattr(vox3, "_PIECE", piece)
+        # Pieces of any size give the slabs, or the error, that one read
+        # per slab of the same bytes in a regular file gives; read_vox3
+        # on a pipe has no size check, so a short body gets the slab
+        # reader's message.
         path = tmp_path / "p.vox3"
         path.write_bytes(text)
 
@@ -343,17 +344,18 @@ class TestVox3:
             except ParseError as err:
                 return str(err)
 
+        want = slabs(path)
+        want_volume = None if isinstance(want, str) else read_vox3(path)
+        monkeypatch.setattr(vox3, "_PIECE", piece)
+        assert slabs(path) == want
         with pipe_holding(text) as pipe:
-            assert slabs(pipe) == slabs(path)
+            assert slabs(pipe) == want
         with pipe_holding(text) as pipe:
             try:
                 got = read_vox3(pipe)
             except ParseError as err:
                 got = str(err)
-        if isinstance(slabs(path), str):
-            assert got == slabs(path)
-        else:
-            assert got == read_vox3(path)
+        assert got == (want if want_volume is None else want_volume)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_the_size_bound_is_the_shortest_valid_body(self, tmp_path, newline):
@@ -993,12 +995,15 @@ class TestCliExitCodes:
         ids=["homology", "genus-streaming"],
     )
     def test_a_header_on_a_pipe_exits_1(self, capsys, argv):
+        # The vox3 reader is not reached here: the format sniff reads the
+        # pipe through a buffered reader, which takes all of its bytes, so
+        # the reader finds the pipe empty. test_a_header_on_a_pipe_allocates_nothing
+        # covers the reader on a pipe.
         with pipe_holding(HUGE_VOX3) as path:
             assert cli_dispatch([*argv, path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("digitopo: error: ")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err == "digitopo: error: line 1: missing newline after header\n"
 
     @pytest.mark.parametrize("header", [b"P1\n1000000000 1000000000\n", b"P4\n1000000000 1000000000\n"])
     def test_a_pbm_header_larger_than_the_file_exits_1(self, capsys, tmp_path, header):
