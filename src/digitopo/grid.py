@@ -43,8 +43,6 @@ __all__ = [
     "label_components_3d",
     "label_background_2d",
     "extract_component",
-    "window2",
-    "window8",
 ]
 
 
@@ -68,32 +66,6 @@ class Adjacency(Enum):
     @property
     def is_direct(self) -> bool:
         return self in (Adjacency.DIRECT_2D, Adjacency.DIRECT_3D)
-
-    def offsets(self) -> tuple[tuple[int, ...], ...]:
-        """All neighbor offsets, in scan order (x fastest, then y, then z)."""
-        n = self.ndim
-        out = []
-        rng = (-1, 0, 1)
-        if n == 2:
-            coords = [(dx, dy) for dy in rng for dx in rng]
-        else:
-            coords = [(dx, dy, dz) for dz in rng for dy in rng for dx in rng]
-        for off in coords:
-            if all(d == 0 for d in off):
-                continue
-            if self.is_direct and sum(abs(d) for d in off) != 1:
-                continue
-            out.append(off)
-        return tuple(out)
-
-    def adjacent(self, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-        """True if p and q are distinct neighbors under this adjacency."""
-        if len(p) != self.ndim or len(q) != self.ndim:
-            raise ValueError("coordinate arity does not match adjacency")
-        diffs = [abs(a - b) for a, b in zip(p, q)]
-        if self.is_direct:
-            return sum(diffs) == 1
-        return max(diffs) == 1
 
 
 def _as_bool_grid(cells, shape: tuple[int, ...]) -> np.ndarray:
@@ -121,20 +93,6 @@ class Image2D:
             self.cells = np.zeros((self.height, self.width), dtype=bool)
         else:
             self.cells = _as_bool_grid(cells, (self.height, self.width))
-
-    @classmethod
-    def from_rows(cls, rows) -> "Image2D":
-        """Build from an iterable of equal-length rows of 0/1 values."""
-        a = np.asarray(rows, dtype=bool)
-        if a.ndim != 2:
-            raise ValueError("expected a rectangular list of rows")
-        return cls(a.shape[1], a.shape[0], a)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Image2D":
-        """Build from lines of '0'/'1' characters (whitespace ignored)."""
-        rows = [[c == "1" for c in line.strip()] for line in text.strip().splitlines()]
-        return cls.from_rows(rows)
 
     def get(self, x: int, y: int) -> bool:
         if 0 <= x < self.width and 0 <= y < self.height:
@@ -177,14 +135,6 @@ class Volume3D:
             self.cells = np.zeros((self.nz, self.ny, self.nx), dtype=bool)
         else:
             self.cells = _as_bool_grid(cells, (self.nz, self.ny, self.nx))
-
-    @classmethod
-    def from_slabs(cls, slabs) -> "Volume3D":
-        """Build from an iterable of (ny, nx) slabs, z ascending."""
-        a = np.asarray(slabs, dtype=bool)
-        if a.ndim != 3:
-            raise ValueError("expected a list of rectangular slabs")
-        return cls(a.shape[2], a.shape[1], a.shape[0], a)
 
     def get(self, x: int, y: int, z: int) -> bool:
         if 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz:
@@ -810,25 +760,3 @@ def extract_component(labeling: Labeling, component_id: int):
     outside ``1..count``."""
     return _component_canvas(labeling, component_id)[0]
 
-
-def window2(img: Image2D, x: int, y: int) -> tuple[bool, bool, bool, bool]:
-    """The 2x2 cell window anchored at (x, y).
-
-    Order: (x, y), (x+1, y), (x, y+1), (x+1, y+1). Out-of-range reads are
-    background, so windows may overhang the border.
-    """
-    return (img.get(x, y), img.get(x + 1, y), img.get(x, y + 1), img.get(x + 1, y + 1))
-
-
-def window8(vol: Volume3D, x: int, y: int, z: int) -> tuple[bool, ...]:
-    """The 2x2x2 voxel window anchored at (x, y, z).
-
-    Order is scan order within the window: x fastest, then y, then z, i.e.
-    (x,y,z), (x+1,y,z), (x,y+1,z), (x+1,y+1,z), then the same four at z+1.
-    """
-    return tuple(
-        vol.get(x + dx, y + dy, z + dz)
-        for dz in (0, 1)
-        for dy in (0, 1)
-        for dx in (0, 1)
-    )

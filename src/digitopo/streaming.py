@@ -6,10 +6,10 @@ window of consecutive inputs at a time, so each fold computes exactly
 the integers of its batch counterpart; tests compare them bit for bit.
 
 ``_windows`` drives every fold. Between steps it holds the raw inputs of
-one window: two for the surface fold, three for the corner and boundary
-folds. At each step it copies them into a window padded by one empty
-cell in-plane, with one empty input past each end of the iterator, and
-that padded copy, like the kernel's own arrays, is a per-step temporary.
+one window: two for the surface fold, three for the corner fold. At
+each step it copies them into a window padded by one empty cell
+in-plane, with one empty input past each end of the iterator, and that
+padded copy, like the kernel's own arrays, is a per-step temporary.
 Memory therefore stays proportional to one input, however long the
 volume. Each fold reports the peak of its held inputs' bytes.
 """
@@ -23,19 +23,12 @@ import numpy as np
 
 from .grid import _window_codes
 from .topo2d import CornerHistogram, _boundary_bins, _corner_histogram
-from .topo3d import (
-    SurfaceHistogram,
-    _DEGREE,
-    _boundary_mask_3d,
-    _surface_histogram,
-    _surface_mask,
-)
+from .topo3d import SurfaceHistogram, _DEGREE, _surface_histogram, _surface_mask
 
 __all__ = [
     "FoldStats",
     "fold_corner_histogram_2d",
     "fold_surface_histogram_3d",
-    "fold_boundary_count_3d",
     "iter_frame_slabs",
 ]
 
@@ -131,20 +124,6 @@ def fold_surface_histogram_3d(
         codes = _window_codes(window)
         bins += np.bincount(_DEGREE[codes[_surface_mask(codes)]], minlength=7)
     return _surface_histogram(bins), stats
-
-
-def fold_boundary_count_3d(slabs: Iterable[np.ndarray]) -> tuple[int, FoldStats]:
-    """Count object voxels with a background voxel among 26 neighbors.
-
-    Matches len(boundary_voxels(vol)): each slab is tested with the slabs
-    above and below it, and the space past the first and the last slab
-    is background.
-    """
-    total = 0
-    stats = FoldStats(0, 0, 0)
-    for window, stats in _windows(slabs, 3):
-        total += int(_boundary_mask_3d(window).sum())
-    return total, stats
 
 
 def iter_frame_slabs(

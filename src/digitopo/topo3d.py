@@ -84,9 +84,7 @@ __all__ = [
     "TopoReport3D",
     "find_pathologies_3d",
     "repair_3d",
-    "boundary_voxels",
     "to_point_space",
-    "surface_neighbors",
     "split_surface_components",
     "classify_surface",
     "genus",
@@ -143,7 +141,7 @@ class SurfaceHistogram:
 class SurfacePointSet:
     """Surface points of a volume on the dual vertex grid.
 
-    ``_codes`` holds the window code of every vertex of the owner's grid
+    ``_codes`` holds the window code of every vertex of the volume's grid
     (see the module docstring), shared by the parts of a split; each
     point's surface edges and neighbor count are read from it. ``_ids``
     holds the points' flat indices into ``_codes``, in ascending order.
@@ -152,10 +150,9 @@ class SurfacePointSet:
     are built from them when read.
     """
 
-    __slots__ = ("owner", "_codes", "_ids")
+    __slots__ = ("_codes", "_ids")
 
-    def __init__(self, owner: Volume3D, codes: np.ndarray, ids: np.ndarray):
-        self.owner = owner
+    def __init__(self, codes: np.ndarray, ids: np.ndarray):
         self._codes = codes
         self._ids = ids
 
@@ -172,15 +169,6 @@ class SurfacePointSet:
             (int(x), int(y), int(z))
             for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())
         }
-
-    def __contains__(self, p) -> bool:
-        x, y, z = p
-        nz1, ny1, nx1 = self._codes.shape
-        if not (0 <= x < nx1 and 0 <= y < ny1 and 0 <= z < nz1):
-            return False
-        at = (z * ny1 + y) * nx1 + x
-        i = int(self._ids.searchsorted(at))
-        return i < self._ids.size and int(self._ids[i]) == at
 
     def __len__(self) -> int:
         return int(self._ids.size)
@@ -403,31 +391,6 @@ def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> tuple[int, int
 # surface extraction and classification
 
 
-def boundary_voxels(vol: Volume3D) -> set[tuple[int, int, int]]:
-    """Object voxels with a background voxel among their 26 neighbors;
-    voxels outside the grid are background."""
-    mask = _boundary_mask_3d(_pad(vol.cells))
-    zs, ys, xs = np.nonzero(mask)
-    return {
-        (int(x), int(y), int(z))
-        for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())
-    }
-
-
-def _boundary_mask_3d(p: np.ndarray) -> np.ndarray:
-    """Boundary mask of ``p[1:-1, 1:-1, 1:-1]``, read from ``p``: the grid
-    with a one-voxel frame, empty (see ``_pad``) or, in a streaming fold,
-    the neighboring slabs along z.
-
-    A voxel is interior when all 27 voxels of its 3x3x3 block are object;
-    the block's AND is taken as a 3-wide AND along each axis in turn.
-    """
-    a = p[:, :, :-2] & p[:, :, 1:-1] & p[:, :, 2:]
-    a = a[:, :-2] & a[:, 1:-1] & a[:, 2:]
-    a = a[:-2] & a[1:-1] & a[2:]
-    return p[1:-1, 1:-1, 1:-1] & ~a
-
-
 def _surface_mask(codes: np.ndarray) -> np.ndarray:
     """Which codes are surface points: neither all empty nor all object."""
     # Two comparisons beat a 256-entry boolean lookup on large grids.
@@ -437,7 +400,7 @@ def _surface_mask(codes: np.ndarray) -> np.ndarray:
 def to_point_space(vol: Volume3D) -> SurfacePointSet:
     """All surface points of a volume on the dual vertex grid."""
     codes = _window_codes(_pad(vol.cells))
-    return SurfacePointSet(vol, codes, np.flatnonzero(_surface_mask(codes)))
+    return SurfacePointSet(codes, np.flatnonzero(_surface_mask(codes)))
 
 
 def _surface_histogram(bins) -> SurfaceHistogram:
@@ -449,35 +412,6 @@ def _surface_histogram(bins) -> SurfaceHistogram:
         m6=int(bins[6]),
         irregular=int(bins[0] + bins[1] + bins[2]),
     )
-
-
-def surface_neighbors(p: tuple[int, int, int], s: SurfacePointSet) -> int:
-    """Number of surface neighbors of one surface point.
-
-    Recomputed directly from voxel occupancy, independently of the
-    vectorized classification path.
-    """
-    if p not in s:
-        raise ValueError(f"not a surface point: {p}")
-    vol = s.owner
-    x, y, z = p
-    count = 0
-    # Incident voxels of the edge from min-vertex v along each axis.
-    for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
-        v = [x, y, z]
-        if sign < 0:
-            v[axis] -= 1
-        vx, vy, vz = v
-        if axis == 0:
-            voxels = [(vx, vy - 1, vz - 1), (vx, vy, vz - 1), (vx, vy - 1, vz), (vx, vy, vz)]
-        elif axis == 1:
-            voxels = [(vx - 1, vy, vz - 1), (vx, vy, vz - 1), (vx - 1, vy, vz), (vx, vy, vz)]
-        else:
-            voxels = [(vx - 1, vy - 1, vz), (vx, vy - 1, vz), (vx - 1, vy, vz), (vx, vy, vz)]
-        vals = [vol.get(*q) for q in voxels]
-        if any(vals) and not all(vals):
-            count += 1
-    return count
 
 
 def _surface_graph(node_ids: np.ndarray, codes: np.ndarray):
@@ -536,7 +470,7 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     # points ascending.
     members = node_ids[np.argsort(labels, kind="stable")]
     cuts = np.bincount(labels, minlength=count).cumsum()[:-1]
-    return [SurfacePointSet(s.owner, s._codes, ids) for ids in np.split(members, cuts)]
+    return [SurfacePointSet(s._codes, ids) for ids in np.split(members, cuts)]
 
 
 def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int, shared: dict):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +18,6 @@ from digitopo import (
     label_components_3d,
     topo2d,
     topo3d,
-    window2,
-    window8,
 )
 from digitopo import grid
 from digitopo.grid import (
@@ -82,23 +78,6 @@ def test_out_of_range_reads_background():
     assert vol.get(5, 5, 5) is False
 
 
-def test_image_from_rows_and_text():
-    img = Image2D.from_rows([[0, 1, 1], [1, 0, 0]])
-    assert (img.width, img.height) == (3, 2)
-    assert img.cells.tolist() == [[False, True, True], [True, False, False]]
-    assert Image2D.from_text("\n  011\n  100  \n") == img
-    with pytest.raises(ValueError, match="expected a rectangular list of rows"):
-        Image2D.from_rows([0, 1, 1])
-
-
-def test_volume_from_slabs():
-    vol = Volume3D.from_slabs([[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1]]])
-    assert (vol.nx, vol.ny, vol.nz) == (3, 2, 2)
-    assert vol.get(0, 0, 0) and vol.get(2, 1, 1) and vol.voxel_count == 2
-    with pytest.raises(ValueError, match="expected a list of rectangular slabs"):
-        Volume3D.from_slabs([[1, 0], [0, 1]])
-
-
 def test_extent_and_shape_errors():
     for extents in ((0, 3), (3, -1)):
         with pytest.raises(ValueError, match="image extents must be positive"):
@@ -111,28 +90,6 @@ def test_extent_and_shape_errors():
         Image2D(3, 2, np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"shape \(2, 3, 4\) does not match extent \(4, 3, 2\)"):
         Volume3D(2, 3, 4, np.zeros((2, 3, 4)))
-
-
-def test_adjacency_offsets_and_adjacent():
-    assert {a: len(a.offsets()) for a in Adjacency} == {
-        Adjacency.DIRECT_2D: 4,
-        Adjacency.INDIRECT_2D: 8,
-        Adjacency.DIRECT_3D: 6,
-        Adjacency.INDIRECT_3D: 26,
-    }
-    # Scan order: x fastest, then y, then z.
-    assert Adjacency.DIRECT_2D.offsets() == ((0, -1), (-1, 0), (1, 0), (0, 1))
-    assert Adjacency.DIRECT_3D.offsets()[0] == (0, 0, -1)
-    for a in Adjacency:
-        origin = (0,) * a.ndim
-        near = set(itertools.product((-1, 0, 1), repeat=a.ndim))
-        for q in near:
-            assert a.adjacent(origin, q) == (q in a.offsets()), (a, q)
-        assert not a.adjacent(origin, (2,) + origin[1:])
-    with pytest.raises(ValueError, match="coordinate arity does not match adjacency"):
-        Adjacency.DIRECT_2D.adjacent((0, 0, 0), (0, 0, 1))
-    with pytest.raises(ValueError, match="coordinate arity does not match adjacency"):
-        Adjacency.INDIRECT_3D.adjacent((0, 0), (0, 0, 1))
 
 
 def test_labellers_reject_an_adjacency_of_the_other_dimension():
@@ -294,28 +251,6 @@ def test_extract_component_3d():
     assert isinstance(part, Volume3D)
     assert part.cells.sum() == 1
     assert part.cells[1, 1, 1]
-
-
-def test_window2_interior_and_outside():
-    img = image(
-        """
-        111
-        111
-        111
-        """
-    )
-    assert window2(img, 0, 0) == (True, True, True, True)
-    assert window2(img, -2, -2) == (False, False, False, False)
-    edge = window2(img, 2, 0)
-    assert edge == (True, False, True, False)
-
-
-def test_window8_on_ring_corner():
-    # anchored at the hole corner: the window holds the center hole, three
-    # ring voxels above/beside it, and four empty cells of the z+1 layer
-    w = window8(RING_3X3, 0, 0, 0)
-    assert w == (True, True, True, False, False, False, False, False)
-    assert window8(RING_3X3, 9, 9, 9) == (False,) * 8
 
 
 def test_direct_count_at_least_indirect_count():

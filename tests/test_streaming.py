@@ -9,10 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from digitopo import (
     Image2D,
     Volume3D,
-    boundary_voxels,
     classify_boundary_2d,
     classify_surface,
-    fold_boundary_count_3d,
     fold_corner_histogram_2d,
     fold_surface_histogram_3d,
     gen_fat_blob_3d,
@@ -25,7 +23,7 @@ from digitopo import (
 )
 from digitopo.streaming import FoldStats, iter_frame_slabs
 
-FOLDS = (fold_corner_histogram_2d, fold_surface_histogram_3d, fold_boundary_count_3d)
+FOLDS = (fold_corner_histogram_2d, fold_surface_histogram_3d)
 
 
 def corner_tuple(h):
@@ -113,45 +111,6 @@ class TestSurfaceFold:
         assert surface_tuple(folded) == surface_tuple(batch)
 
 
-class TestBoundaryFold:
-    def test_matches_batch(self):
-        vols = [
-            gen_frame(1),
-            gen_frame(2, ring_width=2),
-            gen_shell((4, 4, 4), (2, 2, 2)),
-            gen_fat_blob_3d(1, 100),
-            gen_noisy_volume_3d(2),
-        ]
-        for vol in vols:
-            count, _ = fold_boundary_count_3d(iter(vol.cells))
-            assert count == len(boundary_voxels(vol))
-
-    def test_solid_block_peels(self):
-        from digitopo import gen_block_3d
-
-        count, _ = fold_boundary_count_3d(iter(gen_block_3d(4, 4, 4).cells))
-        assert count == 56
-
-    def test_empty(self):
-        count, stats = fold_boundary_count_3d(
-            iter(np.zeros((3, 3, 3), dtype=bool))
-        )
-        assert count == 0
-        assert stats.steps == 3
-
-    @pytest.mark.parametrize(
-        "shape, want",
-        [((1, 3, 3), 9), ((2, 3, 3), 18), ((3, 3, 3), 26), ((4, 5, 5), 82)],
-    )
-    def test_block_flush_with_end_slabs(self, shape, want):
-        # Past the first and the last slab lies background, as it does
-        # for boundary_voxels.
-        cells = np.ones(shape, dtype=bool)
-        count, stats = fold_boundary_count_3d(iter(cells))
-        assert count == want == len(boundary_voxels(volume(cells)))
-        assert stats.held_bytes_peak == min(shape[0], 3) * cells[0].nbytes
-
-
 class TestFrameSlabs:
     def test_iterates_whole_frame(self):
         vol = gen_frame(3, ring_width=2, thickness=2)
@@ -184,9 +143,6 @@ class TestFoldsOnBernoulliGrids:
             classify_surface(to_point_space(vol))
         )
         assert stats == FoldStats(min(shape[0], 2) * slab, slab, shape[0])
-        count, stats = fold_boundary_count_3d(iter(cells))
-        assert count == len(boundary_voxels(vol))
-        assert stats == FoldStats(min(shape[0], 3) * slab, slab, shape[0])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -212,10 +168,8 @@ class TestFoldsOnBernoulliGrids:
         result, stats = fold(iter([]))
         if fold is fold_corner_histogram_2d:
             assert corner_tuple(result) == (0, 0, 0, 0, 0, 0)
-        elif fold is fold_surface_histogram_3d:
-            assert surface_tuple(result) == (0, 0, 0, 0, 0)
         else:
-            assert result == 0
+            assert surface_tuple(result) == (0, 0, 0, 0, 0)
         assert stats == FoldStats(0, 0, 0)
 
 
