@@ -24,8 +24,13 @@ starts with one comment line giving the time and command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
+import shutil
+import stat
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections.abc import Callable, Iterable
@@ -160,9 +165,11 @@ def _sniff(ns, want=None):
     return read
 
 
-def _load_any(ns, want=None):
-    """The grid in ``ns.input``, of type ``want`` when given."""
-    return _sniff(ns, want)(ns.input)
+def _load(ns, want=None):
+    """The grid in ``ns.input``, of type ``want`` when given, and the
+    command's report, which names the input by its digest."""
+    grid = _sniff(ns, want)(ns.input)
+    return grid, report.base_report(ns.cmd, report.input_digest(ns.input))
 
 
 def _emit(ns, rep: dict, human_lines: Callable[[], Iterable[str]]) -> None:
@@ -180,7 +187,7 @@ def _emit(ns, rep: dict, human_lines: Callable[[], Iterable[str]]) -> None:
 
 
 def _cmd_components(ns) -> int:
-    grid = _load_any(ns)
+    grid, rep = _load(ns)
     if isinstance(grid, Image2D):
         labeling = label_components_2d(grid, Adjacency.DIRECT_2D)
         adjacency = "direct-4"
@@ -188,7 +195,6 @@ def _cmd_components(ns) -> int:
         labeling = label_components_3d(grid, Adjacency.INDIRECT_3D)
         adjacency = "indirect-26"
     sizes = labeling.sizes.tolist()
-    rep = report.base_report("components", report.input_digest(ns.input))
     rep["adjacency"] = adjacency
     rep["count"] = labeling.count
     rep["components"] = [
@@ -202,11 +208,10 @@ def _cmd_components(ns) -> int:
 
 
 def _cmd_holes(ns) -> int:
-    grid = _load_any(ns, Image2D)
+    grid, rep = _load(ns, Image2D)
     reports, actions = topo2d.holes_pipeline(
         grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
     )
-    rep = report.base_report("holes", report.input_digest(ns.input))
     rep["components"] = report._hole_records(reports)
     rep["repair_actions"] = report._action_records(actions)
     rep["total_holes"] = sum(r.holes for r in reports)
@@ -221,16 +226,6 @@ def _cmd_holes(ns) -> int:
     return 0
 
 
-def _genus_report_from_histogram(hist, digest: str) -> dict:
-    g = topo3d.genus(hist)
-    rep = report.base_report("genus", digest)
-    rep["histogram"] = report.surface_histogram_record(hist)
-    rep["genus"] = g
-    rep["euler_characteristic"] = 2 - 2 * g
-    rep["method"] = "formula"
-    return rep
-
-
 def _cmd_genus(ns) -> int:
     if ns.streaming and not ns.no_repair:
         print(
@@ -240,7 +235,7 @@ def _cmd_genus(ns) -> int:
         )
         return 64
     read = _sniff(ns, Volume3D)
-    digest = report.input_digest(ns.input)
+    rep = report.base_report("genus", report.input_digest(ns.input))
     if ns.streaming:
         slabs = vox3.iter_vox3_slabs(ns.input)
         next(slabs)  # dimension triple
@@ -250,7 +245,11 @@ def _cmd_genus(ns) -> int:
         if not ns.no_repair:
             grid, _actions = topo3d.repair_3d(grid)
         hist = topo3d.classify_surface(topo3d.to_point_space(grid))
-    rep = _genus_report_from_histogram(hist, digest)
+    g = topo3d.genus(hist)
+    rep["histogram"] = report.surface_histogram_record(hist)
+    rep["genus"] = g
+    rep["euler_characteristic"] = 2 - 2 * g
+    rep["method"] = "formula"
     _emit(ns, rep, lambda: [
         "histogram: "
         + " ".join(f"m{k}={rep['histogram'][f'm{k}']}" for k in (3, 4, 5, 6)),
@@ -260,11 +259,10 @@ def _cmd_genus(ns) -> int:
 
 
 def _cmd_homology(ns) -> int:
-    grid = _load_any(ns, Volume3D)
+    grid, rep = _load(ns, Volume3D)
     reports, actions = topo3d.analyze_volume(
         grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
     )
-    rep = report.base_report("homology", report.input_digest(ns.input))
     rep["components"] = report._component_records_3d(reports)
     rep["repair_actions"] = report._action_records(actions)
 
@@ -287,7 +285,7 @@ def _cmd_homology(ns) -> int:
 
 
 def _cmd_repair(ns) -> int:
-    grid = _load_any(ns)
+    grid, rep = _load(ns)
     if isinstance(grid, Image2D):
         cleaned, speckle_actions = topo2d.remove_speckles(grid)
         cleaned, path_actions = topo2d.repair_2d(cleaned)
@@ -298,7 +296,6 @@ def _cmd_repair(ns) -> int:
         cleaned, actions = topo3d.repair_3d(grid)
         if ns.output:
             vox3.write_vox3(cleaned, ns.output)
-    rep = report.base_report("repair", report.input_digest(ns.input))
     rep["repair_actions"] = report._action_records(actions)
     # Repair returns only once its scan finds no pathological window, and
     # raises otherwise, so none remains.
@@ -313,28 +310,27 @@ def _cmd_repair(ns) -> int:
 
 
 def _cmd_validate(ns) -> int:
-    grid = _load_any(ns)
+    grid, rep = _load(ns)
     in_2d = isinstance(grid, Image2D)
     analyze = topo2d._analyze_components if in_2d else topo3d._analyze_pieces
     results, _ = analyze(grid, repair=not ns.no_repair, keep_pieces=True)
     # One oracle call for every 3D piece; an odd chi in any of them raises.
     surfaces = [] if in_2d else oracle._euler_surfaces([piece for _, piece in results])
     checks = []
-    for i, (rep, piece) in enumerate(results):
+    for i, (result, piece) in enumerate(results):
         if in_2d:
-            formula, flood = rep.holes, oracle.holes_by_floodfill(piece)
+            formula, flood = result.holes, oracle.holes_by_floodfill(piece)
             euler = 1 - oracle.euler_2d(piece).chi
             check = {"formula": formula, "flood_fill": flood, "euler": euler}
             agree = formula == flood == euler
         else:
             summaries = surfaces[i]
-            formula = sum(s.genus for s in rep.boundary_surfaces)
+            formula = sum(s.genus for s in result.boundary_surfaces)
             euler = sum((2 - s.chi) // 2 for s in summaries)
             check = {"formula": formula, "euler": euler}
-            agree = formula == euler and len(summaries) == len(rep.boundary_surfaces)
-        checks.append({"component": rep.component_id, **check, "agree": agree})
+            agree = formula == euler and len(summaries) == len(result.boundary_surfaces)
+        checks.append({"component": result.component_id, **check, "agree": agree})
     all_agree = all(c["agree"] for c in checks)
-    rep = report.base_report("validate", report.input_digest(ns.input))
     rep["checks"] = checks
     rep["agree"] = all_agree
     _emit(ns, rep, lambda: [
@@ -419,12 +415,10 @@ def _bench_row(ring_width: int, use_streaming: bool) -> dict:
     _, mem_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    object_voxels = 0
-    nx = ny = nz = 0
-    for slab in streaming.iter_frame_slabs(holes, ring_width, thickness):
-        object_voxels += int(slab.sum())
-        ny, nx = slab.shape
-        nz += 1
+    # Slabs 1..thickness are alike; the first and last are empty.
+    slab = shapes.frame_slab(1, holes, ring_width, thickness)
+    (ny, nx), nz = slab.shape, thickness + 2
+    object_voxels = int(slab.sum()) * thickness
     row = {
         "mode": "streaming" if use_streaming else "batch",
         "ring_width": ring_width,
@@ -472,10 +466,31 @@ def cli_dispatch(argv) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:
-        return ns.func(ns)
+        with _on_disk(ns):
+            return ns.func(ns)
     except (DigitopoError, OSError, ValueError) as e:
         print(f"digitopo: error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 1)
+
+
+@contextlib.contextmanager
+def _on_disk(ns):
+    """A pipe that ``ns.input`` names is copied to disk for the command:
+    the sniff, the digest and the reader each open the input."""
+    path = getattr(ns, "input", None)  # gen and bench take none
+    try:
+        pipe = path is not None and stat.S_ISFIFO(os.stat(path).st_mode)
+    except OSError:  # the command's own open reports it
+        pipe = False
+    if not pipe:
+        yield
+        return
+    with tempfile.NamedTemporaryFile(prefix="digitopo-") as copy:
+        with open(path, "rb") as fh:
+            shutil.copyfileobj(fh, copy)
+        copy.flush()
+        ns.input = copy.name
+        yield
 
 
 def main() -> None:

@@ -41,7 +41,6 @@ __all__ = [
     "Labeling",
     "label_components_2d",
     "label_components_3d",
-    "label_background_2d",
     "extract_component",
 ]
 
@@ -171,7 +170,6 @@ class Labeling:
 
     labels: np.ndarray
     count: int
-    adjacency: Adjacency
     sizes: np.ndarray
 
 
@@ -327,7 +325,7 @@ def _label(cells: np.ndarray, adjacency: Adjacency) -> Labeling:
     # Weighted, so float; the counts are integers below 2**53 and exact.
     sizes = np.bincount(comp + 1, lengths, minlength=count + 1).astype(np.int64)
     sizes[0] = cells.size - sizes.sum()
-    return Labeling(labels, count, adjacency, sizes)
+    return Labeling(labels, count, sizes)
 
 
 def label_components_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D) -> Labeling:
@@ -343,22 +341,6 @@ def _count_components(cells: np.ndarray, adjacency: Adjacency) -> int:
 def label_components_3d(vol: Volume3D, adjacency: Adjacency = Adjacency.DIRECT_3D) -> Labeling:
     """Label object components of a volume (see ``_label``)."""
     return _label(vol.cells, adjacency)
-
-
-def label_background_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D) -> Labeling:
-    """Label background components, including the implicit outer region.
-
-    The outer region (everything connected to the infinite background pad)
-    is always label 1. Remaining background components are numbered in scan
-    order. ``count`` includes the outer region even when no in-range cell
-    belongs to it, so a fully foreground image reports count 1. The sizes
-    count in-range cells only: ``sizes[1]`` leaves out the pad, so it is 0
-    for a fully foreground image, and ``sizes[0]`` counts the object pixels.
-    """
-    # The pad corner is the scan-first cell, so the outer region is label 1.
-    lab = _label(~_pad(img.cells), adjacency)
-    lab.sizes[1] -= 2 * (img.width + img.height) + 4
-    return Labeling(lab.labels[1:-1, 1:-1].copy(), lab.count, adjacency, lab.sizes)
 
 
 def _pad(cells: np.ndarray) -> np.ndarray:
@@ -552,8 +534,7 @@ def _component_canvas(labeling: Labeling, component_id: int, box=None):
     if not 1 <= component_id <= labeling.count:
         raise NoSuchComponentError(f"no such component: {component_id}")
     if box is None:
-        at = np.nonzero(labeling.labels == component_id)
-        box = tuple(slice(int(axis.min()), int(axis.max()) + 1) for axis in at)
+        box = _component_boxes(labeling, [component_id])[component_id]
     origin = tuple([s.start - 1 for s in box][::-1])
     return _grid_of(_pad(labeling.labels[box] == component_id)), origin
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSurfaceError
-from .grid import Adjacency, Image2D, Volume3D, _components, label_background_2d
+from .grid import Adjacency, Image2D, Volume3D, _components, _count_components, _pad
 
 __all__ = [
     "CellComplexSummary",
@@ -45,10 +45,10 @@ class CellComplexSummary:
 def holes_by_floodfill(component: Image2D) -> int:
     """Hole count of a connected image: bounded background components.
 
-    Counts 4-connected background components and subtracts the outer
-    region, which is always present.
+    Counts 4-connected background components in a frame of one empty
+    pixel, and subtracts the outer region, which the frame makes present.
     """
-    return label_background_2d(component, Adjacency.DIRECT_2D).count - 1
+    return _count_components(~_pad(component.cells), Adjacency.DIRECT_2D) - 1
 
 
 def euler_2d(component: Image2D) -> CellComplexSummary:
@@ -59,7 +59,7 @@ def euler_2d(component: Image2D) -> CellComplexSummary:
     equals ``1 - chi``.
     """
     c = component.cells
-    p = np.pad(c, 1, constant_values=False)
+    p = _pad(c)
     f = int(c.sum())
     # Horizontal unit edges sit between vertically adjacent pixel rows.
     ex = int((p[:-1, 1:-1] | p[1:, 1:-1]).sum())

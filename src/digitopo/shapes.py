@@ -309,9 +309,7 @@ def gen_fat_polyomino_2d(seed: int, target_area: int, min_width: int = 2) -> Ima
     """
     if target_area < 1 or min_width < 1:
         raise ValueError("bad polyomino parameters")
-    rng = random.Random(seed)
-    coarse_target = -(-target_area // (min_width * min_width))
-    return _coarse_to_grid(_grow(rng, coarse_target, 2), min_width)
+    return _holey(random.Random(seed), target_area, 0, min_width)
 
 
 def _drill_holes(rng: random.Random, coarse: np.ndarray, holes: int) -> None:
@@ -324,7 +322,7 @@ def _drill_holes(rng: random.Random, coarse: np.ndarray, holes: int) -> None:
     interior is found once and then filtered by distance per hole.
     """
     h, w = coarse.shape
-    padded = np.pad(coarse, 1)
+    padded = _pad(coarse)
     interior = coarse.copy()
     for dy in range(3):
         for dx in range(3):
@@ -340,6 +338,14 @@ def _drill_holes(rng: random.Random, coarse: np.ndarray, holes: int) -> None:
         ys, xs = ys[far], xs[far]
 
 
+def _holey(rng: random.Random, area: int, holes: int, min_width: int) -> Image2D:
+    """A polyomino of about ``area`` pixels grown from ``rng``, with up to
+    ``holes`` holes drilled (no draw when 0), scaled by ``min_width``."""
+    coarse = _grow(rng, -(-area // (min_width * min_width)), 2)
+    _drill_holes(rng, coarse, holes)
+    return _coarse_to_grid(coarse, min_width)
+
+
 def gen_holey_polyomino_2d(
     seed: int, target_area: int, holes: int, min_width: int = 2
 ) -> Image2D:
@@ -351,11 +357,7 @@ def gen_holey_polyomino_2d(
     """
     if target_area < 1 or min_width < 1 or holes < 0:
         raise ValueError("bad polyomino parameters")
-    rng = random.Random(seed)
-    coarse_target = -(-target_area // (min_width * min_width))
-    coarse = _grow(rng, coarse_target, 2)
-    _drill_holes(rng, coarse, holes)
-    return _coarse_to_grid(coarse, min_width)
+    return _holey(random.Random(seed), target_area, holes, min_width)
 
 
 def gen_fat_blob_3d(seed: int, target_volume: int, min_width: int = 2) -> Volume3D:
@@ -377,30 +379,22 @@ def gen_fat_blob_3d(seed: int, target_volume: int, min_width: int = 2) -> Volume
 # composite scenes and noise
 
 
-def gen_scene_2d(
-    seed: int,
-    max_shapes: int = 3,
-    base_area: int = 256,
-    min_width: int = 2,
-    decorations: bool = True,
-) -> Image2D:
+def gen_scene_2d(seed: int, decorations: bool = True) -> Image2D:
     """Multi-component image: clean holey shapes plus repair bait.
 
-    Lays 1..max_shapes holey polyominoes in a row with background gaps.
-    With ``decorations`` a strip above them gets a lone speckle pixel, a
-    diagonal pixel pair, and a width-1 bar: inputs that exercise speckle
-    removal, pathology repair, and the corner law on a width-1 run.
+    Lays 1..3 holey polyominoes (area 256, 128 or 64, 0..2 holes, width
+    2) in a row with background gaps. With ``decorations`` a strip above
+    them gets a lone speckle pixel, a diagonal pixel pair, and a width-1
+    bar: inputs that exercise speckle removal, pathology repair, and the
+    corner law on a width-1 run.
     """
     rng = random.Random(seed)
-    count = 1 + rng.randrange(max_shapes)
+    count = 1 + rng.randrange(3)
     parts = []
     for _ in range(count):
-        area = max(16, base_area >> rng.randrange(3))
+        area = 256 >> rng.randrange(3)
         holes = rng.randrange(3)
-        coarse_target = -(-area // (min_width * min_width))
-        coarse = _grow(rng, coarse_target, 2)
-        _drill_holes(rng, coarse, holes)
-        parts.append(_coarse_to_grid(coarse, min_width))
+        parts.append(_holey(rng, area, holes, 2))
     gap = 2
     strip = 4 if decorations else 0
     width = sum(p.width for p in parts) + gap * (len(parts) - 1) + 2

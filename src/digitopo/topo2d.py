@@ -49,6 +49,7 @@ from .grid import (
     _pad,
     _per_component,
     _repair,
+    _where,
     _window_cells,
     _window_codes,
 )
@@ -403,7 +404,7 @@ def _window_pass(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
     """
     labels, count, sizes = labeling.labels, labeling.count, labeling.sizes
     flat = labels.reshape(-1)
-    vertices = np.flatnonzero(_CORNER[codes])
+    vertices = _where(codes, _CORNER)
     c = codes.reshape(-1)[vertices]
     low = flat[_window_cells(labels.shape, vertices, _LOW_BIT[c])]
     diagonal = _DIAGONAL[c]

@@ -128,29 +128,25 @@ def read_vox3(path) -> Volume3D:
     """Parse a vox3 file into a volume.
 
     A regular file shorter than the smallest body of the volume its
-    header declares is refused before the volume is allocated. An input
-    with no size gets its volume only once every slab has parsed.
+    header declares is refused before any slab is read. The volume is
+    allocated only once every slab has parsed, whatever the input.
     """
     it = iter_vox3_slabs(path)
     nx, ny, nz = next(it)
     st = os.stat(path)
-    if not stat.S_ISREG(st.st_mode):  # a pipe has no size: it reports 0
-        return Volume3D(nx, ny, nz, np.stack(list(it)))
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        # At most one byte more than follows a CRLF header.
-        left = st.st_size - len(fh.readline())
-    # LF line ends, the shortest; CRLF files are larger.
-    need = nz * ny * (nx + 1) + nz - 1
-    if left < need:
-        raise ParseError(
-            f"a {nx}x{ny}x{nz} volume needs at least {need} bytes after the"
-            f" header, the file has {left}",
-            1,
-        )
-    cells = np.empty((nz, ny, nx), dtype=bool)
-    for z, slab in enumerate(it):
-        cells[z] = slab
-    return Volume3D(nx, ny, nz, cells)
+    if stat.S_ISREG(st.st_mode):  # a pipe has no size: it reports 0
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            # At most one byte more than follows a CRLF header.
+            left = st.st_size - len(fh.readline())
+        # LF line ends, the shortest; CRLF files are larger.
+        need = nz * ny * (nx + 1) + nz - 1
+        if left < need:
+            raise ParseError(
+                f"a {nx}x{ny}x{nz} volume needs at least {need} bytes after the"
+                f" header, the file has {left}",
+                1,
+            )
+    return Volume3D(nx, ny, nz, np.stack(list(it)))
 
 
 def write_vox3(vol: Volume3D, path) -> None:

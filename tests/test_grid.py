@@ -13,7 +13,6 @@ from digitopo import (
     extract_component,
     gen_frame,
     holes_pipeline,
-    label_background_2d,
     label_components_2d,
     label_components_3d,
     topo2d,
@@ -41,19 +40,6 @@ BLOB_NO_HOLE = image(
     00110000
     00111000
     00111000
-    00000000
-    """
-)
-
-BLOB_ONE_HOLE = image(
-    """
-    00000000
-    00111111
-    01111111
-    01110011
-    01110011
-    00111111
-    00111111
     00000000
     """
 )
@@ -97,8 +83,6 @@ def test_labellers_reject_an_adjacency_of_the_other_dimension():
     for a in (Adjacency.DIRECT_3D, Adjacency.INDIRECT_3D):
         with pytest.raises(ValueError, match="2D labeling requires a 2D adjacency"):
             label_components_2d(img, a)
-        with pytest.raises(ValueError, match="2D labeling requires a 2D adjacency"):
-            label_background_2d(img, a)
     for a in (Adjacency.DIRECT_2D, Adjacency.INDIRECT_2D):
         with pytest.raises(ValueError, match="3D labeling requires a 3D adjacency"):
             label_components_3d(vol, a)
@@ -146,67 +130,6 @@ def test_vertex_sharing_voxels_direct_vs_indirect():
 
 def test_ring_connected_under_direct():
     assert label_components_3d(RING_3X3, Adjacency.DIRECT_3D).count == 1
-
-
-def test_background_solid_block_one_region():
-    img = image(
-        """
-        00000
-        01110
-        01110
-        01110
-        00000
-        """
-    )
-    assert label_background_2d(img).count == 1
-
-
-def test_background_one_hole_two_regions():
-    lab = label_background_2d(BLOB_ONE_HOLE, Adjacency.DIRECT_2D)
-    assert lab.count == 2
-    # outer region is label 1 even though the hole appears first in scan
-    # order of the interior
-    assert lab.labels[0, 0] == 1
-    assert lab.labels[3, 5] == 2
-
-
-def test_background_ring_two_regions():
-    ring = image(
-        """
-        11111
-        10001
-        10001
-        10001
-        11111
-        """
-    )
-    assert label_background_2d(ring).count == 2
-
-
-def recount(lab) -> list[int]:
-    return np.bincount(lab.labels.ravel(), minlength=lab.count + 1).tolist()
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
-    density=st.floats(0, 1),
-    seed=st.integers(0, 2**32 - 1),
-    adjacency=st.sampled_from([Adjacency.DIRECT_2D, Adjacency.INDIRECT_2D]),
-)
-def test_background_sizes_count_in_range_cells(shape, density, seed, adjacency):
-    cells = np.random.default_rng(seed).random(shape) < density
-    lab = label_background_2d(Image2D(shape[1], shape[0], cells), adjacency)
-    assert lab.sizes.tolist() == recount(lab)
-
-
-def test_all_foreground_background_sizes():
-    # The outer region has no in-range cell, and the object pixels are
-    # the label-0 cells.
-    for h, w in ((1, 1), (3, 5), (6, 2)):
-        lab = label_background_2d(Image2D(w, h, np.ones((h, w), dtype=bool)))
-        assert lab.count == 1
-        assert lab.sizes.tolist() == recount(lab) == [h * w, 0]
 
 
 def test_extract_component_pads_by_one():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -990,20 +991,23 @@ class TestCliExitCodes:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["homology"], ["genus", "--streaming", "--no-repair"]],
+        "argv, err",
+        [
+            (
+                ["homology"],
+                "line 1: a 100000x100000x100000 volume needs at least 1000010000099999"
+                " bytes after the header, the file has 0",
+            ),
+            (["genus", "--streaming", "--no-repair"], "line 2: unexpected end of file inside slab"),
+        ],
         ids=["homology", "genus-streaming"],
     )
-    def test_a_header_on_a_pipe_exits_1(self, capsys, argv):
-        # The vox3 reader is not reached here: the format sniff reads the
-        # pipe through a buffered reader, which takes all of its bytes, so
-        # the reader finds the pipe empty. test_a_header_on_a_pipe_allocates_nothing
-        # covers the reader on a pipe.
+    def test_a_header_on_a_pipe_exits_1(self, capsys, argv, err):
         with pipe_holding(HUGE_VOX3) as path:
             assert cli_dispatch([*argv, path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "digitopo: error: line 1: missing newline after header\n"
+        assert captured.err == f"digitopo: error: {err}\n"
 
     @pytest.mark.parametrize("header", [b"P1\n1000000000 1000000000\n", b"P4\n1000000000 1000000000\n"])
     def test_a_pbm_header_larger_than_the_file_exits_1(self, capsys, tmp_path, header):
@@ -1019,3 +1023,77 @@ class TestCliExitCodes:
         path = tmp_path / "bad.pbm"
         path.write_bytes(b"P1\n2 2\n10\n")
         assert run_cli(capsys, "holes", str(path))[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# inputs on a pipe
+
+
+def _small_inputs(tmp_path):
+    """A small P1, P4 and vox3 file, each with a hole and a dirty window."""
+    img = image("0111110\n0110010\n0110010\n0111110\n0000001")
+    cells = gen_frame(1).cells.copy()
+    cells[0, 0, 0] = True  # meets the frame at a vertex
+    p1, p4, vol = tmp_path / "in-p1.pbm", tmp_path / "in-p4.pbm", tmp_path / "in.vox3"
+    write_pbm(img, p1)
+    write_pbm_p4(img, p4)
+    write_vox3(Volume3D(*cells.shape[::-1], cells), vol)
+    return {"p1": p1, "p4": p4, "vox3": vol}
+
+
+class TestCliPipes:
+    """Every command reads an input on a pipe as it reads the same bytes
+    in a regular file."""
+
+    @pytest.mark.parametrize("kind", ["p1", "p4", "vox3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["components"],
+            ["holes"],
+            ["homology"],
+            ["validate"],
+            ["genus"],
+            ["genus", "--streaming", "--no-repair"],
+            ["repair", "-o", "OUT"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "OUT"),
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_a_pipe_gives_the_regular_files_output(self, capsys, tmp_path, kind, argv, json_flag):
+        path = _small_inputs(tmp_path)[kind]
+        out = tmp_path / ("out.vox3" if kind == "vox3" else "out.pbm")
+        argv = [str(out) if a == "OUT" else a for a in argv] + json_flag
+
+        def run(source):
+            out.unlink(missing_ok=True)
+            code = cli_dispatch([*argv, source])
+            captured = capsys.readouterr()
+            written = out.read_bytes() if "-o" in argv else None
+            return code, _untimed(captured.out), captured.err, written
+
+        want = run(str(path))
+        with pipe_holding(path.read_bytes()) as pipe:
+            assert run(pipe) == want
+
+    def test_a_pipe_is_read_from_a_copy_that_is_then_removed(self, capsys, tmp_path, monkeypatch):
+        copies = tmp_path / "tmp"
+        copies.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(copies))
+        digest = cli.report.input_digest
+        read = []
+        monkeypatch.setattr(cli.report, "input_digest", lambda p: read.append(p) or digest(p))
+        with pipe_holding(_small_inputs(tmp_path)["vox3"].read_bytes()) as pipe:
+            assert cli_dispatch(["homology", "--json", pipe]) == 0
+        assert capsys.readouterr().err == ""
+        assert [os.path.dirname(p) for p in read] == [str(copies)]
+        assert list(copies.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", ["holes", "genus", "validate"])
+    def test_a_missing_input_or_a_directory_keeps_its_error(self, capsys, tmp_path, cmd):
+        for path, err in (
+            ("/nonexistent/x.pbm", "[Errno 2] No such file or directory: '/nonexistent/x.pbm'"),
+            (str(tmp_path), f"[Errno 21] Is a directory: '{tmp_path}'"),
+        ):
+            assert cli_dispatch([cmd, path]) == 1
+            assert capsys.readouterr().err == f"digitopo: error: {err}\n"

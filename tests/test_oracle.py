@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from digitopo import (
+    Image2D,
     InvalidSurfaceError,
     SurfaceHistogram,
     Volume3D,
@@ -52,6 +53,9 @@ RING_3X3 = volume(
 
 def test_floodfill_no_hole():
     assert holes_by_floodfill(BLOB_NO_HOLE) == 0
+    # No background pixel in range: the frame still gives the outer region.
+    for h, w in ((1, 1), (3, 5), (6, 2)):
+        assert holes_by_floodfill(Image2D(w, h, np.ones((h, w), dtype=bool))) == 0
 
 
 def test_floodfill_one_hole():
