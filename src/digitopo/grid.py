@@ -515,6 +515,21 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
     return p[(slice(1, -1),) * p.ndim].copy(), edits
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2D integer
+    array, the inverse flat: the distinct rows in lexicographic order,
+    and the index among them of each row. One ``np.lexsort`` and a
+    comparison of neighbours, several times faster on a few thousand
+    rows."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return ranked[new], inverse
+
+
 def _grid_of(cells: np.ndarray):
     """``cells``, (ny, nx) or (nz, ny, nx), as an Image2D or a Volume3D."""
     if cells.ndim == 2:
@@ -590,10 +605,10 @@ def _cut_out(labeling: Labeling, component_id: int, boxes: dict):
 class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
     and ``topo3d._HOOKS``: the dimension's rules only. The driver codes
-    each grid (``_window_codes``), cuts and stacks the canvases
-    (``_component_canvas``) and moves edits to the source. A hook looks
-    up what it calls when it runs, so that a traced entry point stays
-    traced."""
+    each grid (``_window_codes``), cuts the dirty components into stacks
+    of canvases (``_stack_groups``) and moves edits to the source. A hook
+    looks up what it calls when it runs, so that a traced entry point
+    stays traced."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
@@ -628,6 +643,25 @@ def _canvas_actions(edits: np.ndarray, starts: list, origins: list) -> list[tupl
     return [tuple(acts[i:j]) for i, j in zip([0, *cuts], cuts)]
 
 
+def _stack_groups(shapes: dict, cells: int) -> list[list]:
+    """The ids of ``shapes``, which maps each dirty component to the
+    extents of its canvas in array order, in stacks, each in the order of
+    ``shapes``: one stack when the canvases, one above another and padded
+    to their largest extents, hold no more than ``cells``, the grid's
+    cells; else one per class of canvases whose extents after the first
+    round up to the same powers of two."""
+    if not shapes:
+        return []
+    extents = np.array(list(shapes.values()))
+    if extents[:, 0].sum() * extents[:, 1:].max(axis=0).prod() <= cells:
+        return [list(shapes)]
+    groups: dict[tuple[int, ...], list] = {}
+    for cid, shape in shapes.items():
+        key = tuple(1 << (n - 1).bit_length() for n in shape[1:])
+        groups.setdefault(key, []).append(cid)
+    return list(groups.values())
+
+
 def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
     """Report each component of ``grid`` as if it were cut alone onto a
     padded canvas, repaired there, relabelled into pieces and each piece
@@ -649,15 +683,18 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       dirty components, those with a pathological window of their own;
     * a clean component is one piece that repair leaves alone, and one
       classification of the same codes answers for all of them;
-    * the dirty components' canvases are stacked along the slowest axis
-      (y in 2D, z in 3D) in groups whose other extents round up to the
-      same powers of two. Each stack is repaired once (``_repair``, every
-      canvas apart, with its own checks), then labelled once and, if
-      repaired, coded and classified once. Every stack is repaired before
-      anything is classified, so a repair cycle raises first. The one-cell
-      frames keep two canvases' objects and windows apart, and scan order
-      visits one canvas after another, so a stack's labels number each
-      canvas's pieces as labelling that canvas alone would;
+    * the dirty components are cut straight into canvases stacked along
+      the slowest axis (y in 2D, z in 3D): all in one stack when it,
+      padded to the canvases' largest extents, holds no more cells than
+      the grid, else in groups whose other extents round up to the same
+      powers of two (``_stack_groups``). Each stack is repaired once
+      (``_repair``, every canvas apart, with its own checks), then
+      labelled once and, if repaired, coded and classified once. Every
+      stack is repaired before anything is classified, so a repair cycle
+      raises first. The one-cell frames keep two canvases' objects and
+      windows apart, and scan order visits one canvas after another, so a
+      stack's labels number each canvas's pieces as labelling that canvas
+      alone would;
     * a piece without an answer, and every piece of an unrepaired canvas,
       goes to ``slow``. Reports are assembled in component order, so the
       first piece that raises is the one a loop over components would.
@@ -670,26 +707,23 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     dirty, (owners, log), answers = hooks.scan(p, codes, labeling, shared)
     del p
     boxes = _component_boxes(labeling, None if keep_pieces else dirty)
-    canvases, origins = {}, {}
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for cid in sorted(dirty):
-        canvas, origins[cid] = _component_canvas(labeling, cid, boxes[cid])
-        canvases[cid] = canvas.cells
-        key = tuple(1 << (n - 1).bit_length() for n in canvas.cells.shape[1:])
-        groups.setdefault(key, []).append(cid)
+    # A dirty component's canvas is its box in a frame of one empty cell.
+    shapes = {cid: [s.stop - s.start + 2 for s in boxes[cid]] for cid in sorted(dirty)}
     stacks, repaired = [], {}
-    for members in groups.values():
-        shapes = np.array([canvases[cid].shape for cid in members])
-        starts = np.concatenate(([0], shapes[:, 0].cumsum()))
-        stack = np.zeros((starts[-1], *shapes[:, 1:].max(axis=0)), dtype=bool)
-        for cid, start, shape in zip(members, starts.tolist(), shapes.tolist()):
-            stack[(slice(start, start + shape[0]), *map(slice, shape[1:]))] = canvases.pop(cid)
+    for members in _stack_groups(shapes, grid.cells.size):
+        extents = np.array([shapes[cid] for cid in members])
+        starts = np.concatenate(([0], extents[:, 0].cumsum()))
+        stack = np.zeros((starts[-1], *extents[:, 1:].max(axis=0)), dtype=bool)
+        for cid, start, (rows, *shape) in zip(members, starts.tolist(), extents.tolist()):
+            inside = (slice(start + 1, start + rows - 1), *(slice(1, n - 1) for n in shape))
+            stack[inside] = labeling.labels[boxes[cid]] == cid
         acts = [()] * len(members)
         if repair:
-            sizes = shapes.prod(axis=1).tolist()
-            stack, edits = hooks.repair(_grid_of(stack), list(zip(shapes[:, 0].tolist(), sizes)))
+            sizes = extents.prod(axis=1).tolist()
+            stack, edits = hooks.repair(_grid_of(stack), list(zip(extents[:, 0].tolist(), sizes)))
             stack = stack.cells
-            acts = _canvas_actions(edits, starts[:-1], [origins[cid] for cid in members])
+            origins = [tuple(s.start - 1 for s in reversed(boxes[cid])) for cid in members]
+            acts = _canvas_actions(edits, starts[:-1], origins)
         repaired.update(zip(members, acts))
         stacks.append((members, starts, stack))
     if answers is None:

@@ -43,6 +43,7 @@ from .grid import (
     _LOW_BIT,
     _actions,
     _count_components,
+    _distinct_rows,
     _flip,
     _flip_all,
     _hits,
@@ -419,7 +420,7 @@ def _window_pass(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
     kept = np.flatnonzero(sizes[1:]) + 1
-    distinct, which = np.unique(bins[kept] @ _FOLD, axis=0, return_inverse=True)
+    distinct, which = _distinct_rows(bins[kept] @ _FOLD)
     histograms = []
     for counts in map(tuple, distinct.tolist()):
         if counts not in shared:
@@ -428,7 +429,7 @@ def _window_pass(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
     rows = zip(
         kept.tolist(),
         sizes[kept].tolist(),
-        which.reshape(-1).tolist(),
+        which.tolist(),
         (1 + turn[kept].astype(np.int64) // 4).tolist(),
     )
     del keys, bins

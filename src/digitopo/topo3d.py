@@ -64,6 +64,7 @@ from .grid import (
     _LOW_BIT,
     _actions,
     _components,
+    _distinct_rows,
     _flip,
     _hits,
     _pad,
@@ -488,20 +489,23 @@ def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int, shared:
     if n == 0:
         return out
     counts = _DEGREE[codes.ravel()[node_ids]]
-    # node_ids is ascending, so each surface's first node is its minimal
-    # vertex in scan order.
-    _, first = np.unique(comp, return_index=True)
-    first = node_ids[first]
+    # node_ids is ascending and surfaces are numbered by their first node,
+    # so a surface's first node, its minimal vertex in scan order, is where
+    # the running maximum of ``comp`` rises.
+    top = np.maximum.accumulate(comp)
+    rises = np.ones(comp.size, dtype=bool)
+    rises[1:] = top[1:] != top[:-1]
+    first = node_ids[rises]
     low = _window_cells(labels.shape, first, _LOW_BIT[codes.ravel()[first]])
     owner = labels.reshape(-1)[low]
     hist = np.bincount(comp * 7 + counts, minlength=7 * n).reshape(n, 7)
-    distinct, which = np.unique(hist, axis=0, return_inverse=True)
+    distinct, which = _distinct_rows(hist)
     reports = []
     for h in map(tuple, distinct.tolist()):
         if h not in shared:
             shared[h] = _formula_report(h)
         reports.append(shared[h])
-    for o, _, i in sorted(zip(owner.tolist(), first.tolist(), which.reshape(-1).tolist())):
+    for o, _, i in sorted(zip(owner.tolist(), first.tolist(), which.tolist())):
         surfaces = out[o]
         if surfaces is None:
             continue

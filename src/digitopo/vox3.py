@@ -104,10 +104,14 @@ def iter_vox3_slabs(path) -> Iterator[np.ndarray]:
                 _parse_row(raw[:-1], nx, lineno)
             lineno += ny
             yield codes[:, :nx] == 0x31
-        trailing = fh.read()
-        if trailing.strip("\n"):
-            lineno += 1
-            raise ParseError("trailing content after last slab", lineno)
+        # Only newlines may follow, read a piece at a time.
+        while True:
+            trailing = _read(fh, _PIECE)
+            if trailing.strip("\n"):
+                lineno += 1
+                raise ParseError("trailing content after last slab", lineno)
+            if len(trailing) < _PIECE:
+                break
 
 
 def _read(fh, n: int) -> str:

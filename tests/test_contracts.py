@@ -1,6 +1,7 @@
 """The package's public contracts: its exported names and the exit codes
 that its error types carry."""
 
+import ast
 import dataclasses
 import io
 import os
@@ -100,9 +101,25 @@ def test_src_frames_a_grid_only_through_grid_pad():
     assert [p.name for p in (SRC / "digitopo").glob("*.py") if "np.pad(" in p.read_text()] == []
 
 
+def test_src_finds_distinct_rows_without_np_unique_axis():
+    # np.unique(rows, axis=0) sorts the rows as structured values, several
+    # times slower than the one lexsort of grid._distinct_rows.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "digitopo").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and any(keyword.arg == "axis" for keyword in node.keywords)
+    ]
+    assert calls == []
+
+
 def test_cli_runs_import_no_numpy_ma(tmp_path):
     # A plain np.unique(x) imports numpy.ma, about 10 ms per process.
-    # These runs reach every np.unique in src/.
+    # src/ calls no np.unique; these runs, through the 2D and 3D
+    # per-component driver, check that nothing else imports numpy.ma.
     vol, img = tmp_path / "frame.vox3", tmp_path / "image.pbm"
     digitopo.write_vox3(digitopo.gen_frame(2), vol)
     digitopo.write_pbm(image("11111\n10101\n11111\n00000\n11011"), img)

@@ -24,6 +24,7 @@ from digitopo.grid import (
     _LOW_BIT,
     _component_boxes,
     _component_canvas,
+    _distinct_rows,
     _grid_of,
     _pad,
     _window_cells,
@@ -213,9 +214,11 @@ def test_component_canvas_with_and_without_box():
                     _component_canvas(lab, cid)
 
 
-def test_driver_cuts_canvases_through_component_canvas(monkeypatch):
-    # The driver looks the cut up when it runs, so a wrapper (the
-    # benchmark's tracer) sees every canvas.
+def test_driver_cuts_pieces_through_component_canvas(monkeypatch):
+    # A dirty component goes straight into its stack, with no canvas of
+    # its own. A piece cut out alone (kept, or without an answer) goes
+    # through ``_component_canvas``, which the driver looks up when it
+    # runs, so a wrapper (the benchmark's tracer) sees every such cut.
     cut = []
 
     def counted(labeling, component_id, box=None):
@@ -224,11 +227,42 @@ def test_driver_cuts_canvases_through_component_canvas(monkeypatch):
 
     real = grid._component_canvas
     monkeypatch.setattr(grid, "_component_canvas", counted)
-    holes_pipeline(image("111\n101\n110"))
+    ring, pair = image("111\n101\n110"), volume("10\n00", "00\n01")
+    holes_pipeline(ring)
+    analyze_volume(pair)
+    assert cut == []
+    topo2d._analyze_components(ring, keep_pieces=True)
     assert cut == [1]
     cut.clear()
-    analyze_volume(volume("10\n00", "00\n01"))
+    topo3d._analyze_pieces(pair, keep_pieces=True)
     assert cut == [1]
+    # Unrepaired, the pair is two 6-pieces, each cut out for the oracle.
+    cut.clear()
+    analyze_volume(pair, repair=False)
+    assert cut == [1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.sampled_from([6, 7]),
+    pool=st.integers(1, 40),
+    values=st.sampled_from([3, 2**40]),
+    size=st.integers(0, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_match_np_unique(columns, pool, values, size, seed):
+    # Rows drawn from a small pool of 6 or 7 non-negative columns, so many
+    # repeat, and with small values many share a prefix. The callers
+    # read the inverse flat.
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(0, values, size=(pool, columns), endpoint=True)
+    rows = distinct[rng.integers(0, pool, size=size)]
+    got, inverse = _distinct_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(got[inverse], rows)
 
 
 def reference_window_pixels(vertices, bits, width):

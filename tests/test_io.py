@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,19 +70,31 @@ HUGE_VOX3 = b"vox3 100000 100000 100000\n"
 
 @contextlib.contextmanager
 def pipe_holding(data: bytes):
-    """A path naming the read end of a pipe that holds ``data``, then its
-    end; the input has no size, unlike a regular file."""
+    """A path naming the read end of a pipe that a thread fills with
+    ``data``, of any size, then ends; the input has no size, unlike a
+    regular file."""
     if not os.path.isdir("/dev/fd"):
         pytest.skip("no /dev/fd")
-    # Well within the pipe's buffer, so the write does not block.
-    assert len(data) < 4096
     r, w = os.pipe()
+
+    def feed():
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(w, view) :]
+        except BrokenPipeError:  # the reader stopped early
+            pass
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
     try:
-        os.write(w, data)
-        os.close(w)
         yield f"/dev/fd/{r}"
     finally:
         os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +328,38 @@ class TestVox3:
             assert next(it) == (100000, 100000, 100000)
             with pytest.raises(ParseError, match="line 2: unexpected end of file inside slab"):
                 next(it)
+
+    @pytest.mark.parametrize("on_pipe", [False, True])
+    def test_newlines_after_the_last_slab_are_read_in_pieces(self, tmp_path, on_pipe):
+        # 20 MiB of newlines after a 2x2x1 volume: read in pieces of
+        # vox3._PIECE characters, the tail costs a few MiB, not twice its
+        # size (42 MB when it was read at once).
+        text = b"vox3 2 2 1\n10\n01\n" + b"\n" * (20 << 20)
+        path = tmp_path / "tail.vox3"
+        path.write_bytes(text)
+        with pipe_holding(text) if on_pipe else contextlib.nullcontext(path) as source:
+            tracemalloc.start()
+            try:
+                vol = read_vox3(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert vol.cells.tolist() == [[[True, False], [False, True]]]
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("on_pipe", [False, True])
+    def test_content_after_pieces_of_newlines_keeps_its_line(self, tmp_path, monkeypatch, on_pipe):
+        # The first character other than a newline stops the read, in any
+        # piece; the error names the line after the last slab's, as it
+        # did when the tail was read at once.
+        monkeypatch.setattr(vox3, "_PIECE", 4)
+        text = b"vox3 2 2 1\n10\n01\n" + b"\n" * 10 + b"1\n" + b"\n" * (1 << 20)
+        path = tmp_path / "tail.vox3"
+        path.write_bytes(text)
+        with pipe_holding(text) if on_pipe else contextlib.nullcontext(path) as source:
+            with pytest.raises(ParseError) as err:
+                read_vox3(source)
+        assert str(err.value) == "line 4: trailing content after last slab"
 
     @pytest.mark.parametrize(
         "text",

@@ -89,9 +89,22 @@ def three_copies(seed):
     return Image2D(cells.shape[1], h, cells)
 
 
+def pinched_rings():
+    """Three rings whose last corner meets the rest at a vertex only,
+    at 6, 3 and 1 times a 3 x 3 ring: dirty 4-components whose canvases
+    (20, 11 and 5 wide) round up to three powers of two, and fit in the
+    image in one stack."""
+    ring = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
+    cells = np.zeros((24, 40), dtype=bool)
+    for k, (y, x) in zip((6, 3, 1), ((1, 1), (1, 21), (12, 21))):
+        cells[y : y + 3 * k, x : x + 3 * k] = np.kron(ring, np.ones((k, k), dtype=bool))
+    return Image2D(40, 24, cells)
+
+
 @settings(max_examples=150, deadline=None)
 @given(img=raw_images())
 @example(img=three_copies(73))
+@example(img=pinched_rings())
 def test_2d_driver_matches_canvases_repaired_alone(img):
     got = outcome(holes_pipeline, img)
     want = outcome(reference_analyze_components, img, repair_fn=reference_repair_2d)
@@ -110,6 +123,8 @@ def test_2d_driver_matches_canvases_repaired_alone(img):
 )
 @example((12, 12, 12), 0.15, 25, False)
 @example((12, 12, 12), 0.15, 25, True)
+# 13 dirty canvases of four extent classes, in one stack.
+@example((12, 12, 12), 0.05, 2, False)
 def test_3d_driver_matches_canvases_repaired_alone(shape, density, seed, cycle):
     # Raw Bernoulli volumes, with the cycling pattern written into a
     # corner of some of them.
@@ -233,3 +248,69 @@ def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
     # The codes of the stack of 50 canvases of 4 x 7 x 7, padded by one
     # voxel: one window per vertex.
     assert full_reads == [(201, 8, 8)]
+
+
+def plate_pair(cells, z, y, x, side):
+    """A side x side plate at ``z`` and one voxel that meets its far
+    corner at a vertex only, at ``z + 1``: a dirty 26-component whose
+    canvas is 4 x (side + 3) x (side + 3). Repair deletes the voxel."""
+    cells[z, y : y + side, x : x + side] = True
+    cells[z + 1, y + side, x + side] = True
+
+
+def counted_repairs(monkeypatch):
+    """The stack of each ``repair_3d`` call the driver makes."""
+    stacks = []
+    repair_3d = topo3d.repair_3d
+
+    def counting(vol, **kwargs):
+        stacks.append((vol.cells.shape, len(kwargs["_canvases"])))
+        return repair_3d(vol, **kwargs)
+
+    monkeypatch.setattr(topo3d, "repair_3d", counting)
+    return stacks
+
+
+def test_canvases_of_several_classes_that_fit_go_to_one_stack(monkeypatch):
+    # Canvases of 4 x 11 x 11, three of 4 x 7 x 7 and 4 x 4 x 4, which
+    # round up to three classes, 20 x 11 x 11 = 2,420 cells in one stack
+    # in a grid of 2,880: one repair call, which reads every code once.
+    cells = np.zeros((6, 12, 40), dtype=bool)
+    plate_pair(cells, 1, 1, 1, 8)
+    for x in (14, 21, 28):
+        plate_pair(cells, 1, 1, x, 4)
+    plate_pair(cells, 1, 1, 35, 1)
+    vol = Volume3D(40, 12, 6, cells)
+    want = outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
+    full_reads, hits = [], grid._hits
+
+    def counting_hits(codes, table, order, at=None):
+        if at is None:
+            full_reads.append(codes.shape)
+        return hits(codes, table, order, at)
+
+    stacks = counted_repairs(monkeypatch)
+    monkeypatch.setattr(grid, "_hits", counting_hits)
+    got = outcome(analyze_volume, vol)
+    assert len(got[0]) == 5 and len(got[1]) == 5
+    assert got == want
+    assert stacks == [((20, 11, 11), 5)]
+    assert full_reads == [(21, 12, 12)]
+
+
+def test_canvases_that_would_overfill_one_stack_keep_their_classes(monkeypatch):
+    # One canvas of 4 x 11 x 11 and six of 4 x 7 x 7: in one stack they
+    # would take 28 x 11 x 11 = 3,388 cells, more than the grid's 2,332.
+    # So each class has its stack, and none holds more than the grid.
+    cells = np.zeros((4, 11, 53), dtype=bool)
+    plate_pair(cells, 1, 1, 1, 8)
+    for i in range(6):
+        plate_pair(cells, 1, 1, 12 + 7 * i, 4)
+    vol = Volume3D(53, 11, 4, cells)
+    want = outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
+    stacks = counted_repairs(monkeypatch)
+    got = outcome(analyze_volume, vol)
+    assert len(got[0]) == 7 and len(got[1]) == 7
+    assert got == want
+    assert sorted(stacks) == [((4, 11, 11), 1), ((24, 7, 7), 6)]
+    assert all(np.prod(shape) <= cells.size for shape, _ in stacks)
