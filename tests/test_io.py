@@ -331,9 +331,8 @@ class TestVox3:
 
     @pytest.mark.parametrize("on_pipe", [False, True])
     def test_newlines_after_the_last_slab_are_read_in_pieces(self, tmp_path, on_pipe):
-        # 20 MiB of newlines after a 2x2x1 volume: read in pieces of
-        # vox3._PIECE characters, the tail costs a few MiB, not twice its
-        # size (42 MB when it was read at once).
+        # 20 MiB of newlines after a 2x2x1 volume, read in pieces of
+        # vox3._PIECE characters, cost a few MiB, not twice their size.
         text = b"vox3 2 2 1\n10\n01\n" + b"\n" * (20 << 20)
         path = tmp_path / "tail.vox3"
         path.write_bytes(text)
@@ -350,8 +349,7 @@ class TestVox3:
     @pytest.mark.parametrize("on_pipe", [False, True])
     def test_content_after_pieces_of_newlines_keeps_its_line(self, tmp_path, monkeypatch, on_pipe):
         # The first character other than a newline stops the read, in any
-        # piece; the error names the line after the last slab's, as it
-        # did when the tail was read at once.
+        # piece; the error names the line after the last slab's.
         monkeypatch.setattr(vox3, "_PIECE", 4)
         text = b"vox3 2 2 1\n10\n01\n" + b"\n" * 10 + b"1\n" + b"\n" * (1 << 20)
         path = tmp_path / "tail.vox3"
