@@ -209,19 +209,17 @@ def _cmd_components(ns) -> int:
 
 def _cmd_holes(ns) -> int:
     grid, rep = _load(ns, Image2D)
-    reports, actions = topo2d.holes_pipeline(
-        grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
-    )
-    rep["components"] = report._hole_records(reports)
-    rep["repair_actions"] = report._action_records(actions)
-    rep["total_holes"] = sum(r.holes for r in reports)
+    found = topo2d._columns(grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle)
+    rep["components"] = report._hole_records(found)
+    rep["repair_actions"] = report._action_records(found.log)
+    holes = [answer[1] for answer in found.answers]
+    rep["total_holes"] = sum(holes[a] for a in found.answer.tolist())
     _emit(ns, rep, lambda: [
         *(
-            f"component {r.component_id}: area={r.area} holes={r.holes}"
-            f" method={r.method.value}"
-            for r in reports
+            f"component {n}: area={area} holes={holes[a]} method={found.answers[a][2].value}"
+            for n, (area, a) in enumerate(zip(found.sizes.tolist(), found.answer.tolist()), 1)
         ),
-        f"total holes: {rep['total_holes']} ({len(actions)} repair edits)",
+        f"total holes: {rep['total_holes']} ({len(found.log)} repair edits)",
     ])
     return 0
 
@@ -260,25 +258,21 @@ def _cmd_genus(ns) -> int:
 
 def _cmd_homology(ns) -> int:
     grid, rep = _load(ns, Volume3D)
-    reports, actions = topo3d.analyze_volume(
-        grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle
-    )
-    rep["components"] = report._component_records_3d(reports)
-    rep["repair_actions"] = report._action_records(actions)
+    found = topo3d._columns(grid, repair=not ns.no_repair, fallback_oracle=ns.fallback_oracle)
+    rep["components"] = report._component_records_3d(found)
+    rep["repair_actions"] = report._action_records(found.log)
 
     def lines():
-        for r in reports:
-            b = ",".join(str(v) for v in r.betti)
-            yield (
-                f"component {r.component_id}: voxels={r.voxel_count}"
-                f" surfaces={len(r.boundary_surfaces)} betti=({b})"
-            )
-            for i, s in enumerate(r.boundary_surfaces, start=1):
+        for n, (voxels, a) in enumerate(zip(found.sizes.tolist(), found.answer.tolist()), 1):
+            surfaces, betti = found.answers[a]
+            b = ",".join(str(v) for v in betti)
+            yield f"component {n}: voxels={voxels} surfaces={len(surfaces)} betti=({b})"
+            for i, s in enumerate(surfaces, start=1):
                 yield (
                     f"  surface {i}: points={s.points} genus={s.genus}"
                     f" method={s.method}"
                 )
-        yield f"{len(actions)} repair edits"
+        yield f"{len(found.log)} repair edits"
 
     _emit(ns, rep, lines)
     return 0
@@ -296,7 +290,7 @@ def _cmd_repair(ns) -> int:
         cleaned, actions = topo3d.repair_3d(grid)
         if ns.output:
             vox3.write_vox3(cleaned, ns.output)
-    rep["repair_actions"] = report._action_records(actions)
+    rep["repair_actions"] = report._action_records(report._edit_rows(actions, grid.cells.ndim))
     # Repair returns only once its scan finds no pathological window, and
     # raises otherwise, so none remains.
     rep["remaining_pathologies"] = 0
@@ -312,24 +306,23 @@ def _cmd_repair(ns) -> int:
 def _cmd_validate(ns) -> int:
     grid, rep = _load(ns)
     in_2d = isinstance(grid, Image2D)
-    analyze = topo2d._analyze_components if in_2d else topo3d._analyze_pieces
-    results, _ = analyze(grid, repair=not ns.no_repair, keep_pieces=True)
+    found = (topo2d if in_2d else topo3d)._columns(grid, not ns.no_repair, keep_pieces=True)
     # One oracle call for every 3D piece; an odd chi in any of them raises.
-    surfaces = [] if in_2d else oracle._euler_surfaces([piece for _, piece in results])
+    surfaces = [] if in_2d else oracle._euler_surfaces(found.pieces)
     checks = []
-    for i, (result, piece) in enumerate(results):
+    for i, (a, piece) in enumerate(zip(found.answer.tolist(), found.pieces)):
         if in_2d:
-            formula, flood = result.holes, oracle.holes_by_floodfill(piece)
+            formula, flood = found.answers[a][1], oracle.holes_by_floodfill(piece)
             euler = 1 - oracle.euler_2d(piece).chi
             check = {"formula": formula, "flood_fill": flood, "euler": euler}
             agree = formula == flood == euler
         else:
             summaries = surfaces[i]
-            formula = sum(s.genus for s in result.boundary_surfaces)
+            formula_surfaces, (_, formula, _, _) = found.answers[a]
             euler = sum((2 - s.chi) // 2 for s in summaries)
             check = {"formula": formula, "euler": euler}
-            agree = formula == euler and len(summaries) == len(result.boundary_surfaces)
-        checks.append({"component": result.component_id, **check, "agree": agree})
+            agree = formula == euler and len(summaries) == len(formula_surfaces)
+        checks.append({"component": i + 1, **check, "agree": agree})
     all_agree = all(c["agree"] for c in checks)
     rep["checks"] = checks
     rep["agree"] = all_agree

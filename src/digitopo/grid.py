@@ -165,12 +165,14 @@ class Labeling:
     deterministic for a given grid and adjacency. ``sizes[i]`` counts the
     cells labelled i, index 0 the background: it equals
     ``np.bincount(labels.ravel(), minlength=count + 1)``, counted by the
-    labeller from its runs.
+    labeller from its runs, ``runs``: ``_run_components``' starts, ends
+    and label minus one of each.
     """
 
     labels: np.ndarray
     count: int
     sizes: np.ndarray
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class RepairOp(Enum):
@@ -194,16 +196,20 @@ class RepairAction:
     z: int | None = None
 
 
+# An edit's row is ``(*index, added, reason)``: its op is ``_OPS[added]``
+# and its reason ``_REASONS[reason]``.
 _OPS = (RepairOp.DELETE, RepairOp.ADD)
+_REASONS = (RepairReason.SPECKLE, RepairReason.PATHOLOGY)
+_SPECKLE, _PATHOLOGY = range(2)
 
 
 def _actions(edits: np.ndarray) -> list[RepairAction]:
-    """The ``RepairAction`` of each row ``(*index, added)`` of ``edits``
-    (``_repair``), the index in array order: (y, x) or (z, y, x)."""
+    """The ``RepairAction`` of each row ``(*index, added, reason)`` of
+    ``edits``, the index in array order: (y, x) or (z, y, x)."""
     out = []
-    for *at, added in edits.tolist():
+    for *at, added, reason in edits.tolist():
         x, y, *z = reversed(at)
-        out.append(RepairAction(x, y, _OPS[added], RepairReason.PATHOLOGY, *z))
+        out.append(RepairAction(x, y, _OPS[added], _REASONS[reason], *z))
     return out
 
 
@@ -325,7 +331,7 @@ def _label(cells: np.ndarray, adjacency: Adjacency) -> Labeling:
     # Weighted, so float; the counts are integers below 2**53 and exact.
     sizes = np.bincount(comp + 1, lengths, minlength=count + 1).astype(np.int64)
     sizes[0] = cells.size - sizes.sum()
-    return Labeling(labels, count, sizes)
+    return Labeling(labels, count, sizes, (starts, ends, comp))
 
 
 def label_components_2d(img: Image2D, adjacency: Adjacency = Adjacency.DIRECT_2D) -> Labeling:
@@ -446,8 +452,8 @@ def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
 
 def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, canvases=None):
     """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
-    ``repair_3d``. Returns the edited copy and its edits, one row
-    ``(*index, added)`` each, the index into ``cells`` in array order.
+    ``repair_3d``. Returns the edited copy and its edits, rows of
+    ``_actions``, the index into ``cells`` in array order.
 
     The edits go to one padded copy ``p`` (``_pad``), whose window codes
     are computed once and kept current by ``_flip``. A round takes the
@@ -503,15 +509,15 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
             left[k] -= 1
             cell = fix(p, codes, vertex, hit)
             odd[k] ^= {cell}
-            edits.append((*cell, p[cell]))
-        near = np.array(edits[start:])[:, :-1].T[:, :, None] - offsets
+            edits.append((*cell, p[cell], _PATHOLOGY))
+        near = np.array(edits[start:])[:, :-2].T[:, :, None] - offsets
         # Sorted and deduplicated without ``np.unique``, which imports
         # ``numpy.ma`` on first use.
         at = np.sort(np.ravel_multi_index(tuple(near.reshape(p.ndim, -1)), codes.shape))
         at = at[np.diff(at, prepend=-1) != 0]
         found = _hits(codes, hits, order, at)
-    edits = np.array(edits, dtype=np.int64).reshape(-1, p.ndim + 1)
-    edits[:, :-1] -= 1
+    edits = np.array(edits, dtype=np.int64).reshape(-1, p.ndim + 2)
+    edits[:, :-2] -= 1
     return p[(slice(1, -1),) * p.ndim].copy(), edits
 
 
@@ -556,28 +562,24 @@ def _component_canvas(labeling: Labeling, component_id: int, box=None):
 
 def _component_boxes(labeling: Labeling, ids=None) -> dict[int, tuple[slice, ...]]:
     """Bounding box of each component in ``ids`` (default: every one that
-    has a cell), keyed by component id.
-
-    The boxes come from the runs of labelled cells along x. Cells next to
-    each other along x are adjacent under every adjacency, so each run
-    holds one label, read at its first cell. Only the runs of the wanted
-    labels are reduced to per-label minima and maxima.
-    """
+    has a cell), keyed by component id: the minima and maxima of the
+    labeller's runs along x (``Labeling.runs``) of each. They hold after
+    the 2D scan's edits (``topo2d._despeckle``): a fill lies inside its
+    owner's box, and a deletion empties a one-pixel component."""
     if ids is not None and not ids:
         return {}
-    labels = labeling.labels
-    _, ny, nx = shape = (1,) * (3 - labels.ndim) + labels.shape
-    starts, ends = _runs(labels.reshape(shape) != 0)
-    line = starts // (nx + 1)
-    x = starts - line * (nx + 1)
-    z, y = np.divmod(line, ny + 1)
-    lab = labels.reshape(-1)[(z * ny + y) * nx + x]
-    last = ends - line * (nx + 1) - 1
+    (starts, ends, comp), labels = labeling.runs, labeling.labels
+    _, ny, nx = (1,) * (3 - labels.ndim) + labels.shape
+    lab = comp + 1
     if ids is not None:
         wanted = np.zeros(labeling.count + 1, dtype=bool)
         wanted[list(ids)] = True
         keep = wanted[lab]
-        lab, z, y, x, last = lab[keep], z[keep], y[keep], x[keep], last[keep]
+        lab, starts, ends = lab[keep], starts[keep], ends[keep]
+    line = starts // (nx + 1)
+    x = starts - line * (nx + 1)
+    z, y = np.divmod(line, ny + 1)
+    last = ends - line * (nx + 1) - 1
     lows, highs = [y, x], [y, last]
     if labels.ndim == 3:
         lows, highs = [z, *lows], [z, *highs]
@@ -586,7 +588,7 @@ def _component_boxes(labeling: Labeling, ids=None) -> dict[int, tuple[slice, ...
     for axis in range(len(lows)):
         np.minimum.at(lo[axis], lab, lows[axis])
         np.maximum.at(hi[axis], lab, highs[axis])
-    found = np.flatnonzero(hi[0] >= 0)
+    found = np.flatnonzero((hi[0] >= 0) & (labeling.sizes > 0))
     return {
         cid: tuple(map(slice, start, stop))
         for cid, start, stop in zip(
@@ -595,52 +597,52 @@ def _component_boxes(labeling: Labeling, ids=None) -> dict[int, tuple[slice, ...
     }
 
 
-def _cut_out(labeling: Labeling, component_id: int, boxes: dict):
-    """The component on its own padded canvas if ``boxes`` holds its box,
-    else None."""
-    box = boxes.get(component_id)
-    return None if box is None else _component_canvas(labeling, component_id, box)[0]
-
-
 class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
-    and ``topo3d._HOOKS``: the dimension's rules only. The driver codes
-    each grid (``_window_codes``), cuts the dirty components into stacks
-    of canvases (``_stack_groups``) and moves edits to the source. A hook
-    looks up what it calls when it runs, so that a traced entry point
-    stays traced."""
+    and ``topo3d._HOOKS``: the dimension's rules only; a hook looks up
+    what it calls when it runs, so that a traced entry point stays
+    traced. A table is ``(ok, cuts, rows)`` over the labels of a labeling:
+    label i's answer is read from the integer rows ``rows[cuts[i]:cuts[i
+    + 1]]`` where ``ok[i]`` holds."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (padded grid, its codes, labeling, shared) -> (dirty, (owners,
-    # edits), answers): the dirty components' ids, the edits made to the
-    # grid and the labels with the id of each one's owner, and the answers
-    # or None.
+    # (padded grid, its codes, labeling) -> (dirty components' ids, (owner
+    # of each edit, edits as rows of ``_actions``), the grid's table or None).
     scan: Callable
-    # (codes, labeling, shared) -> {label: answer or None} over labels
-    # with cells. ``shared`` is one dict per run, in which the hooks keep
-    # one object per distinct part of an answer for equal answers to share.
-    classify: Callable
+    classify: Callable  # (codes, labeling) -> the table of every label
     # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
     # canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
     repair: Callable
-    slow: Callable  # (piece, fallback_oracle, component_id, edits) -> report
-    report: Callable  # (component_id, answer, edits) -> report
+    slow: Callable  # (piece, fallback_oracle, component_id) -> its (hashable) answer
+    # (distinct rows, the distinct lists of their indices) -> the answer
+    # of each list; equal parts of answers share one object.
+    answers: Callable
+    report: Callable  # (component_id, size, answer, edits) -> report
 
 
-def _canvas_actions(edits: np.ndarray, starts: list, origins: list) -> list[tuple]:
-    """The edits of a repaired stack (``_repair``) as one tuple of
-    ``RepairAction``s per canvas: each edit goes to the canvas whose rows
-    hold it, starting at ``starts``, and is moved to the source by that
-    canvas's origin, (x, y[, z])."""
-    owner = np.searchsorted(starts, edits[:, 0], side="right") - 1
-    shift = np.array([origin[::-1] for origin in origins])
-    shift[:, 0] -= starts
-    edits[:, :-1] += shift[owner]
-    order = np.argsort(owner, kind="stable")
-    acts = _actions(edits[order])
-    cuts = np.cumsum(np.bincount(owner, minlength=len(origins))).tolist()
-    return [tuple(acts[i:j]) for i, j in zip([0, *cuts], cuts)]
+class _Columns(NamedTuple):
+    """``_per_component``'s answers, one entry per piece in report order."""
+
+    sizes: np.ndarray  # its cells
+    answer: np.ndarray  # its index into ``answers``
+    answers: list
+    edits: np.ndarray  # (start, stop) of its component's edits in ``log``
+    log: np.ndarray  # every edit, a row of ``_actions`` in source coordinates
+    pieces: list | None  # each on its own padded canvas, with ``keep_pieces``
+
+
+def _distinct_lists(lengths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, list]:
+    """The distinct lists of integers among lists given by their lengths
+    and their values in turn: the index of each among them, and each
+    distinct list as a tuple. One ``_distinct_rows`` call per length."""
+    starts, index, distinct = lengths.cumsum() - lengths, np.empty(len(lengths), np.intp), []
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        at = np.flatnonzero(lengths == n)
+        rows, which = _distinct_rows(values[starts[at, None] + np.arange(n)])
+        index[at] = which + len(distinct)
+        distinct += map(tuple, rows.tolist())
+    return index, distinct
 
 
 def _stack_groups(shapes: dict, cells: int) -> list[list]:
@@ -663,14 +665,13 @@ def _stack_groups(shapes: dict, cells: int) -> list[list]:
 
 
 def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
-    """Report each component of ``grid`` as if it were cut alone onto a
+    """Answer each component of ``grid`` as if it were cut alone onto a
     padded canvas, repaired there, relabelled into pieces and each piece
-    classified: ``holes_pipeline``, ``analyze_volume`` and ``validate``,
-    with the ``hooks`` of their dimension. Returns one ``(report, piece)``
-    per piece in component order (the piece on its own padded canvas when
-    ``keep_pieces`` is set, else None), and the log in source
-    coordinates: per component in id order, its scan edits and then its
-    repair edits, moved by its canvas origin.
+    classified: ``holes_pipeline``, ``analyze_volume``, ``holes``,
+    ``homology`` and ``validate``, with the ``hooks`` of their dimension.
+    Returns ``_Columns``: the pieces in component order, and the log in
+    source coordinates: per component in id order, its scan edits and then
+    its repair edits, moved by its canvas origin.
 
     The work is done per grid, not per component. Every answer is read
     from 2x2 (2x2x2) windows, whose object cells are adjacent through the
@@ -689,27 +690,28 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       the grid, else in groups whose other extents round up to the same
       powers of two (``_stack_groups``). Each stack is repaired once
       (``_repair``, every canvas apart, with its own checks), then
-      labelled once and, if repaired, coded and classified once. Every
-      stack is repaired before anything is classified, so a repair cycle
-      raises first. The one-cell frames keep two canvases' objects and
-      windows apart, and scan order visits one canvas after another, so a
-      stack's labels number each canvas's pieces as labelling that canvas
-      alone would;
-    * a piece without an answer, and every piece of an unrepaired canvas,
-      goes to ``slow``. Reports are assembled in component order, so the
-      first piece that raises is the one a loop over components would.
+      labelled, coded and classified once. Every stack is repaired before
+      anything is classified, so a repair cycle raises first. The
+      one-cell frames keep two canvases' objects and windows apart, and
+      scan order visits one canvas after another, so a stack's labels
+      number each canvas's pieces as labelling that canvas alone would;
+    * the answers stay integer rows until one ``_distinct_rows`` and one
+      ``_distinct_lists`` call give each piece its distinct answer. A
+      piece without an answer, and every piece of an unrepaired canvas,
+      goes to ``slow`` in report order, so the first piece that raises is
+      the one a loop over components would.
     """
     label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
     labeling = label(grid, hooks.capture)
     p = _pad(grid.cells)
     codes = _window_codes(p)
-    shared: dict = {}
-    dirty, (owners, log), answers = hooks.scan(p, codes, labeling, shared)
+    dirty, scanned, table = hooks.scan(p, codes, labeling)
+    dirty = np.array(sorted(dirty), dtype=np.intp)
     del p
-    boxes = _component_boxes(labeling, None if keep_pieces else dirty)
+    boxes = _component_boxes(labeling, None if keep_pieces else dirty.tolist())
     # A dirty component's canvas is its box in a frame of one empty cell.
-    shapes = {cid: [s.stop - s.start + 2 for s in boxes[cid]] for cid in sorted(dirty)}
-    stacks, repaired = [], {}
+    shapes = {cid: [s.stop - s.start + 2 for s in boxes[cid]] for cid in dirty.tolist()}
+    stacks, logs = [], [scanned]
     for members in _stack_groups(shapes, grid.cells.size):
         extents = np.array([shapes[cid] for cid in members])
         starts = np.concatenate(([0], extents[:, 0].cumsum()))
@@ -717,56 +719,95 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         for cid, start, (rows, *shape) in zip(members, starts.tolist(), extents.tolist()):
             inside = (slice(start + 1, start + rows - 1), *(slice(1, n - 1) for n in shape))
             stack[inside] = labeling.labels[boxes[cid]] == cid
-        acts = [()] * len(members)
         if repair:
             sizes = extents.prod(axis=1).tolist()
             stack, edits = hooks.repair(_grid_of(stack), list(zip(extents[:, 0].tolist(), sizes)))
             stack = stack.cells
-            origins = [tuple(s.start - 1 for s in reversed(boxes[cid])) for cid in members]
-            acts = _canvas_actions(edits, starts[:-1], origins)
-        repaired.update(zip(members, acts))
-        stacks.append((members, starts, stack))
-    if answers is None:
-        answers = hooks.classify(codes, labeling, shared)
+            # Each edit moves by the origin of the canvas whose rows hold it.
+            owner = np.searchsorted(starts, edits[:, 0], side="right") - 1
+            shifts = np.array([[s.start - 1 for s in boxes[cid]] for cid in members])
+            shifts[:, 0] -= starts[:-1]
+            edits[:, :-2] += shifts[owner]
+            logs.append((np.array(members)[owner], edits))
+        stacks.append((np.array(members), starts, stack))
+    if table is None:  # classified after every repair: a cycle raises first
+        table = hooks.classify(codes, labeling)
     del codes
 
-    # A piece is cut out onto its canvas when it has a box: with
-    # ``keep_pieces`` all of them, else those without an answer.
-    cut = [cid for cid, answer in answers.items() if answer is None and cid not in boxes]
-    boxes.update(_component_boxes(labeling, cut))
-    pieces = {}  # (piece, answer, edits) of each piece of a canvas
+    # The tables, the grid's and then each stack's, join into one over all
+    # their labels. Each piece is one of those labels.
+    oks, cuts, rows = [table[0]], [table[1][:-1]], [table[2]]
+    clean = labeling.sizes > 0
+    clean[0] = clean[dirty] = False
+    clean = np.flatnonzero(clean)
+    cid, lab, sizes = [clean], [clean], [labeling.sizes[clean]]
+    # Cut out alone, by label: with ``keep_pieces`` every piece, else the slow ones.
+    cut = (clean if keep_pieces else clean[~table[0][clean]]).tolist()
+    boxes.update(_component_boxes(labeling, [c for c in cut if c not in boxes]))
+    canvases = {c: _component_canvas(labeling, c, boxes[c])[0] for c in cut}
     while stacks:  # popped, so that a stack is freed once it is labelled
         members, starts, stack = stacks.pop()
-        lab = label(_grid_of(stack), hooks.pieces)
-        found = hooks.classify(_window_codes(_pad(stack)), lab, shared) if repair else {}
-        cut = [i for i in range(1, lab.count + 1) if found.get(i) is None]
-        lab_boxes = _component_boxes(lab, None if keep_pieces else cut)
+        pieces = label(_grid_of(stack), hooks.pieces)
+        base, n = sum(map(len, oks)), sum(map(len, rows))
+        table = hooks.classify(_window_codes(_pad(stack)), pieces)
+        oks.append(table[0] & repair)  # an unrepaired canvas answers no piece
+        cuts.append(table[1][:-1] + n)
+        rows.append(table[2])
         # Labels rise in scan order, so each canvas holds the labels up to
         # the largest one in its rows.
-        last = lab.labels.reshape(len(stack), -1).max(axis=1)
-        last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1])).tolist()
-        for cid, lo, hi in zip(members, [0, *last], last):
-            pieces[cid] = [
-                (_cut_out(lab, i, lab_boxes), found.get(i), repaired[cid])
-                for i in range(lo + 1, hi + 1)
-            ]
-    for cid in sorted(repaired):
-        owners += [cid] * len(repaired[cid])
-        log += repaired[cid]
-    # A stable sort by owner: each component's scan edits, then its repair edits.
-    log = [log[i] for i in np.argsort(owners, kind="stable").tolist()]
+        last = pieces.labels.reshape(len(stack), -1).max(axis=1)
+        last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1]))
+        ids = np.arange(1, pieces.count + 1)
+        cid.append(members.repeat(np.diff(last, prepend=0)))
+        lab.append(ids + base)
+        sizes.append(pieces.sizes[1:])
+        cut = ids if keep_pieces else ids[~oks[-1][ids]]
+        piece_boxes = _component_boxes(pieces, cut.tolist())
+        canvases.update(
+            (base + i, _component_canvas(pieces, i, piece_boxes[i])[0]) for i in cut.tolist()
+        )
+    cuts.append([sum(map(len, rows))])
+    oks, cuts = np.concatenate(oks), np.concatenate(cuts)
+    order = np.lexsort((np.concatenate(lab), np.concatenate(cid)))
+    cid, lab, sizes = (np.concatenate(c)[order] for c in (cid, lab, sizes))
 
-    results = []
-    for cid, answer in answers.items():
-        group = pieces[cid] if cid in pieces else [(_cut_out(labeling, cid, boxes), answer, ())]
-        for piece, answer, acts in group:
-            n = len(results) + 1
-            if answer is None:
-                report = hooks.slow(piece, fallback_oracle, n, acts)
-            else:
-                report = hooks.report(n, answer, acts)
-            results.append((report, piece if keep_pieces else None))
-    return results, log
+    # The answered pieces' rows, each a run of the joined rows, give the
+    # distinct answers; the slow ones, few but often equal, go by value.
+    answered = oks[lab]
+    first, count = cuts[lab[answered]], cuts[lab[answered] + 1] - cuts[lab[answered]]
+    at = np.arange(count.sum()) + (first - (count.cumsum() - count)).repeat(count)
+    distinct, which = _distinct_rows(np.concatenate(rows)[at])
+    answer = np.empty(len(lab), dtype=np.intp)
+    answer[answered], lists = _distinct_lists(count, which)
+    answers = hooks.answers(distinct, lists)
+    seen: dict = {}
+    for i in np.flatnonzero(~answered).tolist():
+        slow = hooks.slow(canvases[lab[i]], fallback_oracle, i + 1)
+        answer[i] = seen.setdefault(slow, len(answers))
+        if answer[i] == len(answers):
+            answers.append(slow)
+
+    owners, log = (np.concatenate(c) for c in zip(*logs))
+    # A stable sort by owner: each component's scan edits, then its repair edits.
+    by_owner = np.argsort(owners, kind="stable")
+    owners, log = owners[by_owner], log[by_owner]
+    edits = np.stack((owners.searchsorted(cid), owners.searchsorted(cid, side="right")), axis=1)
+    pieces = [canvases[i] for i in lab.tolist()] if keep_pieces else None
+    return _Columns(sizes, answer, answers, edits, log, pieces)
+
+
+def _analyze(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
+    """``_per_component`` as the public API gives it: one ``(report,
+    piece)`` per piece, the piece None unless ``keep_pieces`` is set, each
+    report with its component's edits, and the log as ``RepairAction``s."""
+    found = _per_component(hooks, grid, repair, fallback_oracle, keep_pieces)
+    actions = _actions(found.log)
+    rows = zip(found.sizes.tolist(), found.answer.tolist(), found.edits.tolist())
+    reports = [
+        hooks.report(n, size, found.answers[a], tuple(actions[i:j]))
+        for n, (size, a, (i, j)) in enumerate(rows, 1)
+    ]
+    return list(zip(reports, found.pieces or [None] * len(reports))), actions
 
 
 def extract_component(labeling: Labeling, component_id: int):

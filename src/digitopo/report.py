@@ -11,31 +11,27 @@ human-readable printer may add one as a plain text line outside the JSON.
 The builders (``action_record``, ``hole_record``, ``component_record_3d``
 and the surface and histogram records inside them) are the only
 statement of each record's shape. The per-item arrays of ``holes``,
-``homology`` and ``repair`` reach ``dumps`` as ``_Records``, which it
-writes with one template per distinct record. An item's template key is
-every field of its dataclass but the filled ones, the component id or an
-edit's coordinates, and those a builder never reads. The first item with
-a key is encoded as it is. When the key comes again, the builder's
-record of that second item becomes a %-format with a ``%d`` slot for
-each filled value, which must give the first item's encoding when filled
-with its values, and each later item with that key only fills in its own
-integers. A template is the encodings of the keys before and after each
-filled one, cut at a NUL that the encoder never writes, so no byte of a
-record can be taken for a slot. A report with no ``_Records`` is encoded
-as it is. ``_Records`` and its makers are private: they are how the
-command-line layer hands ``dumps`` its items, and any other caller gets
-the same bytes from a plain list of the builders' records.
+``homology`` and ``repair`` reach ``dumps`` as columns (``_Records``):
+each item's index among the distinct answers, and the integers it fills
+in, its component id and size or its coordinates. The builder runs once
+per answer, on its first item. An answer of one item is encoded as it
+is. The record of any other becomes a %-format with a ``%d`` slot per
+filled value, cut at a NUL that the encoder never writes, so no byte of
+a record is taken for a slot; it must give the first item's encoding,
+and each item then fills in its own integers. A report with no
+``_Records`` is encoded as it is.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections.abc import Callable, Sequence
-from operator import attrgetter
 from typing import NamedTuple
 
+import numpy as np
+
+from .grid import _OPS, _REASONS
 from .topo2d import HoleReport, RepairAction
 from .topo3d import SurfaceHistogram, SurfaceReport, TopoReport3D
 
@@ -161,75 +157,85 @@ def _template(record: dict, filled) -> str:
 
 
 class _Records(NamedTuple):
-    """A per-item array of a report, which ``dumps`` writes as the list of
-    ``build(item)`` over ``items``."""
+    """A per-item array of a report, as columns: ``dumps`` writes item i as
+    ``build(answers[answer[i]], values[i])``, the values a tuple."""
 
-    items: Sequence
-    build: Callable  # item -> its record
+    answer: np.ndarray  # per item: the index of its answer
+    answers: Sequence  # everything of an item's record but its filled values
+    values: np.ndarray  # per item: its filled values, in sorted key order
     filled: frozenset  # the record keys whose values each item fills in
-    key: Callable  # item -> every field but the filled ones that ``build`` may read
-    values: Callable  # item -> the filled values, in sorted key order
-
-
-def _records(items, build, cls, filled: dict, skipped=frozenset()) -> _Records:
-    """``items``, instances of the dataclass ``cls``, as ``_Records``.
-    ``filled`` maps each filled record key to the field it holds. The
-    template key is every other field of ``cls`` but the ``skipped``
-    ones, which ``build`` must not read."""
-    keys = sorted(filled)
-    fields = [f.name for f in dataclasses.fields(cls)]
-    rest = [f for f in fields if f not in skipped and f not in filled.values()]
-    return _Records(
-        items, build, frozenset(keys), attrgetter(*rest), attrgetter(*(filled[k] for k in keys))
-    )
+    build: Callable  # (answer, values) -> the item's record
 
 
 def _encode_records(records: _Records) -> str:
-    """The encoded list of ``records``. A record whose key is new is
-    encoded as it is. When its key comes again, the second item's record
-    becomes the key's template, which must give the first item's encoding
-    when filled with its values; each later item only fills it in."""
-    formats: dict = {}  # key -> template
-    firsts: dict = {}  # key -> (values, encoding) of the one item with that key so far
-    out = []
-    for item in records.items:
-        key, values = records.key(item), records.values(item)
-        fmt = formats.get(key)
-        if fmt is None:
-            first = firsts.pop(key, None)
-            if first is None:
-                text = _encode(records.build(item))
-                firsts[key] = (values, text)
-                out.append(text)
-                continue
-            fmt = formats[key] = _template(records.build(item), records.filled)
-            if fmt % first[0] != first[1]:
-                raise ValueError(f"filled values {first[0]} do not give {first[1]}")
-        out.append(fmt % values)
-    return "[" + ",".join(out) + "]"
+    """The encoded list of ``records``. The builder runs once per answer,
+    on the answer's first item. An answer of one item is encoded as it is.
+    The record of any other becomes a template that must give the first
+    item's encoding when filled with its values; every item of the answer
+    then fills it in, all in one %-format."""
+    answer, values = records.answer, records.values
+    counts = np.bincount(answer, minlength=len(records.answers))
+    seen = np.flatnonzero(counts)
+    firsts = np.argsort(answer, kind="stable")[(counts.cumsum() - counts)[seen]]
+    formats = {}
+    for a, i in zip(seen.tolist(), firsts.tolist()):
+        first = tuple(values[i].tolist())
+        record = records.build(records.answers[a], first)
+        text = _encode(record)
+        if counts[a] == 1:
+            formats[a] = text.replace("%", "%%")
+            continue
+        fmt = formats[a] = _template(record, records.filled)
+        if fmt % first != text:
+            raise ValueError(f"filled values {first} do not give {text}")
+    filled = values[counts[answer] > 1].reshape(-1).tolist()
+    return "[" + ",".join(map(formats.__getitem__, answer.tolist())) % tuple(filled) + "]"
 
 
 # The builders are looked up when a record is built, so that a wrapper
 # installed on this module sees the call.
-def _hole_records(reports: Sequence[HoleReport]) -> _Records:
-    return _records(reports, lambda r: hole_record(r), HoleReport, {"component": "component_id"})
+def _piece_records(columns, keys: tuple, build) -> _Records:
+    """The records of ``topo2d._columns`` or ``topo3d._columns``. Each
+    piece fills in ``keys``, its component id and its size in sorted
+    order; its edits are not read."""
+    ids = np.arange(1, len(columns.answer) + 1)
+    values = np.stack([ids if k == "component" else columns.sizes for k in keys], axis=1)
+    return _Records(columns.answer, columns.answers, values, frozenset(keys), build)
 
 
-def _component_records_3d(reports: Sequence[TopoReport3D]) -> _Records:
-    return _records(
-        reports,
-        lambda r: component_record_3d(r),
-        TopoReport3D,
-        {"component": "component_id"},
-        skipped={"repair_actions"},
+def _hole_records(columns) -> _Records:
+    return _piece_records(
+        columns, ("area", "component"), lambda a, v: hole_record(HoleReport(v[1], v[0], *a))
     )
 
 
-def _action_records(actions: Sequence[RepairAction]) -> _Records:
-    """An image edit's z is None and its record has no z: a list of image
-    edits fills in x and y, and its z is part of the key."""
-    xyz = ("x", "y") if actions and actions[0].z is None else ("x", "y", "z")
-    return _records(actions, lambda a: action_record(a), RepairAction, {k: k for k in xyz})
+def _component_records_3d(columns) -> _Records:
+    return _piece_records(
+        columns, ("component", "voxels"), lambda a, v: component_record_3d(TopoReport3D(*v, *a))
+    )
+
+
+# An edit's answer: its op and reason, ``added + 2 * reason`` of its row.
+_EDIT_ANSWERS = [(op, reason) for reason in _REASONS for op in _OPS]
+
+
+def _edit_rows(actions, ndim: int) -> np.ndarray:
+    """The rows of ``actions`` on a grid of ``ndim`` axes: ``grid._actions`` inverted."""
+    rows = [(a.z or 0, a.y, a.x, _OPS.index(a.op), _REASONS.index(a.reason)) for a in actions]
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)[:, 3 - ndim :]
+
+
+def _action_records(log: np.ndarray) -> _Records:
+    """The records of edits, rows of ``grid._actions``. An image edit has
+    no z: its record has none, and its row no z column."""
+    xyz = ("x", "y", "z")[: log.shape[1] - 2]
+    return _Records(
+        log[:, -2] + 2 * log[:, -1],
+        _EDIT_ANSWERS,
+        log[:, -3::-1],
+        frozenset(xyz),
+        lambda answer, v: action_record(RepairAction(v[0], v[1], *answer, *v[2:])),
+    )
 
 
 def base_report(command: str, digest: str | None = None) -> dict:
@@ -242,11 +248,6 @@ def base_report(command: str, digest: str | None = None) -> dict:
 def dumps(report: dict) -> str:
     """Canonical serialization: sorted keys, fixed separators, newline.
     A ``_Records`` value is written as its list of records."""
-    arrays = {k: _encode_records(v) for k, v in report.items() if isinstance(v, _Records)}
-    if not arrays:
-        return _encode(report) + "\n"
-    pieces = _pieces(report, arrays.keys())
-    parts = [pieces[0]]
-    for key, piece in zip(sorted(arrays), pieces[1:]):
-        parts += (arrays[key], piece)
-    return "".join(parts) + "\n"
+    slots = sorted(k for k, v in report.items() if isinstance(v, _Records))
+    arrays = [_encode_records(report[k]) for k in slots]
+    return "".join(p + a for p, a in zip(_pieces(report, slots), [*arrays, "\n"]))

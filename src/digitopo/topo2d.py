@@ -41,9 +41,10 @@ from .grid import (
     _HIGH_BIT,
     _Hooks,
     _LOW_BIT,
+    _SPECKLE,
     _actions,
+    _analyze,
     _count_components,
-    _distinct_rows,
     _flip,
     _flip_all,
     _hits,
@@ -252,13 +253,10 @@ def remove_speckles(img: Image2D) -> tuple[Image2D, list[RepairAction]]:
     fills = _one_pixel_holes(ul, ur, dl, dr)
     deletes = (ul == 8) & (ur == 4) & (dl == 2) & (dr == 1)
     ys, xs = np.nonzero(fills | deletes)
-    actions = []
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        op = RepairOp.ADD if fills[y, x] else RepairOp.DELETE
-        actions.append(RepairAction(x, y, op, RepairReason.SPECKLE))
+    edits = np.stack((ys, xs, fills[ys, xs], np.full_like(ys, _SPECKLE)), axis=1)
     cells[fills] = True
     cells[deletes] = False
-    return Image2D(img.width, img.height, cells), actions
+    return Image2D(img.width, img.height, cells), _actions(edits)
 
 
 def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
@@ -361,7 +359,7 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     of one empty pixel whose window codes are ``codes``, as each
     component's canvas sees them, in ``p``, its codes (``grid._flip_all``),
     the labels and their sizes. Returns the owner's id of each edit and
-    the edits, in row-major order.
+    the edits (rows of ``grid._actions``), in row-major order.
 
     A pixel with no 4-neighbor is deleted, even one that touches another
     component diagonally, and a one-pixel hole is filled into the
@@ -384,26 +382,22 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     labeling.sizes[0] -= moved.sum()
     ys, xs = np.divmod(at, width)
     _flip_all(p, codes, (ys + 1, xs + 1))
-    edits = [
-        RepairAction(x, y, RepairOp.ADD if f else RepairOp.DELETE, RepairReason.SPECKLE)
-        for x, y, f in zip(xs.tolist(), ys.tolist(), fill.tolist())
-    ]
-    return owner.tolist(), edits
+    return owner, np.stack((ys, xs, fill, np.full_like(ys, _SPECKLE)), axis=1)
 
 
-def _window_pass(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
-    """The answer of every labelled component that has a pixel, from the
-    window codes of the labelled image in a frame of one empty pixel:
-    ``(area, histogram, holes)``, or None for a component with a diagonal
-    window between two of its own pixels. ``shared`` maps each count seen
-    in the run to its histogram, which equal counts share.
+def _window_pass(codes: np.ndarray, labeling: Labeling):
+    """The answer of every label from the window codes of the labelled
+    image in a frame of one empty pixel: the table ``(ok, cuts, rows)`` of
+    ``grid._Hooks``, one row per label, its histogram's counts
+    (``_histogram_of``) and its holes, with ``ok`` False for a component
+    with a diagonal window between two of its own pixels.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
     histogram (``grid._per_component`` says why each window is read as
     on the component's own canvas).
     """
-    labels, count, sizes = labeling.labels, labeling.count, labeling.sizes
+    labels, count = labeling.labels, labeling.count
     flat = labels.reshape(-1)
     vertices = _where(codes, _CORNER)
     c = codes.reshape(-1)[vertices]
@@ -414,44 +408,40 @@ def _window_pass(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
     turn = np.bincount(low, _LOW_TURN[c], minlength=count + 1)
     turn -= np.bincount(high, minlength=count + 1)
     low = low[diagonal]
-    dirty = set(low[low == high].tolist())
+    ok = np.ones(count + 1, dtype=bool)
+    ok[low[low == high]] = False
     boundary, keys = _boundary_keys(codes)
     keys = labels[boundary] * 16 + keys
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
-    kept = np.flatnonzero(sizes[1:]) + 1
-    distinct, which = _distinct_rows(bins[kept] @ _FOLD)
-    histograms = []
-    for counts in map(tuple, distinct.tolist()):
-        if counts not in shared:
-            shared[counts] = _histogram_of(counts)
-        histograms.append(shared[counts])
-    rows = zip(
-        kept.tolist(),
-        sizes[kept].tolist(),
-        which.tolist(),
-        (1 + turn[kept].astype(np.int64) // 4).tolist(),
-    )
-    del keys, bins
-    return {
-        cid: None if cid in dirty else (area, histograms[i], holes)
-        for cid, area, i, holes in rows
-    }
+    holes = 1 + turn.astype(np.int64) // 4
+    return ok, np.arange(count + 2), np.column_stack((bins @ _FOLD, holes))
 
 
-def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling, shared: dict):
+def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
-    of the despeckled image, whose None marks the dirty ones."""
+    of the despeckled image, whose ``ok`` marks the dirty ones."""
     speckles = _despeckle(p, codes, labeling)
-    answers = _window_pass(codes, labeling, shared)
-    return [cid for cid, answer in answers.items() if answer is None], speckles, answers
+    table = _window_pass(codes, labeling)
+    return np.flatnonzero(~table[0][1:] & (labeling.sizes[1:] > 0)) + 1, speckles, table
 
 
-def _checked_hole_count(piece: Image2D, fallback_oracle, component_id, _edits):
-    report = hole_count(piece, component_id, check_single=False)
-    if not report.precondition_ok and not fallback_oracle:
+def _checked_hole_count(piece: Image2D, fallback_oracle, component_id):
+    """The answer of the piece's ``hole_count``."""
+    r = hole_count(piece, component_id, check_single=False)
+    if not r.precondition_ok and not fallback_oracle:
         raise PreconditionFailure(f"component {component_id} has a diagonal window")
-    return report
+    return r.histogram, r.holes, r.method, r.precondition_ok
+
+
+def _answers(rows: np.ndarray, lists: list) -> list:
+    """``(histogram, holes, method, precondition_ok)`` of each distinct
+    answer, a list of one row. Equal histograms share one object."""
+    rows, shared = rows.tolist(), {}
+    return [
+        (shared.setdefault((*c,), _histogram_of(c)), holes, HoleMethod.FORMULA, True)
+        for *c, holes in (rows[i] for (i,) in lists)
+    ]
 
 
 _HOOKS = _Hooks(
@@ -461,10 +451,13 @@ _HOOKS = _Hooks(
     classify=_window_pass,
     repair=lambda stack, canvases: repair_2d(stack, _canvases=canvases),
     slow=_checked_hole_count,
-    report=lambda n, answer, _: HoleReport(n, *answer, HoleMethod.FORMULA, True),
+    answers=_answers,
+    report=lambda n, area, answer, _: HoleReport(n, area, *answer),
 )
-# ``holes_pipeline`` with ``keep_pieces``: see ``grid._per_component``.
-_analyze_components = partial(_per_component, _HOOKS)
+# ``holes_pipeline`` with ``keep_pieces``, and its columns, which the
+# command line reads: see ``grid._per_component``.
+_analyze_components = partial(_analyze, _HOOKS)
+_columns = partial(_per_component, _HOOKS)
 
 
 def holes_pipeline(

@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,8 +64,8 @@ from .grid import (
     _Hooks,
     _LOW_BIT,
     _actions,
+    _analyze,
     _components,
-    _distinct_rows,
     _flip,
     _hits,
     _pad,
@@ -474,20 +475,14 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     return [SurfacePointSet(s._codes, ids) for ids in np.split(members, cuts)]
 
 
-def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int, shared: dict):
-    """Formula surface reports of every labelled component, from the padded grid's ``codes``.
-
-    Returns a list indexed by label ``0..count``: each entry holds that
-    component's surfaces ordered by minimal vertex, or is None when one
-    of them fails ``genus``. ``labels`` must keep 26-adjacent voxels under
-    one label; a surface belongs to the label of the voxels around its
-    minimal vertex, read at its lowest object voxel. ``shared`` maps each
-    histogram seen to its report, which equal surfaces share.
-    """
+def _surface_rows(codes: np.ndarray, labels: np.ndarray, count: int):
+    """The table (``grid._Hooks``) of the surfaces of every label, from the
+    padded grid's ``codes``: a row per surface, its bincount of points by
+    neighbor count, by minimal vertex; ``ok`` is False where one fails
+    ``genus``'s test, here on arrays. ``labels`` must keep 26-adjacent
+    voxels under one label; a surface belongs to the label of the voxels
+    around its minimal vertex, read at its lowest object voxel."""
     node_ids, n, comp = _surface_graph(np.flatnonzero(_surface_mask(codes)), codes)
-    out: list = [[] for _ in range(count + 1)]
-    if n == 0:
-        return out
     counts = _DEGREE[codes.ravel()[node_ids]]
     # node_ids is ascending and surfaces are numbered by their first node,
     # so a surface's first node, its minimal vertex in scan order, is where
@@ -497,34 +492,20 @@ def _formula_surfaces(codes: np.ndarray, labels: np.ndarray, count: int, shared:
     rises[1:] = top[1:] != top[:-1]
     first = node_ids[rises]
     low = _window_cells(labels.shape, first, _LOW_BIT[codes.ravel()[first]])
-    owner = labels.reshape(-1)[low]
-    hist = np.bincount(comp * 7 + counts, minlength=7 * n).reshape(n, 7)
-    distinct, which = _distinct_rows(hist)
-    reports = []
-    for h in map(tuple, distinct.tolist()):
-        if h not in shared:
-            shared[h] = _formula_report(h)
-        reports.append(shared[h])
-    for o, _, i in sorted(zip(owner.tolist(), first.tolist(), which.tolist())):
-        surfaces = out[o]
-        if surfaces is None:
-            continue
-        report = reports[i]
-        if report is None:
-            out[o] = None
-        else:
-            surfaces.append(report)
-    return out
+    # Stable, so each label's surfaces keep the order of their first nodes.
+    by_owner = np.argsort(labels.reshape(-1)[low], kind="stable")
+    owner = labels.reshape(-1)[low][by_owner]
+    bins = np.bincount(comp * 7 + counts, minlength=7 * n).reshape(n, 7)[by_owner]
+    num = bins[:, 5] + 2 * bins[:, 6] - bins[:, 3]
+    ok = np.ones(count + 1, dtype=bool)
+    ok[owner[bins[:, :3].any(axis=1) | (num % 8 != 0) | (num < -8)]] = False
+    return ok, owner.searchsorted(np.arange(count + 2)), bins
 
 
-def _formula_report(bins: tuple) -> SurfaceReport | None:
-    """The formula report of a surface from its bincount of points by
-    neighbor count, or None where ``genus`` refuses it."""
+def _formula_report(bins) -> SurfaceReport:
+    """The formula report of a surface from its points' bincount by neighbor count."""
     histogram = _surface_histogram(bins)
-    try:
-        g = genus(histogram)
-    except InvalidSurfaceError:
-        return None
+    g = genus(histogram)
     return SurfaceReport(sum(bins), histogram, g, 2 - 2 * g, "formula")
 
 
@@ -583,59 +564,50 @@ def homology(
         raise ValueError("empty volume")
     codes = _window_codes(_pad(vol.cells))
     # The cells as labels: every surface belongs to label 1.
-    surfaces = _formula_surfaces(codes, vol.cells.view(np.uint8), 1, {})[1]
-    if surfaces is None:
-        if not fallback_oracle:
-            raise _SurfaceFormulaRefused("not a valid digital surface")
-        surfaces = _oracle_surfaces(vol, codes)
-    surfaces = tuple(surfaces)
+    ok, _, rows = _surface_rows(codes, vol.cells.view(np.uint8), 1)
+    if ok[1]:
+        surfaces = tuple(map(_formula_report, rows.tolist()))
+    elif fallback_oracle:
+        surfaces = tuple(_oracle_surfaces(vol, codes))
+    else:
+        raise _SurfaceFormulaRefused("not a valid digital surface")
     return TopoReport3D(
         component_id, vol.voxel_count, surfaces, _betti(surfaces), tuple(repair_actions)
     )
 
 
-def _scan(_p, codes: np.ndarray, lab26: Labeling, _shared=None):
+def _scan(_p, codes: np.ndarray, lab26: Labeling):
     """The driver's scan (``grid._Hooks``): the ids of the components
     that own a pathological window. A window's object voxels are
     26-adjacent, so they carry one label, read at its lowest one. It
-    gives no answers, so it has none to share."""
+    makes no edit and gives no answers."""
     codes = codes.reshape(-1)
     at = _where(codes, _CODE_DIRTY)
     owners = lab26.labels.reshape(-1)[_window_cells(lab26.labels.shape, at, _LOW_BIT[codes[at]])]
-    return set(owners.tolist()), ([], []), None
+    return set(owners.tolist()), (np.zeros(0, np.int64), np.zeros((0, 5), np.int64)), None
 
 
-def _classify(codes: np.ndarray, labeling: Labeling, shared: dict) -> dict:
-    """``(voxels, surfaces, betti)`` of every labelled component, or None
-    where ``_formula_surfaces`` gives None. Equal surfaces share one
-    report, and equal lists of them one surfaces tuple and Betti tuple."""
-    reports = shared.setdefault("surfaces", {})
-    formula = _formula_surfaces(codes, labeling.labels, labeling.count, reports)
-    sizes = labeling.sizes.tolist()
-    answers: dict = {}
-    lists = shared.setdefault("components", {})
-    for i, s in enumerate(formula[1:], 1):
-        if s is None:
-            answers[i] = None
-            continue
-        s = tuple(s)
-        if s not in lists:
-            lists[s] = (s, _betti(s))
-        answers[i] = (sizes[i], *lists[s])
-    return answers
+def _answers(rows: np.ndarray, lists: list) -> list:
+    """``(surfaces, betti)`` of each distinct list of surface rows, which
+    share one report per distinct row."""
+    surfaces = [_formula_report(bins) for bins in rows.tolist()]
+    return [(s, _betti(s)) for s in (tuple(surfaces[i] for i in ids) for ids in lists)]
 
 
 _HOOKS = _Hooks(
     capture=Adjacency.INDIRECT_3D,
     pieces=Adjacency.DIRECT_3D,
     scan=_scan,
-    classify=_classify,
+    classify=lambda codes, labeling: _surface_rows(codes, labeling.labels, labeling.count),
     repair=lambda stack, canvases: repair_3d(stack, _canvases=canvases),
-    slow=lambda *args: homology(*args),
-    report=lambda component_id, answer, edits: TopoReport3D(component_id, *answer, tuple(edits)),
+    slow=lambda *args: attrgetter("boundary_surfaces", "betti")(homology(*args)),
+    answers=_answers,
+    report=lambda n, voxels, answer, edits: TopoReport3D(n, voxels, *answer, edits),
 )
-# ``analyze_volume`` with ``keep_pieces``: see ``grid._per_component``.
-_analyze_pieces = partial(_per_component, _HOOKS)
+# ``analyze_volume`` with ``keep_pieces``, and its columns, which the
+# command line reads: see ``grid._per_component``.
+_analyze_pieces = partial(_analyze, _HOOKS)
+_columns = partial(_per_component, _HOOKS)
 
 
 def analyze_volume(

@@ -2,15 +2,19 @@
 that its error types carry."""
 
 import ast
+import contextlib
 import dataclasses
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import digitopo
@@ -21,18 +25,26 @@ from digitopo import (
     ParseError,
     PreconditionFailure,
     RepairDidNotConverge,
+    cli_dispatch,
     errors,
     grid,
     homology,
     oracle,
     pbm,
+    report,
     shapes,
     streaming,
     topo2d,
     topo3d,
     vox3,
 )
-from digitopo.topo2d import CornerHistogram, HoleMethod, HoleReport, PreconditionReport
+from digitopo.topo2d import (
+    CornerHistogram,
+    HoleMethod,
+    HoleReport,
+    PreconditionReport,
+    RepairAction,
+)
 from digitopo.topo3d import SurfaceHistogram, SurfaceReport, TopoReport3D
 from gridtext import image, volume
 
@@ -184,3 +196,64 @@ def test_answers_are_slotted_frozen_values():
             setattr(a, first, 0)
         other = dataclasses.replace(a, **{first: 2})
         assert other != a, cls
+
+
+def _many_components(ndim: int):
+    """Over 100 components with few distinct answers, some of them dirty,
+    and in 2D some speckles: a lattice of cells of side 6 (2D) or 4 (3D),
+    each holding one of three motifs at its low corner."""
+    side, n = (6, 11) if ndim == 2 else (4, 5)
+    cells = np.zeros((side * n,) * ndim, dtype=bool)
+    if ndim == 2:
+        ring = image("111\n101\n110").cells  # a diagonal window of its own
+        motifs = [np.ones((2, 2), bool), np.ones((1, 3), bool), ring]
+    else:
+        pair = np.zeros((2, 2, 2), bool)
+        pair[0, 0, 0] = pair[1, 1, 1] = True  # a vertex pair
+        motifs = [np.ones((1, 1, 1), bool), np.ones((1, 1, 2), bool), pair]
+    for i, corner in enumerate(np.ndindex(*(n,) * ndim)):
+        at = [side * c for c in corner]
+        motif = motifs[i % 3]
+        cells[tuple(slice(a, a + k) for a, k in zip(at, motif.shape))] = motif
+        if ndim == 2 and i % 4 == 0:
+            cells[at[0] + 4, at[1] + 4] = True  # a speckle
+    return digitopo.grid._grid_of(cells)
+
+
+@pytest.mark.parametrize("command", ["holes", "homology"])
+def test_json_records_are_built_once_per_distinct_answer(command, tmp_path, monkeypatch):
+    # The per-piece answers reach the JSON bytes as columns: a record
+    # builder runs once per distinct answer or edit key, and no report or
+    # edit object is made per item.
+    path = tmp_path / ("in.pbm" if command == "holes" else "in.vox3")
+    grid_ = _many_components(2 if command == "holes" else 3)
+    (digitopo.write_pbm if command == "holes" else digitopo.write_vox3)(grid_, path)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("hole_record", "component_record_3d", "action_record"):
+        monkeypatch.setattr(report, name, counting(name, getattr(report, name)))
+    for cls in (HoleReport, TopoReport3D, RepairAction):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_dispatch([command, "--json", str(path)]) == 0
+    rep = json.loads(out.getvalue())
+    filled = {"component", "area", "voxels"}
+    answers = {
+        json.dumps({k: v for k, v in c.items() if k not in filled}, sort_keys=True)
+        for c in rep["components"]
+    }
+    keys = {(a["op"], a["reason"]) for a in rep["repair_actions"]}
+    assert len(rep["components"]) > 100 and len(answers) <= 4 and 1 <= len(keys) <= 3
+    record, cls = ("hole_record", "HoleReport") if command == "holes" else (
+        "component_record_3d", "TopoReport3D"
+    )
+    assert 1 <= counts[record] <= len(answers) and counts[cls] <= len(answers)
+    assert 1 <= counts["action_record"] <= len(keys) and counts["RepairAction"] <= len(keys)

@@ -1,7 +1,8 @@
 """``report.dumps`` against the plain loop it replaced.
 
-``dumps`` writes a report's per-item arrays (``report._Records``) with
-one template per distinct record. The reference below is the old loop:
+``dumps`` writes a report's per-item arrays (``report._Records``, one
+column of answers and one of filled values) with one builder call and at
+most one template per distinct answer. The reference below is the old loop:
 every item through its builder into a list of dicts, and the whole report
 through ``json.dumps`` with sorted keys and fixed separators. The
 ``--json`` output of ``holes``, ``homology`` and ``repair`` must equal it
@@ -9,7 +10,6 @@ byte for byte, and a command that fails must print nothing.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import tempfile
@@ -35,9 +35,6 @@ from digitopo import (
     write_vox3,
 )
 from digitopo import report
-from digitopo.grid import RepairOp, RepairReason
-from digitopo.topo2d import CornerHistogram, HoleMethod, HoleReport, RepairAction
-from digitopo.topo3d import SurfaceHistogram, SurfaceReport, TopoReport3D
 from gridtext import volume
 from test_pipeline_reference import DIRTY_SPLIT_BY_REPAIR, SPECKLE_ON_A_CORNER, raw_images
 
@@ -214,69 +211,40 @@ def test_a_filled_key_must_hold_an_int():
             report._template({"component": value}, frozenset({"component"}))
 
 
-def records(items, build, key, values):
-    return {"components": report._Records(items, build, frozenset({"component"}), key, values)}
+def records(values, build, answer=None, answers=(None,)):
+    """A report of one ``_Records`` array that fills in "component"; every
+    item has answer 0 unless ``answer`` is given."""
+    values = np.array(values).reshape(len(values), -1)
+    answer = np.zeros(len(values), dtype=int) if answer is None else np.array(answer)
+    return {
+        "components": report._Records(answer, answers, values, frozenset({"component"}), build)
+    }
 
 
 def test_records_whose_filled_values_disagree_with_the_builder_raise():
-    def build(n):
-        return {"component": n + 1}
-
-    for values, error in ((lambda n: n, ValueError), (lambda n: (n + 1, 0), TypeError)):
-        with pytest.raises(error):
-            report.dumps(records([1, 2], build, lambda n: (), values))
-    rep = records([1, 2, 3], build, lambda n: (), lambda n: n + 1)
+    # The first item of an answer of several is checked against its own
+    # encoding.
+    with pytest.raises(ValueError):
+        report.dumps(records([1, 2], lambda _, v: {"component": v[0] + 1}))
+    with pytest.raises(TypeError):
+        report.dumps(records([[1, 0], [2, 0]], lambda _, v: {"component": v[0]}))
+    rep = records([2, 3, 4], lambda _, v: {"component": v[0]})
     assert report.dumps(rep) == '{"components":[{"component":2},{"component":3},{"component":4}]}\n'
 
 
-def test_a_key_that_misses_a_field_the_builder_reads_raises():
-    # The second item with a key is checked against its own encoding.
-    def build(n):
-        return {"area": n, "component": 1}
+def test_each_answer_is_built_once_on_its_first_item():
+    built = []
 
-    with pytest.raises(ValueError):
-        report.dumps(records([1, 2], build, lambda n: (), lambda n: 1))
+    def build(answer, values):
+        built.append((answer, values))
+        return {"component": values[0], "name": answer}
 
-
-SPHERE = SurfaceReport(8, SurfaceHistogram(8, 0, 0, 0), 0, 2, "formula")
-TORUS = SurfaceReport(32, SurfaceHistogram(0, 32, 0, 0), 1, 0, "euler-oracle")
-EDIT = RepairAction(1, 2, RepairOp.DELETE, RepairReason.SPECKLE)
-# Per records maker, two items that differ in every field.
-DIFFERING = [
-    (
-        report._hole_records,
-        HoleReport(1, 4, CornerHistogram(0, 0, 0, 4, 0), 0, HoleMethod.FORMULA, True),
-        HoleReport(2, 9, CornerHistogram(1, 2, 0, 5, 1, 3), 1, HoleMethod.ORACLE_FALLBACK, False),
-    ),
-    (
-        report._component_records_3d,
-        TopoReport3D(1, 1, (SPHERE,), (1, 0, 0, 0)),
-        TopoReport3D(2, 5, (SPHERE, TORUS), (1, 1, 1, 0), (EDIT,)),
-    ),
-    (
-        report._action_records,
-        RepairAction(1, 2, RepairOp.DELETE, RepairReason.SPECKLE, 3),
-        RepairAction(4, 5, RepairOp.ADD, RepairReason.PATHOLOGY, 6),
-    ),
-    (report._action_records, EDIT, RepairAction(4, 5, RepairOp.ADD, RepairReason.PATHOLOGY, 6)),
-]
-
-
-@pytest.mark.parametrize("make, a, b", DIFFERING)
-def test_a_template_key_covers_every_field_the_builder_reads(make, a, b):
-    recs = make([a])
-
-    def unfilled(item):
-        return {k: v for k, v in recs.build(item).items() if k not in recs.filled}
-
-    for field in dataclasses.fields(a):
-        assert getattr(a, field.name) != getattr(b, field.name), field.name
-        c = dataclasses.replace(a, **{field.name: getattr(b, field.name)})
-        if unfilled(c) != unfilled(a):
-            assert recs.key(c) != recs.key(a), field.name
-        values, record = recs.values(c), recs.build(c)
-        values = values if isinstance(values, tuple) else (values,)
-        assert values == tuple(record[k] for k in sorted(recs.filled)), field.name
+    # "b%d" has one item, encoded as it is; "a" has three, written through
+    # one template; "c" has none.
+    rep = records([5, 6, 7, 8], build, answer=[0, 1, 0, 0], answers=["a", "b%d", "c"])
+    want = [{"component": n, "name": name} for n, name in zip((5, 6, 7, 8), ("a", "b%d", "a", "a"))]
+    assert report.dumps(rep) == reference_dumps({"components": want})
+    assert built == [("a", (5,)), ("b%d", (6,))]
 
 
 def test_a_report_without_records_is_the_plain_encoding():
