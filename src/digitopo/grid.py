@@ -560,22 +560,20 @@ def _component_canvas(labeling: Labeling, component_id: int, box=None):
     return _grid_of(_pad(labeling.labels[box] == component_id)), origin
 
 
-def _component_boxes(labeling: Labeling, ids=None) -> dict[int, tuple[slice, ...]]:
-    """Bounding box of each component in ``ids`` (default: every one that
-    has a cell), keyed by component id: the minima and maxima of the
-    labeller's runs along x (``Labeling.runs``) of each. They hold after
-    the 2D scan's edits (``topo2d._despeckle``): a fill lies inside its
-    owner's box, and a deletion empties a one-pixel component."""
-    if ids is not None and not ids:
+def _component_boxes(labeling: Labeling, ids) -> dict[int, tuple[slice, ...]]:
+    """Bounding box of each component in ``ids`` that has a cell, keyed by
+    component id: the minima and maxima of the labeller's runs along x
+    (``Labeling.runs``) of each. They hold after the 2D scan's edits
+    (``topo2d._despeckle``): a fill lies inside its owner's box, and a
+    deletion empties a one-pixel component."""
+    if not ids:
         return {}
     (starts, ends, comp), labels = labeling.runs, labeling.labels
     _, ny, nx = (1,) * (3 - labels.ndim) + labels.shape
-    lab = comp + 1
-    if ids is not None:
-        wanted = np.zeros(labeling.count + 1, dtype=bool)
-        wanted[list(ids)] = True
-        keep = wanted[lab]
-        lab, starts, ends = lab[keep], starts[keep], ends[keep]
+    wanted = np.zeros(labeling.count + 1, dtype=bool)
+    wanted[list(ids)] = True
+    keep = wanted[comp + 1]
+    lab, starts, ends = comp[keep] + 1, starts[keep], ends[keep]
     line = starts // (nx + 1)
     x = starts - line * (nx + 1)
     z, y = np.divmod(line, ny + 1)
@@ -601,9 +599,10 @@ class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
     and ``topo3d._HOOKS``: the dimension's rules only; a hook looks up
     what it calls when it runs, so that a traced entry point stays
-    traced. A table is ``(ok, cuts, rows)`` over the labels of a labeling:
-    label i's answer is read from the integer rows ``rows[cuts[i]:cuts[i
-    + 1]]`` where ``ok[i]`` holds."""
+    traced. A piece's answer is a list of integer rows of one format per
+    dimension, whichever route gave it. A table is ``(ok, cuts, rows)``
+    over the labels of a labeling: label i's rows are ``rows[cuts[i]:cuts[i
+    + 1]]``, its answer where ``ok[i]`` holds."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
@@ -614,10 +613,8 @@ class _Hooks(NamedTuple):
     # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
     # canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
     repair: Callable
-    slow: Callable  # (piece, fallback_oracle, component_id) -> its (hashable) answer
-    # (distinct rows, the distinct lists of their indices) -> the answer
-    # of each list; equal parts of answers share one object.
-    answers: Callable
+    slow: Callable  # (piece, fallback_oracle, component_id) -> its rows
+    answers: Callable  # (distinct lists of rows) -> the answer of each
     report: Callable  # (component_id, size, answer, edits) -> report
 
 
@@ -632,16 +629,18 @@ class _Columns(NamedTuple):
     pieces: list | None  # each on its own padded canvas, with ``keep_pieces``
 
 
-def _distinct_lists(lengths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, list]:
-    """The distinct lists of integers among lists given by their lengths
-    and their values in turn: the index of each among them, and each
-    distinct list as a tuple. One ``_distinct_rows`` call per length."""
+def _distinct_lists(lengths: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, list]:
+    """The distinct lists of integer rows among lists given by their
+    lengths and their rows in turn: the index of each among them, and
+    each distinct list as a list of rows. One ``_distinct_rows`` call per
+    length, over the lists of that length laid out as one row each."""
+    width = rows.shape[1]
     starts, index, distinct = lengths.cumsum() - lengths, np.empty(len(lengths), np.intp), []
     for n in np.flatnonzero(np.bincount(lengths)).tolist():
         at = np.flatnonzero(lengths == n)
-        rows, which = _distinct_rows(values[starts[at, None] + np.arange(n)])
+        lists, which = _distinct_rows(rows[starts[at, None] + np.arange(n)].reshape(len(at), -1))
         index[at] = which + len(distinct)
-        distinct += map(tuple, rows.tolist())
+        distinct += lists.reshape(len(lists), n, width).tolist()
     return index, distinct
 
 
@@ -695,10 +694,10 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       one-cell frames keep two canvases' objects and windows apart, and
       scan order visits one canvas after another, so a stack's labels
       number each canvas's pieces as labelling that canvas alone would;
-    * the answers stay integer rows until one ``_distinct_rows`` and one
-      ``_distinct_lists`` call give each piece its distinct answer. A
-      piece without an answer, and every piece of an unrepaired canvas,
-      goes to ``slow`` in report order, so the first piece that raises is
+    * the answers stay integer rows until one ``_distinct_lists`` call
+      gives each piece its distinct answer. A piece without an answer in
+      its table, and every piece of an unrepaired canvas, gets its rows
+      from ``slow``, in report order, so the first piece that raises is
       the one a loop over components would.
     """
     label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
@@ -708,7 +707,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     dirty, scanned, table = hooks.scan(p, codes, labeling)
     dirty = np.array(sorted(dirty), dtype=np.intp)
     del p
-    boxes = _component_boxes(labeling, None if keep_pieces else dirty.tolist())
+    boxes = _component_boxes(labeling, dirty.tolist())
     # A dirty component's canvas is its box in a frame of one empty cell.
     shapes = {cid: [s.stop - s.start + 2 for s in boxes[cid]] for cid in dirty.tolist()}
     stacks, logs = [], [scanned]
@@ -734,58 +733,54 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         table = hooks.classify(codes, labeling)
     del codes
 
-    # The tables, the grid's and then each stack's, join into one over all
-    # their labels. Each piece is one of those labels.
-    oks, cuts, rows = [table[0]], [table[1][:-1]], [table[2]]
-    clean = labeling.sizes > 0
-    clean[0] = clean[dirty] = False
-    clean = np.flatnonzero(clean)
-    cid, lab, sizes = [clean], [clean], [labeling.sizes[clean]]
-    # Cut out alone, by label: with ``keep_pieces`` every piece, else the slow ones.
-    cut = (clean if keep_pieces else clean[~table[0][clean]]).tolist()
-    boxes.update(_component_boxes(labeling, [c for c in cut if c not in boxes]))
-    canvases = {c: _component_canvas(labeling, c, boxes[c])[0] for c in cut}
-    while stacks:  # popped, so that a stack is freed once it is labelled
-        members, starts, stack = stacks.pop()
-        pieces = label(_grid_of(stack), hooks.pieces)
-        base, n = sum(map(len, oks)), sum(map(len, rows))
-        table = hooks.classify(_window_codes(_pad(stack)), pieces)
-        oks.append(table[0] & repair)  # an unrepaired canvas answers no piece
-        cuts.append(table[1][:-1] + n)
-        rows.append(table[2])
-        # Labels rise in scan order, so each canvas holds the labels up to
-        # the largest one in its rows.
-        last = pieces.labels.reshape(len(stack), -1).max(axis=1)
-        last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1]))
-        ids = np.arange(1, pieces.count + 1)
-        cid.append(members.repeat(np.diff(last, prepend=0)))
+    def tables():
+        """Each table, its labeling, its pieces' labels and their
+        components: the grid's clean components, then each stack's."""
+        clean = labeling.sizes > 0
+        clean[0] = clean[dirty] = False
+        clean = np.flatnonzero(clean)
+        yield table, labeling, clean, clean
+        while stacks:  # popped, so that a stack is freed once it is labelled
+            members, starts, stack = stacks.pop()
+            pieces = label(_grid_of(stack), hooks.pieces)
+            ok, cuts, rows = hooks.classify(_window_codes(_pad(stack)), pieces)
+            # Labels rise in scan order, so each canvas holds the labels up
+            # to the largest one in its rows.
+            last = pieces.labels.reshape(len(stack), -1).max(axis=1)
+            last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1]))
+            owners = members.repeat(np.diff(last, prepend=0))
+            # An unrepaired canvas answers no piece.
+            yield (ok & repair, cuts, rows), pieces, np.arange(1, pieces.count + 1), owners
+
+    # The tables join into one over all their labels. Each piece is one of
+    # those labels; it is cut out alone, by label, with ``keep_pieces``,
+    # or when its table does not answer it.
+    oks, cuts, rows, cid, lab, sizes, canvases = [], [], [], [], [], [], {}
+    for (ok, table_cuts, table_rows), source, ids, owners in tables():
+        base = sum(map(len, oks))
+        oks.append(ok)
+        cuts.append(table_cuts[:-1] + sum(map(len, rows)))
+        rows.append(table_rows)
+        cid.append(owners)
         lab.append(ids + base)
-        sizes.append(pieces.sizes[1:])
-        cut = ids if keep_pieces else ids[~oks[-1][ids]]
-        piece_boxes = _component_boxes(pieces, cut.tolist())
-        canvases.update(
-            (base + i, _component_canvas(pieces, i, piece_boxes[i])[0]) for i in cut.tolist()
-        )
+        sizes.append(source.sizes[ids])
+        cut = (ids if keep_pieces else ids[~ok[ids]]).tolist()
+        boxes = _component_boxes(source, cut)
+        canvases.update((base + i, _component_canvas(source, i, boxes[i])[0]) for i in cut)
     cuts.append([sum(map(len, rows))])
     oks, cuts = np.concatenate(oks), np.concatenate(cuts)
     order = np.lexsort((np.concatenate(lab), np.concatenate(cid)))
     cid, lab, sizes = (np.concatenate(c)[order] for c in (cid, lab, sizes))
 
-    # The answered pieces' rows, each a run of the joined rows, give the
-    # distinct answers; the slow ones, few but often equal, go by value.
-    answered = oks[lab]
-    first, count = cuts[lab[answered]], cuts[lab[answered] + 1] - cuts[lab[answered]]
+    # Each piece's rows: its run of the joined rows, or the rows ``slow``
+    # gives it, appended to them in report order.
+    first, count, n = cuts[lab], cuts[lab + 1] - cuts[lab], int(cuts[-1])
+    for i in np.flatnonzero(~oks[lab]).tolist():
+        rows.append(hooks.slow(canvases[lab[i]], fallback_oracle, i + 1))
+        first[i], count[i] = n, len(rows[-1])
+        n += count[i]
     at = np.arange(count.sum()) + (first - (count.cumsum() - count)).repeat(count)
-    distinct, which = _distinct_rows(np.concatenate(rows)[at])
-    answer = np.empty(len(lab), dtype=np.intp)
-    answer[answered], lists = _distinct_lists(count, which)
-    answers = hooks.answers(distinct, lists)
-    seen: dict = {}
-    for i in np.flatnonzero(~answered).tolist():
-        slow = hooks.slow(canvases[lab[i]], fallback_oracle, i + 1)
-        answer[i] = seen.setdefault(slow, len(answers))
-        if answer[i] == len(answers):
-            answers.append(slow)
+    answer, lists = _distinct_lists(count, np.concatenate(rows)[at])
 
     owners, log = (np.concatenate(c) for c in zip(*logs))
     # A stable sort by owner: each component's scan edits, then its repair edits.
@@ -793,7 +788,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     owners, log = owners[by_owner], log[by_owner]
     edits = np.stack((owners.searchsorted(cid), owners.searchsorted(cid, side="right")), axis=1)
     pieces = [canvases[i] for i in lab.tolist()] if keep_pieces else None
-    return _Columns(sizes, answer, answers, edits, log, pieces)
+    return _Columns(sizes, answer, hooks.answers(lists), edits, log, pieces)
 
 
 def _analyze(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):

@@ -9,6 +9,8 @@ fixtures diffable; write_pbm_p4 exists for the packed variant.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import ParseError
@@ -22,6 +24,11 @@ def _strip_comment(line: bytes) -> bytes:
     return line if cut < 0 else line[:cut]
 
 
+# Header whitespace with its comments, and one header token.
+_SKIP = re.compile(rb"(?:\s|#[^\n]*)*")
+_TOKEN = re.compile(rb"[^\s#]+")
+
+
 def _header_tokens(data: bytes, want: int, start_line: int, start: int):
     """Collect `want` whitespace-separated header tokens with line tracking,
     reading `data` from offset `start`.
@@ -30,29 +37,14 @@ def _header_tokens(data: bytes, want: int, start_line: int, start: int):
     whitespace. Offsets are into `data`.
     """
     tokens: list[bytes] = []
-    line = start_line
-    i = start
-    n = len(data)
+    line, i = start_line, start
     while len(tokens) < want:
-        if i >= n:
+        j = _SKIP.match(data, i).end()
+        line += data.count(b"\n", i, j)
+        if j >= len(data):
             raise ParseError("unexpected end of file in header", line)
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        if c == b"\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-            j += 1
-        tokens.append(data[i:j])
-        i = j
+        i = _TOKEN.match(data, j).end()
+        tokens.append(data[j:i])
     return tokens, i, line
 
 

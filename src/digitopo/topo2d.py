@@ -150,6 +150,10 @@ class HoleReport:
     precondition_ok: bool
 
 
+# A component row's method: its index here.
+_METHODS = (HoleMethod.FORMULA, HoleMethod.ORACLE_FALLBACK)
+_FORMULA, _ORACLE = range(2)
+
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -341,17 +345,33 @@ def hole_count(
     """
     if check_single and _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
         raise ValueError("expected a single connected component")
+    return HoleReport(component_id, component.area, *_answer(_piece_rows(component)))
+
+
+def _answer(rows) -> tuple[CornerHistogram, int, HoleMethod, bool]:
+    """``(histogram, holes, method, precondition_ok)`` of a component from
+    its one row: its histogram's counts (``_histogram_of``), its holes
+    and its method (``_METHODS``). The formula's preconditions held
+    exactly when it answered."""
+    ((*counts, holes, method),) = rows
+    return _histogram_of(counts), holes, _METHODS[method], method == _FORMULA
+
+
+def _piece_rows(component: Image2D, fallback_oracle: bool = True, component_id: int = 1):
+    """The row (``_answer``) of a component, in a list: the corner law's,
+    or the flood fill's where the law may not answer. With the fallback
+    off, that raises before the oracle runs."""
     _require_nonempty(component.cells)
     codes = _window_codes(_pad(component.cells))
-    hist = _corner_histogram(_boundary_bins(codes))
-    area = component.area
+    counts = (_boundary_bins(codes) @ _FOLD).tolist()
     bins = np.bincount(codes.ravel(), minlength=16)
     if not bins[_DIAGONAL].any():
         holes = 1 + int(bins @ _TURN) // 4
         if holes >= 0:
-            return HoleReport(component_id, area, hist, holes, HoleMethod.FORMULA, True)
-    holes = holes_by_floodfill(component)
-    return HoleReport(component_id, area, hist, holes, HoleMethod.ORACLE_FALLBACK, False)
+            return [[*counts, holes, _FORMULA]]
+    if not fallback_oracle:
+        raise PreconditionFailure(f"component {component_id} has a diagonal window")
+    return [[*counts, holes_by_floodfill(component), _ORACLE]]
 
 
 def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
@@ -388,9 +408,8 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
 def _window_pass(codes: np.ndarray, labeling: Labeling):
     """The answer of every label from the window codes of the labelled
     image in a frame of one empty pixel: the table ``(ok, cuts, rows)`` of
-    ``grid._Hooks``, one row per label, its histogram's counts
-    (``_histogram_of``) and its holes, with ``ok`` False for a component
-    with a diagonal window between two of its own pixels.
+    ``grid._Hooks``, one row per label (``_answer``), with ``ok`` False
+    for a component with a diagonal window between two of its own pixels.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
@@ -415,7 +434,8 @@ def _window_pass(codes: np.ndarray, labeling: Labeling):
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
     holes = 1 + turn.astype(np.int64) // 4
-    return ok, np.arange(count + 2), np.column_stack((bins @ _FOLD, holes))
+    rows = np.column_stack((bins @ _FOLD, holes, np.full(count + 1, _FORMULA)))
+    return ok, np.arange(count + 2), rows
 
 
 def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
@@ -426,32 +446,14 @@ def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     return np.flatnonzero(~table[0][1:] & (labeling.sizes[1:] > 0)) + 1, speckles, table
 
 
-def _checked_hole_count(piece: Image2D, fallback_oracle, component_id):
-    """The answer of the piece's ``hole_count``."""
-    r = hole_count(piece, component_id, check_single=False)
-    if not r.precondition_ok and not fallback_oracle:
-        raise PreconditionFailure(f"component {component_id} has a diagonal window")
-    return r.histogram, r.holes, r.method, r.precondition_ok
-
-
-def _answers(rows: np.ndarray, lists: list) -> list:
-    """``(histogram, holes, method, precondition_ok)`` of each distinct
-    answer, a list of one row. Equal histograms share one object."""
-    rows, shared = rows.tolist(), {}
-    return [
-        (shared.setdefault((*c,), _histogram_of(c)), holes, HoleMethod.FORMULA, True)
-        for *c, holes in (rows[i] for (i,) in lists)
-    ]
-
-
 _HOOKS = _Hooks(
     capture=Adjacency.DIRECT_2D,
     pieces=Adjacency.DIRECT_2D,
     scan=_scan,
     classify=_window_pass,
     repair=lambda stack, canvases: repair_2d(stack, _canvases=canvases),
-    slow=_checked_hole_count,
-    answers=_answers,
+    slow=_piece_rows,
+    answers=lambda lists: list(map(_answer, lists)),
     report=lambda n, area, answer, _: HoleReport(n, area, *answer),
 )
 # ``holes_pipeline`` with ``keep_pieces``, and its columns, which the

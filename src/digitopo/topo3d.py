@@ -51,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -475,13 +474,19 @@ def split_surface_components(s: SurfacePointSet) -> list[SurfacePointSet]:
     return [SurfacePointSet(s._codes, ids) for ids in np.split(members, cuts)]
 
 
+# A surface row's method: its index here.
+_METHODS = ("formula", "euler-oracle")
+_FORMULA, _ORACLE = range(2)
+
+
 def _surface_rows(codes: np.ndarray, labels: np.ndarray, count: int):
     """The table (``grid._Hooks``) of the surfaces of every label, from the
-    padded grid's ``codes``: a row per surface, its bincount of points by
-    neighbor count, by minimal vertex; ``ok`` is False where one fails
-    ``genus``'s test, here on arrays. ``labels`` must keep 26-adjacent
-    voxels under one label; a surface belongs to the label of the voxels
-    around its minimal vertex, read at its lowest object voxel."""
+    padded grid's ``codes``: a row per surface, by minimal vertex, of its
+    bincount of points by neighbor count, its genus and its method
+    (``_METHODS``); ``ok`` is False where one fails ``genus``'s test, here
+    on arrays, and its genus means nothing. ``labels`` must keep
+    26-adjacent voxels under one label; a surface belongs to the label of
+    the voxels around its minimal vertex, read at its lowest object voxel."""
     node_ids, n, comp = _surface_graph(np.flatnonzero(_surface_mask(codes)), codes)
     counts = _DEGREE[codes.ravel()[node_ids]]
     # node_ids is ascending and surfaces are numbered by their first node,
@@ -499,14 +504,8 @@ def _surface_rows(codes: np.ndarray, labels: np.ndarray, count: int):
     num = bins[:, 5] + 2 * bins[:, 6] - bins[:, 3]
     ok = np.ones(count + 1, dtype=bool)
     ok[owner[bins[:, :3].any(axis=1) | (num % 8 != 0) | (num < -8)]] = False
-    return ok, owner.searchsorted(np.arange(count + 2)), bins
-
-
-def _formula_report(bins) -> SurfaceReport:
-    """The formula report of a surface from its points' bincount by neighbor count."""
-    histogram = _surface_histogram(bins)
-    g = genus(histogram)
-    return SurfaceReport(sum(bins), histogram, g, 2 - 2 * g, "formula")
+    rows = np.column_stack((bins, 1 + num // 8, np.full(n, _FORMULA)))
+    return ok, owner.searchsorted(np.arange(count + 2)), rows
 
 
 def classify_surface(s: SurfacePointSet) -> SurfaceHistogram:
@@ -530,21 +529,37 @@ def genus(hist: SurfaceHistogram) -> int:
     return 1 + num // 8
 
 
-def _oracle_surfaces(vol: Volume3D, codes: np.ndarray) -> list[SurfaceReport]:
-    """Surface reports from the boundary-face Euler characteristic of ``vol``, coded ``codes``."""
-    surfaces = []
+def _answer(rows) -> tuple[tuple[SurfaceReport, ...], tuple[int, int, int, int]]:
+    """``(surfaces, betti)`` of a component from its surface rows: each
+    one's bincount of points by neighbor count, its genus and its method."""
+    surfaces = tuple(
+        SurfaceReport(sum(bins), _surface_histogram(bins), g, 2 - 2 * g, _METHODS[method])
+        for *bins, g, method in rows
+    )
+    return surfaces, (1, sum(s.genus for s in surfaces), len(surfaces) - 1, 0)
+
+
+def _piece_rows(vol: Volume3D, fallback_oracle: bool = True, _component_id: int = 1):
+    """The surface rows (``_surface_rows``) of one connected component:
+    the formula's, or, when any surface fails ``genus``'s test, the
+    boundary-face Euler characteristic's for every surface. With the
+    fallback off, that raises before the oracle runs."""
+    if not vol.cells.any():
+        raise ValueError("empty volume")
+    codes = _window_codes(_pad(vol.cells))
+    # The cells as labels: every surface belongs to label 1.
+    ok, _, rows = _surface_rows(codes, vol.cells.view(np.uint8), 1)
+    if ok[1]:
+        return rows
+    if not fallback_oracle:
+        raise _SurfaceFormulaRefused("not a valid digital surface")
+    rows = []
     for summary, (vx, vy, vz) in _surface_components([vol])[0]:
         if summary.chi % 2 != 0:
             raise InvalidSurfaceError("non-orientable or non-manifold boundary")
-        g = (2 - summary.chi) // 2
-        hist = _surface_histogram(np.bincount(_DEGREE[codes[vz, vy, vx]], minlength=7))
-        surfaces.append(SurfaceReport(summary.v, hist, g, summary.chi, "euler-oracle"))
-    return surfaces
-
-
-def _betti(surfaces) -> tuple[int, int, int, int]:
-    """The Betti numbers of a component with these boundary surfaces."""
-    return (1, sum(s.genus for s in surfaces), len(surfaces) - 1, 0)
+        bins = np.bincount(_DEGREE[codes[vz, vy, vx]], minlength=7).tolist()
+        rows.append([*bins, (2 - summary.chi) // 2, _ORACLE])
+    return np.array(rows, dtype=np.int64)
 
 
 def homology(
@@ -560,20 +575,8 @@ def homology(
     the oracle fallback is enabled, all surfaces are recomputed from the
     boundary-face Euler characteristic instead.
     """
-    if not vol.cells.any():
-        raise ValueError("empty volume")
-    codes = _window_codes(_pad(vol.cells))
-    # The cells as labels: every surface belongs to label 1.
-    ok, _, rows = _surface_rows(codes, vol.cells.view(np.uint8), 1)
-    if ok[1]:
-        surfaces = tuple(map(_formula_report, rows.tolist()))
-    elif fallback_oracle:
-        surfaces = tuple(_oracle_surfaces(vol, codes))
-    else:
-        raise _SurfaceFormulaRefused("not a valid digital surface")
-    return TopoReport3D(
-        component_id, vol.voxel_count, surfaces, _betti(surfaces), tuple(repair_actions)
-    )
+    surfaces, betti = _answer(_piece_rows(vol, fallback_oracle).tolist())
+    return TopoReport3D(component_id, vol.voxel_count, surfaces, betti, tuple(repair_actions))
 
 
 def _scan(_p, codes: np.ndarray, lab26: Labeling):
@@ -587,21 +590,14 @@ def _scan(_p, codes: np.ndarray, lab26: Labeling):
     return set(owners.tolist()), (np.zeros(0, np.int64), np.zeros((0, 5), np.int64)), None
 
 
-def _answers(rows: np.ndarray, lists: list) -> list:
-    """``(surfaces, betti)`` of each distinct list of surface rows, which
-    share one report per distinct row."""
-    surfaces = [_formula_report(bins) for bins in rows.tolist()]
-    return [(s, _betti(s)) for s in (tuple(surfaces[i] for i in ids) for ids in lists)]
-
-
 _HOOKS = _Hooks(
     capture=Adjacency.INDIRECT_3D,
     pieces=Adjacency.DIRECT_3D,
     scan=_scan,
     classify=lambda codes, labeling: _surface_rows(codes, labeling.labels, labeling.count),
     repair=lambda stack, canvases: repair_3d(stack, _canvases=canvases),
-    slow=lambda *args: attrgetter("boundary_surfaces", "betti")(homology(*args)),
-    answers=_answers,
+    slow=_piece_rows,
+    answers=lambda lists: list(map(_answer, lists)),
     report=lambda n, voxels, answer, edits: TopoReport3D(n, voxels, *answer, edits),
 )
 # ``analyze_volume`` with ``keep_pieces``, and its columns, which the

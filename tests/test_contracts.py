@@ -128,6 +128,44 @@ def test_src_finds_distinct_rows_without_np_unique_axis():
     assert calls == []
 
 
+def _callers(name: str) -> list[str]:
+    """``module.function`` of the top-level definition around every call
+    in src/ of ``name``, as a plain name or an attribute, once per call."""
+    found = []
+    for path in sorted((SRC / "digitopo").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == name:
+                        found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_each_answer_object_has_one_builder():
+    # A piece's answer stays integer rows, whichever route gave it, and
+    # the driver dedupes every piece's rows in one call; only a distinct
+    # list of rows becomes objects, through one builder per object.
+    assert _callers("SurfaceReport") == ["topo3d._answer"]
+    assert _callers("CornerHistogram") == ["topo2d._histogram_of"]
+    assert _callers("_distinct_lists").count("grid._per_component") == 1
+    assert "grid._per_component" not in _callers("_distinct_rows")
+
+
+def test_src_parses_under_the_declared_python_floor():
+    # No interpreter as old as the floor that pyproject.toml declares is
+    # needed to check its grammar.
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = (3, int(floor.group(1)))
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
 def test_cli_runs_import_no_numpy_ma(tmp_path):
     # A plain np.unique(x) imports numpy.ma, about 10 ms per process.
     # src/ calls no np.unique; these runs, through the 2D and 3D

@@ -24,6 +24,7 @@ from digitopo.grid import (
     _LOW_BIT,
     _component_boxes,
     _component_canvas,
+    _distinct_lists,
     _distinct_rows,
     _grid_of,
     _pad,
@@ -205,7 +206,7 @@ def test_component_canvas_with_and_without_box():
         label = label_components_2d if adjacency.ndim == 2 else label_components_3d
         for _ in range(10):
             lab = label(_grid_of(rng.random(shape) < 0.4), adjacency)
-            boxes = _component_boxes(lab)
+            boxes = _component_boxes(lab, range(1, lab.count + 1))
             for cid in range(1, lab.count + 1):
                 canvas, origin = _component_canvas(lab, cid, boxes[cid])
                 assert (canvas, origin) == _component_canvas(lab, cid)
@@ -263,6 +264,25 @@ def test_distinct_rows_match_np_unique(columns, pool, values, size, seed):
     assert np.array_equal(got, want)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
     assert np.array_equal(got[inverse], rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.sampled_from([8, 9]),
+    lengths=st.lists(st.integers(1, 3), max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_lists_match_a_dict_of_tuples(width, lengths, seed):
+    # Lists of 1-3 rows from a pool of four, so many lists repeat and
+    # lists of one length share rows with lists of another.
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 3, size=(4, width))
+    rows = pool[rng.integers(0, 4, size=sum(lengths))].reshape(-1, width)
+    index, distinct = _distinct_lists(np.array(lengths, dtype=np.int64), rows)
+    starts = np.cumsum([0, *lengths]).tolist()
+    lists = [rows[a:b].tolist() for a, b in zip(starts, starts[1:])]
+    assert [distinct[i] for i in index.tolist()] == lists
+    assert len(distinct) == len({str(x) for x in lists})
 
 
 def reference_window_pixels(vertices, bits, width):

@@ -193,6 +193,16 @@ class TestPbm:
         with pytest.raises(ParseError, match="truncated"):
             read_pbm(path)
 
+    def test_p4_header_ending_in_a_comment_exits_1(self, capsys, tmp_path):
+        # The comment runs to the newline, so the byte after the header is
+        # the body's first, not the one whitespace byte that must end it.
+        path = tmp_path / "i.pbm"
+        path.write_bytes(b"P4\n1 1#c\n\x80")
+        assert cli_dispatch(["holes", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "digitopo: error: line 2: P4 header must end with whitespace\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # vox3
@@ -971,6 +981,16 @@ class TestCliExitCodes:
                 assert cli_dispatch(["gen", shape, str(path), "--rate", rate]) == 1, rate
                 assert capsys.readouterr().err == "digitopo: error: bad noise parameters\n"
                 assert not path.exists()
+
+    def test_empty_polyomino_and_blob_exit_1(self, capsys, tmp_path):
+        for shape, flag, error in (
+            ("holey2d", "--area", "bad polyomino parameters"),
+            ("blob3d", "--volume", "bad blob parameters"),
+        ):
+            path = tmp_path / f"{shape}.out"
+            assert cli_dispatch(["gen", shape, str(path), flag, "0"]) == 1, shape
+            assert capsys.readouterr().err == f"digitopo: error: {error}\n"
+            assert not path.exists()
 
     def test_exit_code_follows_the_error_type(self, capsys, tmp_path):
         # Two raw volumes of TestCliPinnedOutput3D, left unrepaired. On the

@@ -63,7 +63,7 @@ def assert_matches_scipy(cells: np.ndarray, adjacency: Adjacency) -> None:
     assert np.array_equal(lab.labels, want)
     assert lab.sizes.tolist() == np.bincount(want.ravel(), minlength=count + 1).tolist()
     assert _count_components(cells, adjacency) == count
-    boxes = _component_boxes(lab)
+    boxes = _component_boxes(lab, range(1, count + 1))
     assert [boxes[cid] for cid in range(1, count + 1)] == ndimage.find_objects(want)
 
 
@@ -257,7 +257,7 @@ def test_long_chains_of_runs_match_scipy(cells, adjacency):
 def test_boxes_of_chosen_labels_only():
     rng = np.random.default_rng(3)
     lab = label(rng.random((20, 30)) < 0.4, Adjacency.DIRECT_2D)
-    every = _component_boxes(lab)
+    every = _component_boxes(lab, range(1, lab.count + 1))
     chosen = [1, lab.count, lab.count // 2]
     assert _component_boxes(lab, chosen) == {cid: every[cid] for cid in chosen}
     assert _component_boxes(lab, []) == {}

@@ -1,11 +1,13 @@
 """The block parsers against the loop parsers they replaced.
 
-``pbm._read_p1_body`` classifies the whole P1 body at once and
+``pbm._read_p1_body`` classifies the whole P1 body at once,
+``pbm._header_tokens`` reads the PBM header by two regular expressions and
 ``vox3.iter_vox3_slabs`` reads a slab per call. The references below are
-the byte-by-byte P1 body parser and the row-by-row slab reader. On every
-mutant of a valid file both must give the same grid or the same
-``ParseError`` text, line included; for vox3 the slabs yielded before
-the error must match too, since a streaming fold has already seen them.
+the byte-by-byte P1 body parser and header reader and the row-by-row slab
+reader. On every mutant of a valid file both must give the same grid (or
+tokens) or the same ``ParseError`` text, line included; for vox3 the
+slabs yielded before the error must match too, since a streaming fold has
+already seen them.
 """
 
 from unittest import mock
@@ -41,6 +43,34 @@ def reference_p1_body(data, start, width, height, line):
         )
     cells = np.array(bits[:need], dtype=bool).reshape(height, width)
     return Image2D(width, height, cells)
+
+
+def reference_header_tokens(data, want, start_line, start):
+    tokens = []
+    line = start_line
+    i = start
+    n = len(data)
+    while len(tokens) < want:
+        if i >= n:
+            raise ParseError("unexpected end of file in header", line)
+        c = data[i : i + 1]
+        if c == b"#":
+            while i < n and data[i : i + 1] != b"\n":
+                i += 1
+            continue
+        if c == b"\n":
+            line += 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+            j += 1
+        tokens.append(data[i:j])
+        i = j
+    return tokens, i, line
 
 
 def reference_iter_vox3_slabs(path):
@@ -117,6 +147,31 @@ def p1_files(draw):
     return ("\n".join([header, *rows]) + "\n").encode(), len(header)
 
 
+# Header bytes: whitespace that ``bytes.isspace`` takes and some that it
+# does not (\x1c-\x1f and \x85 are whitespace to ``str.isspace`` only).
+HEADER_BYTE = st.sampled_from([bytes((b,)) for b in b"07 #\n\r\t\x0b\x0cx\x1c\x1f\x80\x85\xa0\xff"])
+
+
+@st.composite
+def pbm_headers(draw):
+    """A PBM header and the start of its body, with up to six byte edits
+    anywhere past the magic."""
+    width, height = draw(st.integers(0, 120)), draw(st.integers(0, 120))
+    sep = draw(st.sampled_from([" ", "\n", " # c 1 2\n", "\t#\n\n", "\r\n"]))
+    text = f"{draw(st.sampled_from(['P1', 'P4']))}{sep}{width}{sep}{height}\n\x80\x01"
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        i = draw(st.integers(2, len(data)))
+        if kind == "insert":
+            data[i:i] = draw(HEADER_BYTE)
+        elif kind == "truncate":
+            del data[i:]
+        elif i < len(data):
+            data[i : i + 1] = draw(HEADER_BYTE) if kind == "flip" else b""
+    return bytes(data)
+
+
 @st.composite
 def vox3_files(draw):
     nx, ny, nz = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -166,6 +221,20 @@ def test_p1_block_parser_matches_reference(scratch, data):
     with mock.patch.object(pbm, "_read_p1_body", reference_p1_body):
         want = pbm_outcome(scratch)
     assert got == want
+
+
+def header_outcome(read, data, want, start_line):
+    try:
+        return read(data, want, start_line, 2)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=pbm_headers(), want=st.integers(1, 3), start_line=st.integers(1, 3))
+def test_header_reader_matches_reference(data, want, start_line):
+    got = header_outcome(pbm._header_tokens, data, want, start_line)
+    assert got == header_outcome(reference_header_tokens, data, want, start_line)
 
 
 @settings(max_examples=400, deadline=None)

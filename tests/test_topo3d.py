@@ -264,6 +264,9 @@ class TestPointSpace:
         vol = volume("111\n101\n111")
         assert len(to_point_space(vol)) == 32
 
+    def test_point_space_repr_counts_its_points(self):
+        assert repr(to_point_space(solid(2, 2, 2))) == "SurfacePointSet(26 points)"
+
 
 # ---------------------------------------------------------------------------
 # surface neighbors and classification
