@@ -597,24 +597,28 @@ def _component_boxes(labeling: Labeling, ids) -> dict[int, tuple[slice, ...]]:
 
 class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
-    and ``topo3d._HOOKS``: the dimension's rules only; a hook looks up
-    what it calls when it runs, so that a traced entry point stays
-    traced. A piece's answer is a list of integer rows of one format per
-    dimension, whichever route gave it. A table is ``(ok, cuts, rows)``
-    over the labels of a labeling: label i's rows are ``rows[cuts[i]:cuts[i
-    + 1]]``, its answer where ``ok[i]`` holds."""
+    and ``topo3d._HOOKS``: the dimension's rules only, each the same
+    call in both dimensions. ``scan``, ``classify``, ``slow`` and
+    ``answer`` are the dimension's own functions. ``repair`` stays a
+    lambda: it looks up ``repair_2d``/``repair_3d`` when it runs, so
+    that the traced entry points see the driver's repairs too. A piece's
+    answer is a list of integer rows of one format per dimension,
+    whichever route gave it. A table is ``(ok, cuts, rows)`` over the
+    labels of a labeling: label i's rows are ``rows[cuts[i]:cuts[i +
+    1]]``, its answer where ``ok[i]`` holds."""
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (padded grid, its codes, labeling) -> (dirty components' ids, (owner
-    # of each edit, edits as rows of ``_actions``), the grid's table or None).
+    # (padded grid, its codes, labeling) -> (dirty components' ids,
+    # ascending, (owner of each edit, edits as rows of ``_actions``), the
+    # grid's table or None).
     scan: Callable
-    classify: Callable  # (codes, labeling) -> the table of every label
+    classify: Callable  # (codes, labels, count) -> the table of every label
     # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
     # canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
     repair: Callable
     slow: Callable  # (piece, fallback_oracle, component_id) -> its rows
-    answers: Callable  # (distinct lists of rows) -> the answer of each
+    answer: Callable  # (a distinct list of rows) -> its answer
     report: Callable  # (component_id, size, answer, edits) -> report
 
 
@@ -668,9 +672,11 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     padded canvas, repaired there, relabelled into pieces and each piece
     classified: ``holes_pipeline``, ``analyze_volume``, ``holes``,
     ``homology`` and ``validate``, with the ``hooks`` of their dimension.
-    Returns ``_Columns``: the pieces in component order, and the log in
-    source coordinates: per component in id order, its scan edits and then
-    its repair edits, moved by its canvas origin.
+    Returns ``_Columns``: the pieces in component order, each one's canvas
+    too with ``keep_pieces`` (``validate`` checks them against the
+    oracles), and the log in source coordinates: per component in id
+    order, its scan edits and then its repair edits, moved by its canvas
+    origin.
 
     The work is done per grid, not per component. Every answer is read
     from 2x2 (2x2x2) windows, whose object cells are adjacent through the
@@ -695,7 +701,8 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       scan order visits one canvas after another, so a stack's labels
       number each canvas's pieces as labelling that canvas alone would;
     * the answers stay integer rows until one ``_distinct_lists`` call
-      gives each piece its distinct answer. A piece without an answer in
+      gives each piece its distinct answer, and ``answer`` makes each
+      distinct list into objects once. A piece without an answer in
       its table, and every piece of an unrepaired canvas, gets its rows
       from ``slow``, in report order, so the first piece that raises is
       the one a loop over components would.
@@ -705,7 +712,6 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     p = _pad(grid.cells)
     codes = _window_codes(p)
     dirty, scanned, table = hooks.scan(p, codes, labeling)
-    dirty = np.array(sorted(dirty), dtype=np.intp)
     del p
     boxes = _component_boxes(labeling, dirty.tolist())
     # A dirty component's canvas is its box in a frame of one empty cell.
@@ -730,7 +736,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
             logs.append((np.array(members)[owner], edits))
         stacks.append((np.array(members), starts, stack))
     if table is None:  # classified after every repair: a cycle raises first
-        table = hooks.classify(codes, labeling)
+        table = hooks.classify(codes, labeling.labels, labeling.count)
     del codes
 
     def tables():
@@ -743,7 +749,9 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         while stacks:  # popped, so that a stack is freed once it is labelled
             members, starts, stack = stacks.pop()
             pieces = label(_grid_of(stack), hooks.pieces)
-            ok, cuts, rows = hooks.classify(_window_codes(_pad(stack)), pieces)
+            ok, cuts, rows = hooks.classify(
+                _window_codes(_pad(stack)), pieces.labels, pieces.count
+            )
             # Labels rise in scan order, so each canvas holds the labels up
             # to the largest one in its rows.
             last = pieces.labels.reshape(len(stack), -1).max(axis=1)
@@ -788,21 +796,22 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     owners, log = owners[by_owner], log[by_owner]
     edits = np.stack((owners.searchsorted(cid), owners.searchsorted(cid, side="right")), axis=1)
     pieces = [canvases[i] for i in lab.tolist()] if keep_pieces else None
-    return _Columns(sizes, answer, hooks.answers(lists), edits, log, pieces)
+    return _Columns(sizes, answer, list(map(hooks.answer, lists)), edits, log, pieces)
 
 
-def _analyze(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
-    """``_per_component`` as the public API gives it: one ``(report,
-    piece)`` per piece, the piece None unless ``keep_pieces`` is set, each
-    report with its component's edits, and the log as ``RepairAction``s."""
-    found = _per_component(hooks, grid, repair, fallback_oracle, keep_pieces)
+def _analyze(hooks: _Hooks, grid, repair=True, fallback_oracle=True):
+    """``_per_component`` as the public API gives it: ``(reports,
+    actions)``, one report per piece, each with its component's edits,
+    and the log as ``RepairAction``s. ``holes_pipeline`` and
+    ``analyze_volume`` return it as it is."""
+    found = _per_component(hooks, grid, repair, fallback_oracle)
     actions = _actions(found.log)
     rows = zip(found.sizes.tolist(), found.answer.tolist(), found.edits.tolist())
     reports = [
         hooks.report(n, size, found.answers[a], tuple(actions[i:j]))
         for n, (size, a, (i, j)) in enumerate(rows, 1)
     ]
-    return list(zip(reports, found.pieces or [None] * len(reports))), actions
+    return reports, actions
 
 
 def extract_component(labeling: Labeling, component_id: int):

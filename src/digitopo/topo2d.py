@@ -330,22 +330,17 @@ def check_preconditions_2d(component: Image2D) -> PreconditionReport:
     return PreconditionReport(not pathologies, pathologies)
 
 
-def hole_count(
-    component: Image2D,
-    component_id: int = 1,
-    check_single: bool = True,
-) -> HoleReport:
-    """Hole count of a single connected component.
+def hole_count(component: Image2D) -> HoleReport:
+    """Hole count of a single connected component, reported as component 1.
 
     One bincount of the window codes gives the vertex corner counts; the
     histogram is read from the same codes. With no diagonal window the
     corner law answers, and is exact; otherwise the flood-fill oracle
-    does. The law can go negative only on several components
-    (``check_single=False``), which also go to the oracle.
+    does. Raises ValueError unless ``component`` is one 4-component.
     """
-    if check_single and _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
+    if _count_components(component.cells, Adjacency.DIRECT_2D) != 1:
         raise ValueError("expected a single connected component")
-    return HoleReport(component_id, component.area, *_answer(_piece_rows(component)))
+    return HoleReport(1, component.area, *_answer(_piece_rows(component)))
 
 
 def _answer(rows) -> tuple[CornerHistogram, int, HoleMethod, bool]:
@@ -358,17 +353,15 @@ def _answer(rows) -> tuple[CornerHistogram, int, HoleMethod, bool]:
 
 
 def _piece_rows(component: Image2D, fallback_oracle: bool = True, component_id: int = 1):
-    """The row (``_answer``) of a component, in a list: the corner law's,
-    or the flood fill's where the law may not answer. With the fallback
-    off, that raises before the oracle runs."""
+    """The row (``_answer``) of one 4-component, in a list: the corner
+    law's, or the flood fill's where the law may not answer. With the
+    fallback off, that raises before the oracle runs."""
     _require_nonempty(component.cells)
     codes = _window_codes(_pad(component.cells))
     counts = (_boundary_bins(codes) @ _FOLD).tolist()
     bins = np.bincount(codes.ravel(), minlength=16)
     if not bins[_DIAGONAL].any():
-        holes = 1 + int(bins @ _TURN) // 4
-        if holes >= 0:
-            return [[*counts, holes, _FORMULA]]
+        return [[*counts, 1 + int(bins @ _TURN) // 4, _FORMULA]]
     if not fallback_oracle:
         raise PreconditionFailure(f"component {component_id} has a diagonal window")
     return [[*counts, holes_by_floodfill(component), _ORACLE]]
@@ -405,18 +398,18 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     return owner, np.stack((ys, xs, fill, np.full_like(ys, _SPECKLE)), axis=1)
 
 
-def _window_pass(codes: np.ndarray, labeling: Labeling):
-    """The answer of every label from the window codes of the labelled
-    image in a frame of one empty pixel: the table ``(ok, cuts, rows)`` of
-    ``grid._Hooks``, one row per label (``_answer``), with ``ok`` False
-    for a component with a diagonal window between two of its own pixels.
+def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
+    """The answer of every label 0..``count`` of ``labels`` from the
+    window codes of the labelled image in a frame of one empty pixel: the
+    table ``(ok, cuts, rows)`` of ``grid._Hooks``, one row per label
+    (``_answer``), with ``ok`` False for a component with a diagonal
+    window between two of its own pixels.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
     histogram (``grid._per_component`` says why each window is read as
     on the component's own canvas).
     """
-    labels, count = labeling.labels, labeling.count
     flat = labels.reshape(-1)
     vertices = _where(codes, _CORNER)
     c = codes.reshape(-1)[vertices]
@@ -442,7 +435,7 @@ def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
     of the despeckled image, whose ``ok`` marks the dirty ones."""
     speckles = _despeckle(p, codes, labeling)
-    table = _window_pass(codes, labeling)
+    table = _window_pass(codes, labeling.labels, labeling.count)
     return np.flatnonzero(~table[0][1:] & (labeling.sizes[1:] > 0)) + 1, speckles, table
 
 
@@ -453,11 +446,11 @@ _HOOKS = _Hooks(
     classify=_window_pass,
     repair=lambda stack, canvases: repair_2d(stack, _canvases=canvases),
     slow=_piece_rows,
-    answers=lambda lists: list(map(_answer, lists)),
+    answer=_answer,
     report=lambda n, area, answer, _: HoleReport(n, area, *answer),
 )
-# ``holes_pipeline`` with ``keep_pieces``, and its columns, which the
-# command line reads: see ``grid._per_component``.
+# ``holes_pipeline``, and its columns, which the command line reads: see
+# ``grid._per_component``.
 _analyze_components = partial(_analyze, _HOOKS)
 _columns = partial(_per_component, _HOOKS)
 
@@ -479,5 +472,4 @@ def holes_pipeline(
     deleted, even one that touches another component diagonally (so not
     8-isolated, and kept by ``remove_speckles`` on the whole image).
     """
-    results, actions = _analyze_components(img, repair, fallback_oracle)
-    return [r for r, _ in results], actions
+    return _analyze_components(img, repair, fallback_oracle)

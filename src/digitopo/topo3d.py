@@ -562,13 +562,9 @@ def _piece_rows(vol: Volume3D, fallback_oracle: bool = True, _component_id: int 
     return np.array(rows, dtype=np.int64)
 
 
-def homology(
-    vol: Volume3D,
-    fallback_oracle: bool = True,
-    component_id: int = 1,
-    repair_actions: tuple[RepairAction, ...] = (),
-) -> TopoReport3D:
-    """Betti numbers of one connected, repaired voxel component.
+def homology(vol: Volume3D, fallback_oracle: bool = True) -> TopoReport3D:
+    """Betti numbers of one connected, repaired voxel component, reported
+    as component 1 with no repair edits.
 
     When any boundary surface fails to classify (irregular points or a
     non-divisible histogram, both signs of a non-well-composed input) and
@@ -576,33 +572,33 @@ def homology(
     boundary-face Euler characteristic instead.
     """
     surfaces, betti = _answer(_piece_rows(vol, fallback_oracle).tolist())
-    return TopoReport3D(component_id, vol.voxel_count, surfaces, betti, tuple(repair_actions))
+    return TopoReport3D(1, vol.voxel_count, surfaces, betti)
 
 
 def _scan(_p, codes: np.ndarray, lab26: Labeling):
     """The driver's scan (``grid._Hooks``): the ids of the components
-    that own a pathological window. A window's object voxels are
-    26-adjacent, so they carry one label, read at its lowest one. It
+    that own a pathological window, ascending. A window's object voxels
+    are 26-adjacent, so they carry one label, read at its lowest one. It
     makes no edit and gives no answers."""
     codes = codes.reshape(-1)
     at = _where(codes, _CODE_DIRTY)
     owners = lab26.labels.reshape(-1)[_window_cells(lab26.labels.shape, at, _LOW_BIT[codes[at]])]
-    return set(owners.tolist()), (np.zeros(0, np.int64), np.zeros((0, 5), np.int64)), None
+    dirty = np.flatnonzero(np.bincount(owners, minlength=lab26.count + 1))
+    return dirty, (np.zeros(0, np.int64), np.zeros((0, 5), np.int64)), None
 
 
 _HOOKS = _Hooks(
     capture=Adjacency.INDIRECT_3D,
     pieces=Adjacency.DIRECT_3D,
     scan=_scan,
-    classify=lambda codes, labeling: _surface_rows(codes, labeling.labels, labeling.count),
+    classify=_surface_rows,
     repair=lambda stack, canvases: repair_3d(stack, _canvases=canvases),
     slow=_piece_rows,
-    answers=lambda lists: list(map(_answer, lists)),
+    answer=_answer,
     report=lambda n, voxels, answer, edits: TopoReport3D(n, voxels, *answer, edits),
 )
-# ``analyze_volume`` with ``keep_pieces``, and its columns, which the
-# command line reads: see ``grid._per_component``.
-_analyze_pieces = partial(_analyze, _HOOKS)
+# ``analyze_volume``'s columns, which the command line reads: see
+# ``grid._per_component``.
 _columns = partial(_per_component, _HOOKS)
 
 
@@ -619,9 +615,9 @@ def analyze_volume(
     (``grid._per_component``); edit coordinates are mapped back to the
     source volume. A repaired canvas has no pathological window, so its
     6-pieces are its 26-components and one formula pass keyed by their
-    labels classifies them. ``homology`` runs only on a piece whose
-    histogram fails ``genus``, for the oracle fallback, and, without
-    repair, on each piece of a dirty component.
+    labels classifies them. The per-piece rows that ``homology`` reads
+    (``_piece_rows``) run only on a piece whose histogram fails
+    ``genus``, for the oracle fallback, and, without repair, on each
+    piece of a dirty component.
     """
-    results, actions = _analyze_pieces(vol, repair, fallback_oracle)
-    return [r for r, _ in results], actions
+    return _analyze(_HOOKS, vol, repair, fallback_oracle)

@@ -4,6 +4,7 @@ that its error types carry."""
 import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from digitopo import (
     cli_dispatch,
     errors,
     grid,
+    hole_count,
     homology,
     oracle,
     pbm,
@@ -151,6 +153,37 @@ def test_each_answer_object_has_one_builder():
     assert _callers("CornerHistogram") == ["topo2d._histogram_of"]
     assert _callers("_distinct_lists").count("grid._per_component") == 1
     assert "grid._per_component" not in _callers("_distinct_rows")
+
+
+def test_both_dimensions_hand_the_driver_their_own_functions():
+    # One signature per hook in both dimensions, so each hook the driver
+    # calls is the dimension's own function, not a lambda that re-plumbs
+    # its arguments.
+    for module in (topo2d, topo3d):
+        hooks = module._HOOKS
+        for field in ("classify", "slow", "answer"):
+            hook = getattr(hooks, field)
+            assert getattr(module, hook.__name__) is hook, (module.__name__, field)
+        assert list(inspect.signature(hooks.classify).parameters) == ["codes", "labels", "count"]
+    # Both scans give the dirty components' ids as ascending integers.
+    for module, cells in (
+        (topo2d, np.random.default_rng(3).random((24, 24)) < 0.5),
+        (topo3d, np.random.default_rng(3).random((10, 10, 10)) < 0.05),
+    ):
+        labeling = grid._label(cells, module._HOOKS.capture)
+        p = grid._pad(cells)
+        dirty = module._HOOKS.scan(p, grid._window_codes(p), labeling)[0]
+        assert isinstance(dirty, np.ndarray) and dirty.dtype.kind == "i", module.__name__
+        assert dirty.size > 1 and (np.diff(dirty) > 0).all(), module.__name__
+    # The single-piece calls keep no option that only tests set.
+    assert list(inspect.signature(hole_count).parameters) == ["component"]
+    assert list(inspect.signature(homology).parameters) == ["vol", "fallback_oracle"]
+    assert list(inspect.signature(grid._analyze).parameters) == [
+        "hooks",
+        "grid",
+        "repair",
+        "fallback_oracle",
+    ]
 
 
 def test_src_parses_under_the_declared_python_floor():

@@ -232,10 +232,10 @@ def test_driver_cuts_pieces_through_component_canvas(monkeypatch):
     holes_pipeline(ring)
     analyze_volume(pair)
     assert cut == []
-    topo2d._analyze_components(ring, keep_pieces=True)
+    topo2d._columns(ring, keep_pieces=True)
     assert cut == [1]
     cut.clear()
-    topo3d._analyze_pieces(pair, keep_pieces=True)
+    topo3d._columns(pair, keep_pieces=True)
     assert cut == [1]
     # Unrepaired, the pair is two 6-pieces, each cut out for the oracle.
     cut.clear()
@@ -376,8 +376,8 @@ def test_lowest_voxel_owner_is_max_of_eight(shape, density, seed):
         low = _window_cells(shape, vertices, _LOW_BIT[codes[vertices]])
         owner = lab.labels.reshape(-1)[low]
         assert owner.tolist() == reference_vertex_owner(lab.labels, vertices).tolist()
-    want = set(reference_vertex_owner(lab.labels, dirty).tolist())
-    assert topo3d._scan(p, codes, lab)[0] == want
+    want = sorted(set(reference_vertex_owner(lab.labels, dirty).tolist()))
+    assert topo3d._scan(p, codes, lab)[0].tolist() == want
 
 
 def test_driver_codes_each_grid_once(monkeypatch):

@@ -10,13 +10,21 @@ reports, the same edits in the same order, the same pieces and the same
 ``PreconditionFailure`` text.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from digitopo import Image2D, PreconditionFailure, Volume3D, analyze_volume, grid, holes_pipeline
 from digitopo.grid import Adjacency, RepairAction, _component_canvas, label_components_2d
-from digitopo.topo2d import _analyze_components, hole_count, remove_speckles, repair_2d
+from digitopo.topo2d import (
+    _analyze_components,
+    _columns,
+    hole_count,
+    remove_speckles,
+    repair_2d,
+)
 from gridtext import image
 from test_topo3d import reference_analyze
 
@@ -43,7 +51,7 @@ def reference_analyze_components(img, repair=True, fallback_oracle=True, repair_
         sub = label_components_2d(canvas, Adjacency.DIRECT_2D)
         for sid in range(1, sub.count + 1):
             piece, _ = _component_canvas(sub, sid)
-            report = hole_count(piece, component_id=next_id, check_single=False)
+            report = dataclasses.replace(hole_count(piece), component_id=next_id)
             if not report.precondition_ok and not fallback_oracle:
                 raise PreconditionFailure(f"component {next_id} has a diagonal window")
             results.append((report, piece))
@@ -142,17 +150,14 @@ def test_pipeline_matches_reference(img):
     for repair in (True, False):
         for fallback_oracle in (True, False):
             ref = _outcome(reference_analyze_components, img, repair, fallback_oracle)
-            got = _outcome(
-                _analyze_components, img, repair, fallback_oracle, keep_pieces=True
-            )
-            assert got == ref
-            lean = _outcome(_analyze_components, img, repair, fallback_oracle)
+            got = _outcome(_analyze_components, img, repair, fallback_oracle)
+            pieces = _outcome(_columns, img, repair, fallback_oracle, keep_pieces=True)
             if isinstance(ref, str):
-                assert lean == ref
+                assert got == pieces == ref
             else:
-                assert lean[1] == ref[1]
-                assert [r for r, _ in lean[0]] == [r for r, _ in ref[0]]
-                assert all(piece is None for _, piece in lean[0])
+                assert got == ([r for r, _ in ref[0]], ref[1])
+                assert pieces.pieces == [piece for _, piece in ref[0]]
+                assert _columns(img, repair, fallback_oracle).pieces is None
 
 
 def test_examples_take_the_paths_they_name():
@@ -207,20 +212,35 @@ def test_clean_components_are_labelled_once(monkeypatch):
 
 
 def test_equal_answers_share_one_object():
+    # Each distinct answer is built once, and every report of it shares
+    # its objects: one histogram per distinct 2D answer, one tuple of
+    # surfaces per distinct 3D answer. Distinct answers may still hold
+    # equal parts in objects of their own.
     # 10% salt: about 1,000 components, with a few dozen distinct
-    # histograms among them.
+    # answers among them.
     img = Image2D(256, 256, np.random.default_rng(1).random((256, 256)) < 0.10)
     reports, actions = holes_pipeline(img)
     ref = reference_analyze_components(img)
     assert reports == [r for r, _ in ref[0]] and actions == ref[1]
-    histograms = [r.histogram for r in reports]
-    assert len({id(h) for h in histograms}) == len(set(histograms)) < len(reports) // 10
+    answers = {(r.histogram, r.holes, r.method, r.precondition_ok) for r in reports}
+    assert len({id(r.histogram) for r in reports}) == len(answers) < len(reports) // 10
 
     # 2% salt: mostly one-voxel components, with one surface each.
     vol = Volume3D(32, 32, 32, np.random.default_rng(2).random((32, 32, 32)) < 0.02)
     reports, actions = analyze_volume(vol)
     assert (reports, actions) == reference_analyze(vol)
+    answers = {(r.boundary_surfaces, r.betti) for r in reports}
+    assert len({id(r.boundary_surfaces) for r in reports}) == len(answers) < len(reports) // 10
+
+    # A 5^3 cube around a one-voxel cavity beside a solid 5^3 cube: two
+    # distinct answers, whose outer surfaces are equal values in two
+    # objects.
+    cells = np.zeros((5, 12, 5), dtype=bool)
+    cells[:, :5] = cells[:, 6:11] = True
+    cells[2, 2, 2] = False
+    reports, actions = analyze_volume(Volume3D(5, 12, 5, cells))
+    assert (reports, actions) == reference_analyze(Volume3D(5, 12, 5, cells))
+    assert [len(r.boundary_surfaces) for r in reports] == [2, 1]
+    assert len({id(r.boundary_surfaces) for r in reports}) == 2
     surfaces = [s for r in reports for s in r.boundary_surfaces]
-    histograms = {s.histogram for s in surfaces}
-    assert len({id(s) for s in surfaces}) <= len(histograms) < len(reports) // 10
-    assert len({id(s.histogram) for s in surfaces}) == len(histograms)
+    assert len({id(s) for s in surfaces}) == 3 and len(set(surfaces)) == 2

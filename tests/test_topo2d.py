@@ -26,7 +26,15 @@ from digitopo import (
 )
 from digitopo.grid import _pad, _window_codes
 from digitopo.shapes import gen_fat_polyomino_2d, gen_holey_polyomino_2d, gen_noisy_image_2d
-from digitopo.topo2d import Diag2D, _TURN, _analyze_components, _despeckle
+from digitopo.topo2d import (
+    Diag2D,
+    _TURN,
+    _analyze_components,
+    _answer,
+    _columns,
+    _despeckle,
+    _piece_rows,
+)
 from gridtext import image
 
 # The two worked 8x8 matrices: a blob without holes (cp2=8, cp4=4) and a
@@ -320,16 +328,11 @@ def test_hole_count_single_component_guard():
         11011
         """
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single connected component"):
         hole_count(two)
-    rep = hole_count(two, check_single=False)
-    assert rep.area == 8
-    assert rep.holes == 0
-
-
-def test_hole_count_unchecked_empty_raises():
-    with pytest.raises(ValueError):
-        hole_count(Image2D(2, 2, np.zeros((2, 2), dtype=bool)), check_single=False)
+    for half in (two.cells[:, :2], two.cells[:, 3:]):
+        rep = hole_count(Image2D(2, 2, half))
+        assert (rep.component_id, rep.area, rep.holes) == (1, 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +481,10 @@ def raw_images(draw):
 @given(img=raw_images())
 def test_every_piece_matches_both_oracles(img):
     for repair in (True, False):
-        results, _ = _analyze_components(img, repair, keep_pieces=True)
-        for rep, piece in results:
+        reports, _ = _analyze_components(img, repair)
+        pieces = _columns(img, repair, keep_pieces=True).pieces
+        assert len(pieces) == len(reports)
+        for rep, piece in zip(reports, pieces):
             assert rep.holes == holes_by_floodfill(piece) == 1 - euler_2d(piece).chi
             formula = rep.method is HoleMethod.FORMULA
             assert formula == (not find_pathologies_2d(piece))
@@ -567,4 +572,4 @@ def test_window_code_reads_match_3x3_kernel(img):
     if img.cells.any():
         hist = _ref_histogram(img.cells)
         assert classify_boundary_2d(img) == hist
-        assert hole_count(img, check_single=False).histogram == hist
+        assert _answer(_piece_rows(img))[0] == hist

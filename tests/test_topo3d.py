@@ -5,6 +5,7 @@ oracle and hand enumeration on small volumes before the classification
 code existed.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,7 @@ from digitopo.topo3d import (
     _CODE_HITS,
     _DEGREE,
     _UP_EDGES,
-    _analyze_pieces,
+    _columns,
     _face_degree,
 )
 
@@ -726,7 +727,8 @@ def reference_homology(piece, fallback_oracle, component_id, actions):
         try:
             g = genus(hist)
         except InvalidSurfaceError:
-            return homology(piece, fallback_oracle, component_id, actions)
+            rep = homology(piece, fallback_oracle)
+            return dataclasses.replace(rep, component_id=component_id, repair_actions=actions)
         surfaces.append(SurfaceReport(len(comp), hist, g, 2 - 2 * g, "formula"))
     b1 = sum(s.genus for s in surfaces)
     betti = (1, b1, len(surfaces) - 1, 0)
@@ -809,14 +811,11 @@ class TestWholeGridDriver:
         assert got == want
         event(got[0].__name__ if isinstance(got[0], type) else "reports")
         if repair and not isinstance(got[0], type):
-            results, actions = _analyze_pieces(
-                vol, repair, fallback_oracle, keep_pieces=True
-            )
-            assert [r for r, _ in results] == got[0]
-            assert actions == got[1]
+            pieces = _columns(vol, repair, fallback_oracle, keep_pieces=True).pieces
+            assert len(pieces) == len(got[0])
             # One oracle call for every piece, as ``validate`` makes.
-            surfaces = _euler_surfaces([piece for _, piece in results])
-            for (rep, _), summaries in zip(results, surfaces):
+            surfaces = _euler_surfaces(pieces)
+            for rep, summaries in zip(got[0], surfaces):
                 assert len(summaries) == len(rep.boundary_surfaces)
                 assert sum(s.genus for s in rep.boundary_surfaces) == sum(
                     (2 - s.chi) // 2 for s in summaries
@@ -846,8 +845,7 @@ class TestWholeGridDriver:
             assert [len(r.boundary_surfaces) for r in reports[:3]] == [2, 3, 1]
 
     def test_pieces_are_not_kept_by_default(self):
-        results, _ = _analyze_pieces(gen_frame(1))
-        assert [piece for _, piece in results] == [None]
+        assert _columns(gen_frame(1)).pieces is None
 
     def test_each_stack_is_labelled_once(self, monkeypatch):
         # 30 dirty components: bars of 1, 5 and 13 voxels along x, each
