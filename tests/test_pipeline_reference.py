@@ -26,7 +26,7 @@ from digitopo.topo2d import (
     repair_2d,
 )
 from gridtext import image
-from test_topo3d import reference_analyze
+from test_topo3d import assert_same_answers, reference_analyze
 
 
 def _shift_actions(actions, origin):
@@ -151,13 +151,13 @@ def test_pipeline_matches_reference(img):
         for fallback_oracle in (True, False):
             ref = _outcome(reference_analyze_components, img, repair, fallback_oracle)
             got = _outcome(_analyze_components, img, repair, fallback_oracle)
-            pieces = _outcome(_columns, img, repair, fallback_oracle, keep_pieces=True)
+            kept = _outcome(_columns, img, repair, fallback_oracle, keep_pieces=True)
             if isinstance(ref, str):
-                assert got == pieces == ref
+                assert got == kept == ref
             else:
                 assert got == ([r for r, _ in ref[0]], ref[1])
-                assert pieces.pieces == [piece for _, piece in ref[0]]
-                assert _columns(img, repair, fallback_oracle).pieces is None
+                assert kept.pieces == [piece for _, piece in ref[0]]
+                assert_same_answers(kept, _columns(img, repair, fallback_oracle))
 
 
 def test_examples_take_the_paths_they_name():

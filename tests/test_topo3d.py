@@ -767,6 +767,15 @@ def reference_analyze(vol, repair=True, fallback_oracle=True, repair_fn=repair_3
     return reports, all_actions
 
 
+def assert_same_answers(kept, lean):
+    """Driver columns with and without ``keep_pieces`` hold the same
+    answers and edits; only the second keeps no pieces."""
+    assert lean.pieces is None and len(kept.pieces) == len(kept.sizes)
+    assert kept.answers == lean.answers
+    for field in ("sizes", "answer", "edits", "log"):
+        assert np.array_equal(getattr(kept, field), getattr(lean, field)), field
+
+
 def outcome(fn, *args, **kwargs):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -811,7 +820,9 @@ class TestWholeGridDriver:
         assert got == want
         event(got[0].__name__ if isinstance(got[0], type) else "reports")
         if repair and not isinstance(got[0], type):
-            pieces = _columns(vol, repair, fallback_oracle, keep_pieces=True).pieces
+            kept = _columns(vol, repair, fallback_oracle, keep_pieces=True)
+            assert_same_answers(kept, _columns(vol, repair, fallback_oracle))
+            pieces = kept.pieces
             assert len(pieces) == len(got[0])
             # One oracle call for every piece, as ``validate`` makes.
             surfaces = _euler_surfaces(pieces)
