@@ -70,7 +70,11 @@ def unrun(path, ran: set[int]) -> list[tuple[int, str]]:
     """``(line, first line of its text)`` of each statement of the file at
     ``path`` (``statements``) none of whose span is in ``ran``."""
     text = Path(path).read_text().splitlines()
-    return [(line, text[line - 1].strip()) for line, span in statements(path) if not ran & set(span)]
+    return [
+        (line, text[line - 1].strip())
+        for line, span in statements(path)
+        if not ran.intersection(span)
+    ]
 
 
 class LineTracer:
