@@ -7,7 +7,7 @@ bench. Input format is sniffed from the file: PBM (P1/P4) is 2D, vox3 is
 Exit codes (an error's code is its type's ``exit_code``, see ``errors``):
     0   success
     1   runtime failure: parse errors, an input of the other dimension,
-        invalid surfaces, validate disagreement
+        invalid surfaces, a grid too large to allocate, validate disagreement
     2   formula preconditions failed with the oracle fallback disabled
     3   repair did not converge
     64  usage error: unknown flag or subcommand, bad flag combination
@@ -461,7 +461,7 @@ def cli_dispatch(argv) -> int:
     try:
         with _on_disk(ns):
             return ns.func(ns)
-    except (DigitopoError, OSError, ValueError) as e:
+    except (DigitopoError, OSError, ValueError, MemoryError) as e:
         print(f"digitopo: error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 1)
 

@@ -411,16 +411,15 @@ def _flip(p: np.ndarray, codes: np.ndarray, cell: tuple[int, ...]) -> None:
     codes[tuple(slice(i - 1, i + 1) for i in cell)] ^= _FLIP[p.ndim]
 
 
-def _flip_all(p: np.ndarray, codes: np.ndarray, at: tuple[np.ndarray, ...]) -> None:
-    """``_flip`` of the distinct cells ``at`` (one index array per axis):
-    one XOR per window offset. At one offset, distinct cells have distinct
-    windows, so no index repeats within a step (which ``^=`` would drop,
-    and ``np.bitwise_xor.at`` handles at several times the cost)."""
-    p[at] = ~p[at]
+def _flip_all(codes: np.ndarray, at: tuple[np.ndarray, ...]) -> None:
+    """``_flip`` of the distinct cells ``at`` (one index array per axis),
+    in the codes only: one XOR per window offset. Distinct cells have
+    distinct windows at one offset, so no index repeats within a step
+    (``^=`` would drop it; ``np.bitwise_xor.at`` costs several times more)."""
     flat = codes.reshape(-1)
     first = np.ravel_multi_index(tuple(i - 1 for i in at), codes.shape)
-    for offset in np.ndindex(*(2,) * p.ndim):
-        flat[first + np.ravel_multi_index(offset, codes.shape)] ^= _FLIP[p.ndim][offset]
+    for offset in np.ndindex(*(2,) * codes.ndim):
+        flat[first + np.ravel_multi_index(offset, codes.shape)] ^= _FLIP[codes.ndim][offset]
 
 
 def _where(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -609,9 +608,9 @@ class _Hooks(NamedTuple):
 
     capture: Adjacency  # the components reported and repaired
     pieces: Adjacency  # the pieces of a canvas
-    # (padded grid, its codes, labeling) -> (dirty components' ids,
+    # (the padded grid's codes, labeling) -> (dirty components' ids,
     # ascending, (owner of each edit, edits as rows of ``_actions``), the
-    # grid's table or None).
+    # grid's table or None). It edits the codes and the labeling only.
     scan: Callable
     classify: Callable  # (codes, labels, count) -> the table of every label
     # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
@@ -709,10 +708,8 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     """
     label = label_components_2d if grid.cells.ndim == 2 else label_components_3d
     labeling = label(grid, hooks.capture)
-    p = _pad(grid.cells)
-    codes = _window_codes(p)
-    dirty, scanned, table = hooks.scan(p, codes, labeling)
-    del p
+    codes = _window_codes(_pad(grid.cells))
+    dirty, scanned, table = hooks.scan(codes, labeling)
     boxes = _component_boxes(labeling, dirty.tolist())
     # A dirty component's canvas is its box in a frame of one empty cell.
     shapes = {cid: [s.stop - s.start + 2 for s in boxes[cid]] for cid in dirty.tolist()}

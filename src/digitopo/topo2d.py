@@ -356,7 +356,6 @@ def _piece_rows(component: Image2D, fallback_oracle: bool = True, component_id: 
     """The row (``_answer``) of one 4-component, in a list: the corner
     law's, or the flood fill's where the law may not answer. With the
     fallback off, that raises before the oracle runs."""
-    _require_nonempty(component.cells)
     codes = _window_codes(_pad(component.cells))
     counts = (_boundary_bins(codes) @ _FOLD).tolist()
     bins = np.bincount(codes.ravel(), minlength=16)
@@ -367,12 +366,12 @@ def _piece_rows(component: Image2D, fallback_oracle: bool = True, component_id: 
     return [[*counts, holes_by_floodfill(component), _ORACLE]]
 
 
-def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
-    """Delete and fill the speckles of ``p``, the labelled image in a frame
-    of one empty pixel whose window codes are ``codes``, as each
-    component's canvas sees them, in ``p``, its codes (``grid._flip_all``),
-    the labels and their sizes. Returns the owner's id of each edit and
-    the edits (rows of ``grid._actions``), in row-major order.
+def _despeckle(codes: np.ndarray, labeling: Labeling):
+    """Delete and fill the speckles of the labelled image whose window
+    codes, in a frame of one empty pixel, are ``codes``, as each
+    component's canvas sees them, in the codes (``grid._flip_all``), the
+    labels and their sizes. Returns the owner's id of each edit and the
+    edits (rows of ``grid._actions``), in row-major order.
 
     A pixel with no 4-neighbor is deleted, even one that touches another
     component diagonally, and a one-pixel hole is filled into the
@@ -394,7 +393,7 @@ def _despeckle(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
     np.add.at(labeling.sizes, owner, moved)
     labeling.sizes[0] -= moved.sum()
     ys, xs = np.divmod(at, width)
-    _flip_all(p, codes, (ys + 1, xs + 1))
+    _flip_all(codes, (ys + 1, xs + 1))
     return owner, np.stack((ys, xs, fill, np.full_like(ys, _SPECKLE)), axis=1)
 
 
@@ -431,10 +430,10 @@ def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
     return ok, np.arange(count + 2), rows
 
 
-def _scan(p: np.ndarray, codes: np.ndarray, labeling: Labeling):
+def _scan(codes: np.ndarray, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the speckles, then the answers
     of the despeckled image, whose ``ok`` marks the dirty ones."""
-    speckles = _despeckle(p, codes, labeling)
+    speckles = _despeckle(codes, labeling)
     table = _window_pass(codes, labeling.labels, labeling.count)
     return np.flatnonzero(~table[0][1:] & (labeling.sizes[1:] > 0)) + 1, speckles, table
 

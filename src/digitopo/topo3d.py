@@ -65,6 +65,7 @@ from .grid import (
     _actions,
     _analyze,
     _components,
+    _count_components,
     _flip,
     _hits,
     _pad,
@@ -544,8 +545,6 @@ def _piece_rows(vol: Volume3D, fallback_oracle: bool = True, _component_id: int 
     the formula's, or, when any surface fails ``genus``'s test, the
     boundary-face Euler characteristic's for every surface. With the
     fallback off, that raises before the oracle runs."""
-    if not vol.cells.any():
-        raise ValueError("empty volume")
     codes = _window_codes(_pad(vol.cells))
     # The cells as labels: every surface belongs to label 1.
     ok, _, rows = _surface_rows(codes, vol.cells.view(np.uint8), 1)
@@ -569,21 +568,24 @@ def homology(vol: Volume3D, fallback_oracle: bool = True) -> TopoReport3D:
     When any boundary surface fails to classify (irregular points or a
     non-divisible histogram, both signs of a non-well-composed input) and
     the oracle fallback is enabled, all surfaces are recomputed from the
-    boundary-face Euler characteristic instead.
+    boundary-face Euler characteristic instead. Raises ValueError unless
+    ``vol`` is one 26-component.
     """
+    if _count_components(vol.cells, Adjacency.INDIRECT_3D) != 1:
+        raise ValueError("expected a single connected component")
     surfaces, betti = _answer(_piece_rows(vol, fallback_oracle).tolist())
     return TopoReport3D(1, vol.voxel_count, surfaces, betti)
 
 
-def _scan(_p, codes: np.ndarray, lab26: Labeling):
+def _scan(codes: np.ndarray, labeling: Labeling):
     """The driver's scan (``grid._Hooks``): the ids of the components
     that own a pathological window, ascending. A window's object voxels
     are 26-adjacent, so they carry one label, read at its lowest one. It
     makes no edit and gives no answers."""
-    codes = codes.reshape(-1)
+    codes, labels = codes.reshape(-1), labeling.labels
     at = _where(codes, _CODE_DIRTY)
-    owners = lab26.labels.reshape(-1)[_window_cells(lab26.labels.shape, at, _LOW_BIT[codes[at]])]
-    dirty = np.flatnonzero(np.bincount(owners, minlength=lab26.count + 1))
+    owners = labels.reshape(-1)[_window_cells(labels.shape, at, _LOW_BIT[codes[at]])]
+    dirty = np.flatnonzero(np.bincount(owners, minlength=labeling.count + 1))
     return dirty, (np.zeros(0, np.int64), np.zeros((0, 5), np.int64)), None
 
 

@@ -172,7 +172,7 @@ def test_both_dimensions_hand_the_driver_their_own_functions():
     ):
         labeling = grid._label(cells, module._HOOKS.capture)
         p = grid._pad(cells)
-        dirty = module._HOOKS.scan(p, grid._window_codes(p), labeling)[0]
+        dirty = module._HOOKS.scan(grid._window_codes(p), labeling)[0]
         assert isinstance(dirty, np.ndarray) and dirty.dtype.kind == "i", module.__name__
         assert dirty.size > 1 and (np.diff(dirty) > 0).all(), module.__name__
     # The single-piece calls keep no option that only tests set.
@@ -184,6 +184,56 @@ def test_both_dimensions_hand_the_driver_their_own_functions():
         "repair",
         "fallback_oracle",
     ]
+
+
+def test_each_scan_reads_the_codes_and_the_labeling_only():
+    # The driver hands a scan the padded grid's window codes and the
+    # labeling; a speckle edit goes to those two, not to a grid.
+    for module in (topo2d, topo3d):
+        assert list(inspect.signature(module._HOOKS.scan).parameters) == ["codes", "labeling"]
+
+
+def test_homology_answers_one_26_component_only():
+    # Two 3^3 cubes one voxel apart: not one component with a cavity.
+    two = np.zeros((3, 3, 7), dtype=bool)
+    two[:, :, :3] = two[:, :, 4:] = True
+    for cells in (two, np.zeros((2, 2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="^expected a single connected component$"):
+            homology(grid._grid_of(cells))
+    assert homology(grid._grid_of(two[:, :, :3])).betti == (1, 0, 0, 0)
+
+
+def test_every_parameter_of_a_src_function_is_read():
+    # A parameter that its function never reads is an option nothing
+    # sets, or a grid handed over only to be written. The two left are
+    # required by a shared hook signature: ``grid._repair``'s ``fix(p,
+    # codes, vertex, hit)`` and ``grid._Hooks.slow``'s ``(piece,
+    # fallback_oracle, component_id)``.
+    unread = []
+    for path in sorted((SRC / "digitopo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                name.id
+                for statement in node.body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread += [f"{path.stem}.{node.name}:{a.arg}" for a in params if a and a.arg not in read]
+    assert unread == ["topo2d._fix_window:_kind", "topo3d._piece_rows:_component_id"]
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    want = re.findall(r"# (.+)$", block, re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == want == ["0", "(1, 2, 0, 0)"]
 
 
 def test_src_parses_under_the_declared_python_floor():

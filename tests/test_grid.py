@@ -377,7 +377,7 @@ def test_lowest_voxel_owner_is_max_of_eight(shape, density, seed):
         owner = lab.labels.reshape(-1)[low]
         assert owner.tolist() == reference_vertex_owner(lab.labels, vertices).tolist()
     want = sorted(set(reference_vertex_owner(lab.labels, dirty).tolist()))
-    assert topo3d._scan(p, codes, lab)[0].tolist() == want
+    assert topo3d._scan(codes, lab)[0].tolist() == want
 
 
 def test_driver_codes_each_grid_once(monkeypatch):

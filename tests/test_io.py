@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -250,6 +251,12 @@ class TestVox3:
         path = tmp_path / "e.vox3"
         path.write_bytes(b"vox4 2 2 1\n10\n01\n")
         with pytest.raises(ParseError, match="line 1"):
+            read_vox3(path)
+
+    def test_a_header_of_no_cell(self, tmp_path):
+        path = tmp_path / "z.vox3"
+        path.write_bytes(b"vox3 2 0 1\n")
+        with pytest.raises(ParseError, match="^line 1: dimensions must be positive, got 2 0 1$"):
             read_vox3(path)
 
     def test_body_too_short(self, tmp_path):
@@ -899,6 +906,23 @@ class TestCliExitCodes:
             assert run_cli(capsys, "bench", flag, "--ring-widths", "2")[0] == 64
         assert not (tmp_path / "g.vox3").exists()
 
+    def test_main_exits_with_the_code_of_its_run(self, capsys, tmp_path, monkeypatch):
+        # The console script: ``main`` reads sys.argv and exits with the
+        # code that ``cli_dispatch`` returns.
+        path = tmp_path / "f.pbm"
+        write_pbm(image("11\n11"), path)
+        for argv, code in (
+            (["components", "--json", str(path)], 0),
+            (["components", "--bogus-flag", str(path)], 64),
+        ):
+            monkeypatch.setattr(sys, "argv", ["digitopo", *argv])
+            with pytest.raises(SystemExit) as info:
+                cli.main()
+            assert info.value.code == code, argv
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["count"] == 1
+        assert captured.err.endswith("digitopo: error: unrecognized arguments: --bogus-flag\n")
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -962,6 +986,20 @@ class TestCliExitCodes:
             captured = capsys.readouterr()
             assert captured.err == "digitopo: error: bad frame parameters\n", flags
             assert captured.out == ""
+
+    def test_a_grid_too_large_to_allocate_exits_1(self, capsys, tmp_path):
+        # A ring width of 10^8 asks numpy for a 79.9 PiB slab, which it
+        # refuses before touching memory.
+        path = tmp_path / "x.vox3"
+        for argv in (
+            ["gen", "frame", str(path), "--holes", "1", "--ring-width", "100000000"],
+            ["bench", "--streaming", "--ring-widths", "100000000"],
+        ):
+            assert cli_dispatch(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("digitopo: error: "), argv
+            assert captured.err.count("\n") == 1 and captured.out == "", argv
+            assert not path.exists()
 
     def test_genus_of_an_empty_volume_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.vox3"

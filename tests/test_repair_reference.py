@@ -345,6 +345,7 @@ def test_flipping_many_cells_at_once_keeps_codes_current():
         p = _pad(rng.random(shape) < 0.5)
         codes = _window_codes(p)
         for density in (0.05, 0.5, 1.0):
-            at = np.nonzero(rng.random(shape) < density)
-            _flip_all(p, codes, tuple(i + 1 for i in at))
+            at = tuple(i + 1 for i in np.nonzero(rng.random(shape) < density))
+            p[at] = ~p[at]
+            _flip_all(codes, at)
             assert np.array_equal(codes, _window_codes(p)), (shape, density)

@@ -500,7 +500,7 @@ def test_speckle_scan_keeps_the_sizes_a_recount(img):
     # beside them.
     labeling = label_components_2d(img)
     p = _pad(img.cells)
-    _despeckle(p, _window_codes(p), labeling)
+    _despeckle(_window_codes(p), labeling)
     want = np.bincount(labeling.labels.ravel(), minlength=labeling.count + 1)
     assert labeling.sizes.tolist() == want.tolist()
 
