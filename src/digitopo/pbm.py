@@ -72,6 +72,7 @@ def read_pbm(path) -> Image2D:
 _P1_CLASS = np.full(256, 2, dtype=np.uint8)
 _P1_CLASS[list(b" \t\n\r\x0b\x0c")] = 0
 _P1_CLASS[list(b"01")] = 1
+_P1_SPACE = bytes(np.flatnonzero(_P1_CLASS == 0).tolist())
 
 # Bytes per block of ``_nth_true``.
 _BLOCK = 1 << 16
@@ -90,15 +91,24 @@ def _nth_true(mask: np.ndarray, n: int) -> int:
 
 
 def _read_p1_body(data: bytes, start: int, width: int, height: int, line: int) -> Image2D:
-    # The body is data[start:]. Lines are scanned whole and none after the
-    # one that completes the bitmap, so a bad byte raises only up to the
-    # end of that line.
+    """Decode the P1 body ``data[start:]``, whose first line is ``line``.
+
+    Comments stripped, the whitespace bytes are deleted in one pass; when
+    every byte kept is a bit and there are enough of them, the first
+    width*height are the bitmap. Otherwise each byte is classified, to
+    place the error: lines are scanned whole and none after the one that
+    completes the bitmap, so a bad byte raises only up to the end of that
+    line.
+    """
     need = width * height
     # A final newline ends the file's last line rather than starting one.
     final_newline = data.endswith(b"\n")
     if data.find(b"#", start) >= 0:
         data = b"\n".join(_strip_comment(raw) for raw in data[start:].split(b"\n"))
         start = 0
+    kept = np.frombuffer(data[start:].translate(None, _P1_SPACE), dtype=np.uint8)
+    if kept.size >= need and kept.min() >= 0x30 and kept.max() <= 0x31:
+        return Image2D(width, height, (kept[:need] == 0x31).reshape(height, width))
     body = np.frombuffer(data, dtype=np.uint8, offset=start)
     kind = _P1_CLASS[body]
     is_bit = kind == 1

@@ -364,6 +364,76 @@ class TestVox3:
         assert peak < 8 << 20
 
     @pytest.mark.parametrize("on_pipe", [False, True])
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            (b"vox3 2 2 2\n10\n01\n", "line 4: expected blank line between slabs"),
+            (b"vox3 2 2 2\n10\n0", "line 3: missing trailing newline"),
+            (b"vox3 2 2 2", "line 1: header longer than 1048576 characters"),
+        ],
+        ids=["separator", "row", "header"],
+    )
+    def test_a_line_without_its_newline_is_read_in_pieces(self, tmp_path, on_pipe, text, err):
+        # 40 MiB with no newline, where a separator, a row or the header
+        # runs on, cost a few MiB: no read asks for the whole line.
+        text += b"0" * (40 << 20)
+        path = tmp_path / "long.vox3"
+        path.write_bytes(text)
+        with pipe_holding(text) if on_pipe else contextlib.nullcontext(path) as source:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError) as got:
+                    read_vox3(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert str(got.value) == err
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("piece", [3, 1 << 20])
+    def test_a_long_row_keeps_its_length(self, tmp_path, monkeypatch, piece):
+        # The rest of a row past the block is counted a piece at a time.
+        monkeypatch.setattr(vox3, "_PIECE", piece)
+        path = tmp_path / "row.vox3"
+        path.write_bytes(b"vox3 2 2 1\n10\n0" + b"1" * (3 << 20) + b"\n")
+        with pytest.raises(ParseError) as err:
+            read_vox3(path)
+        assert str(err.value) == f"line 3: expected 2 characters, found {(3 << 20) + 1}"
+
+    def test_a_header_line_is_bounded(self, tmp_path, monkeypatch):
+        # A first line of vox3._HEADER_CHARS characters is read; one more
+        # is refused at line 1, newline or not.
+        monkeypatch.setattr(vox3, "_HEADER_CHARS", 12)
+        path = tmp_path / "head.vox3"
+        path.write_bytes(b"vox3 2 1 1  \n10\n")
+        assert read_vox3(path) == volume("10")
+        for text in (b"vox3 2 1 1   \n10\n", b"vox3 2 1 1   "):
+            path.write_bytes(text)
+            with pytest.raises(ParseError) as err:
+                read_vox3(path)
+            assert str(err.value) == "line 1: header longer than 12 characters"
+
+    @pytest.mark.parametrize(
+        "dims, err",
+        [
+            ("E 1 1", "line 2: expected 1000000000000000000000000 characters, found 1"),
+            ("1 E 1", "line 3: unexpected end of file inside slab"),
+            ("1 1 E", "line 3: expected blank line between slabs"),
+        ],
+        ids=["nx", "ny", "nz"],
+    )
+    def test_a_dimension_past_numpy_shapes_is_a_parse_error(self, tmp_path, dims, err):
+        # 10^24 rows or columns are never shaped into an array: the input
+        # ends first, as in any short body.
+        path = tmp_path / "wide.vox3"
+        path.write_bytes(f"vox3 {dims.replace('E', str(10**24))}\n1\n".encode())
+        it = iter_vox3_slabs(path)
+        next(it)
+        with pytest.raises(ParseError) as got:
+            list(it)
+        assert str(got.value) == err
+
+    @pytest.mark.parametrize("on_pipe", [False, True])
     def test_content_after_pieces_of_newlines_keeps_its_line(self, tmp_path, monkeypatch, on_pipe):
         # The first character other than a newline stops the read, in any
         # piece; the error names the line after the last slab's.

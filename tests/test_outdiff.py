@@ -54,3 +54,33 @@ def test_a_planted_difference_is_grouped_by_its_json_key_path(tmp_path):
     lines = outdiff.report(cases, diffs)
     keys = [line.strip() for line in lines if "json keys:" in line]
     assert sorted(keys) == sorted(f"json keys: components[].holes: {n}" for n in differ.values())
+
+
+def test_a_planted_reader_difference_shows_in_the_errors(tmp_path):
+    # A copy of the package whose P1 and vox3 readers word two errors
+    # otherwise: each run that differs raised one of them and differs by
+    # its error line alone, and the corpus's reader variants raise both.
+    outdiff = load_outdiff()
+    planted = tmp_path / "planted"
+    shutil.copytree(ROOT / "src", planted, ignore=shutil.ignore_patterns("__pycache__"))
+    words = {"pbm.py": ("unexpected character", "unexpected byte"),
+             "vox3.py": ("characters, found", "chars, found")}
+    for name, (old, new) in words.items():
+        path = planted / "digitopo" / name
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    cases, diffs = outdiff.compare(ROOT / "src", planted, runs, tiny=True)
+    raised = set()
+    for case, diff in zip(cases, diffs):
+        if diff is None:
+            continue
+        x, y = diff
+        assert (x["exit"], x["stdout"], x["output"]) == (y["exit"], y["stdout"], y["output"])
+        old, new = next(pair for pair in words.values() if pair[0] in x["stderr"])
+        assert y["stderr"] == x["stderr"].replace(old, new)
+        raised.add(case["input"].rsplit(".", 1)[1])
+    assert raised == {"pbm", "vox3"}
+    assert any("stderr 'digitopo: error: line" in line for line in outdiff.report(cases, diffs))

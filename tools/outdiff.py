@@ -8,9 +8,10 @@ working tree is compared. Every command of a fixed matrix runs on a fixed
 corpus in both trees:
 
 * corpus: the perfbench inputs of seeds 1-3 (``perfbench/corpus.py``),
-  raw Bernoulli grids (PBM P1 and P4, vox3), and every ``gen`` shape at
-  two seeds, whose outputs are also analysed. Files with equal bytes run
-  once;
+  raw Bernoulli grids (PBM P1 and P4, vox3), copies of some of them in
+  the forms the readers treat apart (``_reader_variants``), and every
+  ``gen`` shape at two seeds, whose outputs are also analysed. Files with
+  equal bytes run once;
 * matrix: components, holes, genus, homology, validate and repair on
   every input, each with every subset of ``--json`` and the flags of
   ``FLAGS``; gen with and without ``--json``. ``bench`` is left out, as
@@ -97,6 +98,37 @@ def _raw_grids(into: Path, count: int, side2: int, side3: int, seed: int = 20131
                 corpus.write_pbm(str(into / f"raw{i}-{kind}.pbm"), cells, kind == "p4")
 
 
+def _reader_variants(into: Path, count: int, seed: int = 20132) -> None:
+    """Copies of the first ``count`` raw grids in the forms the readers
+    treat apart: vox3 with CRLF and with lone-CR line ends, P1 with spaced
+    bits and with comments, and each file truncated past its header and
+    with bit 6 of one body byte flipped, which makes any P1 or vox3 byte
+    a bad one."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        raw = {ext: (into / f"raw{i}{ext}").read_bytes() for ext in (".vox3", "-p1.pbm", "-p4.pbm")}
+        magic, dims, *rows = raw["-p1.pbm"].split(b"\n")[:-1]
+        spaced = [r.replace(b"0", b"0 ").replace(b"1", b"1\t") for r in rows]
+        commented = [magic + b" # raw", dims, b"# rows follow", *(r + b" # row" for r in rows)]
+        variants = {
+            "-crlf.vox3": raw[".vox3"].replace(b"\n", b"\r\n"),
+            "-cr.vox3": raw[".vox3"].replace(b"\n", b"\r"),
+            "-spaced.pbm": b"\n".join([magic, dims, *spaced]) + b"\n",
+            "-comment.pbm": b"\n".join(commented) + b"\n",
+        }
+        for ext, data in raw.items():
+            # The header is vox3's first line, and a PBM's first two.
+            body = data.index(b"\n", 3 if ext.endswith(".pbm") else 0) + 1
+            variants[f"-cut{ext}"] = data[: int(rng.integers(body, len(data)))]
+            flipped = bytearray(data)
+            flipped[int(rng.integers(body, len(data)))] ^= 0x40
+            variants[f"-flip{ext}"] = bytes(flipped)
+        for ext, data in variants.items():
+            (into / f"raw{i}{ext}").write_bytes(data)
+
+
 def _perfbench_inputs(into: Path, seeds=(1, 2, 3)) -> None:
     """The inputs ``perfbench/corpus.py`` draws for each workload and seed,
     in one directory per workload and seed."""
@@ -118,10 +150,12 @@ def build_corpus(into: Path, tiny: bool = False) -> tuple[list, list]:
     working directory, where ``into`` is linked as ``in``."""
     if tiny:
         _raw_grids(into, 2, 12, 5)
+        _reader_variants(into, 1)
         seeds = (1,)
     else:
         _perfbench_inputs(into)
         _raw_grids(into, 12, 40, 12)
+        _reader_variants(into, 4)
         seeds = (1, 2)
     gens = []
     for shape, seed in itertools.product(SHAPES, seeds):
