@@ -4,12 +4,12 @@
 classifies every byte only to place an error; ``pbm._header_tokens``
 reads the PBM header by two regular expressions; ``vox3.iter_vox3_slabs``
 reads as many whole slabs per call as fit in ``vox3._PIECE`` characters,
-and checks them at once. The references below are
-the byte-by-byte P1 body parser and header reader and the row-by-row slab
-reader. On every mutant of a valid file both must give the same grid (or
-tokens) or the same ``ParseError`` text, line included; for vox3 the
-slabs yielded before the error must match too, since a streaming fold has
-already seen them.
+and checks them at once. The references below are the byte-by-byte P1
+body parser and header reader and the row-by-row slab reader. On every
+mutant of a valid file both must give the same grid (or tokens) or the
+same ``ParseError`` text, line included; for vox3 the slabs yielded
+before the error must match too, since a streaming fold has already seen
+them.
 """
 
 from unittest import mock
