@@ -42,6 +42,7 @@ from .grid import (
     Adjacency,
     Image2D,
     Volume3D,
+    _canvases,
     label_components_2d,
     label_components_3d,
 )
@@ -64,7 +65,9 @@ def _build_parser() -> _Parser:
     # The analysis flags, on the commands that read them.
     no_repair = argparse.ArgumentParser(add_help=False)
     no_repair.add_argument(
-        "--no-repair", action="store_true", help="analyze the input as-is"
+        "--no-repair",
+        action="store_true",
+        help="skip the pathology repair; 2D speckle deletion and one-pixel-hole filling still run",
     )
     fallback = argparse.ArgumentParser(add_help=False)
     fallback.add_argument(
@@ -307,22 +310,24 @@ def _cmd_validate(ns) -> int:
     grid, rep = _load(ns)
     in_2d = isinstance(grid, Image2D)
     found = (topo2d if in_2d else topo3d)._columns(grid, not ns.no_repair, keep_pieces=True)
-    # One oracle call for every 3D piece; an odd chi in any of them raises.
-    surfaces = [] if in_2d else oracle._euler_surfaces(found.pieces)
-    checks = []
-    for i, (a, piece) in enumerate(zip(found.answer.tolist(), found.pieces)):
-        if in_2d:
-            formula, flood = found.answers[a][1], oracle.holes_by_floodfill(piece)
-            euler = 1 - oracle.euler_2d(piece).chi
-            check = {"formula": formula, "flood_fill": flood, "euler": euler}
-            agree = formula == flood == euler
-        else:
-            summaries = surfaces[i]
-            formula_surfaces, (_, formula, _, _) = found.answers[a]
-            euler = sum((2 - s.chi) // 2 for s in summaries)
-            check = {"formula": formula, "euler": euler}
-            agree = formula == euler and len(summaries) == len(formula_surfaces)
-        checks.append({"component": i + 1, **check, "agree": agree})
+    # Per labeling of the driver: a 2D piece is cut onto its own canvas,
+    # and the 3D pieces take one oracle call, where an odd chi raises.
+    checks = [None] * len(found.sizes)
+    for labeling, ids, places in found.pieces:
+        ids = ids.tolist()
+        got = _canvases(labeling, ids) if in_2d else oracle._euler_surfaces(labeling.labels, ids)
+        for i, piece in zip(places.tolist(), got):
+            if in_2d:
+                formula, flood = found.answers[found.answer[i]][1], oracle.holes_by_floodfill(piece)
+                euler = 1 - oracle.euler_2d(piece).chi
+                check = {"formula": formula, "flood_fill": flood, "euler": euler}
+                agree = formula == flood == euler
+            else:
+                formula_surfaces, (_, formula, _, _) = found.answers[found.answer[i]]
+                euler = sum((2 - s.chi) // 2 for s in piece)
+                check = {"formula": formula, "euler": euler}
+                agree = formula == euler and len(piece) == len(formula_surfaces)
+            checks[i] = {"component": i + 1, **check, "agree": agree}
     all_agree = all(c["agree"] for c in checks)
     rep["checks"] = checks
     rep["agree"] = all_agree

@@ -353,7 +353,7 @@ def _pad(cells: np.ndarray) -> np.ndarray:
     """``cells`` inside a frame of one empty cell on every side."""
     # np.pad's fixed cost outweighs a whole classification of a small
     # image; a zeroed frame plus one slice copy does not.
-    p = np.zeros(tuple(n + 2 for n in cells.shape), dtype=bool)
+    p = np.zeros(tuple(n + 2 for n in cells.shape), dtype=cells.dtype)
     p[(slice(1, -1),) * cells.ndim] = cells
     return p
 
@@ -543,20 +543,21 @@ def _grid_of(cells: np.ndarray):
 
 
 def _component_canvas(labeling: Labeling, component_id: int, box=None):
-    """Extract one component onto a canvas with a 1-cell background pad.
-
-    Returns ``(grid, origin)`` where ``origin`` maps canvas coordinates back
-    to the source: source = canvas + origin, per axis in (x, y[, z]) order.
-    ``box``, the component's bounding box as one slice per array axis
-    (``_component_boxes``), is found here when not given. Raises
-    NoSuchComponentError for ids outside ``1..count``.
-    """
+    """Extract one component onto a canvas: its bounding box ``box``, one
+    slice per array axis (``_component_boxes``; found here when not
+    given), in a frame of one empty cell. Raises NoSuchComponentError
+    for ids outside ``1..count``."""
     if not 1 <= component_id <= labeling.count:
         raise NoSuchComponentError(f"no such component: {component_id}")
     if box is None:
         box = _component_boxes(labeling, [component_id])[component_id]
-    origin = tuple([s.start - 1 for s in box][::-1])
-    return _grid_of(_pad(labeling.labels[box] == component_id)), origin
+    return _grid_of(_pad(labeling.labels[box] == component_id))
+
+
+def _canvases(labeling: Labeling, ids: list) -> list:
+    """``_component_canvas`` of each component in ``ids``, in one box search."""
+    boxes = _component_boxes(labeling, ids)
+    return [_component_canvas(labeling, i, boxes[i]) for i in ids]
 
 
 def _component_boxes(labeling: Labeling, ids) -> dict[int, tuple[slice, ...]]:
@@ -629,7 +630,7 @@ class _Columns(NamedTuple):
     answers: list
     edits: np.ndarray  # (start, stop) of its component's edits in ``log``
     log: np.ndarray  # every edit, a row of ``_actions`` in source coordinates
-    pieces: list | None  # each on its own padded canvas, with ``keep_pieces``
+    pieces: list | None  # per table, with ``keep_pieces``: see ``_per_component``
 
 
 def _distinct_lists(lengths: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, list]:
@@ -671,11 +672,11 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     padded canvas, repaired there, relabelled into pieces and each piece
     classified: ``holes_pipeline``, ``analyze_volume``, ``holes``,
     ``homology`` and ``validate``, with the ``hooks`` of their dimension.
-    Returns ``_Columns``: the pieces in component order, each one's canvas
-    too with ``keep_pieces`` (``validate`` checks them against the
-    oracles), and the log in source coordinates: per component in id
-    order, its scan edits and then its repair edits, moved by its canvas
-    origin.
+    Returns ``_Columns``: the pieces in component order, the log in
+    source coordinates (per component in id order, its scan edits and
+    then its repair edits, moved by its canvas origin), and with
+    ``keep_pieces``, per table, its labeling, its pieces' labels and
+    their places in report order (``validate`` checks them there).
 
     The work is done per grid, not per component. Every answer is read
     from 2x2 (2x2x2) windows, whose object cells are adjacent through the
@@ -757,10 +758,9 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
             # An unrepaired canvas answers no piece.
             yield (ok & repair, cuts, rows), pieces, np.arange(1, pieces.count + 1), owners
 
-    # The tables join into one over all their labels. Each piece is one of
-    # those labels; it is cut out alone, by label, with ``keep_pieces``,
-    # or when its table does not answer it.
-    oks, cuts, rows, cid, lab, sizes, canvases = [], [], [], [], [], [], {}
+    # The tables join into one over all their labels, one per piece. A
+    # piece that its table does not answer is cut out alone, by label.
+    oks, cuts, rows, cid, lab, sizes, canvases, kept = [], [], [], [], [], [], {}, []
     for (ok, table_cuts, table_rows), source, ids, owners in tables():
         base = sum(map(len, oks))
         oks.append(ok)
@@ -769,9 +769,10 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         cid.append(owners)
         lab.append(ids + base)
         sizes.append(source.sizes[ids])
-        cut = (ids if keep_pieces else ids[~ok[ids]]).tolist()
-        boxes = _component_boxes(source, cut)
-        canvases.update((base + i, _component_canvas(source, i, boxes[i])[0]) for i in cut)
+        cut = ids[~ok[ids]].tolist()
+        canvases.update(zip((base + i for i in cut), _canvases(source, cut)))
+        if keep_pieces:
+            kept.append((source, ids))
     cuts.append([sum(map(len, rows))])
     oks, cuts = np.concatenate(oks), np.concatenate(cuts)
     order = np.lexsort((np.concatenate(lab), np.concatenate(cid)))
@@ -792,7 +793,10 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     by_owner = np.argsort(owners, kind="stable")
     owners, log = owners[by_owner], log[by_owner]
     edits = np.stack((owners.searchsorted(cid), owners.searchsorted(cid, side="right")), axis=1)
-    pieces = [canvases[i] for i in lab.tolist()] if keep_pieces else None
+    pieces = None
+    if keep_pieces:  # each table's pieces' places in report order: ``order``'s inverse
+        places = np.split(np.argsort(order), np.cumsum([len(ids) for _, ids in kept])[:-1])
+        pieces = [(*table, at) for table, at in zip(kept, places)]
     return _Columns(sizes, answer, list(map(hooks.answer, lists)), edits, log, pieces)
 
 
@@ -815,5 +819,5 @@ def extract_component(labeling: Labeling, component_id: int):
     """Copy one component to a fresh grid: tight bounding box plus a 1-cell
     background pad on every side. Raises NoSuchComponentError for ids
     outside ``1..count``."""
-    return _component_canvas(labeling, component_id)[0]
+    return _component_canvas(labeling, component_id)
 

@@ -7,8 +7,9 @@ integer curvature totals. Everything here is exact integer arithmetic.
 
 The 3D counter (V - E + F over the boundary faces; Kong and Rosenfeld,
 "Digital topology: introduction and survey", CVGIP 1989) works on arrays
-and takes many volumes in one call, so ``validate`` checks every piece of
-a grid at once. It shares no window-code table with the formula path.
+and counts each requested label of one labelled volume as if it were
+alone, so ``validate`` checks every piece the driver labelled together in
+one call. It shares no window-code table with the formula path.
 """
 
 from __future__ import annotations
@@ -73,61 +74,51 @@ def euler_2d(component: Image2D) -> CellComplexSummary:
 _SPANS = ((1, 2), (0, 2), (0, 1))
 
 
-def _surface_components(vols):
-    """The boundary surfaces of each volume in ``vols``, in one pass.
+def _surface_components(labels: np.ndarray, ids):
+    """The boundary surfaces of each label in ``ids`` of the (nz, ny, nx)
+    integer array ``labels``, each label's as if its cells were alone.
 
-    Returns one list per volume, of one ``(CellComplexSummary, (vx, vy,
+    Returns one list per id, of one ``(CellComplexSummary, (vx, vy,
     vz))`` per surface: its cell counts and the coordinates of its
-    vertices in scan order. The surfaces come in the scan order of their
+    vertices in scan order, vertex (0, 0, 0) being the first corner of
+    ``labels[0, 0, 0]``. The surfaces come in the scan order of their
     minimal vertices, ties going to the one whose first face comes first
     (faces by normal x, y, z, each in scan order of its minimal vertex).
 
-    Boundary faces are the unit squares between an object and a
-    background voxel, the XOR of each voxel and its neighbour along an
-    axis; faces that share an edge belong to one surface (the generic
-    union ``grid._components``), and a vertex counts once for each
-    surface that touches it. The volumes are stacked along z, one empty
-    layer apart, in groups whose y and x extents round up to the same
-    powers of two: no face, edge or vertex reaches across an empty
-    layer. Vertices are keyed by their index in the stacks, edges by
-    3 * vertex + axis, and the counts come from sorting the keys.
+    Boundary faces are the unit squares where the label changes along an
+    axis; each belongs to the label on its object side (no two labels of
+    a labelling meet at a face). Faces of one label that share an edge
+    belong to one surface (the generic union ``grid._components``), and
+    a vertex counts once for each surface that touches it. In a frame of
+    one empty cell (``_pad``), a label's vertices are keyed by their
+    index there plus its place in ``ids`` times the frame's cells, and
+    edges by 3 * vertex + axis, so pieces that meet at an edge or a
+    vertex count as they would alone; the counts come from sorting the
+    keys.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, vol in enumerate(vols):
-        key = (1 << (vol.ny - 1).bit_length(), 1 << (vol.nx - 1).bit_length())
-        groups.setdefault(key, []).append(i)
-    # Per volume, the key of its vertex (0, 0, 0) and its stack's y and z
-    # strides; per normal of each stack, its faces' minimal vertices and
-    # the strides and axes they span.
-    origins, y_steps, z_steps = [0] * len(vols), [0] * len(vols), [0] * len(vols)
-    faces, spans = [], []
-    offset = 0
-    for members in groups.values():
-        w = 2 + max(vols[i].nx for i in members)
-        h = 2 + max(vols[i].ny for i in members)
-        stack = np.zeros((1 + sum(vols[i].nz + 1 for i in members), h, w), dtype=bool)
-        z = 1
-        for i in members:
-            vol = vols[i]
-            stack[z : z + vol.nz, 1 : vol.ny + 1, 1 : vol.nx + 1] = vol.cells
-            origins[i], y_steps[i], z_steps[i] = offset + (z * h + 1) * w + 1, w, h * w
-            z += vol.nz + 1
-        flat = stack.reshape(-1)
-        strides = (1, w, h * w)
-        for s, (a, b) in zip(strides, _SPANS):
-            # The face between cells j - s and j has j's minimal vertex.
-            faces.append(np.flatnonzero(flat[s:] ^ flat[:-s]) + (offset + s))
-            spans.append((strides[a], strides[b], a, b))
-        offset += flat.size
+    # Each requested label's place in ``ids``, counted from 1; 0 elsewhere.
+    place = np.zeros(max([labels.max(), *ids]) + 1, dtype=np.int32)
+    place[ids] = np.arange(1, len(ids) + 1)
+    p = _pad(place[labels])
+    flat, size = p.reshape(-1), p.size
+    strides = (1, p.shape[2], p.shape[1] * p.shape[2])
+    which, faces, spans = [], [], []
+    for s, (a, b) in zip(strides, _SPANS):
+        # The face between cells j - s and j has j's minimal vertex.
+        j = np.flatnonzero(flat[s:] != flat[:-s]) + s
+        which.append(flat[j - s] + flat[j])
+        faces.append(j)
+        spans.append((strides[a], strides[b], a, b))
     n = sum(part.size for part in faces)
     if not n:
-        return [[] for _ in vols]
-    k = np.concatenate(faces)
+        return [[] for _ in ids]
+    which, k = np.concatenate(which), np.concatenate(faces)
     sa, sb, a, b = np.repeat(np.array(spans), [part.size for part in faces], axis=0).T
 
     # A face's edges run along a from its vertices 0 and +b, and along b
-    # from 0 and +a; faces that share one are joined.
-    edges = np.concatenate([3 * k + a, 3 * (k + sb) + a, 3 * k + b, 3 * (k + sa) + b])
+    # from 0 and +a; faces of one label that share one are joined.
+    base = which.astype(np.int64) * size + k
+    edges = np.concatenate([3 * base + a, 3 * (base + sb) + a, 3 * base + b, 3 * (base + sa) + b])
     order = np.argsort(edges)
     edges = edges[order]
     face = order % n
@@ -137,35 +128,32 @@ def _surface_components(vols):
     surface = surface.astype(np.int64)
     f = np.bincount(surface, minlength=count)
     e = np.bincount(surface[face[new]], minlength=count)
+    label = np.zeros(count, dtype=np.int64)
+    label[surface] = which - 1
 
     # (surface, vertex) pairs, sorted: each surface's vertices in scan
     # order, the first one minimal.
     verts = np.concatenate([k, k + sa, k + sb, k + sa + sb])
-    verts = np.sort(np.concatenate([surface * offset] * 4) + verts)
-    owner, verts = np.divmod(verts[np.concatenate(([True], verts[1:] != verts[:-1]))], offset)
+    verts = np.sort(np.concatenate([surface * size] * 4) + verts)
+    owner, verts = np.divmod(verts[np.concatenate(([True], verts[1:] != verts[:-1]))], size)
     v = np.bincount(owner, minlength=count)
     starts = np.cumsum(v) - v
-    lowest = verts[starts]
-    origins, z_steps, y_steps = np.array([origins, z_steps, y_steps])
-    by_origin = np.argsort(origins)
-    vol_of = by_origin[origins[by_origin].searchsorted(lowest, side="right") - 1]
-    at = np.repeat(vol_of, v)
-    vz, rest = np.divmod(verts - origins[at], z_steps[at])
-    vy, vx = np.divmod(rest, y_steps[at])
+    ranked = np.lexsort((verts[starts], label)).tolist()
+    # The frame's cell i + 1 is the labels' cell i, whose first corner is vertex i.
+    vz, vy, vx = (i - 1 for i in np.unravel_index(verts, p.shape))
 
-    out = [[] for _ in vols]
-    ranked = np.lexsort((lowest, vol_of)).tolist()
-    v, e, f, starts, vol_of = v.tolist(), e.tolist(), f.tolist(), starts.tolist(), vol_of.tolist()
+    out = [[] for _ in ids]
+    v, e, f, starts, label = v.tolist(), e.tolist(), f.tolist(), starts.tolist(), label.tolist()
     for i in ranked:
         cut = slice(starts[i], starts[i] + v[i])
-        out[vol_of[i]].append((CellComplexSummary(v[i], e[i], f[i]), (vx[cut], vy[cut], vz[cut])))
+        out[label[i]].append((CellComplexSummary(v[i], e[i], f[i]), (vx[cut], vy[cut], vz[cut])))
     return out
 
 
-def _euler_surfaces(vols) -> list[list[CellComplexSummary]]:
-    """``euler_surface_3d`` of each volume in ``vols``, from one oracle
-    call; an odd chi anywhere raises."""
-    out = [[summary for summary, _ in surfaces] for surfaces in _surface_components(vols)]
+def _euler_surfaces(labels: np.ndarray, ids) -> list[list[CellComplexSummary]]:
+    """``euler_surface_3d`` of each label in ``ids`` of ``labels``, from
+    one oracle call; an odd chi anywhere raises."""
+    out = [[summary for summary, _ in surfaces] for surfaces in _surface_components(labels, ids)]
     if any(s.chi % 2 for summaries in out for s in summaries):
         raise InvalidSurfaceError("non-orientable or non-manifold boundary")
     return out
@@ -179,7 +167,7 @@ def euler_surface_3d(vol: Volume3D) -> list[CellComplexSummary]:
     connectivity. For a closed orientable surface the genus is
     ``(2 - chi) / 2``; an odd chi is rejected.
     """
-    return _euler_surfaces([vol])[0]
+    return _euler_surfaces(vol.cells.view(np.uint8), [1])[0]
 
 
 def curvature_audit(hist, genus: int) -> bool:

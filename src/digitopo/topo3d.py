@@ -553,7 +553,7 @@ def _piece_rows(vol: Volume3D, fallback_oracle: bool = True, _component_id: int 
     if not fallback_oracle:
         raise _SurfaceFormulaRefused("not a valid digital surface")
     rows = []
-    for summary, (vx, vy, vz) in _surface_components([vol])[0]:
+    for summary, (vx, vy, vz) in _surface_components(vol.cells.view(np.uint8), [1])[0]:
         if summary.chi % 2 != 0:
             raise InvalidSurfaceError("non-orientable or non-manifold boundary")
         bins = np.bincount(_DEGREE[codes[vz, vy, vx]], minlength=7).tolist()

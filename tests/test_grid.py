@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from digitopo import (
     NoSuchComponentError,
     Volume3D,
     analyze_volume,
+    cli_dispatch,
     extract_component,
     gen_frame,
     holes_pipeline,
@@ -17,6 +20,8 @@ from digitopo import (
     label_components_3d,
     topo2d,
     topo3d,
+    write_pbm,
+    write_vox3,
 )
 from digitopo import grid
 from digitopo.grid import (
@@ -208,17 +213,23 @@ def test_component_canvas_with_and_without_box():
             lab = label(_grid_of(rng.random(shape) < 0.4), adjacency)
             boxes = _component_boxes(lab, range(1, lab.count + 1))
             for cid in range(1, lab.count + 1):
-                canvas, origin = _component_canvas(lab, cid, boxes[cid])
-                assert (canvas, origin) == _component_canvas(lab, cid)
+                canvas = _component_canvas(lab, cid, boxes[cid])
+                assert canvas == _component_canvas(lab, cid)
+                # The box, in a frame of one empty cell.
+                inside = (slice(1, -1),) * adjacency.ndim
+                assert np.array_equal(canvas.cells[inside], lab.labels[boxes[cid]] == cid)
+                assert not canvas.cells.sum() - canvas.cells[inside].sum()
             for cid in (0, lab.count + 1):
                 with pytest.raises(NoSuchComponentError):
                     _component_canvas(lab, cid)
 
 
-def test_driver_cuts_pieces_through_component_canvas(monkeypatch):
+def test_driver_cuts_pieces_through_component_canvas(monkeypatch, capsys, tmp_path):
     # A dirty component goes straight into its stack, with no canvas of
-    # its own. A piece cut out alone (kept, or without an answer) goes
-    # through ``_component_canvas``, which the driver looks up when it
+    # its own, and 3D ``validate`` counts each piece's surfaces in the
+    # labeling that the driver gave it. A piece cut out alone (for the 2D
+    # oracles of ``validate``, or without an answer in its table) goes
+    # through ``_component_canvas``, which ``_canvases`` looks up when it
     # runs, so a wrapper (the benchmark's tracer) sees every such cut.
     cut = []
 
@@ -232,15 +243,97 @@ def test_driver_cuts_pieces_through_component_canvas(monkeypatch):
     holes_pipeline(ring)
     analyze_volume(pair)
     assert cut == []
-    topo2d._columns(ring, keep_pieces=True)
-    assert cut == [1]
-    cut.clear()
-    topo3d._columns(pair, keep_pieces=True)
-    assert cut == [1]
+    rng = np.random.default_rng(3)
+    salt = Volume3D(12, 12, 12, rng.random((12, 12, 12)) < 0.1)
+    write_vox3(salt, tmp_path / "salt.vox3")
+    write_pbm(Image2D(30, 30, rng.random((30, 30)) < 0.3), tmp_path / "salt.pbm")
+    for flags in ([], ["--no-repair"]):
+        # 3D ``validate`` cuts only what the driver alone cuts: nothing
+        # with repair, and without it the pieces of the dirty components,
+        # which go to ``slow``.
+        topo3d._columns(salt, not flags)
+        slow, cut[:] = cut[:], []
+        assert bool(slow) == bool(flags)
+        cli_dispatch(["validate", "--json", *flags, str(tmp_path / "salt.vox3")])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) > 50 and cut == slow
+        cut.clear()
+        # Every 2D piece is cut once, for the flood fill and the Euler count.
+        cli_dispatch(["validate", "--json", *flags, str(tmp_path / "salt.pbm")])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) > 30 and len(cut) == len(checks)
+        cut.clear()
     # Unrepaired, the pair is two 6-pieces, each cut out for the oracle.
-    cut.clear()
     analyze_volume(pair, repair=False)
     assert cut == [1, 2]
+
+
+def _validate_out(digest, *checks):
+    return json.dumps(
+        {
+            "agree": True,
+            "checks": [{"agree": True, "component": i, **c} for i, c in enumerate(checks, 1)],
+            "command": "validate",
+            "input": f"sha256:{digest}",
+            "schema_version": 1,
+        },
+        separators=(",", ":"),
+    ) + "\n"
+
+
+NIL = {"euler": 0, "formula": 0}
+
+
+@pytest.mark.parametrize(
+    "vol, flags, want",
+    [
+        # One 26-component, dirty: no clean component, one stack.
+        (
+            volume("10\n00", "00\n01"),
+            [],
+            _validate_out("eedaf2d517a9990d0a3515c5af67babc25a6eeb6cf1e399590b1c783af0373f0", NIL),
+        ),
+        (
+            volume("10\n00", "00\n01"),
+            ["--no-repair"],
+            _validate_out(
+                "eedaf2d517a9990d0a3515c5af67babc25a6eeb6cf1e399590b1c783af0373f0", NIL, NIL
+            ),
+        ),
+        # An edge pair and a vertex pair, both dirty.
+        (
+            volume("10001\n01000", "00000\n00010"),
+            [],
+            _validate_out(
+                "a312f07ac35b4fbe787abf2215754fd4dc9e31605b26a51e4a3e75b319d5e36a", NIL, NIL
+            ),
+        ),
+        (
+            volume("10001\n01000", "00000\n00010"),
+            ["--no-repair"],
+            _validate_out(
+                "a312f07ac35b4fbe787abf2215754fd4dc9e31605b26a51e4a3e75b319d5e36a", *[NIL] * 4
+            ),
+        ),
+        # No component at all.
+        (
+            Volume3D(5, 4, 3),
+            [],
+            _validate_out("1180ab7e405fd6291138997aa6d4ac0cb2cc19762dc2a17486c39b7db35cc7a3"),
+        ),
+        (
+            Volume3D(5, 4, 3),
+            ["--no-repair"],
+            _validate_out("1180ab7e405fd6291138997aa6d4ac0cb2cc19762dc2a17486c39b7db35cc7a3"),
+        ),
+    ],
+)
+def test_validate_with_no_clean_component(capsys, tmp_path, vol, flags, want):
+    # The grid's table of clean components is empty on each of these.
+    path = tmp_path / "in.vox3"
+    write_vox3(vol, path)
+    assert cli_dispatch(["validate", "--json", *flags, str(path)]) == 0
+    assert capsys.readouterr().out == want
 
 
 @settings(max_examples=200, deadline=None)

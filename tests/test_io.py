@@ -631,6 +631,31 @@ class TestCliRepairValidate:
             _, out = run_cli(capsys, "holes", "--json", str(repaired), *flags)
             assert json.loads(out)["total_holes"] == 0
 
+    def test_no_repair_still_deletes_speckles_and_fills_pixel_holes(self, capsys, tmp_path):
+        # `--no-repair` skips the pathology repair only: the 2D speckle
+        # scan still fills a one-pixel hole and deletes a lone pixel.
+        filled = (
+            '{"command":"holes","components":[{"area":25,"component":1,"histogram":'
+            '{"boundary_total":16,"cp0":0,"cp1":0,"cp2":4,"cp3":12,"cp4":0,"thin":0},'
+            '"holes":0,"method":"formula","precondition_ok":true}],"input":"sha256:'
+            'cbc7b325fb2d7573d9b67d78f61c04a42a5e43d6e0d1c93d06ab8a33c05060a4",'
+            '"repair_actions":[{"op":"add","reason":"speckle","x":2,"y":2}],'
+            '"schema_version":1,"total_holes":0}\n'
+        )
+        deleted = (
+            '{"command":"holes","components":[],"input":"sha256:'
+            '4b27344ec7524986ebaaff41983e258fdda048382154588334592cbf85878389",'
+            '"repair_actions":[{"op":"delete","reason":"speckle","x":0,"y":0}],'
+            '"schema_version":1,"total_holes":0}\n'
+        )
+        for grid, want in (
+            (image("11111\n11111\n11011\n11111\n11111"), filled),
+            (image("1"), deleted),
+        ):
+            path = tmp_path / "in.pbm"
+            write_pbm(grid, path)
+            assert run_cli(capsys, "holes", "--no-repair", "--json", str(path)) == (0, want)
+
     def test_repair_writes_clean_pbm(self, capsys, tmp_path):
         src = tmp_path / "noisy.pbm"
         dst = tmp_path / "clean.pbm"

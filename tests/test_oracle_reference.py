@@ -1,12 +1,15 @@
 """The array cell-complex oracle against the breadth-first search it replaced.
 
-``oracle._surface_components`` finds the boundary surfaces of many
-volumes in one array pass. The functions below are the search it
-replaced, kept as the reference: the boundary faces of one padded
-volume, keyed as tuples, joined through shared edges by a queue. Both
-must give the same surfaces in the same order, with the same cell
-counts and vertex sets, and the same odd-chi ``InvalidSurfaceError``,
-on raw volumes with no filter, alone and in batches of mixed shapes.
+``oracle._surface_components`` finds the boundary surfaces of each
+requested label of one labelled volume in one array pass. The functions
+below are the search it replaced, kept as the reference: the boundary
+faces of one padded volume, keyed as tuples, joined through shared edges
+by a queue. For each label, both must give the same surfaces in the same
+order, with the same cell counts and vertex sets (the oracle's moved
+into the piece's own frame), and the same odd-chi
+``InvalidSurfaceError``, on raw volumes with no filter: one volume as
+label 1, volumes of mixed shapes one empty layer apart, and the
+6-components of one volume, which meet at edges and vertices.
 """
 
 from collections import deque
@@ -14,7 +17,16 @@ from collections import deque
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from digitopo import CellComplexSummary, InvalidSurfaceError, Volume3D, euler_surface_3d
+from digitopo import (
+    Adjacency,
+    CellComplexSummary,
+    InvalidSurfaceError,
+    Volume3D,
+    euler_surface_3d,
+    extract_component,
+    label_components_3d,
+)
+from digitopo.grid import _component_boxes
 from digitopo.oracle import _euler_surfaces, _surface_components
 
 from gridtext import volume
@@ -130,14 +142,18 @@ def reference_euler_surface_3d(vol):
     return out
 
 
-def as_sets(vol, surfaces):
-    """``_surface_components``'s surfaces of ``vol`` as (summary, vertex
-    set) pairs, after checking that each vertex list is in scan order."""
+def as_sets(shape, surfaces, shift=(0, 0, 0)):
+    """``_surface_components``'s surfaces of one label as (summary,
+    vertex set) pairs, each vertex moved by ``shift`` (x, y, z), after
+    checking that each vertex list is in scan order of the labels, whose
+    array shape is ``shape``."""
+    nz, ny, nx = shape
     out = []
     for summary, (vx, vy, vz) in surfaces:
-        scan = (vz * (vol.ny + 1) + vy) * (vol.nx + 1) + vx
+        scan = (vz * (ny + 1) + vy) * (nx + 1) + vx
         assert (np.diff(scan) > 0).all()
-        out.append((summary, set(zip(vx.tolist(), vy.tolist(), vz.tolist()))))
+        moved = (i + d for i, d in zip((vx, vy, vz), shift))
+        out.append((summary, set(zip(*(i.tolist() for i in moved)))))
     return out
 
 
@@ -165,6 +181,44 @@ FULL = Volume3D(3, 2, 4, np.ones((4, 2, 3), dtype=bool))
 SHELL = volume("111\n111\n111", "111\n101\n111", "111\n111\n111")
 
 
+def one_layer_apart(vols):
+    """The volumes stacked along z, one empty layer apart, volume i as
+    label i + 1, and each one's shift into its own frame."""
+    labels = np.zeros(
+        (sum(v.nz + 1 for v in vols), max(v.ny for v in vols), max(v.nx for v in vols)),
+        dtype=np.int32,
+    )
+    z, shifts = 0, []
+    for i, v in enumerate(vols, 1):
+        labels[z : z + v.nz, : v.ny, : v.nx][v.cells] = i
+        shifts.append((0, 0, -z))
+        z += v.nz + 1
+    return labels, shifts
+
+
+def some_ids(count, order):
+    """All labels 1..count in order when ``order`` is None, else a subset
+    of them in an order drawn from that seed."""
+    if order is None:
+        return list(range(1, count + 1))
+    rng = np.random.default_rng(order)
+    return (rng.permutation(count)[: rng.integers(0, count, endpoint=True)] + 1).tolist()
+
+
+def assert_labels_match_reference(labels, ids, pieces):
+    """The oracle on label ``ids[i]`` of ``labels`` against the reference
+    on ``pieces[i]``: (the piece alone, its shift into its own frame)."""
+    got = _surface_components(labels, ids)
+    assert len(got) == len(ids)
+    assert [as_sets(labels.shape, s, shift) for s, (_, shift) in zip(got, pieces)] == [
+        reference_surface_components(piece) for piece, _ in pieces
+    ]
+    # The call raises when any one piece would.
+    want = [outcome(reference_euler_surface_3d, piece) for piece, _ in pieces]
+    raised = [w for w in want if isinstance(w, tuple)]
+    assert outcome(_euler_surfaces, labels, ids) == (raised[0] if raised else want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(vol=raw_volumes())
 @example(vol=Volume3D(1, 1, 1))
@@ -174,23 +228,42 @@ SHELL = volume("111\n111\n111", "111\n101\n111", "111\n111\n111")
 @example(vol=EDGE_PAIR)
 @example(vol=VERTEX_PAIR)
 def test_one_volume_matches_reference(vol):
-    (got,) = _surface_components([vol])
-    assert as_sets(vol, got) == reference_surface_components(vol)
+    (got,) = _surface_components(vol.cells.view(np.uint8), [1])
+    assert as_sets(vol.cells.shape, got) == reference_surface_components(vol)
     assert outcome(euler_surface_3d, vol) == outcome(reference_euler_surface_3d, vol)
 
 
 @settings(max_examples=75, deadline=None)
-@given(vols=st.lists(raw_volumes(), max_size=8))
-@example(vols=[])
-@example(vols=[FULL, Volume3D(1, 1, 1), SHELL, VERTEX_PAIR, volume("1")])
-@example(vols=[SHELL, EDGE_PAIR, FULL])
-def test_a_batch_of_mixed_shapes_matches_reference(vols):
-    got = _surface_components(vols)
-    assert len(got) == len(vols)
-    assert [as_sets(v, s) for v, s in zip(vols, got)] == [
-        reference_surface_components(v) for v in vols
+@given(
+    vols=st.lists(raw_volumes(), min_size=1, max_size=8),
+    order=st.none() | st.integers(0, 2**32 - 1),
+)
+@example(vols=[FULL, Volume3D(1, 1, 1), SHELL, VERTEX_PAIR, volume("1")], order=None)
+@example(vols=[SHELL, EDGE_PAIR, FULL], order=None)
+def test_volumes_one_layer_apart_match_reference(vols, order):
+    labels, shifts = one_layer_apart(vols)
+    ids = some_ids(len(vols), order)
+    assert_labels_match_reference(labels, ids, [(vols[i - 1], shifts[i - 1]) for i in ids])
+
+
+@settings(max_examples=150, deadline=None)
+@given(vol=raw_volumes(), order=st.none() | st.integers(0, 2**32 - 1))
+@example(vol=EDGE_PAIR, order=None)
+@example(vol=VERTEX_PAIR, order=None)
+@example(vol=volume("101\n010\n101", "010\n101\n010"), order=None)
+def test_six_components_of_one_volume_match_reference(vol, order):
+    # 6-components meet at edges and vertices, which the oracle keys by
+    # label, so each counts as it would alone.
+    labeling = label_components_3d(vol, Adjacency.DIRECT_3D)
+    ids = some_ids(labeling.count, order)
+    boxes = _component_boxes(labeling, ids)
+    pieces = [
+        (extract_component(labeling, i), tuple(1 - b.start for b in boxes[i][::-1])) for i in ids
     ]
-    # The batch raises when any one volume would.
-    want = [outcome(reference_euler_surface_3d, v) for v in vols]
-    raised = [w for w in want if isinstance(w, tuple)]
-    assert outcome(_euler_surfaces, vols) == (raised[0] if raised else want)
+    assert_labels_match_reference(labeling.labels, ids, pieces)
+
+
+def test_no_ids_no_surfaces():
+    labels = label_components_3d(SHELL, Adjacency.DIRECT_3D).labels
+    assert _surface_components(labels, []) == []
+    assert _euler_surfaces(labels, []) == []

@@ -36,6 +36,7 @@ from digitopo.topo2d import (
     _piece_rows,
 )
 from gridtext import image
+from test_topo3d import kept_canvases
 
 # The two worked 8x8 matrices: a blob without holes (cp2=8, cp4=4) and a
 # blob with one hole (cp2=6, cp4=6).
@@ -482,7 +483,7 @@ def raw_images(draw):
 def test_every_piece_matches_both_oracles(img):
     for repair in (True, False):
         reports, _ = _analyze_components(img, repair)
-        pieces = _columns(img, repair, keep_pieces=True).pieces
+        pieces = kept_canvases(_columns(img, repair, keep_pieces=True))
         assert len(pieces) == len(reports)
         for rep, piece in zip(reports, pieces):
             assert rep.holes == holes_by_floodfill(piece) == 1 - euler_2d(piece).chi

@@ -35,7 +35,14 @@ from digitopo import (
     split_surface_components,
     to_point_space,
 )
-from digitopo.grid import RepairAction, _component_canvas, _pad, _window_codes
+from digitopo.grid import (
+    RepairAction,
+    _canvases,
+    _component_boxes,
+    _component_canvas,
+    _pad,
+    _window_codes,
+)
 from digitopo.oracle import _euler_surfaces
 from digitopo.topo3d import (
     SurfaceHistogram,
@@ -745,7 +752,8 @@ def reference_analyze(vol, repair=True, fallback_oracle=True, repair_fn=repair_3
     reports = []
     all_actions = []
     for cid in range(1, lab26.count + 1):
-        canvas, (ox, oy, oz) = _component_canvas(lab26, cid)
+        canvas = _component_canvas(lab26, cid)
+        oz, oy, ox = (s.start - 1 for s in _component_boxes(lab26, [cid])[cid])
         shifted = []
         if repair:
             canvas, acts = repair_fn(canvas)
@@ -758,7 +766,7 @@ def reference_analyze(vol, repair=True, fallback_oracle=True, repair_fn=repair_3
             continue
         lab6 = label_components_3d(canvas, Adjacency.DIRECT_3D)
         for sid in range(1, lab6.count + 1):
-            piece, _ = _component_canvas(lab6, sid)
+            piece = _component_canvas(lab6, sid)
             reports.append(
                 reference_homology(
                     piece, fallback_oracle, len(reports) + 1, tuple(shifted)
@@ -769,11 +777,25 @@ def reference_analyze(vol, repair=True, fallback_oracle=True, repair_fn=repair_3
 
 def assert_same_answers(kept, lean):
     """Driver columns with and without ``keep_pieces`` hold the same
-    answers and edits; only the second keeps no pieces."""
-    assert lean.pieces is None and len(kept.pieces) == len(kept.sizes)
+    answers and edits; only the second keeps no pieces. The kept tables
+    place every piece once, each with its size."""
+    assert lean.pieces is None
+    places = np.concatenate([at for *_, at in kept.pieces])
+    assert sorted(places.tolist()) == list(range(len(kept.sizes)))
+    for labeling, ids, at in kept.pieces:
+        assert kept.sizes[at].tolist() == labeling.sizes[ids].tolist()
     assert kept.answers == lean.answers
     for field in ("sizes", "answer", "edits", "log"):
         assert np.array_equal(getattr(kept, field), getattr(lean, field)), field
+
+
+def kept_canvases(columns):
+    """The canvas of each piece of ``keep_pieces`` columns, in report order."""
+    out = [None] * len(columns.sizes)
+    for labeling, ids, places in columns.pieces:
+        for place, canvas in zip(places.tolist(), _canvases(labeling, ids.tolist())):
+            out[place] = canvas
+    return out
 
 
 def outcome(fn, *args, **kwargs):
@@ -822,10 +844,13 @@ class TestWholeGridDriver:
         if repair and not isinstance(got[0], type):
             kept = _columns(vol, repair, fallback_oracle, keep_pieces=True)
             assert_same_answers(kept, _columns(vol, repair, fallback_oracle))
-            pieces = kept.pieces
-            assert len(pieces) == len(got[0])
-            # One oracle call for every piece, as ``validate`` makes.
-            surfaces = _euler_surfaces(pieces)
+            # One oracle call per table of pieces, as ``validate`` makes.
+            surfaces = [None] * len(got[0])
+            for labeling, ids, places in kept.pieces:
+                for place, summaries in zip(
+                    places.tolist(), _euler_surfaces(labeling.labels, ids.tolist())
+                ):
+                    surfaces[place] = summaries
             for rep, summaries in zip(got[0], surfaces):
                 assert len(summaries) == len(rep.boundary_surfaces)
                 assert sum(s.genus for s in rep.boundary_surfaces) == sum(

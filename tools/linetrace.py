@@ -13,7 +13,7 @@ lines, or a compound statement's header up to its body (decorators
 included). Lines that compile to no instruction (a docstring, ``global``)
 are not statements here. Only this process is traced: code that runs in
 a subprocess, such as the command line started as ``python -m
-digitopo``, is not, so a statement reached only there is listed. The
+digitopo.cli``, is not, so a statement reached only there is listed. The
 tracer slows the run, so wall-clock gates may fail under it.
 """
 
