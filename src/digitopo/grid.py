@@ -398,28 +398,22 @@ def _window_cells(shape: tuple[int, ...], vertices: np.ndarray, bits: np.ndarray
     )
 
 
-# Per dimension: the bit of a cell at index i of a padded grid in the
-# codes of the windows that hold it, ``codes[i - 1 : i + 1]`` per axis.
-# The first of them holds it as its highest bit.
-_FLIP = {d: (1 << np.arange(2**d)[::-1]).astype(np.uint8).reshape((2,) * d) for d in (2, 3)}
-
-
-def _flip(p: np.ndarray, codes: np.ndarray, cell: tuple[int, ...]) -> None:
-    """Toggle ``p[cell]`` and its bit in the codes (``_window_codes(p)``)
-    of the 2x2 (2x2x2) windows that hold it."""
-    p[cell] = not p[cell]
-    codes[tuple(slice(i - 1, i + 1) for i in cell)] ^= _FLIP[p.ndim]
-
-
-def _flip_all(codes: np.ndarray, at: tuple[np.ndarray, ...]) -> None:
-    """``_flip`` of the distinct cells ``at`` (one index array per axis),
-    in the codes only: one XOR per window offset. Distinct cells have
-    distinct windows at one offset, so no index repeats within a step
-    (``^=`` would drop it; ``np.bitwise_xor.at`` costs several times more)."""
-    flat = codes.reshape(-1)
-    first = np.ravel_multi_index(tuple(i - 1 for i in at), codes.shape)
-    for offset in np.ndindex(*(2,) * codes.ndim):
-        flat[first + np.ravel_multi_index(offset, codes.shape)] ^= _FLIP[codes.ndim][offset]
+def _flip(view, strides: tuple, cell) -> None:
+    """Toggle the cell at flat index ``cell`` of a padded grid in the
+    codes (``_window_codes``) of the 2x2 (2x2x2) windows that hold it:
+    ``view`` holds the codes' bytes, ``strides`` are theirs. The window
+    at ``cell - d`` holds it at offset d, as bit dx + 2*dy (+ 4*dz), so
+    a cell is bit 0 of its own window's code. ``view`` may be the flat
+    codes array and ``cell`` an array of distinct cells, which then have
+    distinct windows at each offset: no index repeats within one ``^=``
+    (which would drop it; ``np.bitwise_xor.at`` costs several times more)."""
+    y, bit = strides[-2], 1
+    for c in (cell, cell - strides[0])[: len(strides) - 1]:
+        view[c] ^= bit
+        view[c - 1] ^= bit << 1
+        view[c - y] ^= bit << 2
+        view[c - y - 1] ^= bit << 3
+        bit = 16
 
 
 def _where(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -436,7 +430,7 @@ def _where(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
     """``(vertex, hit)`` for every hit that ``hits`` lists at the code of
-    each vertex (an index tuple into ``codes``) whose ``order`` is not 0:
+    each vertex (a flat index into ``codes``) whose ``order`` is not 0:
     by ``order``, then in scan order, then in the order of the list. The
     vertices are all of them, or those of ``at``, ascending flat indices."""
     flat = codes.reshape(-1)
@@ -445,26 +439,27 @@ def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
     else:
         at = at[order.take(flat[at]) != 0]
     at = at[np.argsort(order[flat[at]], kind="stable")]
-    vertices = zip(*(i.tolist() for i in np.unravel_index(at, codes.shape)))
-    return [(v, hit) for v, code in zip(vertices, flat[at].tolist()) for hit in hits[code]]
+    return [(v, hit) for v, code in zip(at.tolist(), flat[at].tolist()) for hit in hits[code]]
 
 
 def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, canvases=None):
     """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
-    ``repair_3d``. Returns the edited copy and its edits, rows of
-    ``_actions``, the index into ``cells`` in array order.
+    ``repair_3d``. Returns the edited copy, its edits (rows of
+    ``_actions``, the index into ``cells`` in array order) and its codes,
+    ``_window_codes(_pad(copy))``.
 
-    The edits go to one padded copy ``p`` (``_pad``), whose window codes
-    are computed once and kept current by ``_flip``. A round takes the
-    hits of the codes (``_hits``); it re-checks each against its window's
-    current code, since an earlier edit may have resolved it, and calls
-    ``fix(p, codes, vertex, hit)``, which flips one cell of the hit's
-    window through ``_flip`` and returns it. The edit is an ADD when the
-    cell is now set, else a DELETE. Rounds repeat until no hit is left.
-    Only the first round reads every code: a window with a hit at the
-    start of a round was fixed or changed in the round before, by an edit
-    of one of its cells, so a later round reads only the windows that
-    hold a cell the round before edited.
+    The loop works on those codes alone, computed once and kept current
+    by ``_flip``; the copy is their bit 0 (``_flip``). Vertices and cells
+    are flat indices into the codes, read through one byte view. A round
+    takes the hits of the codes (``_hits``); it re-checks each against
+    its window's current code, since an earlier edit may have resolved
+    it, and calls ``fix(view, strides, vertex, hit)``, which flips one
+    cell of the hit's window through ``_flip`` and returns it. The edit
+    is an ADD when the cell is now set, else a DELETE. Rounds repeat
+    until no hit is left. Only the first round reads every code: a window
+    with a hit at the start of a round was fixed or changed in the round
+    before, by an edit of one of its cells, so a later round reads only
+    the windows that hold a cell the round before edited.
 
     The loop is deterministic, so a round that starts from a state
     already seen would repeat forever: it raises ``RepairDidNotConverge``,
@@ -478,22 +473,23 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
     through the rounds and edits it would alone, with its own state and
     its own cap.
     """
-    p = _pad(cells)
-    codes = _window_codes(p)
-    if canvases is None:
-        canvases = [(len(cells), cells.size)]
-    # Cells row i is row i + 1 of ``p``; a hit window holds a cell of its
-    # canvas in its first row.
-    stops = np.cumsum([rows for rows, _ in canvases]).tolist()
+    codes = _window_codes(_pad(cells))
+    found = _hits(codes, hits, order)
+    if not found:
+        return cells.copy(), np.zeros((0, cells.ndim + 2), dtype=np.int64), codes
+    view, strides = memoryview(codes).cast("B"), codes.strides
+    canvases = canvases or [(len(cells), cells.size)]
+    # A hit window holds a cell of its canvas in its first row, row r - 1
+    # of ``cells`` at vertex row r: a canvas ends before vertex row stop + 1.
+    stops = ((np.cumsum([rows for rows, _ in canvases]) + 1) * strides[0]).tolist()
     left = [4 * size for _, size in canvases]
     odd: list[set] = [set() for _ in canvases]
     seen: list[set] = [set() for _ in canvases]
     edits: list[tuple] = []
-    # Cell i is in the windows i - 1 and i per axis.
-    offsets = np.indices((2,) * p.ndim).reshape(p.ndim, 1, -1)
-    found = _hits(codes, hits, order)
+    # Cell c is in the windows c - d, d in {0, 1} per axis.
+    offsets = np.indices((2,) * cells.ndim).reshape(cells.ndim, -1).T @ strides
     while found:
-        owner = [bisect_right(stops, vertex[0] - 1) for vertex, _ in found]
+        owner = [bisect_right(stops, vertex) for vertex, _ in found]
         for k in set(owner):
             state = frozenset(odd[k])
             if state in seen[k]:
@@ -501,23 +497,23 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
             seen[k].add(state)
         start = len(edits)
         for (vertex, hit), k in zip(found, owner):
-            if hit not in hits[codes[vertex]]:
+            if hit not in hits[view[vertex]]:
                 continue
             if not left[k]:
                 raise RepairDidNotConverge("repair did not converge")
             left[k] -= 1
-            cell = fix(p, codes, vertex, hit)
+            cell = fix(view, strides, vertex, hit)
             odd[k] ^= {cell}
-            edits.append((*cell, p[cell], _PATHOLOGY))
-        near = np.array(edits[start:])[:, :-2].T[:, :, None] - offsets
+            edits.append((cell, view[cell] & 1))
         # Sorted and deduplicated without ``np.unique``, which imports
         # ``numpy.ma`` on first use.
-        at = np.sort(np.ravel_multi_index(tuple(near.reshape(p.ndim, -1)), codes.shape))
+        at = np.sort((np.array(edits[start:])[:, :1] - offsets).reshape(-1))
         at = at[np.diff(at, prepend=-1) != 0]
         found = _hits(codes, hits, order, at)
-    edits = np.array(edits, dtype=np.int64).reshape(-1, p.ndim + 2)
-    edits[:, :-2] -= 1
-    return p[(slice(1, -1),) * p.ndim].copy(), edits
+    cell, added = np.array(edits, dtype=np.int64).T
+    at = (i - 1 for i in np.unravel_index(cell, codes.shape))
+    edits = np.column_stack((*at, added, np.full_like(added, _PATHOLOGY)))
+    return (codes[(slice(1, None),) * codes.ndim] & 1).view(bool), edits, codes
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -614,8 +610,8 @@ class _Hooks(NamedTuple):
     # grid's table or None). It edits the codes and the labeling only.
     scan: Callable
     classify: Callable  # (codes, labels, count) -> the table of every label
-    # (stack, canvases) -> (stack, edits): ``_repair`` of a stack of
-    # canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
+    # (stack, canvases) -> (stack, edits, codes): ``_repair`` of a stack
+    # of canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
     repair: Callable
     slow: Callable  # (piece, fallback_oracle, component_id) -> its rows
     answer: Callable  # (a distinct list of rows) -> its answer
@@ -695,11 +691,12 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       the grid, else in groups whose other extents round up to the same
       powers of two (``_stack_groups``). Each stack is repaired once
       (``_repair``, every canvas apart, with its own checks), then
-      labelled, coded and classified once. Every stack is repaired before
-      anything is classified, so a repair cycle raises first. The
-      one-cell frames keep two canvases' objects and windows apart, and
-      scan order visits one canvas after another, so a stack's labels
-      number each canvas's pieces as labelling that canvas alone would;
+      labelled once and classified once from the codes its repair kept.
+      Every stack is repaired before anything is classified, so a repair
+      cycle raises first. The one-cell frames keep two canvases' objects
+      and windows apart, and scan order visits one canvas after another,
+      so a stack's labels number each canvas's pieces as labelling that
+      canvas alone would;
     * the answers stay integer rows until one ``_distinct_lists`` call
       gives each piece its distinct answer, and ``answer`` makes each
       distinct list into objects once. A piece without an answer in
@@ -722,9 +719,10 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         for cid, start, (rows, *shape) in zip(members, starts.tolist(), extents.tolist()):
             inside = (slice(start + 1, start + rows - 1), *(slice(1, n - 1) for n in shape))
             stack[inside] = labeling.labels[boxes[cid]] == cid
+        coded = None
         if repair:
-            sizes = extents.prod(axis=1).tolist()
-            stack, edits = hooks.repair(_grid_of(stack), list(zip(extents[:, 0].tolist(), sizes)))
+            split = list(zip(extents[:, 0].tolist(), extents.prod(axis=1).tolist()))
+            stack, edits, coded = hooks.repair(_grid_of(stack), split)
             stack = stack.cells
             # Each edit moves by the origin of the canvas whose rows hold it.
             owner = np.searchsorted(starts, edits[:, 0], side="right") - 1
@@ -732,7 +730,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
             shifts[:, 0] -= starts[:-1]
             edits[:, :-2] += shifts[owner]
             logs.append((np.array(members)[owner], edits))
-        stacks.append((np.array(members), starts, stack))
+        stacks.append((np.array(members), starts, stack, coded))
     if table is None:  # classified after every repair: a cycle raises first
         table = hooks.classify(codes, labeling.labels, labeling.count)
     del codes
@@ -745,11 +743,11 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         clean = np.flatnonzero(clean)
         yield table, labeling, clean, clean
         while stacks:  # popped, so that a stack is freed once it is labelled
-            members, starts, stack = stacks.pop()
+            members, starts, stack, coded = stacks.pop()
             pieces = label(_grid_of(stack), hooks.pieces)
-            ok, cuts, rows = hooks.classify(
-                _window_codes(_pad(stack)), pieces.labels, pieces.count
-            )
+            if coded is None:  # unrepaired; a repair hands back its codes
+                coded = _window_codes(_pad(stack))
+            ok, cuts, rows = hooks.classify(coded, pieces.labels, pieces.count)
             # Labels rise in scan order, so each canvas holds the labels up
             # to the largest one in its rows.
             last = pieces.labels.reshape(len(stack), -1).max(axis=1)

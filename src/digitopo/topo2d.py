@@ -46,7 +46,6 @@ from .grid import (
     _analyze,
     _count_components,
     _flip,
-    _flip_all,
     _hits,
     _pad,
     _per_component,
@@ -269,11 +268,12 @@ def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
     A window overhanging the image holds at most one in-range cell of
     each diagonal, so it can never match.
     """
+    codes = _window_codes(_pad(img.cells))
+    hits = _hits(codes, _HITS, _DIAGONAL)
     # Vertex (y, x) of the padded image anchors the window at (x - 1, y - 1).
-    return [
-        Pathology2D(x - 1, y - 1, kind)
-        for (y, x), kind in _hits(_window_codes(_pad(img.cells)), _HITS, _DIAGONAL)
-    ]
+    at = np.unravel_index(np.array([v for v, _ in hits], dtype=np.intp), codes.shape)
+    at = (np.column_stack(at) - 1).tolist()
+    return [Pathology2D(x, y, kind) for (y, x), (_, kind) in zip(at, hits)]
 
 
 def repair_2d(img: Image2D, *, _canvases=None) -> tuple[Image2D, list[RepairAction]]:
@@ -290,35 +290,36 @@ def repair_2d(img: Image2D, *, _canvases=None) -> tuple[Image2D, list[RepairActi
     ``RepairDidNotConverge``.
 
     ``grid._per_component`` passes a stack of canvases as ``img`` and
-    their extents as ``_canvases`` (``grid._repair``), and gets the edits
-    back as rows of ``grid._repair`` rather than as actions.
+    their extents as ``_canvases``, and gets back ``grid._repair``'s
+    rows of edits, not actions, and its codes as a third item.
     """
-    cells, edits = _repair(img.cells, _HITS, _DIAGONAL, _fix_window, _canvases)
-    return Image2D(img.width, img.height, cells), edits if _canvases else _actions(edits)
+    cells, edits, codes = _repair(img.cells, _HITS, _DIAGONAL, _fix_window, _canvases)
+    img = Image2D(img.width, img.height, cells)
+    return (img, edits, codes) if _canvases else (img, _actions(edits))
 
 
-def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, _kind) -> tuple[int, int]:
-    """``repair_2d``'s edit of the diagonal window at ``vertex`` of the
-    padded image ``p``, whose codes are ``codes`` (``grid._repair``): the
-    cell (y, x) of ``p`` it leaves flipped. Candidates are flipped through
-    ``_flip`` and flipped back when they leave a diagonal window nearby.
-    """
-    y, x = vertex
-    window = [(y + dy, x + dx) for dy in (0, 1) for dx in (0, 1)]
-    bg = [c for c in window if not p[c]]
-    fg = [c for c in window if p[c]]
+def _fix_window(view: memoryview, strides: tuple, vertex: int, _kind) -> int:
+    """``repair_2d``'s edit of the diagonal window at the flat ``vertex``
+    of a padded image's codes, ``view`` with ``strides`` (``grid._repair``):
+    the flat index of the cell it leaves flipped. Candidates are flipped
+    through ``_flip`` and flipped back when they leave a diagonal window
+    nearby."""
+    y = strides[0]
+    window = (vertex, vertex + 1, vertex + y, vertex + y + 1)
+    bg = [c for c in window if not view[c] & 1]
+    fg = [c for c in window if view[c] & 1]
     # The windows anchored within one pixel of this one.
-    region = codes[y - 1 : y + 2, x - 1 : x + 2]
+    region = [v + dx for v in (vertex - y, vertex, vertex + y) for dx in (-1, 0, 1)]
     for cell in bg + fg:
-        _flip(p, codes, cell)
-        if not _DIAGONAL[region].any():
+        _flip(view, strides, cell)
+        if not any(view[v] in (_MAIN, _ANTI) for v in region):
             break
-        _flip(p, codes, cell)
+        _flip(view, strides, cell)
     else:
         # Every candidate spawns a new pathology; fall back to deleting the
         # row-major-first foreground cell, which at least shrinks the object.
         cell = fg[0]
-        _flip(p, codes, cell)
+        _flip(view, strides, cell)
     return cell
 
 
@@ -369,7 +370,7 @@ def _piece_rows(component: Image2D, fallback_oracle: bool = True, component_id: 
 def _despeckle(codes: np.ndarray, labeling: Labeling):
     """Delete and fill the speckles of the labelled image whose window
     codes, in a frame of one empty pixel, are ``codes``, as each
-    component's canvas sees them, in the codes (``grid._flip_all``), the
+    component's canvas sees them, in the codes (``grid._flip``), the
     labels and their sizes. Returns the owner's id of each edit and the
     edits (rows of ``grid._actions``), in row-major order.
 
@@ -393,7 +394,7 @@ def _despeckle(codes: np.ndarray, labeling: Labeling):
     np.add.at(labeling.sizes, owner, moved)
     labeling.sizes[0] -= moved.sum()
     ys, xs = np.divmod(at, width)
-    _flip_all(codes, (ys + 1, xs + 1))
+    _flip(codes.reshape(-1), codes.strides, np.ravel_multi_index((ys + 1, xs + 1), codes.shape))
     return owner, np.stack((ys, xs, fill, np.full_like(ys, _SPECKLE)), axis=1)
 
 

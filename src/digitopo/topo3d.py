@@ -38,8 +38,8 @@ side, each vertex has one code, and it gives:
   anchors: the vertex and complement patterns of the whole window, and
   the edge patterns of its three low faces. With the frame, every voxel
   is the minimal voxel of one window, so edge windows on the last layer
-  of an axis are seen too. Repair keeps the codes of its padded copy
-  current through each edit (``grid._repair``).
+  of an axis are seen too. Repair works on these codes alone, keeping
+  them current through each edit (``grid._repair``).
 
 The eight voxels are pairwise 26-adjacent, so their object voxels belong
 to one 26-component; ``grid._per_component`` builds ``analyze_volume`` on
@@ -310,12 +310,12 @@ def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
     pairs. An edge window is anchored at its minimum voxel, as the low
     face of the window there.
     """
+    codes = _window_codes(_pad(vol.cells))
+    hits = _hits(codes, _CODE_HITS, _CODE_DIRTY)
+    # Vertex (z, y, x) anchors the window at voxel (x - 1, y - 1, z - 1).
+    at = np.unravel_index(np.array([v for v, _ in hits], dtype=np.intp), codes.shape)
     found = []
-    for (z, y, x), (kind, (a, b), axis) in _hits(
-        _window_codes(_pad(vol.cells)), _CODE_HITS, _CODE_DIRTY
-    ):
-        # Vertex (z, y, x) anchors the window at voxel (x - 1, y - 1, z - 1).
-        x, y, z = x - 1, y - 1, z - 1
+    for (z, y, x), (_, (kind, (a, b), axis)) in zip((np.column_stack(at) - 1).tolist(), hits):
         pair = ((x + a[0], y + a[1], z + a[2]), (x + b[0], y + b[1], z + b[2]))
         found.append(Pathology3D(x, y, z, kind, pair, axis))
     return found
@@ -339,11 +339,12 @@ def repair_3d(vol: Volume3D, *, _canvases=None) -> tuple[Volume3D, list[RepairAc
     immediately instead of grinding out the remaining actions.
 
     ``grid._per_component`` passes a stack of canvases as ``vol`` and
-    their extents as ``_canvases`` (``grid._repair``), and gets the edits
-    back as rows of ``grid._repair`` rather than as actions.
+    their extents as ``_canvases``, and gets back ``grid._repair``'s
+    rows of edits, not actions, and its codes as a third item.
     """
-    cells, edits = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window, _canvases)
-    return Volume3D(vol.nx, vol.ny, vol.nz, cells), edits if _canvases else _actions(edits)
+    cells, edits, codes = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window, _canvases)
+    vol = Volume3D(vol.nx, vol.ny, vol.nz, cells)
+    return (vol, edits, codes) if _canvases else (vol, _actions(edits))
 
 
 # Per window code: the set face neighbours of its minimal voxel toward +x,
@@ -357,19 +358,19 @@ _DOWN_FACES = tuple(int.bit_count(code & 0b01101000) for code in range(256))
 _PAIR_AT = {pair: tuple(sorted(off[::-1] for off in pair)) for h in _CODE_HITS for _, pair, _ in h}
 
 
-def _face_degree(codes: np.ndarray, cell) -> int:
-    """The set face neighbours of ``cell`` (z, y, x) of a padded volume,
-    read from its codes: the minimal voxel of the window at ``cell`` and
-    the maximal one of the window one vertex below."""
-    z, y, x = cell
-    return _UP_FACES[codes.item(z, y, x)] + _DOWN_FACES[codes.item(z - 1, y - 1, x - 1)]
+def _face_degree(view: memoryview, strides: tuple, cell: int) -> int:
+    """The set face neighbours of the voxel at flat index ``cell`` of a
+    padded volume, read from its codes (``grid._flip``'s ``view`` and
+    ``strides``): the minimal voxel of the window at ``cell`` and the
+    maximal one of the window one vertex below."""
+    return _UP_FACES[view[cell]] + _DOWN_FACES[view[cell - sum(strides)]]
 
 
-def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> tuple[int, int, int]:
-    """``repair_3d``'s edit of the pathological window ``hit`` at
-    ``vertex`` of the padded volume ``p``, whose codes are ``codes``
-    (``grid._repair``): it flips one voxel through ``_flip`` and returns
-    it, (z, y, x) in ``p``.
+def _fix_window(view: memoryview, strides: tuple, vertex: int, hit) -> int:
+    """``repair_3d``'s edit of the pathological window ``hit`` at the
+    flat ``vertex`` of a padded volume's codes, ``view`` with
+    ``strides`` (``grid._repair``): it flips one voxel through ``_flip``
+    and returns its flat index.
 
     A complement window gets the empty voxel of its pair that shares the
     most faces with the set, the scan-first on a tie; any other loses the
@@ -377,15 +378,15 @@ def _fix_window(p: np.ndarray, codes: np.ndarray, vertex, hit) -> tuple[int, int
     tie.
     """
     kind, pair, _ = hit
-    z, y, x = vertex
+    sz, sy, _ = strides
     (az, ay, ax), (bz, by, bx) = _PAIR_AT[pair]
-    a, b = (z + az, y + ay, x + ax), (z + bz, y + by, x + bx)
-    da, db = _face_degree(codes, a), _face_degree(codes, b)
+    a, b = vertex + az * sz + ay * sy + ax, vertex + bz * sz + by * sy + bx
+    da, db = _face_degree(view, strides, a), _face_degree(view, strides, b)
     if kind is Pathology3DKind.COMPLEMENT_VERTEX_PAIR:
         cell = b if db > da else a
     else:
         cell = a if da < db else b
-    _flip(p, codes, cell)
+    _flip(view, strides, cell)
     return cell
 
 

@@ -206,8 +206,8 @@ def test_homology_answers_one_26_component_only():
 def test_every_parameter_of_a_src_function_is_read():
     # A parameter that its function never reads is an option nothing
     # sets, or a grid handed over only to be written. The two left are
-    # required by a shared hook signature: ``grid._repair``'s ``fix(p,
-    # codes, vertex, hit)`` and ``grid._Hooks.slow``'s ``(piece,
+    # required by a shared hook signature: ``grid._repair``'s ``fix(view,
+    # strides, vertex, hit)`` and ``grid._Hooks.slow``'s ``(piece,
     # fallback_oracle, component_id)``.
     unread = []
     for path in sorted((SRC / "digitopo").glob("*.py")):

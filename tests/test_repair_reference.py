@@ -1,7 +1,8 @@
 """The repair loop against the per-cell repair it replaced.
 
-``repair_2d`` and ``repair_3d`` run one loop (``grid._repair``) over a
-padded copy whose window codes each edit keeps current. The functions
+``repair_2d`` and ``repair_3d`` run one loop (``grid._repair``) over
+the padded grid's window codes alone, which each edit keeps current;
+each cell is bit 0 of the code of the window it anchors. The functions
 below are the loops they replaced, kept as the reference: each round
 rescans the whole grid, re-checks every window cell by cell and fixes it
 with per-cell reads. Both must give the same cells, the same actions and
@@ -30,7 +31,7 @@ from digitopo import (
     repair_2d as live_repair_2d,
     repair_3d as live_repair_3d,
 )
-from digitopo.grid import _flip, _flip_all, _pad, _window_codes
+from digitopo.grid import _flip, _pad, _window_codes
 from digitopo.topo2d import _DIAGONAL, _MAIN, Diag2D
 from digitopo.topo3d import _CODE_DIRTY, _CODE_HITS
 
@@ -320,26 +321,43 @@ def test_a_converged_3d_repair_leaves_no_pathology(cells):
     assert live_find_pathologies_3d(fixed) == []
 
 
+def held_grid(codes):
+    """The padded grid whose cells the window ``codes`` hold: each cell
+    set where any window holding it has its bit set."""
+    held = np.zeros(tuple(n + 1 for n in codes.shape), dtype=bool)
+    for bit, offset in enumerate(np.ndindex(*(2,) * codes.ndim)):
+        held[tuple(slice(d, d + n) for d, n in zip(offset, codes.shape))] |= (
+            codes >> bit & 1
+        ).astype(bool)
+    return held
+
+
 def test_flipped_codes_stay_current():
     # Every cell of a small 2D and 3D grid, flipped in a random order:
-    # after each flip the codes equal those computed afresh.
+    # after each flip the codes equal those computed afresh from the
+    # toggled grid, the grid they hold differs from the one before in
+    # the flipped cell only, and its pad stays empty.
     rng = np.random.default_rng(7)
     for shape in ((5, 6), (4, 3, 5)):
         p = _pad(rng.random(shape) < 0.5)
         codes = _window_codes(p)
+        view = memoryview(codes).cast("B")
         cells = list(np.ndindex(*shape))
         for i in rng.permutation(len(cells)).tolist():
             cell = tuple(c + 1 for c in cells[i])
-            before = bool(p[cell])
-            _flip(p, codes, cell)
-            assert p[cell] != before
+            before = held_grid(codes)
+            _flip(view, codes.strides, int(np.ravel_multi_index(cell, codes.shape)))
+            p[cell] = not p[cell]
             assert np.array_equal(codes, _window_codes(p)), (shape, cell)
-        assert not p[(0,) * len(shape)] and not p[(-1,) * len(shape)]
+            held = held_grid(codes)
+            assert [tuple(i) for i in np.argwhere(held != before).tolist()] == [cell]
+            assert not held[~_pad(np.ones(shape, dtype=bool))].any(), (shape, cell)
 
 
 def test_flipping_many_cells_at_once_keeps_codes_current():
     # Random sets of distinct cells, many of them sharing windows, flipped
-    # with one call: the codes equal those computed afresh.
+    # with one call on the flat codes: the codes equal those computed
+    # afresh.
     rng = np.random.default_rng(11)
     for shape in ((9, 11), (30, 30), (5, 6, 7)):
         p = _pad(rng.random(shape) < 0.5)
@@ -347,5 +365,5 @@ def test_flipping_many_cells_at_once_keeps_codes_current():
         for density in (0.05, 0.5, 1.0):
             at = tuple(i + 1 for i in np.nonzero(rng.random(shape) < density))
             p[at] = ~p[at]
-            _flip_all(codes, at)
+            _flip(codes.reshape(-1), codes.strides, np.ravel_multi_index(at, codes.shape))
             assert np.array_equal(codes, _window_codes(p)), (shape, density)

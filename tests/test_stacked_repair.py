@@ -26,6 +26,7 @@ from digitopo import (
     analyze_volume,
     grid,
     holes_pipeline,
+    repair_2d,
     topo3d,
 )
 from digitopo.grid import _hits, _pad, _repair, _window_codes
@@ -41,27 +42,30 @@ from test_topo3d import outcome, reference_analyze
 
 def reference_loop(cells, hits, order, fix):
     """One canvas: every round reads all window codes and digests the
-    padded copy; a repeated digest, or more than 4 edits per cell, raises."""
-    p = _pad(cells)
-    codes = _window_codes(p)
+    cells they hold; a repeated digest, or more than 4 edits per cell,
+    raises."""
+    codes = _window_codes(_pad(cells))
+    view = memoryview(codes).cast("B")
+    # A padded grid's cell is bit 0 of the code of the window it anchors.
+    inside = (slice(1, None),) * cells.ndim
     cap = 4 * cells.size
     actions = []
     seen = set()
     while found := _hits(codes, hits, order):
-        digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
+        digest = hashlib.blake2b((codes[inside] & 1).tobytes(), digest_size=16).digest()
         if digest in seen:
             raise RepairDidNotConverge("repair did not converge")
         seen.add(digest)
         for vertex, hit in found:
-            if hit not in hits[codes[vertex]]:
+            if hit not in hits[view[vertex]]:
                 continue
             if len(actions) >= cap:
                 raise RepairDidNotConverge("repair did not converge")
-            cell = fix(p, codes, vertex, hit)
-            op = RepairOp.ADD if p[cell] else RepairOp.DELETE
-            x, y, *z = (i - 1 for i in reversed(cell))
+            cell = fix(view, codes.strides, vertex, hit)
+            op = RepairOp.ADD if view[cell] & 1 else RepairOp.DELETE
+            x, y, *z = (int(i) - 1 for i in reversed(np.unravel_index(cell, codes.shape)))
             actions.append(RepairAction(x, y, op, RepairReason.PATHOLOGY, *z))
-    return p[(slice(1, -1),) * p.ndim].copy(), actions
+    return (codes[inside] & 1).astype(bool), actions
 
 
 def reference_repair_2d(img):
@@ -137,6 +141,50 @@ def test_3d_driver_matches_canvases_repaired_alone(shape, density, seed, cycle):
     assert got == outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
 
 
+@st.composite
+def split_grids(draw):
+    """A raw Bernoulli image or volume, some volumes with the cycling
+    pattern written in at a drawn place, and a drawn cut of its rows
+    into canvases, ``(rows, cells)`` each: canvases with no empty frame,
+    so a hit window may cross two of them."""
+    ndim = draw(st.sampled_from((2, 3)))
+    shape = draw(st.tuples(*[st.integers(1, 24 if ndim == 2 else 10)] * ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    if ndim == 3 and draw(st.booleans()):
+        if all(n >= k for n, k in zip(shape, REPAIR_CYCLE.shape)):
+            at = [draw(st.integers(0, n - k)) for n, k in zip(shape, REPAIR_CYCLE.shape)]
+            cells[tuple(slice(i, i + k) for i, k in zip(at, REPAIR_CYCLE.shape))] = REPAIR_CYCLE
+    cuts = sorted(draw(st.sets(st.integers(1, shape[0] - 1)))) if shape[0] > 1 else []
+    rows = np.diff([0, *cuts, shape[0]]).tolist()
+    return cells, [(n, n * cells[0].size) for n in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(split=split_grids())
+@example(split=(REPAIR_CYCLE, [(4, REPAIR_CYCLE.size)]))
+@example(split=(np.pad(REPAIR_CYCLE, 1), [(3, 75), (3, 75)]))
+@example(split=(np.indices((6, 6)).sum(axis=0) % 2 == 0, [(2, 12), (1, 6), (3, 18)]))
+def test_repair_hands_back_the_codes_of_its_result(split):
+    # Where repair converges, the codes it returns are those of its
+    # result padded by one empty cell, and the result is bit 0 of each
+    # window code past the first layer. The input is never written.
+    cells, canvases = split
+    kept = cells.copy()
+    repair = repair_2d if cells.ndim == 2 else topo3d.repair_3d
+    try:
+        fixed, edits, codes = repair(grid._grid_of(cells), _canvases=canvases)
+    except RepairDidNotConverge:
+        event("RepairDidNotConverge")
+        assert np.array_equal(cells, kept)
+        return
+    event("edited" if len(edits) else "clean")
+    assert np.array_equal(cells, kept)
+    assert not np.shares_memory(fixed.cells, cells)
+    assert np.array_equal(codes, _window_codes(_pad(fixed.cells)))
+    assert np.array_equal(fixed.cells, codes[(slice(1, None),) * cells.ndim] & 1)
+
+
 def plate_pairs(count, cells=None):
     """``count`` dirty 26-components, each a 4x4 plate and one voxel that
     meets its corner at a vertex only, along x at z 1; their canvases are
@@ -195,11 +243,11 @@ def test_a_canvas_that_reaches_its_own_cap_raises():
     fixes = []
 
     def spinning_from(row):
-        def fix(p, codes, vertex, _hit):
-            y, x = vertex
+        def fix(view, strides, vertex, _hit):
+            line = strides[0]
             fixes.append(vertex)
-            cell = (y + 1, x + 1) if y >= row else (y + 1, x)
-            grid._flip(p, codes, cell)
+            cell = vertex + line + (vertex >= row * line)
+            grid._flip(view, strides, cell)
             return cell
 
         return fix
@@ -217,7 +265,7 @@ def test_a_canvas_that_reaches_its_own_cap_raises():
     assert len(fixes) == 260
     # Alone, a block converges and the spinner reaches its cap.
     fixes.clear()
-    fixed, edits = _repair(block, hits, order, spinning_from(5))
+    fixed, edits, _ = _repair(block, hits, order, spinning_from(5))
     assert not fixed.any() and len(edits) == len(fixes) == 9
     fixes.clear()
     with pytest.raises(RepairDidNotConverge):
@@ -227,8 +275,8 @@ def test_a_canvas_that_reaches_its_own_cap_raises():
 
 def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
     # 50 dirty components whose canvases are all 4 x 7 x 7: one stack.
-    repairs, full_reads = [], []
-    repair_3d, hits = topo3d.repair_3d, grid._hits
+    repairs, full_reads, coded = [], [], []
+    repair_3d, hits, window_codes = topo3d.repair_3d, grid._hits, grid._window_codes
 
     def counting_repair(vol, **kwargs):
         repairs.append(len(kwargs["_canvases"]))
@@ -239,8 +287,13 @@ def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
             full_reads.append(codes.shape)
         return hits(codes, table, order, at)
 
+    def counting_codes(p):
+        coded.append(p.shape)
+        return window_codes(p)
+
     monkeypatch.setattr(topo3d, "repair_3d", counting_repair)
     monkeypatch.setattr(grid, "_hits", counting_hits)
+    monkeypatch.setattr(grid, "_window_codes", counting_codes)
     cells = np.concatenate([plate_pairs(10)] * 5, axis=0)
     reports, actions = analyze_volume(Volume3D(70, 7, 20, cells))
     assert len(reports) == 50 and len(actions) == 50
@@ -248,6 +301,9 @@ def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
     # The codes of the stack of 50 canvases of 4 x 7 x 7, padded by one
     # voxel: one window per vertex.
     assert full_reads == [(201, 8, 8)]
+    # The padded grid and the padded stack are each coded once: the stack
+    # is classified from the codes its repair kept current.
+    assert sorted(coded) == [(22, 9, 72), (202, 9, 9)]
 
 
 def plate_pair(cells, z, y, x, side):

@@ -1121,6 +1121,7 @@ class TestWindowCodes:
         # direct count of its set face neighbours.
         p = _pad(np.random.default_rng(seed).random(shape) < density)
         codes = _window_codes(p)
+        view = memoryview(codes).cast("B")
         for cell in np.ndindex(*shape):
             z, y, x = (i + 1 for i in cell)
             want = sum(
@@ -1129,4 +1130,5 @@ class TestWindowCodes:
                     (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0),
                 )
             )
-            assert _face_degree(codes, (z, y, x)) == want, cell
+            at = int(np.ravel_multi_index((z, y, x), codes.shape))
+            assert _face_degree(view, codes.strides, at) == want, cell
