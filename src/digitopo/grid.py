@@ -595,7 +595,9 @@ class _Hooks(NamedTuple):
     """What ``_per_component`` does in one dimension: ``topo2d._HOOKS``
     and ``topo3d._HOOKS``: the dimension's rules only, each the same
     call in both dimensions. ``scan``, ``classify``, ``slow`` and
-    ``answer`` are the dimension's own functions. ``repair`` stays a
+    ``answer`` are the dimension's own functions, as is ``filled`` in 2D;
+    in 3D it is None, and every repaired stack is labelled and classified
+    again. ``repair`` stays a
     lambda: it looks up ``repair_2d``/``repair_3d`` when it runs, so
     that the traced entry points see the driver's repairs too. A piece's
     answer is a list of integer rows of one format per dimension,
@@ -610,6 +612,10 @@ class _Hooks(NamedTuple):
     # grid's table or None). It edits the codes and the labeling only.
     scan: Callable
     classify: Callable  # (codes, labels, count) -> the table of every label
+    # (rows, codes, cells, owner) -> rows: the rows of the canvases of a
+    # stack that repair only filled, each one piece, from their rows in the
+    # grid's table, the stack's codes and the fills (``_per_component``).
+    filled: Callable | None
     # (stack, canvases) -> (stack, edits, codes): ``_repair`` of a stack
     # of canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
     repair: Callable
@@ -690,13 +696,21 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       padded to the canvases' largest extents, holds no more cells than
       the grid, else in groups whose other extents round up to the same
       powers of two (``_stack_groups``). Each stack is repaired once
-      (``_repair``, every canvas apart, with its own checks), then
-      labelled once and classified once from the codes its repair kept.
-      Every stack is repaired before anything is classified, so a repair
-      cycle raises first. The one-cell frames keep two canvases' objects
-      and windows apart, and scan order visits one canvas after another,
-      so a stack's labels number each canvas's pieces as labelling that
-      canvas alone would;
+      (``_repair``, every canvas apart, with its own checks). Every
+      stack is repaired before anything is classified, so a repair
+      cycle raises first;
+    * a 2D stack whose edits all add a cell is neither labelled nor
+      classified again (unless ``keep_pieces``, whose tables need its
+      labels). A fill sets a background cell of a diagonal window, which
+      is 4-adjacent to both of its pixels, so each canvas stays one
+      piece: its component's row in the grid's table, plus what its
+      fills changed in the windows and pixels around them (``filled``).
+      Any other repaired stack is labelled once and classified once from
+      the codes its repair kept; an unrepaired one is only labelled, as
+      ``slow`` answers its pieces. The one-cell frames keep two
+      canvases' objects and windows apart, and scan order visits one
+      canvas after another, so a stack's labels number each canvas's
+      pieces as labelling that canvas alone would;
     * the answers stay integer rows until one ``_distinct_lists`` call
       gives each piece its distinct answer, and ``answer`` makes each
       distinct list into objects once. A piece without an answer in
@@ -719,54 +733,66 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         for cid, start, (rows, *shape) in zip(members, starts.tolist(), extents.tolist()):
             inside = (slice(start + 1, start + rows - 1), *(slice(1, n - 1) for n in shape))
             stack[inside] = labeling.labels[boxes[cid]] == cid
-        coded = None
+        coded = fills = None
         if repair:
             split = list(zip(extents[:, 0].tolist(), extents.prod(axis=1).tolist()))
             stack, edits, coded = hooks.repair(_grid_of(stack), split)
             stack = stack.cells
             # Each edit moves by the origin of the canvas whose rows hold it.
             owner = np.searchsorted(starts, edits[:, 0], side="right") - 1
+            if hooks.filled and not keep_pieces and edits[:, -2].all():
+                fills = np.ravel_multi_index(tuple(edits[:, :-2].T + 1), coded.shape), owner
             shifts = np.array([[s.start - 1 for s in boxes[cid]] for cid in members])
             shifts[:, 0] -= starts[:-1]
             edits[:, :-2] += shifts[owner]
             logs.append((np.array(members)[owner], edits))
-        stacks.append((np.array(members), starts, stack, coded))
+        stacks.append((np.array(members), starts, stack, coded, fills))
     if table is None:  # classified after every repair: a cycle raises first
         table = hooks.classify(codes, labeling.labels, labeling.count)
     del codes
 
     def tables():
-        """Each table, its labeling, its pieces' labels and their
-        components: the grid's clean components, then each stack's."""
+        """Each table, its labeling (None for a stack not labelled), its
+        pieces' labels, their components and their sizes: the grid's
+        clean components, then each stack's."""
         clean = labeling.sizes > 0
         clean[0] = clean[dirty] = False
         clean = np.flatnonzero(clean)
-        yield table, labeling, clean, clean
-        while stacks:  # popped, so that a stack is freed once it is labelled
-            members, starts, stack, coded = stacks.pop()
+        yield table, labeling, clean, clean, labeling.sizes[clean]
+        while stacks:  # popped, so that a stack is freed once it is answered
+            members, starts, stack, coded, fills = stacks.pop()
+            if fills is not None:  # canvas i is one piece, label i + 1
+                n = len(members)
+                found = hooks.filled(table[2][table[1][members]], coded, *fills)
+                # Label 0, the background, has no row.
+                found = np.ones(n + 1, dtype=bool), np.arange(-1, n + 1).clip(0), found
+                size = labeling.sizes[members] + np.bincount(fills[1], minlength=n)
+                yield found, None, np.arange(1, n + 1), members, size
+                continue
             pieces = label(_grid_of(stack), hooks.pieces)
-            if coded is None:  # unrepaired; a repair hands back its codes
-                coded = _window_codes(_pad(stack))
-            ok, cuts, rows = hooks.classify(coded, pieces.labels, pieces.count)
+            ids = np.arange(1, pieces.count + 1)
             # Labels rise in scan order, so each canvas holds the labels up
             # to the largest one in its rows.
             last = pieces.labels.reshape(len(stack), -1).max(axis=1)
             last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1]))
             owners = members.repeat(np.diff(last, prepend=0))
-            # An unrepaired canvas answers no piece.
-            yield (ok & repair, cuts, rows), pieces, np.arange(1, pieces.count + 1), owners
+            if repair:
+                found = hooks.classify(coded, pieces.labels, pieces.count)
+            else:  # an unrepaired canvas answers no piece
+                found = np.zeros(ids.size + 1, bool), np.zeros(ids.size + 2, int), table[2][:0]
+            yield found, pieces, ids, owners, pieces.sizes[ids]
 
     # The tables join into one over all their labels, one per piece. A
     # piece that its table does not answer is cut out alone, by label.
     oks, cuts, rows, cid, lab, sizes, canvases, kept = [], [], [], [], [], [], {}, []
-    for (ok, table_cuts, table_rows), source, ids, owners in tables():
+    for (ok, table_cuts, table_rows), source, ids, owners, size in tables():
         base = sum(map(len, oks))
         oks.append(ok)
         cuts.append(table_cuts[:-1] + sum(map(len, rows)))
         rows.append(table_rows)
         cid.append(owners)
         lab.append(ids + base)
-        sizes.append(source.sizes[ids])
+        sizes.append(size)
         cut = ids[~ok[ids]].tolist()
         canvases.update(zip((base + i for i in cut), _canvases(source, cut)))
         if keep_pieces:

@@ -190,15 +190,14 @@ def _quads(codes: np.ndarray):
     return codes[:-1, :-1], codes[:-1, 1:], codes[1:, :-1], codes[1:, 1:]
 
 
-def _boundary_keys(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_keys(ul, ur, dl, dr) -> tuple[np.ndarray, np.ndarray]:
     """The boundary pixels (object pixels with a background pixel among
     their 8 neighbors), as a mask, and their N/W/E/S keys, read from the
-    vertex codes (``_window_codes``) of the padded grid.
+    codes of the four windows around each pixel (``_quads``).
 
     The grid is padded by empty cells or, in a streaming fold, by the
     neighboring rows; the pixels read are those inside the frame.
     """
-    ul, ur, dl, dr = _quads(codes)
     # Bit 3 of ul is the pixel; the four codes' AND is 15 only when all
     # nine cells are set.
     boundary = (ul >= 8) & ((ul & ur & dl & dr) != 15)
@@ -207,7 +206,7 @@ def _boundary_keys(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _boundary_bins(codes: np.ndarray) -> np.ndarray:
     """Bincount of the boundary pixels by their N/W/E/S key."""
-    return np.bincount(_boundary_keys(codes)[1], minlength=16)
+    return np.bincount(_boundary_keys(*_quads(codes))[1], minlength=16)
 
 
 def _histogram_of(counts) -> CornerHistogram:
@@ -403,12 +402,16 @@ def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
     window codes of the labelled image in a frame of one empty pixel: the
     table ``(ok, cuts, rows)`` of ``grid._Hooks``, one row per label
     (``_answer``), with ``ok`` False for a component with a diagonal
-    window between two of its own pixels.
+    window between two of its own pixels. Such a row holds, in place of
+    its holes, the corner points (C4 - C2) of its component's own canvas,
+    for ``_filled_rows``.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
     histogram (``grid._per_component`` says why each window is read as
-    on the component's own canvas).
+    on the component's own canvas). The one window read otherwise is a
+    diagonal one between two pixels of one component: an outward corner
+    of each here, 0 on the canvas.
     """
     flat = labels.reshape(-1)
     vertices = _where(codes, _CORNER)
@@ -420,15 +423,61 @@ def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
     turn = np.bincount(low, _LOW_TURN[c], minlength=count + 1)
     turn -= np.bincount(high, minlength=count + 1)
     low = low[diagonal]
-    ok = np.ones(count + 1, dtype=bool)
-    ok[low[low == high]] = False
-    boundary, keys = _boundary_keys(codes)
+    own = np.bincount(low[low == high], minlength=count + 1)
+    turn = turn.astype(np.int64) + 2 * own
+    ok = own == 0
+    boundary, keys = _boundary_keys(*_quads(codes))
     keys = labels[boundary] * 16 + keys
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
-    holes = 1 + turn.astype(np.int64) // 4
+    holes = np.where(ok, 1 + turn // 4, turn)
     rows = np.column_stack((bins @ _FOLD, holes, np.full(count + 1, _FORMULA)))
     return ok, np.arange(count + 2), rows
+
+
+def _filled_rows(rows: np.ndarray, codes: np.ndarray, cells: np.ndarray, owner: np.ndarray):
+    """The rows (``_answer``) of a stack's canvases that repair only
+    filled (``grid._per_component``): ``rows``, each canvas's row in the
+    grid's table (``_window_pass``, the canvas's corner points in place of
+    its holes), plus what the fills changed in the 4 windows and the 9
+    pixels around each. ``codes`` are the stack's window codes after
+    repair, ``cells`` the fills as flat indices into them and ``owner``
+    the canvas of each. The codes are read, then flipped back to those
+    before repair (``grid._flip``) and read again; ``rows`` is completed
+    in place.
+
+    A fill sets a background cell of a diagonal window, which is
+    4-adjacent to both of the window's pixels, so each canvas stays one
+    4-piece, and with no diagonal window left the corner law answers.
+    """
+    n, y, flat = len(rows), codes.strides[0], codes.reshape(-1)
+    windows = _once(cells[:, None] - [0, 1, y, y + 1], owner)
+    pixels = _once(cells[:, None] + np.add.outer([-y, 0, y], [-1, 0, 1]).ravel(), owner)
+
+    def read():
+        """Per canvas: the counts of the boundary pixels among ``pixels``
+        and the corner points of ``windows`` (``_window_pass``)."""
+        (w, of_w), (p, of_p) = windows, pixels
+        turn = np.bincount(of_w, _TURN[flat[w]], minlength=n).astype(np.int64)
+        boundary, keys = _boundary_keys(flat[p - y - 1], flat[p - y], flat[p - 1], flat[p])
+        bins = np.bincount(of_p[boundary] * 16 + keys, minlength=16 * n).reshape(n, 16)
+        return np.column_stack((bins @ _FOLD, turn))
+
+    rows[:, :-1] += read()
+    _flip(flat, codes.strides, cells)
+    rows[:, :-1] -= read()
+    rows[:, -2] = 1 + rows[:, -2] // 4
+    return rows
+
+
+def _once(at: np.ndarray, owner: np.ndarray):
+    """The distinct flat indices of ``at``, one row per entry of
+    ``owner``, ascending, and the owner of each."""
+    at, owner = at.ravel(), owner.repeat(at.shape[1])
+    order = np.argsort(at, kind="stable")
+    at, owner = at[order], owner[order]
+    first = np.diff(at, prepend=-1) != 0
+    return at[first], owner[first]
 
 
 def _scan(codes: np.ndarray, labeling: Labeling):
@@ -444,6 +493,7 @@ _HOOKS = _Hooks(
     pieces=Adjacency.DIRECT_2D,
     scan=_scan,
     classify=_window_pass,
+    filled=_filled_rows,
     repair=lambda stack, canvases: repair_2d(stack, _canvases=canvases),
     slow=_piece_rows,
     answer=_answer,

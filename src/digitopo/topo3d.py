@@ -595,6 +595,7 @@ _HOOKS = _Hooks(
     pieces=Adjacency.DIRECT_3D,
     scan=_scan,
     classify=_surface_rows,
+    filled=None,
     repair=lambda stack, canvases: repair_3d(stack, _canvases=canvases),
     slow=_piece_rows,
     answer=_answer,
