@@ -146,6 +146,44 @@ DIRTY_OF_THREE_WIDTHS = image(
 )
 
 
+# Repair fills the pinched top-left corner of this ring, which closes its
+# hole.
+FILL_CLOSES_A_HOLE = image(
+    """
+    0111
+    1001
+    1001
+    1111
+    """
+)
+
+# The same ring beside a bar that touches it only diagonally: the fill's
+# outer 4-neighbour, at (0, 1), belongs to the bar.
+FILL_BESIDE_A_DIAGONAL_NEIGHBOUR = image(
+    """
+    10000
+    10111
+    01001
+    01001
+    01111
+    """
+)
+
+# Three diagonal windows of one component anchored in one 3x3 block of
+# vertices: repair fills (2, 2) and then (3, 3), whose windows and
+# pixels overlap.
+OVERLAPPING_FILLS = image(
+    """
+    111111
+    101111
+    110111
+    111011
+    111101
+    111111
+    """
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(img=raw_images())
 @example(img=SPECKLE_ON_A_CORNER)
@@ -153,6 +191,9 @@ DIRTY_OF_THREE_WIDTHS = image(
 @example(img=ONE_PIXEL_HOLE)
 @example(img=DIRTY_SPLIT_BY_REPAIR)
 @example(img=DIRTY_OF_THREE_WIDTHS)
+@example(img=FILL_CLOSES_A_HOLE)
+@example(img=FILL_BESIDE_A_DIAGONAL_NEIGHBOUR)
+@example(img=OVERLAPPING_FILLS)
 def test_pipeline_matches_reference(img):
     for repair in (True, False):
         for fallback_oracle in (True, False):
@@ -194,6 +235,18 @@ def test_examples_take_the_paths_they_name():
     ]
     with pytest.raises(PreconditionFailure, match="^component 1 has a diagonal window$"):
         holes_pipeline(DIRTY_SPLIT_BY_REPAIR, repair=False, fallback_oracle=False)
+
+    reports, actions = holes_pipeline(FILL_CLOSES_A_HOLE)
+    assert [(r.area, r.holes) for r in reports] == [(12, 1)]
+    assert [(a.x, a.y, a.op.value) for a in actions] == [(0, 0, "add")]
+
+    reports, actions = holes_pipeline(FILL_BESIDE_A_DIAGONAL_NEIGHBOUR)
+    assert [(r.area, r.holes) for r in reports] == [(2, 0), (12, 1)]
+    assert [(a.x, a.y, a.op.value) for a in actions] == [(1, 1, "add")]
+
+    reports, actions = holes_pipeline(OVERLAPPING_FILLS)
+    assert [(r.area, r.holes) for r in reports] == [(34, 2)]
+    assert [(a.x, a.y, a.op.value) for a in actions] == [(2, 2, "add"), (3, 3, "add")]
 
 
 def test_clean_components_are_labelled_once(monkeypatch):

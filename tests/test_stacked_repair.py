@@ -27,17 +27,26 @@ from digitopo import (
     grid,
     holes_pipeline,
     repair_2d,
+    topo2d,
     topo3d,
 )
 from digitopo.grid import _hits, _pad, _repair, _window_codes
-from digitopo.topo2d import _DIAGONAL, _HITS
+from digitopo.topo2d import _DIAGONAL, _HITS, _columns
 from digitopo.topo2d import _fix_window as fix_2d
 from digitopo.topo3d import _CODE_HITS, _CODE_PASS
 from digitopo.topo3d import _fix_window as fix_3d
 
 from gridtext import REPAIR_CYCLE
-from test_pipeline_reference import raw_images, reference_analyze_components
-from test_topo3d import outcome, reference_analyze
+from test_pipeline_reference import (
+    DIRTY_OF_THREE_WIDTHS,
+    DIRTY_SPLIT_BY_REPAIR,
+    FILL_BESIDE_A_DIAGONAL_NEIGHBOUR,
+    FILL_CLOSES_A_HOLE,
+    OVERLAPPING_FILLS,
+    raw_images,
+    reference_analyze_components,
+)
+from test_topo3d import assert_same_answers, kept_canvases, outcome, reference_analyze
 
 
 def reference_loop(cells, hits, order, fix):
@@ -109,13 +118,63 @@ def pinched_rings():
 @given(img=raw_images())
 @example(img=three_copies(73))
 @example(img=pinched_rings())
+@example(img=FILL_CLOSES_A_HOLE)
+@example(img=FILL_BESIDE_A_DIAGONAL_NEIGHBOUR)
+@example(img=OVERLAPPING_FILLS)
 def test_2d_driver_matches_canvases_repaired_alone(img):
     got = outcome(holes_pipeline, img)
     want = outcome(reference_analyze_components, img, repair_fn=reference_repair_2d)
     if not isinstance(want[0], type):
+        pieces = [piece for _, piece in want[0]]
         want = ([r for r, _ in want[0]], want[1])
+        # With ``keep_pieces`` every stack is labelled again: the same
+        # answers, and the pieces the reference cut.
+        kept = _columns(img, keep_pieces=True)
+        assert kept_canvases(kept) == pieces
+        assert_same_answers(kept, _columns(img))
     _event(got)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "img, labelled",
+    [
+        (pinched_rings(), 1),
+        (DIRTY_OF_THREE_WIDTHS, 1),
+        (FILL_CLOSES_A_HOLE, 1),
+        (FILL_BESIDE_A_DIAGONAL_NEIGHBOUR, 1),
+        (OVERLAPPING_FILLS, 1),
+        (DIRTY_SPLIT_BY_REPAIR, 2),
+    ],
+    ids=["pinched-rings", "three-widths", "closes-a-hole", "diagonal-neighbour", "overlapping",
+         "split-by-repair"],
+)
+def test_a_stack_that_repair_only_filled_is_answered_from_the_grid_pass(
+    monkeypatch, img, labelled
+):
+    # Repair only fills these images' stacks, each one stack or three,
+    # except DIRTY_SPLIT_BY_REPAIR's, which it deletes from: that stack
+    # alone is labelled and classified again.
+    labels, passes = [], []
+    label, window_pass = grid.label_components_2d, topo2d._window_pass
+
+    def counting_label(*args, **kwargs):
+        labels.append(args)
+        return label(*args, **kwargs)
+
+    def counting_pass(*args):
+        passes.append(args)
+        return window_pass(*args)
+
+    monkeypatch.setattr(grid, "label_components_2d", counting_label)
+    monkeypatch.setattr(topo2d, "_window_pass", counting_pass)
+    hooks = topo2d._HOOKS._replace(classify=counting_pass)
+    got = grid._analyze(hooks, img)
+    assert len(labels) == len(passes) == labelled
+    want = reference_analyze_components(img, repair_fn=reference_repair_2d)
+    assert got == ([r for r, _ in want[0]], want[1])
+    fills = all(a.op is RepairOp.ADD for a in got[1] if a.reason is RepairReason.PATHOLOGY)
+    assert fills == (labelled == 1)
 
 
 @settings(max_examples=150, deadline=None)
