@@ -67,31 +67,40 @@ class Adjacency(Enum):
         return self in (Adjacency.DIRECT_2D, Adjacency.DIRECT_3D)
 
 
-def _as_bool_grid(cells, shape: tuple[int, ...]) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(cells, dtype=bool))
-    if a.shape != shape:
-        raise ValueError(f"cells shape {a.shape} does not match extent {shape}")
-    return a
+class _Grid:
+    """What ``Image2D`` and ``Volume3D`` share: their ``cells``, a
+    C-contiguous boolean array whose shape is the extents in array order,
+    and equality, by type and cells."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, extents: tuple, cells, what: str):
+        if min(extents) <= 0:
+            raise ValueError(f"{what} extents must be positive")
+        shape = tuple(int(n) for n in reversed(extents))
+        if cells is None:
+            self.cells = np.zeros(shape, dtype=bool)
+            return
+        self.cells = np.ascontiguousarray(np.asarray(cells, dtype=bool))
+        if self.cells.shape != shape:
+            raise ValueError(f"cells shape {self.cells.shape} does not match extent {shape}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and bool(np.array_equal(self.cells, other.cells))
 
 
-class Image2D:
+class Image2D(_Grid):
     """A binary image. Foreground cells are True.
 
     ``cells`` has shape ``(height, width)``; ``cells[y, x]`` is the pixel at
     ``(x, y)``. ``get`` returns background for out-of-range coordinates.
     """
 
-    __slots__ = ("width", "height", "cells")
+    __slots__ = ("width", "height")
 
     def __init__(self, width: int, height: int, cells=None):
-        if width <= 0 or height <= 0:
-            raise ValueError("image extents must be positive")
-        self.width = int(width)
-        self.height = int(height)
-        if cells is None:
-            self.cells = np.zeros((self.height, self.width), dtype=bool)
-        else:
-            self.cells = _as_bool_grid(cells, (self.height, self.width))
+        super().__init__((width, height), cells, "image")
+        self.height, self.width = self.cells.shape
 
     def get(self, x: int, y: int) -> bool:
         if 0 <= x < self.width and 0 <= y < self.height:
@@ -102,19 +111,11 @@ class Image2D:
     def area(self) -> int:
         return int(self.cells.sum())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Image2D)
-            and self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.cells, other.cells))
-        )
-
     def __repr__(self) -> str:
         return f"Image2D({self.width}x{self.height}, area={self.area})"
 
 
-class Volume3D:
+class Volume3D(_Grid):
     """A binary voxel volume. Object voxels are True.
 
     ``cells`` has shape ``(nz, ny, nx)``; ``cells[z, y, x]`` is the voxel at
@@ -122,18 +123,11 @@ class Volume3D:
     memory. ``get`` returns background for out-of-range coordinates.
     """
 
-    __slots__ = ("nx", "ny", "nz", "cells")
+    __slots__ = ("nx", "ny", "nz")
 
     def __init__(self, nx: int, ny: int, nz: int, cells=None):
-        if nx <= 0 or ny <= 0 or nz <= 0:
-            raise ValueError("volume extents must be positive")
-        self.nx = int(nx)
-        self.ny = int(ny)
-        self.nz = int(nz)
-        if cells is None:
-            self.cells = np.zeros((self.nz, self.ny, self.nx), dtype=bool)
-        else:
-            self.cells = _as_bool_grid(cells, (self.nz, self.ny, self.nx))
+        super().__init__((nx, ny, nz), cells, "volume")
+        self.nz, self.ny, self.nx = self.cells.shape
 
     def get(self, x: int, y: int, z: int) -> bool:
         if 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz:
@@ -143,13 +137,6 @@ class Volume3D:
     @property
     def voxel_count(self) -> int:
         return int(self.cells.sum())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Volume3D)
-            and (self.nx, self.ny, self.nz) == (other.nx, other.ny, other.nz)
-            and bool(np.array_equal(self.cells, other.cells))
-        )
 
     def __repr__(self) -> str:
         return f"Volume3D({self.nx}x{self.ny}x{self.nz}, voxels={self.voxel_count})"
@@ -442,6 +429,19 @@ def _hits(codes: np.ndarray, hits: tuple, order: np.ndarray, at=None) -> list:
     return [(v, hit) for v, code in zip(at.tolist(), flat[at].tolist()) for hit in hits[code]]
 
 
+def _anchored_hits(cells: np.ndarray, hits: tuple, order: np.ndarray) -> list:
+    """``(anchor, hit)`` for every hit (``_hits``) of the window codes of
+    ``cells`` in a frame of one empty cell: ``find_pathologies_2d`` and
+    ``find_pathologies_3d``. The anchor is the window's minimal cell,
+    ``[x, y]`` or ``[x, y, z]``; it may lie one step outside the grid."""
+    codes = _window_codes(_pad(cells))
+    found = _hits(codes, hits, order)
+    # Vertex i of the padded grid anchors the window at cell i - 1 per axis.
+    at = np.unravel_index(np.array([v for v, _ in found], dtype=np.intp), codes.shape)
+    anchors = (np.column_stack(at)[:, ::-1] - 1).tolist()
+    return [(anchor, hit) for anchor, (_, hit) in zip(anchors, found)]
+
+
 def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, canvases=None):
     """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
     ``repair_3d``. Returns the edited copy, its edits (rows of
@@ -597,16 +597,16 @@ class _Hooks(NamedTuple):
     call in both dimensions. ``scan``, ``classify``, ``slow`` and
     ``answer`` are the dimension's own functions, as is ``filled`` in 2D;
     in 3D it is None, and every repaired stack is labelled and classified
-    again. ``repair`` stays a
-    lambda: it looks up ``repair_2d``/``repair_3d`` when it runs, so
-    that the traced entry points see the driver's repairs too. A piece's
-    answer is a list of integer rows of one format per dimension,
-    whichever route gave it. A table is ``(ok, cuts, rows)`` over the
-    labels of a labeling: label i's rows are ``rows[cuts[i]:cuts[i +
-    1]]``, its answer where ``ok[i]`` holds."""
+    again. A canvas's pieces are its direct (4- or 6-) components, the
+    labeller's default, in both dimensions. ``repair`` stays a lambda: it
+    looks up ``repair_2d``/``repair_3d`` when it runs, so that the traced
+    entry points see the driver's repairs too. A piece's answer is a list
+    of integer rows of one format per dimension, whichever route gave it,
+    and only ``answer`` reads them as numbers of the report. A table is
+    ``(ok, cuts, rows)`` over the labels of a labeling: label i's rows are
+    ``rows[cuts[i]:cuts[i + 1]]``, its answer where ``ok[i]`` holds."""
 
     capture: Adjacency  # the components reported and repaired
-    pieces: Adjacency  # the pieces of a canvas
     # (the padded grid's codes, labeling) -> (dirty components' ids,
     # ascending, (owner of each edit, edits as rows of ``_actions``), the
     # grid's table or None). It edits the codes and the labeling only.
@@ -671,9 +671,10 @@ def _stack_groups(shapes: dict, cells: int) -> list[list]:
 
 def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
     """Answer each component of ``grid`` as if it were cut alone onto a
-    padded canvas, repaired there, relabelled into pieces and each piece
-    classified: ``holes_pipeline``, ``analyze_volume``, ``holes``,
-    ``homology`` and ``validate``, with the ``hooks`` of their dimension.
+    padded canvas, repaired there, relabelled into pieces (its direct
+    components, the labeller's default) and each piece classified:
+    ``holes_pipeline``, ``analyze_volume``, ``holes``, ``homology`` and
+    ``validate``, with the ``hooks`` of their dimension.
     Returns ``_Columns``: the pieces in component order, the log in
     source coordinates (per component in id order, its scan edits and
     then its repair edits, moved by its canvas origin), and with
@@ -703,7 +704,8 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       classified again (unless ``keep_pieces``, whose tables need its
       labels). A fill sets a background cell of a diagonal window, which
       is 4-adjacent to both of its pixels, so each canvas stays one
-      piece: its component's row in the grid's table, plus what its
+      piece: its component's row in the grid's table, which reads its
+      own canvas's windows whether it is clean or not, plus what its
       fills changed in the windows and pixels around them (``filled``).
       Any other repaired stack is labelled once and classified once from
       the codes its repair kept; an unrepaired one is only labelled, as
@@ -769,7 +771,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
                 size = labeling.sizes[members] + np.bincount(fills[1], minlength=n)
                 yield found, None, np.arange(1, n + 1), members, size
                 continue
-            pieces = label(_grid_of(stack), hooks.pieces)
+            pieces = label(_grid_of(stack))
             ids = np.arange(1, pieces.count + 1)
             # Labels rise in scan order, so each canvas holds the labels up
             # to the largest one in its rows.

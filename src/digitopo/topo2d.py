@@ -43,10 +43,10 @@ from .grid import (
     _LOW_BIT,
     _SPECKLE,
     _actions,
+    _anchored_hits,
     _analyze,
     _count_components,
     _flip,
-    _hits,
     _pad,
     _per_component,
     _repair,
@@ -267,12 +267,7 @@ def find_pathologies_2d(img: Image2D) -> list[Pathology2D]:
     A window overhanging the image holds at most one in-range cell of
     each diagonal, so it can never match.
     """
-    codes = _window_codes(_pad(img.cells))
-    hits = _hits(codes, _HITS, _DIAGONAL)
-    # Vertex (y, x) of the padded image anchors the window at (x - 1, y - 1).
-    at = np.unravel_index(np.array([v for v, _ in hits], dtype=np.intp), codes.shape)
-    at = (np.column_stack(at) - 1).tolist()
-    return [Pathology2D(x, y, kind) for (y, x), (_, kind) in zip(at, hits)]
+    return [Pathology2D(x, y, kind) for (x, y), kind in _anchored_hits(img.cells, _HITS, _DIAGONAL)]
 
 
 def repair_2d(img: Image2D, *, _canvases=None) -> tuple[Image2D, list[RepairAction]]:
@@ -345,22 +340,25 @@ def hole_count(component: Image2D) -> HoleReport:
 
 def _answer(rows) -> tuple[CornerHistogram, int, HoleMethod, bool]:
     """``(histogram, holes, method, precondition_ok)`` of a component from
-    its one row: its histogram's counts (``_histogram_of``), its holes
-    and its method (``_METHODS``). The formula's preconditions held
-    exactly when it answered."""
-    ((*counts, holes, method),) = rows
+    its one row: its histogram's counts (``_histogram_of``), a count and
+    its method (``_METHODS``). A formula row's count is its corner points,
+    C4 - C2, and the corner law, applied here alone, makes them its holes;
+    an oracle row's is the flood fill's holes. The formula's
+    preconditions held exactly when it answered."""
+    ((*counts, count, method),) = rows
+    holes = 1 + count // 4 if method == _FORMULA else count
     return _histogram_of(counts), holes, _METHODS[method], method == _FORMULA
 
 
 def _piece_rows(component: Image2D, fallback_oracle: bool = True, component_id: int = 1):
-    """The row (``_answer``) of one 4-component, in a list: the corner
-    law's, or the flood fill's where the law may not answer. With the
-    fallback off, that raises before the oracle runs."""
+    """The row (``_answer``) of one 4-component, in a list: its corner
+    points, or the flood fill's holes where the corner law may not answer.
+    With the fallback off, that raises before the oracle runs."""
     codes = _window_codes(_pad(component.cells))
     counts = (_boundary_bins(codes) @ _FOLD).tolist()
     bins = np.bincount(codes.ravel(), minlength=16)
     if not bins[_DIAGONAL].any():
-        return [[*counts, 1 + int(bins @ _TURN) // 4, _FORMULA]]
+        return [[*counts, int(bins @ _TURN), _FORMULA]]
     if not fallback_oracle:
         raise PreconditionFailure(f"component {component_id} has a diagonal window")
     return [[*counts, holes_by_floodfill(component), _ORACLE]]
@@ -400,11 +398,11 @@ def _despeckle(codes: np.ndarray, labeling: Labeling):
 def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
     """The answer of every label 0..``count`` of ``labels`` from the
     window codes of the labelled image in a frame of one empty pixel: the
-    table ``(ok, cuts, rows)`` of ``grid._Hooks``, one row per label
-    (``_answer``), with ``ok`` False for a component with a diagonal
-    window between two of its own pixels. Such a row holds, in place of
-    its holes, the corner points (C4 - C2) of its component's own canvas,
-    for ``_filled_rows``.
+    table ``(ok, cuts, rows)`` of ``grid._Hooks``, one formula row per
+    label (``_answer``), with ``ok`` False for a component with a
+    diagonal window between two of its own pixels. Every row holds the
+    corner points (C4 - C2) of its component's own canvas, which
+    ``_filled_rows`` also reads of a dirty one.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
@@ -425,30 +423,29 @@ def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
     low = low[diagonal]
     own = np.bincount(low[low == high], minlength=count + 1)
     turn = turn.astype(np.int64) + 2 * own
-    ok = own == 0
     boundary, keys = _boundary_keys(*_quads(codes))
     keys = labels[boundary] * 16 + keys
     del boundary
     bins = np.bincount(keys, minlength=16 * (count + 1)).reshape(count + 1, 16)
-    holes = np.where(ok, 1 + turn // 4, turn)
-    rows = np.column_stack((bins @ _FOLD, holes, np.full(count + 1, _FORMULA)))
-    return ok, np.arange(count + 2), rows
+    rows = np.column_stack((bins @ _FOLD, turn, np.full(count + 1, _FORMULA)))
+    return own == 0, np.arange(count + 2), rows
 
 
 def _filled_rows(rows: np.ndarray, codes: np.ndarray, cells: np.ndarray, owner: np.ndarray):
     """The rows (``_answer``) of a stack's canvases that repair only
     filled (``grid._per_component``): ``rows``, each canvas's row in the
-    grid's table (``_window_pass``, the canvas's corner points in place of
-    its holes), plus what the fills changed in the 4 windows and the 9
-    pixels around each. ``codes`` are the stack's window codes after
-    repair, ``cells`` the fills as flat indices into them and ``owner``
-    the canvas of each. The codes are read, then flipped back to those
-    before repair (``grid._flip``) and read again; ``rows`` is completed
-    in place.
+    grid's table (``_window_pass``, whose corner points are the canvas's
+    own), plus what the fills changed in the 4 windows and the 9 pixels
+    around each. ``codes`` are the stack's window codes after repair,
+    ``cells`` the fills as flat indices into them and ``owner`` the
+    canvas of each. The codes are read, then flipped back to those before
+    repair (``grid._flip``) and read again; ``rows`` is completed in
+    place.
 
     A fill sets a background cell of a diagonal window, which is
     4-adjacent to both of the window's pixels, so each canvas stays one
-    4-piece, and with no diagonal window left the corner law answers.
+    4-piece, and with no diagonal window left the corner law that
+    ``_answer`` applies to its corner points is exact.
     """
     n, y, flat = len(rows), codes.strides[0], codes.reshape(-1)
     windows = _once(cells[:, None] - [0, 1, y, y + 1], owner)
@@ -466,7 +463,6 @@ def _filled_rows(rows: np.ndarray, codes: np.ndarray, cells: np.ndarray, owner: 
     rows[:, :-1] += read()
     _flip(flat, codes.strides, cells)
     rows[:, :-1] -= read()
-    rows[:, -2] = 1 + rows[:, -2] // 4
     return rows
 
 
@@ -490,7 +486,6 @@ def _scan(codes: np.ndarray, labeling: Labeling):
 
 _HOOKS = _Hooks(
     capture=Adjacency.DIRECT_2D,
-    pieces=Adjacency.DIRECT_2D,
     scan=_scan,
     classify=_window_pass,
     filled=_filled_rows,

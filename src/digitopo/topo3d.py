@@ -63,11 +63,11 @@ from .grid import (
     _Hooks,
     _LOW_BIT,
     _actions,
+    _anchored_hits,
     _analyze,
     _components,
     _count_components,
     _flip,
-    _hits,
     _pad,
     _per_component,
     _repair,
@@ -310,12 +310,8 @@ def find_pathologies_3d(vol: Volume3D) -> list[Pathology3D]:
     pairs. An edge window is anchored at its minimum voxel, as the low
     face of the window there.
     """
-    codes = _window_codes(_pad(vol.cells))
-    hits = _hits(codes, _CODE_HITS, _CODE_DIRTY)
-    # Vertex (z, y, x) anchors the window at voxel (x - 1, y - 1, z - 1).
-    at = np.unravel_index(np.array([v for v, _ in hits], dtype=np.intp), codes.shape)
     found = []
-    for (z, y, x), (_, (kind, (a, b), axis)) in zip((np.column_stack(at) - 1).tolist(), hits):
+    for (x, y, z), (kind, (a, b), axis) in _anchored_hits(vol.cells, _CODE_HITS, _CODE_DIRTY):
         pair = ((x + a[0], y + a[1], z + a[2]), (x + b[0], y + b[1], z + b[2]))
         found.append(Pathology3D(x, y, z, kind, pair, axis))
     return found
@@ -592,7 +588,6 @@ def _scan(codes: np.ndarray, labeling: Labeling):
 
 _HOOKS = _Hooks(
     capture=Adjacency.INDIRECT_3D,
-    pieces=Adjacency.DIRECT_3D,
     scan=_scan,
     classify=_surface_rows,
     filled=None,

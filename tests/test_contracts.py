@@ -155,6 +155,45 @@ def test_each_answer_object_has_one_builder():
     assert "grid._per_component" not in _callers("_distinct_rows")
 
 
+def test_the_hooks_name_no_adjacency_for_pieces():
+    # A canvas's pieces are the labeller's default, its direct
+    # components, in both dimensions, so no hook names them.
+    assert grid._Hooks._fields == (
+        "capture", "scan", "classify", "filled", "repair", "slow", "answer", "report"
+    )
+
+
+def test_grid_alone_lists_pathologies_and_holds_the_containers():
+    # One grid helper lists the anchored pathological windows for both
+    # dimensions; only the grid module reads the hits of window codes.
+    assert sorted(_callers("_anchored_hits")) == [
+        "topo2d.find_pathologies_2d",
+        "topo3d.find_pathologies_3d",
+    ]
+    assert {caller.split(".")[0] for caller in _callers("_hits")} == {"grid"}
+    # One base class holds the grid containers' checks and equality.
+    for cls in (grid.Image2D, grid.Volume3D):
+        assert cls.__bases__ == (grid._Grid,)
+        assert "__eq__" not in vars(cls)
+
+
+def test_only_topo2d_answer_applies_the_corner_law():
+    # Every 2D formula row carries its corner points, C4 - C2; the
+    # division by 4 of h = 1 + (C4 - C2) / 4 is made in one place.
+    found = []
+    for top in ast.parse((SRC / "digitopo" / "topo2d.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp):
+                divisor = node.right
+            elif isinstance(node, ast.AugAssign):
+                divisor = node.value
+            else:
+                continue
+            if isinstance(node.op, ast.FloorDiv) and getattr(divisor, "value", None) == 4:
+                found.append(getattr(top, "name", "<module>"))
+    assert found == ["_answer"]
+
+
 def test_both_dimensions_hand_the_driver_their_own_functions():
     # One signature per hook in both dimensions, so each hook the driver
     # calls is the dimension's own function, not a lambda that re-plumbs

@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
+from scipy import ndimage
 
 from digitopo import (
     Image2D,
@@ -198,6 +199,112 @@ def test_3d_driver_matches_canvases_repaired_alone(shape, density, seed, cycle):
     got = outcome(analyze_volume, vol)
     _event(got)
     assert got == outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
+
+
+def reference_holes(mask):
+    """The holes of ``mask`` under scipy: the 4-components of its
+    background in a frame of one empty cell, less the outer one."""
+    return ndimage.label(~_pad(mask))[1] - 1
+
+
+def assert_corner_row(row, mask):
+    """A formula row carries its corner points, C4 - C2, a multiple of 4
+    on a piece with no diagonal window, and ``topo2d._answer`` makes them
+    the holes of its piece, ``mask``."""
+    assert row[-1] == topo2d._FORMULA
+    assert row[-2] % 4 == 0
+    assert topo2d._answer([list(row)])[1] == reference_holes(mask)
+
+
+def filled_canvases_checked(img):
+    """Check the formula rows that ``topo2d._window_pass``,
+    ``topo2d._piece_rows`` and ``topo2d._filled_rows`` give for ``img``
+    (``assert_corner_row``); returns how many canvases ``_filled_rows``
+    answered."""
+    labeling = grid.label_components_2d(img)
+    ok, _, rows = topo2d._window_pass(
+        _window_codes(_pad(img.cells)), labeling.labels, labeling.count
+    )
+    for i in range(1, labeling.count + 1):
+        if ok[i]:
+            assert_corner_row(rows[i].tolist(), labeling.labels == i)
+        canvas = grid.extract_component(labeling, i)
+        (row,) = topo2d._piece_rows(canvas)
+        if row[-1] == topo2d._FORMULA:
+            assert_corner_row(row, canvas.cells)
+    filled = []
+
+    def checked(rows, codes, cells, owner):
+        # Canvas i of the repaired stack, bit 0 of its codes, is its piece
+        # i + 1 in scan order.
+        labels, count = ndimage.label((codes[1:, 1:] & 1).astype(bool))
+        assert count == len(rows)
+        got = topo2d._filled_rows(rows, codes, cells, owner)
+        for i, row in enumerate(got.tolist(), 1):
+            assert_corner_row(row, labels == i)
+        filled.append(count)
+        return got
+
+    grid._per_component(topo2d._HOOKS._replace(filled=checked), img)
+    return sum(filled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=raw_images())
+def test_each_formula_row_carries_its_corner_points(img):
+    filled_canvases_checked(img)
+
+
+@pytest.mark.parametrize(
+    "img, canvases",
+    [(pinched_rings(), 3), (FILL_CLOSES_A_HOLE, 1), (FILL_BESIDE_A_DIAGONAL_NEIGHBOUR, 1),
+     (OVERLAPPING_FILLS, 1)],
+    ids=["pinched-rings", "closes-a-hole", "diagonal-neighbour", "overlapping"],
+)
+def test_filled_canvases_carry_their_corner_points(img, canvases):
+    assert filled_canvases_checked(img) == canvases
+
+
+def _slow(*_):
+    raise AssertionError("the driver called its slow hook with repair on")
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=raw_images())
+@example(img=pinched_rings())
+@example(img=DIRTY_SPLIT_BY_REPAIR)
+def test_with_repair_the_2d_driver_never_calls_slow(img):
+    # A repaired canvas has no diagonal window, so the corner law answers
+    # each of its pieces.
+    hooks = topo2d._HOOKS._replace(slow=_slow)
+    for keep_pieces in (False, True):
+        grid._per_component(hooks, img, keep_pieces=keep_pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 12)] * 3),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    cycle=st.booleans(),
+)
+@example((12, 12, 12), 0.15, 25, True)
+@example((12, 12, 12), 0.05, 2, False)
+def test_with_repair_the_3d_driver_never_calls_slow(shape, density, seed, cycle):
+    # A repaired canvas is well-composed, so the formula answers each of
+    # its surfaces; the draws whose repair cycles raise before any piece
+    # is classified.
+    cells = np.random.default_rng(seed).random(shape) < density
+    if cycle and all(n >= k for n, k in zip(shape, REPAIR_CYCLE.shape)):
+        cells[tuple(slice(0, k) for k in REPAIR_CYCLE.shape)] = REPAIR_CYCLE
+    vol = Volume3D(shape[2], shape[1], shape[0], cells)
+    hooks = topo3d._HOOKS._replace(slow=_slow)
+    for keep_pieces in (False, True):
+        try:
+            grid._per_component(hooks, vol, keep_pieces=keep_pieces)
+            event("answered")
+        except RepairDidNotConverge:
+            event("cycled")
 
 
 @st.composite
