@@ -396,13 +396,13 @@ def _despeckle(codes: np.ndarray, labeling: Labeling):
 
 
 def _window_pass(codes: np.ndarray, labels: np.ndarray, count: int):
-    """The answer of every label 0..``count`` of ``labels`` from the
-    window codes of the labelled image in a frame of one empty pixel: the
-    table ``(ok, cuts, rows)`` of ``grid._Hooks``, one formula row per
-    label (``_answer``), with ``ok`` False for a component with a
-    diagonal window between two of its own pixels. Every row holds the
-    corner points (C4 - C2) of its component's own canvas, which
-    ``_filled_rows`` also reads of a dirty one.
+    """The rows of every label 0..``count`` of ``labels`` from the window
+    codes of the labelled image in a frame of one empty pixel: the table
+    ``(ok, cuts, rows)`` of ``grid._Hooks``, one formula row per label
+    (``_answer``), with ``ok`` False for a component with a diagonal
+    window between two of its own pixels. Every row holds the corner
+    points (C4 - C2) of its component's own canvas, which ``_filled_rows``
+    also reads of a dirty one.
 
     One bincount of the corner windows keyed by label gives every
     component's corner points, and one of the boundary pixels its
