@@ -216,7 +216,7 @@ def assert_corner_row(row, mask):
     assert topo2d._answer([list(row)])[1] == reference_holes(mask)
 
 
-def filled_canvases_checked(img):
+def corner_rows_checked(img):
     """Check the formula rows that ``topo2d._window_pass``,
     ``topo2d._piece_rows`` and ``topo2d._filled_rows`` give for ``img``
     (``assert_corner_row``); returns how many canvases ``_filled_rows``
@@ -252,7 +252,7 @@ def filled_canvases_checked(img):
 @settings(max_examples=150, deadline=None)
 @given(img=raw_images())
 def test_each_formula_row_carries_its_corner_points(img):
-    filled_canvases_checked(img)
+    corner_rows_checked(img)
 
 
 @pytest.mark.parametrize(
@@ -262,7 +262,7 @@ def test_each_formula_row_carries_its_corner_points(img):
     ids=["pinched-rings", "closes-a-hole", "diagonal-neighbour", "overlapping"],
 )
 def test_filled_canvases_carry_their_corner_points(img, canvases):
-    assert filled_canvases_checked(img) == canvases
+    assert corner_rows_checked(img) == canvases
 
 
 def _slow(*_):
@@ -292,8 +292,8 @@ def test_with_repair_the_2d_driver_never_calls_slow(img):
 @example((12, 12, 12), 0.05, 2, False)
 def test_with_repair_the_3d_driver_never_calls_slow(shape, density, seed, cycle):
     # A repaired canvas is well-composed, so the formula answers each of
-    # its surfaces; the draws whose repair cycles raise before any piece
-    # is classified.
+    # its surfaces; a draw whose repair cycles raises before any piece is
+    # classified.
     cells = np.random.default_rng(seed).random(shape) < density
     if cycle and all(n >= k for n, k in zip(shape, REPAIR_CYCLE.shape)):
         cells[tuple(slice(0, k) for k in REPAIR_CYCLE.shape)] = REPAIR_CYCLE
