@@ -38,14 +38,7 @@ from datetime import datetime
 
 from . import oracle, pbm, report, shapes, streaming, topo2d, topo3d, vox3
 from .errors import DigitopoError, ParseError
-from .grid import (
-    Adjacency,
-    Image2D,
-    Volume3D,
-    _canvases,
-    label_components_2d,
-    label_components_3d,
-)
+from .grid import Adjacency, Image2D, Volume3D, _canvases, _sized_runs
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -192,20 +185,18 @@ def _emit(ns, rep: dict, human_lines: Callable[[], Iterable[str]]) -> None:
 def _cmd_components(ns) -> int:
     grid, rep = _load(ns)
     if isinstance(grid, Image2D):
-        labeling = label_components_2d(grid, Adjacency.DIRECT_2D)
-        adjacency = "direct-4"
+        rule, adjacency = Adjacency.DIRECT_2D, "direct-4"
     else:
-        labeling = label_components_3d(grid, Adjacency.INDIRECT_3D)
-        adjacency = "indirect-26"
-    sizes = labeling.sizes.tolist()
+        rule, adjacency = Adjacency.INDIRECT_3D, "indirect-26"
+    # The count and sizes come from the labeller's runs: no label is painted.
+    _, _, count, _, sizes = _sized_runs(grid.cells, rule)
+    sizes = sizes.tolist()
     rep["adjacency"] = adjacency
-    rep["count"] = labeling.count
-    rep["components"] = [
-        {"component": i, "cells": sizes[i]} for i in range(1, labeling.count + 1)
-    ]
+    rep["count"] = count
+    rep["components"] = [{"component": i, "cells": sizes[i]} for i in range(1, count + 1)]
     _emit(ns, rep, lambda: [
-        f"components: {labeling.count} ({adjacency})",
-        *(f"component {i}: {sizes[i]} cells" for i in range(1, labeling.count + 1)),
+        f"components: {count} ({adjacency})",
+        *(f"component {i}: {sizes[i]} cells" for i in range(1, count + 1)),
     ])
     return 0
 

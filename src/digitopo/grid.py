@@ -25,7 +25,6 @@ root is its scan-first run, so the labels come out in scan order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -294,6 +293,18 @@ def _run_components(cells: np.ndarray, adjacency: Adjacency):
     return starts, ends, count, comp
 
 
+def _sized_runs(cells: np.ndarray, adjacency: Adjacency):
+    """``_run_components`` of ``cells``, and the cells of each label
+    0..count (``Labeling.sizes``): one bincount over the runs, weighted by
+    their lengths, so no pass over painted labels counts them. The
+    ``components`` command reads the count and sizes alone."""
+    starts, ends, count, comp = _run_components(cells, adjacency)
+    # Weighted, so float; the counts are integers below 2**53 and exact.
+    sizes = np.bincount(comp + 1, ends - starts, minlength=count + 1).astype(np.int64)
+    sizes[0] = cells.size - sizes.sum()
+    return starts, ends, count, comp, sizes
+
+
 def _label(cells: np.ndarray, adjacency: Adjacency) -> Labeling:
     """Scan-order labels of the True cells of ``cells``, their count and
     each label's cell count (``Labeling``). Raises ValueError for an
@@ -305,19 +316,14 @@ def _label(cells: np.ndarray, adjacency: Adjacency) -> Labeling:
     halve every chain, so a round takes O(log R) jumps of O(R) each. The
     rounds repeat only for edges left between two trees; on the benchmark
     inputs and on the serpentines and spiral of the tests there are one
-    to three. The sizes are one bincount over the runs, weighted by their
-    lengths, so no pass over the labels counts them.
+    to three. The sizes come from the runs (``_sized_runs``).
     """
     if adjacency.ndim != cells.ndim:
         raise ValueError(f"{cells.ndim}D labeling requires a {cells.ndim}D adjacency")
-    starts, ends, count, comp = _run_components(cells, adjacency)
-    lengths = ends - starts
+    starts, ends, count, comp, sizes = _sized_runs(cells, adjacency)
     # The runs hold the True cells in scan order.
     labels = np.zeros(cells.shape, dtype=np.int32)
-    labels[cells] = (comp + 1).repeat(lengths)
-    # Weighted, so float; the counts are integers below 2**53 and exact.
-    sizes = np.bincount(comp + 1, lengths, minlength=count + 1).astype(np.int64)
-    sizes[0] = cells.size - sizes.sum()
+    labels[cells] = (comp + 1).repeat(ends - starts)
     return Labeling(labels, count, sizes, (starts, ends, comp))
 
 
@@ -442,11 +448,22 @@ def _anchored_hits(cells: np.ndarray, hits: tuple, order: np.ndarray) -> list:
     return [(anchor, hit) for anchor, (_, hit) in zip(anchors, found)]
 
 
+def _canvas_of(rows: tuple, cells) -> np.ndarray:
+    """The canvas of each of ``cells``, flat indices of a grid cut into
+    canvases by ``rows``: ``(starts, of)``, the ascending flat index of the
+    first cell of each canvas row (its cells along x at one y, or one
+    (z, y)) and the canvas of each row. A cell belongs to the last row
+    that starts at or before it, so only cells of a canvas are looked up:
+    one ``np.searchsorted``."""
+    starts, of = rows
+    return of[starts.searchsorted(cells, side="right") - 1]
+
+
 def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, canvases=None):
     """Edit ``cells`` until no window code has a hit: ``repair_2d`` and
     ``repair_3d``. Returns the edited copy, its edits (rows of
-    ``_actions``, the index into ``cells`` in array order) and its codes,
-    ``_window_codes(_pad(copy))``.
+    ``_actions``, the index into ``cells`` in array order), its codes,
+    ``_window_codes(_pad(copy))``, and the canvas of each edit.
 
     The loop works on those codes alone, computed once and kept current
     by ``_flip``; the copy is their bit 0 (``_flip``). Vertices and cells
@@ -466,30 +483,35 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
     as does a total of more than 4 edits per cell. A state is the set of
     cells edited an odd number of times.
 
-    ``canvases`` cuts ``cells`` along its first axis into canvases,
-    ``(rows, cells)`` each (default: one, the whole grid), as
-    ``_per_component`` stacks them. A hit window lies in one canvas, and
-    its fix reads and flips only cells of that canvas, so each canvas goes
-    through the rounds and edits it would alone, with its own state and
-    its own cap.
+    ``canvases`` cuts ``cells`` into canvases (default: one, the whole
+    grid), as ``_per_component`` packs them: ``(starts, of, sizes)``,
+    the rows of ``_canvas_of`` in flat indices of ``cells`` and the cells
+    of each canvas. A hit's canvas is the one that holds its window's
+    minimal cell (one ``_canvas_of`` call per round), and its edit keeps
+    that canvas. A hit window lies in one canvas, and its fix reads and
+    flips only cells of that canvas, so each canvas goes through the
+    rounds and edits it would alone, in its own scan order, with its own
+    state and its own cap.
     """
     codes = _window_codes(_pad(cells))
     found = _hits(codes, hits, order)
     if not found:
-        return cells.copy(), np.zeros((0, cells.ndim + 2), dtype=np.int64), codes
+        return cells.copy(), np.zeros((0, cells.ndim + 2), dtype=np.int64), codes, np.zeros(0, int)
     view, strides = memoryview(codes).cast("B"), codes.strides
-    canvases = canvases or [(len(cells), cells.size)]
-    # A hit window holds a cell of its canvas in its first row, row r - 1
-    # of ``cells`` at vertex row r: a canvas ends before vertex row stop + 1.
-    stops = ((np.cumsum([rows for rows, _ in canvases]) + 1) * strides[0]).tolist()
-    left = [4 * size for _, size in canvases]
-    odd: list[set] = [set() for _ in canvases]
-    seen: list[set] = [set() for _ in canvases]
+    starts, of, sizes = canvases or ([0], [0], [cells.size])
+    # Cell i is the minimal cell of the window at vertex i + 1 per axis:
+    # the rows move there, to the codes' flat indices, where hits are.
+    starts = np.unravel_index(np.asarray(starts, dtype=np.intp), cells.shape)
+    rows = np.ravel_multi_index(tuple(i + 1 for i in starts), codes.shape), np.asarray(of)
+    left = [4 * size for size in sizes]
+    odd: list[set] = [set() for _ in sizes]
+    seen: list[set] = [set() for _ in sizes]
     edits: list[tuple] = []
+    owners: list[int] = []
     # Cell c is in the windows c - d, d in {0, 1} per axis.
     offsets = np.indices((2,) * cells.ndim).reshape(cells.ndim, -1).T @ strides
     while found:
-        owner = [bisect_right(stops, vertex) for vertex, _ in found]
+        owner = _canvas_of(rows, [vertex for vertex, _ in found]).tolist()
         for k in set(owner):
             state = frozenset(odd[k])
             if state in seen[k]:
@@ -505,6 +527,7 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
             cell = fix(view, strides, vertex, hit)
             odd[k] ^= {cell}
             edits.append((cell, view[cell] & 1))
+            owners.append(k)
         # Sorted and deduplicated without ``np.unique``, which imports
         # ``numpy.ma`` on first use.
         at = np.sort((np.array(edits[start:])[:, :1] - offsets).reshape(-1))
@@ -513,7 +536,7 @@ def _repair(cells: np.ndarray, hits: tuple, order: np.ndarray, fix: Callable, ca
     cell, added = np.array(edits, dtype=np.int64).T
     at = (i - 1 for i in np.unravel_index(cell, codes.shape))
     edits = np.column_stack((*at, added, np.full_like(added, _PATHOLOGY)))
-    return (codes[(slice(1, None),) * codes.ndim] & 1).view(bool), edits, codes
+    return (codes[(slice(1, None),) * codes.ndim] & 1).view(bool), edits, codes, np.array(owners)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -558,37 +581,141 @@ def _canvases(labeling: Labeling, ids: list) -> list:
 
 def _component_boxes(labeling: Labeling, ids) -> dict[int, tuple[slice, ...]]:
     """Bounding box of each component in ``ids`` that has a cell, keyed by
-    component id: the minima and maxima of the labeller's runs along x
-    (``Labeling.runs``) of each. They hold after the 2D scan's edits
-    (``topo2d._despeckle``): a fill lies inside its owner's box, and a
-    deletion empties a one-pixel component."""
-    if not ids:
-        return {}
-    (starts, ends, comp), labels = labeling.runs, labeling.labels
-    _, ny, nx = (1,) * (3 - labels.ndim) + labels.shape
+    component id (``_box_bounds``)."""
+    found, lo, hi = _box_bounds(labeling, ids)
+    return {
+        cid: tuple(map(slice, start, stop))
+        for cid, start, stop in zip(found.tolist(), lo.tolist(), (hi + 1).tolist())
+    }
+
+
+def _box_bounds(labeling: Labeling, ids):
+    """The ids among ``ids`` of the components that have a cell,
+    ascending, and the first and last index of each one's bounding box
+    per array axis, one row per id: the minima and maxima of the
+    labeller's runs along x (``Labeling.runs``) of each. They hold after
+    the 2D scan's edits (``topo2d._despeckle``): a fill lies inside its
+    owner's box, and a deletion empties a one-pixel component."""
+    if not len(ids):  # from ``_canvases``, maybe with no labeling
+        return np.zeros(0, dtype=np.intp), *np.zeros((2, 0, 0), dtype=np.int64)
+    ndim = labeling.labels.ndim
+    starts, ends, comp = labeling.runs
     wanted = np.zeros(labeling.count + 1, dtype=bool)
     wanted[list(ids)] = True
     keep = wanted[comp + 1]
     lab, starts, ends = comp[keep] + 1, starts[keep], ends[keep]
-    line = starts // (nx + 1)
-    x = starts - line * (nx + 1)
-    z, y = np.divmod(line, ny + 1)
-    last = ends - line * (nx + 1) - 1
-    lows, highs = [y, x], [y, last]
-    if labels.ndim == 3:
-        lows, highs = [z, *lows], [z, *highs]
-    lo = np.full((len(lows), labeling.count + 1), labels.size, dtype=np.int64)
-    hi = np.full((len(highs), labeling.count + 1), -1, dtype=np.int64)
-    for axis in range(len(lows)):
-        np.minimum.at(lo[axis], lab, lows[axis])
-        np.maximum.at(hi[axis], lab, highs[axis])
+    at = _run_cells(labeling.labels.shape, starts)
+    last = at[-1] + (ends - starts) - 1
+    lo = np.full((ndim, labeling.count + 1), labeling.labels.size, dtype=np.int64)
+    hi = np.full((ndim, labeling.count + 1), -1, dtype=np.int64)
+    for axis in range(ndim):
+        np.minimum.at(lo[axis], lab, at[axis])
+        np.maximum.at(hi[axis], lab, last if axis == ndim - 1 else at[axis])
     found = np.flatnonzero((hi[0] >= 0) & (labeling.sizes > 0))
-    return {
-        cid: tuple(map(slice, start, stop))
-        for cid, start, stop in zip(
-            found.tolist(), lo[:, found].T.tolist(), (hi[:, found] + 1).T.tolist()
-        )
-    }
+    return found, lo[:, found].T, hi[:, found].T
+
+
+def _run_cells(shape: tuple, keys: np.ndarray) -> tuple:
+    """The index in array order of the cells at ``keys``, run keys of a
+    grid of ``shape`` (``_runs``)."""
+    ny, nx = shape[-2:]
+    line, x = np.divmod(keys, nx + 1)
+    z, y = np.divmod(line, ny + 1)
+    return (z, y, x) if len(shape) == 3 else (y, x)
+
+
+def _pack(extents: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Places for boxes of ``extents`` (one row per box, array order) in
+    one stack, by next-fit decreasing height (Coffman, Garey, Johnson and
+    Tarjan, SIAM J. Comput. 1980): the boxes are taken by decreasing
+    extents, first axis first, and each goes on along x in the current
+    row, else in a new row along the middle axis of the current layer,
+    else in a new layer along the first axis; a row is as tall and a
+    layer as deep as its largest box. In 2D there are rows only. A layer
+    is twice as wide as the widest box and twice as tall as the tallest.
+    Returns the origin of each box, one row per box, and the stack's
+    shape."""
+    two = extents.shape[1] == 2
+    ext = np.column_stack((np.ones_like(extents[:, 0]), extents)) if two else extents
+    width = 2 * int(ext[:, 2].max())
+    height = float("inf") if two else 2 * int(ext[:, 1].max())
+    places = [None] * len(ext)
+    z = y = x = depth = tall = high = wide = 0
+    boxes = ext.tolist()
+    for i in np.lexsort(-ext.T[::-1]).tolist():
+        d, h, w = boxes[i]
+        if x + w > width or y + h > height:
+            y, x, tall = y + tall, 0, 0  # a new row
+            if y + h > height:
+                z, y, depth = z + depth, 0, 0  # a new layer
+        depth, tall = max(depth, d), max(tall, h)
+        places[i] = (z, y, x)
+        x += w
+        wide, high = max(wide, x), max(high, y + tall)
+    places = np.array(places, dtype=np.int64)
+    return (places[:, 1:], (high, wide)) if two else (places, (z + depth, high, wide))
+
+
+def _stacks(extents: np.ndarray, cells: int) -> list:
+    """The boxes of ``extents`` (``_pack``) in stacks: ``(members,
+    places, shape)`` each, ``members`` the ascending indices of its
+    boxes. One stack, unless it would hold more than ``cells`` (the
+    grid's cells) and 4 times its boxes' cells; then the boxes are
+    halved by decreasing footprint, the cells of their last two extents,
+    and each half is stacked so."""
+    places, shape = _pack(extents)
+    if np.prod(shape) <= max(cells, 4 * int(extents.prod(axis=1).sum())):
+        return [(np.arange(len(extents)), places, shape)]
+    order = np.argsort(-(extents[:, -2] * extents[:, -1]), kind="stable")
+    out = []
+    for half in np.array_split(order, 2):
+        half = np.sort(half)
+        out += [(half[m], p, s) for m, p, s in _stacks(extents[half], cells)]
+    return out
+
+
+def _paint(labeling: Labeling, scanned: tuple, ids: np.ndarray, shift: np.ndarray, shape):
+    """A stack of ``shape`` holding the components ``ids`` of ``labeling``,
+    each moved by its row of ``shift``, from the labeller's runs
+    (``Labeling.runs``) plus the fills among the scan's edits
+    (``scanned``, as ``_Hooks.scan`` gives them), which came after the
+    runs. Every run and fill becomes a run of the stack; sorted, they
+    alternate with the gaps between them in one ``np.repeat``."""
+    canvas = np.full(labeling.count + 1, -1)
+    canvas[ids] = np.arange(len(ids))
+    starts, ends, comp = labeling.runs
+    k = canvas[comp + 1]
+    starts, ends, k = starts[k >= 0], ends[k >= 0], k[k >= 0]
+    at = _run_cells(labeling.labels.shape, starts)
+    owner, edits = scanned
+    f = canvas[owner]
+    fill = (f >= 0) & (edits[:, -2] == 1)
+    at = [np.concatenate((i, edits[fill, axis])) for axis, i in enumerate(at)]
+    k = np.concatenate((k, f[fill]))
+    first = np.ravel_multi_index(tuple(i + shift[k, axis] for axis, i in enumerate(at)), shape)
+    lengths = np.concatenate((ends - starts, np.ones(fill.sum(), dtype=ends.dtype)))
+    order = first.argsort()
+    first, lengths = first[order], lengths[order]
+    counts = np.empty(2 * first.size + 1, dtype=np.intp)
+    counts[0] = first[0]
+    counts[1::2] = lengths
+    counts[2:-1:2] = first[1:] - first[:-1] - lengths[:-1]
+    counts[-1] = np.prod(shape) - first[-1] - lengths[-1]
+    return np.tile([False, True], first.size + 1)[:-1].repeat(counts).reshape(shape)
+
+
+def _canvas_rows(places: np.ndarray, extents: np.ndarray, shape) -> tuple:
+    """The rows (``_canvas_of``) of canvases of ``extents`` at ``places``
+    in a stack of ``shape``: every line along x of each canvas."""
+    lines = extents[:, :-1].prod(axis=1)
+    of = np.arange(len(extents)).repeat(lines)
+    line = np.arange(of.size) - (lines.cumsum() - lines).repeat(lines)
+    at = np.divmod(line, extents[of, 1]) if len(shape) == 3 else (line,)
+    starts = np.ravel_multi_index(
+        (*(places[of, axis] + i for axis, i in enumerate(at)), places[of, -1]), shape
+    )
+    order = starts.argsort()
+    return starts[order], of[order]
 
 
 class _Hooks(NamedTuple):
@@ -616,8 +743,10 @@ class _Hooks(NamedTuple):
     # stack that repair only filled, each one piece, from their rows in the
     # grid's table, the stack's codes and the fills (``_per_component``).
     filled: Callable | None
-    # (stack, canvases) -> (stack, edits, codes): ``_repair`` of a stack
-    # of canvases, ``(rows, cells)`` each, through ``repair_2d``/``repair_3d``.
+    # (stack, canvases) -> (stack, edits, codes, owner): ``_repair`` of a
+    # packed stack, its canvases as ``_repair`` takes them (the rows of
+    # the canvas lookup, ``_canvas_of``, and each canvas's cells), through
+    # ``repair_2d``/``repair_3d``.
     repair: Callable
     slow: Callable  # (piece, fallback_oracle, component_id) -> its rows
     answer: Callable  # (a distinct list of rows) -> its answer
@@ -650,25 +779,6 @@ def _distinct_lists(lengths: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     return index, distinct
 
 
-def _stack_groups(shapes: dict, cells: int) -> list[list]:
-    """The ids of ``shapes``, which maps each dirty component to the
-    extents of its canvas in array order, in stacks, each in the order of
-    ``shapes``: one stack when the canvases, one above another and padded
-    to their largest extents, hold no more than ``cells``, the grid's
-    cells; else one per class of canvases whose extents after the first
-    round up to the same powers of two."""
-    if not shapes:
-        return []
-    extents = np.array(list(shapes.values()))
-    if extents[:, 0].sum() * extents[:, 1:].max(axis=0).prod() <= cells:
-        return [list(shapes)]
-    groups: dict[tuple[int, ...], list] = {}
-    for cid, shape in shapes.items():
-        key = tuple(1 << (n - 1).bit_length() for n in shape[1:])
-        groups.setdefault(key, []).append(cid)
-    return list(groups.values())
-
-
 def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_pieces=False):
     """Answer each component of ``grid`` as if it were cut alone onto a
     padded canvas, repaired there, relabelled into pieces (its direct
@@ -692,14 +802,18 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       dirty components, those with a pathological window of their own;
     * a clean component is one piece that repair leaves alone, and one
       classification of the same codes answers for all of them;
-    * the dirty components are cut straight into canvases stacked along
-      the slowest axis (y in 2D, z in 3D): all in one stack when it,
-      padded to the canvases' largest extents, holds no more cells than
-      the grid, else in groups whose other extents round up to the same
-      powers of two (``_stack_groups``). Each stack is repaired once
-      (``_repair``, every canvas apart, with its own checks). Every
-      stack is repaired before anything is classified, so a repair
-      cycle raises first;
+    * the dirty components' canvases are packed into one stack, each
+      canvas in its own orientation and frame (``_pack``): layers along
+      the slowest axis, rows along the middle one, canvases along x; in
+      2D, rows only. The stack is painted in one pass from the
+      labeller's runs, plus the 2D scan's fills (``_paint``). A grid
+      has more than one stack only where one would hold more than the
+      grid's cells and 4 times its canvases' cells (``_stacks``). The
+      rows of each canvas find the canvas of a cell (``_canvas_of``):
+      of a repair hit, and of each piece's first cell. Each stack is
+      repaired once (``_repair``, every canvas apart, with its own
+      checks). Every stack is repaired before anything is classified,
+      so a repair cycle raises first;
     * a 2D stack whose edits all add a cell is neither labelled nor
       classified again (unless ``keep_pieces``, whose tables need its
       labels). A fill sets a background cell of a diagonal window, which
@@ -710,9 +824,9 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
       Any other repaired stack is labelled once and classified once from
       the codes its repair kept; an unrepaired one is only labelled, as
       ``slow`` answers its pieces. The one-cell frames keep two
-      canvases' objects and windows apart, and scan order visits one
-      canvas after another, so a stack's labels number each canvas's
-      pieces as labelling that canvas alone would;
+      canvases' objects and windows apart, and a canvas moved into the
+      stack keeps its own scan order, so a stack's labels number each
+      canvas's pieces in the order that labelling it alone would;
     * the answers stay integer rows until one ``_distinct_lists`` call
       gives each piece its distinct answer, and ``answer`` makes each
       distinct list into objects once. A piece without an answer in
@@ -724,31 +838,26 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
     labeling = label(grid, hooks.capture)
     codes = _window_codes(_pad(grid.cells))
     dirty, scanned, table = hooks.scan(codes, labeling)
-    boxes = _component_boxes(labeling, dirty.tolist())
+    dirty, lo, hi = _box_bounds(labeling, dirty)
     # A dirty component's canvas is its box in a frame of one empty cell.
-    shapes = {cid: [s.stop - s.start + 2 for s in boxes[cid]] for cid in dirty.tolist()}
+    extents = hi - lo + 3
     stacks, logs = [], [scanned]
-    for members in _stack_groups(shapes, grid.cells.size):
-        extents = np.array([shapes[cid] for cid in members])
-        starts = np.concatenate(([0], extents[:, 0].cumsum()))
-        stack = np.zeros((starts[-1], *extents[:, 1:].max(axis=0)), dtype=bool)
-        for cid, start, (rows, *shape) in zip(members, starts.tolist(), extents.tolist()):
-            inside = (slice(start + 1, start + rows - 1), *(slice(1, n - 1) for n in shape))
-            stack[inside] = labeling.labels[boxes[cid]] == cid
+    for members, places, shape in _stacks(extents, grid.cells.size) if dirty.size else []:
+        # A cell moves into the stack by its canvas's place, less its
+        # box's origin, plus one for the frame.
+        shift = places - lo[members] + 1
+        stack = _paint(labeling, scanned, dirty[members], shift, shape)
+        rows = _canvas_rows(places, extents[members], shape)
         coded = fills = None
         if repair:
-            split = list(zip(extents[:, 0].tolist(), extents.prod(axis=1).tolist()))
-            stack, edits, coded = hooks.repair(_grid_of(stack), split)
+            sizes = extents[members].prod(axis=1).tolist()
+            stack, edits, coded, owner = hooks.repair(_grid_of(stack), (*rows, sizes))
             stack = stack.cells
-            # Each edit moves by the origin of the canvas whose rows hold it.
-            owner = np.searchsorted(starts, edits[:, 0], side="right") - 1
             if hooks.filled and not keep_pieces and edits[:, -2].all():
                 fills = np.ravel_multi_index(tuple(edits[:, :-2].T + 1), coded.shape), owner
-            shifts = np.array([[s.start - 1 for s in boxes[cid]] for cid in members])
-            shifts[:, 0] -= starts[:-1]
-            edits[:, :-2] += shifts[owner]
-            logs.append((np.array(members)[owner], edits))
-        stacks.append((np.array(members), starts, stack, coded, fills))
+            edits[:, :-2] -= shift[owner]
+            logs.append((dirty[members][owner], edits))
+        stacks.append((dirty[members], rows, stack, coded, fills))
     if table is None:  # classified after every repair: a cycle raises first
         table = hooks.classify(codes, labeling.labels, labeling.count)
     del codes
@@ -762,7 +871,7 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
         clean = np.flatnonzero(clean)
         yield table, labeling, clean, clean, labeling.sizes[clean]
         while stacks:  # popped, so that a stack is freed once it is answered
-            members, starts, stack, coded, fills = stacks.pop()
+            members, rows, stack, coded, fills = stacks.pop()
             if fills is not None:  # canvas i is one piece, label i + 1
                 n = len(members)
                 found = hooks.filled(table[2][table[1][members]], coded, *fills)
@@ -773,11 +882,12 @@ def _per_component(hooks: _Hooks, grid, repair=True, fallback_oracle=True, keep_
                 continue
             pieces = label(_grid_of(stack))
             ids = np.arange(1, pieces.count + 1)
-            # Labels rise in scan order, so each canvas holds the labels up
-            # to the largest one in its rows.
-            last = pieces.labels.reshape(len(stack), -1).max(axis=1)
-            last = np.maximum.accumulate(np.maximum.reduceat(last, starts[:-1]))
-            owners = members.repeat(np.diff(last, prepend=0))
+            # A piece lies in one canvas: that of its first run's first
+            # cell. Labels rise in the order of their first runs.
+            starts, _, comp = pieces.runs
+            first = starts[np.diff(np.maximum.accumulate(comp), prepend=-1) > 0]
+            first = np.ravel_multi_index(_run_cells(stack.shape, first), stack.shape)
+            owners = members[_canvas_of(rows, first)]
             if repair:
                 found = hooks.classify(coded, pieces.labels, pieces.count)
             else:  # an unrepaired canvas answers no piece

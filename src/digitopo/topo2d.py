@@ -283,13 +283,15 @@ def repair_2d(img: Image2D, *, _canvases=None) -> tuple[Image2D, list[RepairActi
     seen, or more than 4 * width * height actions in all, raises
     ``RepairDidNotConverge``.
 
-    ``grid._per_component`` passes a stack of canvases as ``img`` and
-    their extents as ``_canvases``, and gets back ``grid._repair``'s
-    rows of edits, not actions, and its codes as a third item.
+    ``grid._per_component`` passes a packed stack of canvases as ``img``
+    and, as ``_canvases``, the start of each canvas row with its canvas
+    (the lookup of ``grid._canvas_of``) and each canvas's cells, which
+    set its own cap. It gets back ``grid._repair``'s rows of edits, not
+    actions, its codes and the canvas of each edit.
     """
-    cells, edits, codes = _repair(img.cells, _HITS, _DIAGONAL, _fix_window, _canvases)
+    cells, edits, codes, owner = _repair(img.cells, _HITS, _DIAGONAL, _fix_window, _canvases)
     img = Image2D(img.width, img.height, cells)
-    return (img, edits, codes) if _canvases else (img, _actions(edits))
+    return (img, edits, codes, owner) if _canvases else (img, _actions(edits))
 
 
 def _fix_window(view: memoryview, strides: tuple, vertex: int, _kind) -> int:

@@ -334,13 +334,15 @@ def repair_3d(vol: Volume3D, *, _canvases=None) -> tuple[Volume3D, list[RepairAc
     repeated grid state proves the cap will be exceeded; it is reported
     immediately instead of grinding out the remaining actions.
 
-    ``grid._per_component`` passes a stack of canvases as ``vol`` and
-    their extents as ``_canvases``, and gets back ``grid._repair``'s
-    rows of edits, not actions, and its codes as a third item.
+    ``grid._per_component`` passes a packed stack of canvases as ``vol``
+    and, as ``_canvases``, the start of each canvas row with its canvas
+    (the lookup of ``grid._canvas_of``) and each canvas's cells, which
+    set its own cap. It gets back ``grid._repair``'s rows of edits, not
+    actions, its codes and the canvas of each edit.
     """
-    cells, edits, codes = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window, _canvases)
+    cells, edits, codes, owner = _repair(vol.cells, _CODE_HITS, _CODE_PASS, _fix_window, _canvases)
     vol = Volume3D(vol.nx, vol.ny, vol.nz, cells)
-    return (vol, edits, codes) if _canvases else (vol, _actions(edits))
+    return (vol, edits, codes, owner) if _canvases else (vol, _actions(edits))
 
 
 # Per window code: the set face neighbours of its minimal voxel toward +x,

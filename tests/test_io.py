@@ -4,15 +4,19 @@ import contextlib
 import hashlib
 import json
 import os
+import runpy
+import subprocess
 import sys
 import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from digitopo import (
+    Adjacency,
     Image2D,
     ParseError,
     Volume3D,
@@ -35,7 +39,7 @@ from digitopo import (
     write_pbm_p4,
     write_vox3,
 )
-from digitopo import cli, vox3
+from digitopo import cli, grid, label_components_2d, label_components_3d, vox3
 from gridtext import NONCONVERGENT_SLABS, REPAIR_CYCLE, image, volume
 
 BLOB = image(
@@ -578,6 +582,46 @@ class TestCliReports:
         rep = json.loads(out)
         assert rep["count"] == 2
         assert rep["adjacency"] == "direct-4"
+
+    def test_components_paints_no_labels(self, capsys, monkeypatch, tmp_path):
+        # The count and sizes come from the labeller's runs alone.
+        grids = [volume("1000\n0000", "0100\n0001"), image("1101\n0100\n0011")]
+        want = [
+            label_components_3d(grids[0], Adjacency.INDIRECT_3D),
+            label_components_2d(grids[1]),
+        ]
+
+        def fail(*_):
+            raise AssertionError("components painted labels")
+
+        monkeypatch.setattr(grid, "_label", fail)
+        for g, labeling, path in zip(grids, want, (tmp_path / "v.vox3", tmp_path / "i.pbm")):
+            (write_vox3 if path.suffix == ".vox3" else write_pbm)(g, path)
+            code, out = run_cli(capsys, "components", "--json", str(path))
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["count"] == labeling.count
+            assert [c["cells"] for c in rep["components"]] == labeling.sizes[1:].tolist()
+
+    def test_python_m_digitopo_runs_the_command_line(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "v.vox3"
+        path.write_bytes(b"vox3 2 2 1\n11\n11\n")
+        argv = ["components", "--json", str(path)]
+        code, want = run_cli(capsys, *argv)
+        assert code == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-m", "digitopo", *argv], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", want)
+        # The same module in this process, as ``-m`` runs it.
+        monkeypatch.setattr(sys, "argv", ["digitopo", *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("digitopo", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == want
 
     def test_json_byte_identical_across_runs(self, capsys, tmp_path):
         path = tmp_path / "n.pbm"

@@ -1,7 +1,7 @@
 """The stacked repair loop against repairing each canvas alone.
 
-``grid._per_component`` stacks the dirty canvases of a grid and repairs
-each stack with one ``grid._repair`` call, whose later rounds read only
+``grid._per_component`` packs the dirty canvases of a grid into one
+stack and repairs it with one ``grid._repair`` call, whose later rounds read only
 the windows around the cells the round before edited, and which tells a
 state by the cells edited an odd number of times. The loop below is the
 one it replaced, kept as the reference: it repairs one canvas, reads
@@ -92,6 +92,9 @@ def _event(got):
     event(got[0].__name__ if isinstance(got[0], type) else "reports")
 
 
+CHECKERBOARD = np.indices((6, 6)).sum(axis=0) % 2 == 0
+
+
 def three_copies(seed):
     """A Bernoulli image, three times side by side: its dirty components'
     canvases, three of each, stack together. Seed 73's take a second
@@ -105,9 +108,8 @@ def three_copies(seed):
 
 def pinched_rings():
     """Three rings whose last corner meets the rest at a vertex only,
-    at 6, 3 and 1 times a 3 x 3 ring: dirty 4-components whose canvases
-    (20, 11 and 5 wide) round up to three powers of two, and fit in the
-    image in one stack."""
+    at 6, 3 and 1 times a 3 x 3 ring: dirty 4-components whose canvases,
+    20, 11 and 5 wide, share the rows of one packed stack."""
     ring = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
     cells = np.zeros((24, 40), dtype=bool)
     for k, (y, x) in zip((6, 3, 1), ((1, 1), (1, 21), (12, 21))):
@@ -187,7 +189,7 @@ def test_a_stack_that_repair_only_filled_is_answered_from_the_grid_pass(
 )
 @example((12, 12, 12), 0.15, 25, False)
 @example((12, 12, 12), 0.15, 25, True)
-# 13 dirty canvases of four extent classes, in one stack.
+# 13 dirty canvases of mixed extents, in one stack.
 @example((12, 12, 12), 0.05, 2, False)
 def test_3d_driver_matches_canvases_repaired_alone(shape, density, seed, cycle):
     # Raw Bernoulli volumes, with the cycling pattern written into a
@@ -235,12 +237,17 @@ def corner_rows_checked(img):
     filled = []
 
     def checked(rows, codes, cells, owner):
-        # Canvas i of the repaired stack, bit 0 of its codes, is its piece
-        # i + 1 in scan order.
-        labels, count = ndimage.label((codes[1:, 1:] & 1).astype(bool))
+        # Each canvas of the repaired stack, bit 0 of its codes, is one
+        # piece: the one that holds its fills, whose canvases the lookup
+        # gave (``owner``).
+        labels, count = ndimage.label((codes & 1).astype(bool))
         assert count == len(rows)
+        piece = np.zeros(len(rows), dtype=int)
+        piece[owner] = labels.reshape(-1)[cells]
+        assert np.array_equal(labels.reshape(-1)[cells], piece[owner])
+        assert sorted(piece.tolist()) == list(range(1, count + 1))
         got = topo2d._filled_rows(rows, codes, cells, owner)
-        for i, row in enumerate(got.tolist(), 1):
+        for row, i in zip(got.tolist(), piece.tolist()):
             assert_corner_row(row, labels == i)
         filled.append(count)
         return got
@@ -307,12 +314,23 @@ def test_with_repair_the_3d_driver_never_calls_slow(shape, density, seed, cycle)
             event("cycled")
 
 
+def canvases_of(ids):
+    """The canvases of ``grid._repair`` from ``ids``, the canvas of every
+    cell of a grid cut into boxes: the flat index of the first cell of
+    each box's line along x, the box of each, and the cells of each box."""
+    flat = ids.reshape(-1)
+    line = np.zeros(ids.shape, dtype=bool)
+    line[..., 0] = True
+    starts = np.flatnonzero(line.reshape(-1) | (flat != np.roll(flat, 1)))
+    return starts, flat[starts], np.bincount(flat).tolist()
+
+
 @st.composite
 def split_grids(draw):
     """A raw Bernoulli image or volume, some volumes with the cycling
-    pattern written in at a drawn place, and a drawn cut of its rows
-    into canvases, ``(rows, cells)`` each: canvases with no empty frame,
-    so a hit window may cross two of them."""
+    pattern written in at a drawn place, and a drawn cut of it into boxes
+    along its first and last axes (``canvases_of``): canvases with no
+    empty frame, so a hit window may cross two of them."""
     ndim = draw(st.sampled_from((2, 3)))
     shape = draw(st.tuples(*[st.integers(1, 24 if ndim == 2 else 10)] * ndim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -321,25 +339,42 @@ def split_grids(draw):
         if all(n >= k for n, k in zip(shape, REPAIR_CYCLE.shape)):
             at = [draw(st.integers(0, n - k)) for n, k in zip(shape, REPAIR_CYCLE.shape)]
             cells[tuple(slice(i, i + k) for i, k in zip(at, REPAIR_CYCLE.shape))] = REPAIR_CYCLE
-    cuts = sorted(draw(st.sets(st.integers(1, shape[0] - 1)))) if shape[0] > 1 else []
-    rows = np.diff([0, *cuts, shape[0]]).tolist()
-    return cells, [(n, n * cells[0].size) for n in rows]
+    bands, columns = (
+        np.searchsorted(sorted(draw(st.sets(st.integers(1, max(n - 1, 1))))), np.arange(n), "right")
+        for n in (shape[0], shape[-1])
+    )
+    ids = bands.reshape((-1,) + (1,) * (ndim - 1)) * (columns.max() + 1) + columns
+    ids = np.broadcast_to(ids, shape)
+    # Number the boxes 0, 1, ... in scan order of their first cells.
+    _, ids = np.unique(ids, return_inverse=True)
+    return cells, ids.reshape(shape)
+
+
+def band_ids(cells, rows):
+    """The canvas of every cell of ``cells`` cut along its first axis
+    into bands of ``rows``."""
+    bands = np.arange(len(rows)).repeat(rows)
+    return np.broadcast_to(bands.reshape((-1,) + (1,) * (cells.ndim - 1)), cells.shape)
 
 
 @settings(max_examples=200, deadline=None)
 @given(split=split_grids())
-@example(split=(REPAIR_CYCLE, [(4, REPAIR_CYCLE.size)]))
-@example(split=(np.pad(REPAIR_CYCLE, 1), [(3, 75), (3, 75)]))
-@example(split=(np.indices((6, 6)).sum(axis=0) % 2 == 0, [(2, 12), (1, 6), (3, 18)]))
+@example(split=(REPAIR_CYCLE, band_ids(REPAIR_CYCLE, [4])))
+@example(split=(np.pad(REPAIR_CYCLE, 1), band_ids(np.pad(REPAIR_CYCLE, 1), [3, 3])))
+@example(split=(CHECKERBOARD, band_ids(CHECKERBOARD, [2, 1, 3])))
+@example(split=(CHECKERBOARD, np.indices(CHECKERBOARD.shape)[1] // 2))
 def test_repair_hands_back_the_codes_of_its_result(split):
     # Where repair converges, the codes it returns are those of its
     # result padded by one empty cell, and the result is bit 0 of each
-    # window code past the first layer. The input is never written.
-    cells, canvases = split
+    # window code past the first layer. Each edit keeps the canvas of the
+    # window that made it, which holds the window's minimal cell, one
+    # step or none before the edited cell per axis. The input is never
+    # written.
+    cells, ids = split
     kept = cells.copy()
     repair = repair_2d if cells.ndim == 2 else topo3d.repair_3d
     try:
-        fixed, edits, codes = repair(grid._grid_of(cells), _canvases=canvases)
+        fixed, edits, codes, owner = repair(grid._grid_of(cells), _canvases=canvases_of(ids))
     except RepairDidNotConverge:
         event("RepairDidNotConverge")
         assert np.array_equal(cells, kept)
@@ -349,6 +384,10 @@ def test_repair_hands_back_the_codes_of_its_result(split):
     assert not np.shares_memory(fixed.cells, cells)
     assert np.array_equal(codes, _window_codes(_pad(fixed.cells)))
     assert np.array_equal(fixed.cells, codes[(slice(1, None),) * cells.ndim] & 1)
+    assert len(owner) == len(edits)
+    steps = np.indices((2,) * cells.ndim).reshape(cells.ndim, -1).T
+    near = np.array([ids[tuple(np.maximum(edits[:, :-2] - d, 0).T)] for d in steps]).T
+    assert all(k in row for k, row in zip(owner.tolist(), near.tolist()))
 
 
 def plate_pairs(count, cells=None):
@@ -368,14 +407,14 @@ def test_a_cycling_canvas_among_converging_ones_raises(monkeypatch):
     repair_3d = topo3d.repair_3d
 
     def counting(vol, **kwargs):
-        calls.append(kwargs["_canvases"])
+        calls.append(len(kwargs["_canvases"][2]))
         return repair_3d(vol, **kwargs)
 
     monkeypatch.setattr(topo3d, "repair_3d", counting)
     cells = plate_pairs(4, np.zeros((6, 7, 36), dtype=bool))
     reports, actions = analyze_volume(Volume3D(36, 7, 6, cells))
     assert len(reports) == 4 and len(actions) == 4
-    assert len(calls) == 1 and len(calls[0]) == 4
+    assert calls == [4]
     # The cycling pattern's canvas falls into the same stack, first (as
     # component 1) or last (moved two voxels up, as component 5).
     for z in (0, 2):
@@ -384,7 +423,7 @@ def test_a_cycling_canvas_among_converging_ones_raises(monkeypatch):
         calls.clear()
         with pytest.raises(RepairDidNotConverge, match="did not converge"):
             analyze_volume(Volume3D(36, 7, 6, cycling))
-        assert len(calls) == 1 and len(calls[0]) == 5
+        assert calls == [5]
     with pytest.raises(RepairDidNotConverge):
         reference_repair_3d(Volume3D(4, 3, 4, REPAIR_CYCLE))
 
@@ -405,7 +444,10 @@ def test_a_canvas_that_reaches_its_own_cap_raises():
     block[1:4, 1:4] = True
     stack = np.zeros((13, 5), dtype=bool)
     stack[0:5], stack[5:10], stack[10:13, :4] = block, block, spinner
-    canvases = [(5, 25), (5, 25), (3, 12)]
+    ids = band_ids(stack, [5, 5, 3]).copy()
+    ids[10:13, 4] = 3  # beside the spinner, in no canvas
+    starts, of, _ = canvases_of(ids)
+    canvases = starts[of < 3], of[of < 3], [25, 25, 12]
     fixes = []
 
     def spinning_from(row):
@@ -431,7 +473,7 @@ def test_a_canvas_that_reaches_its_own_cap_raises():
     assert len(fixes) == 260
     # Alone, a block converges and the spinner reaches its cap.
     fixes.clear()
-    fixed, edits, _ = _repair(block, hits, order, spinning_from(5))
+    fixed, edits, *_ = _repair(block, hits, order, spinning_from(5))
     assert not fixed.any() and len(edits) == len(fixes) == 9
     fixes.clear()
     with pytest.raises(RepairDidNotConverge):
@@ -440,12 +482,13 @@ def test_a_canvas_that_reaches_its_own_cap_raises():
 
 
 def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
-    # 50 dirty components whose canvases are all 4 x 7 x 7: one stack.
+    # 50 dirty components whose canvases are all 4 x 7 x 7: one stack,
+    # layers of 2 x 2 canvases.
     repairs, full_reads, coded = [], [], []
     repair_3d, hits, window_codes = topo3d.repair_3d, grid._hits, grid._window_codes
 
     def counting_repair(vol, **kwargs):
-        repairs.append(len(kwargs["_canvases"]))
+        repairs.append(len(kwargs["_canvases"][2]))
         return repair_3d(vol, **kwargs)
 
     def counting_hits(codes, table, order, at=None):
@@ -464,12 +507,12 @@ def test_one_stack_is_one_repair_call_that_reads_every_code_once(monkeypatch):
     reports, actions = analyze_volume(Volume3D(70, 7, 20, cells))
     assert len(reports) == 50 and len(actions) == 50
     assert repairs == [50]
-    # The codes of the stack of 50 canvases of 4 x 7 x 7, padded by one
+    # The codes of the stack of 13 layers of 4 x 14 x 14, padded by one
     # voxel: one window per vertex.
-    assert full_reads == [(201, 8, 8)]
+    assert full_reads == [(53, 15, 15)]
     # The padded grid and the padded stack are each coded once: the stack
     # is classified from the codes its repair kept current.
-    assert sorted(coded) == [(22, 9, 72), (202, 9, 9)]
+    assert sorted(coded) == [(22, 9, 72), (54, 16, 16)]
 
 
 def plate_pair(cells, z, y, x, side):
@@ -481,22 +524,24 @@ def plate_pair(cells, z, y, x, side):
 
 
 def counted_repairs(monkeypatch):
-    """The stack of each ``repair_3d`` call the driver makes."""
+    """The stack of each ``repair_3d`` call the driver makes, and the
+    number of its canvases."""
     stacks = []
     repair_3d = topo3d.repair_3d
 
     def counting(vol, **kwargs):
-        stacks.append((vol.cells.shape, len(kwargs["_canvases"])))
+        stacks.append((vol.cells.shape, len(kwargs["_canvases"][2])))
         return repair_3d(vol, **kwargs)
 
     monkeypatch.setattr(topo3d, "repair_3d", counting)
     return stacks
 
 
-def test_canvases_of_several_classes_that_fit_go_to_one_stack(monkeypatch):
-    # Canvases of 4 x 11 x 11, three of 4 x 7 x 7 and 4 x 4 x 4, which
-    # round up to three classes, 20 x 11 x 11 = 2,420 cells in one stack
-    # in a grid of 2,880: one repair call, which reads every code once.
+def test_canvases_of_several_extents_go_to_one_stack(monkeypatch):
+    # Canvases of 4 x 11 x 11, three of 4 x 7 x 7 and 4 x 4 x 4: one
+    # layer of two rows, 4 x 18 x 18 = 1,296 cells, where stacking them
+    # one above another would take 20 x 11 x 11 = 2,420. One repair
+    # call, which reads every code once.
     cells = np.zeros((6, 12, 40), dtype=bool)
     plate_pair(cells, 1, 1, 1, 8)
     for x in (14, 21, 28):
@@ -516,23 +561,105 @@ def test_canvases_of_several_classes_that_fit_go_to_one_stack(monkeypatch):
     got = outcome(analyze_volume, vol)
     assert len(got[0]) == 5 and len(got[1]) == 5
     assert got == want
-    assert stacks == [((20, 11, 11), 5)]
-    assert full_reads == [(21, 12, 12)]
+    assert stacks == [((4, 18, 18), 5)]
+    assert full_reads == [(5, 19, 19)]
 
 
-def test_canvases_that_would_overfill_one_stack_keep_their_classes(monkeypatch):
-    # One canvas of 4 x 11 x 11 and six of 4 x 7 x 7: in one stack they
-    # would take 28 x 11 x 11 = 3,388 cells, more than the grid's 2,332.
-    # So each class has its stack, and none holds more than the grid.
-    cells = np.zeros((4, 11, 53), dtype=bool)
-    plate_pair(cells, 1, 1, 1, 8)
-    for i in range(6):
-        plate_pair(cells, 1, 1, 12 + 7 * i, 4)
-    vol = Volume3D(53, 11, 4, cells)
+def rod_pair(cells, at, axis, length):
+    """A rod of ``length`` voxels from ``at`` (z, y, x) along ``axis``
+    and one voxel that meets its far end at a vertex only: a skinny dirty
+    26-component whose canvas is length + 3 along ``axis`` and 4 along
+    the others. Repair deletes the voxel."""
+    end = list(at)
+    end[axis] += length
+    cells[tuple(slice(i, i + 1 + (length - 1) * (a == axis)) for a, i in enumerate(at))] = True
+    cells[tuple(i + (a != axis) for a, i in enumerate(end))] = True
+
+
+def within_bound(stacks, cells):
+    """Whether each stack, ``(shape, canvases' cells)``, holds no more
+    than the grid's ``cells`` or 4 times its canvases' cells."""
+    return all(np.prod(shape) <= max(cells, 4 * inside) for shape, inside in stacks)
+
+
+def test_a_skinny_mix_that_would_overfill_one_stack_splits(monkeypatch):
+    # Canvases of 23 x 4 x 4 (a rod along z) and two of 4 x 4 x 23 (rods
+    # along x): the z-rod's layer, 23 deep, would take the x-rods too, in
+    # 23 x 8 x 46 = 8,464 cells, more than the grid's 2,530 and 4 times
+    # the canvases' 1,104. So the canvases are halved by footprint: the
+    # x-rods in one row, the z-rod alone.
+    cells = np.zeros((22, 5, 23), dtype=bool)
+    rod_pair(cells, (0, 0, 0), 0, 20)
+    rod_pair(cells, (2, 2, 1), 2, 20)
+    rod_pair(cells, (12, 2, 1), 2, 20)
+    vol = Volume3D(23, 5, 22, cells)
     want = outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
     stacks = counted_repairs(monkeypatch)
     got = outcome(analyze_volume, vol)
-    assert len(got[0]) == 7 and len(got[1]) == 7
+    assert len(got[0]) == 3 and len(got[1]) == 3
     assert got == want
-    assert sorted(stacks) == [((4, 11, 11), 1), ((24, 7, 7), 6)]
-    assert all(np.prod(shape) <= cells.size for shape, _ in stacks)
+    assert stacks == [((4, 4, 46), 2), ((23, 4, 4), 1)]
+    assert within_bound([((4, 4, 46), 2 * 368), ((23, 4, 4), 368)], cells.size)
+
+
+def test_many_canvases_of_mixed_extents_take_one_repair_and_one_labelling(monkeypatch):
+    # 24 plates with a voxel at a far corner, of sides 1-5, 7 voxels
+    # apart: one repair call and one labelling of the stack, after the
+    # grid's own, and the answers of a loop over components.
+    rng = np.random.default_rng(35)
+    cells = np.zeros((20, 30, 30), dtype=bool)
+    for i in range(24):
+        side = int(rng.integers(1, 6))
+        z, (y, x) = 1 + 3 * (i // 4) % 18, 1 + 7 * np.array(divmod(i % 16, 4))
+        plate_pair(cells, z, y, x, side)
+    vol = Volume3D(30, 30, 20, cells)
+    want = outcome(reference_analyze, vol, repair_fn=reference_repair_3d)
+    labels, label = [], grid.label_components_3d
+
+    def counting_label(*args, **kwargs):
+        labels.append(args[0].cells.shape)
+        return label(*args, **kwargs)
+
+    stacks = counted_repairs(monkeypatch)
+    monkeypatch.setattr(grid, "label_components_3d", counting_label)
+    got = outcome(analyze_volume, vol)
+    assert got == want and len(got[0]) == 24
+    assert len(stacks) == 1 and stacks[0][1] == 24
+    assert labels == [cells.shape, stacks[0][0]]
+
+
+@st.composite
+def box_mixes(draw):
+    """The extents of 1-40 canvases, all 2D or all 3D, each 3-12 along
+    every axis, or skinny: 20-60 along one axis and 3-4 along the
+    others; and a grid's cell count."""
+    ndim = draw(st.sampled_from((2, 3)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.booleans()):
+            box = [draw(st.integers(3, 4)) for _ in range(ndim)]
+            box[draw(st.integers(0, ndim - 1))] = draw(st.integers(20, 60))
+        else:
+            box = [draw(st.integers(3, 12)) for _ in range(ndim)]
+        boxes.append(box)
+    return np.array(boxes), draw(st.integers(1, 10**5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mix=box_mixes())
+@example(mix=(np.array([[23, 4, 4], [4, 4, 23], [4, 4, 23]]), 2530))
+def test_packing_places_every_canvas_once_inside_a_bounded_stack(mix):
+    extents, cells = mix
+    stacks = grid._stacks(extents, cells)
+    event(f"{len(stacks)} stacks")
+    members = np.concatenate([m for m, _, _ in stacks])
+    assert sorted(members.tolist()) == list(range(len(extents)))
+    for m, lo, shape in stacks:
+        hi = lo + extents[m]
+        assert len(shape) == extents.shape[1]
+        assert (lo >= 0).all() and (hi <= shape).all()
+        # Two boxes are disjoint when some axis separates them.
+        apart = ((hi[:, None] <= lo[None]) | (hi[None] <= lo[:, None])).any(axis=2)
+        np.fill_diagonal(apart, True)
+        assert apart.all()
+        assert np.prod(shape) <= max(cells, 4 * int(extents[m].prod(axis=1).sum()))
